@@ -29,7 +29,6 @@ Quickstart::
 
 from repro import (
     analysis,
-    backends,
     cache,
     core,
     exact,
@@ -39,7 +38,6 @@ from repro import (
     scenarios,
     theory,
 )
-from repro.backends import Backend, resolve_backend, set_default_backend
 from repro.cache import ResultCache
 from repro.core import (
     BipsProcess,
@@ -57,7 +55,6 @@ from repro.core import (
     sample_completion_times,
 )
 from repro.errors import (
-    BackendError,
     CacheError,
     CoverTimeoutError,
     ExactEngineError,
@@ -86,12 +83,7 @@ __all__ = [
     "experiments",
     "parallel",
     "cache",
-    "backends",
     "scenarios",
-    # backends
-    "Backend",
-    "resolve_backend",
-    "set_default_backend",
     # caching
     "ResultCache",
     # core types
@@ -120,7 +112,6 @@ __all__ = [
     "ExactEngineError",
     "ExperimentError",
     "ParallelError",
-    "BackendError",
     "CacheError",
     "ScenarioError",
 ]

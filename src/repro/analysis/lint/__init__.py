@@ -2,8 +2,7 @@
 
 The reproduction's claims rest on invariants the dynamic test suite can
 only probe — seed-stable RNG streams, cache keys that cover every
-parameter, kernels restricted to the :class:`~repro.backends.Backend`
-vocabulary, spawn-safe worker plumbing.  The rule engine here checks
+parameter, spawn-safe worker plumbing.  The rule engine here checks
 them *statically*: every rule is an AST visitor producing
 :class:`~repro.analysis.lint.engine.Finding` records with a stable rule
 id, a file:line anchor, and a fix hint.

@@ -5,7 +5,6 @@ rule id            invariant
 =================  ==========================================================
 rng-discipline     all randomness flows through seeded NumPy generators
 determinism        no iteration-order or wall-clock nondeterminism in repro
-backend-purity     batch kernels speak only the ``Backend`` op vocabulary
 cache-identity     workload fields and spec versions cover the cache key
 spawn-safety       pool workers get picklable, closure-free callables
 error-taxonomy     no over-broad handlers that swallow without classifying
@@ -15,7 +14,6 @@ error-taxonomy     no over-broad handlers that swallow without classifying
 from __future__ import annotations
 
 from repro.analysis.lint.engine import Rule
-from repro.analysis.lint.rules.backend_purity import BackendPurityRule
 from repro.analysis.lint.rules.cache_identity import CacheIdentityRule
 from repro.analysis.lint.rules.determinism import DeterminismRule
 from repro.analysis.lint.rules.error_taxonomy import ErrorTaxonomyRule
@@ -26,7 +24,6 @@ from repro.analysis.lint.rules.spawn_safety import SpawnSafetyRule
 _RULE_TYPES: tuple[type[Rule], ...] = (
     RngDisciplineRule,
     DeterminismRule,
-    BackendPurityRule,
     CacheIdentityRule,
     SpawnSafetyRule,
     ErrorTaxonomyRule,
@@ -44,7 +41,6 @@ def rules_by_id() -> dict[str, Rule]:
 
 
 __all__ = [
-    "BackendPurityRule",
     "CacheIdentityRule",
     "DeterminismRule",
     "ErrorTaxonomyRule",

@@ -68,18 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(default 1; 0 = one per CPU); results are independent of N"
         ),
     )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "array backend for the batch engines: 'numpy' (default), 'numba' "
-            "(compiled kernel tier, needs the cobra-repro[numba] extra), "
-            "'cupy', or 'array-api:<module>'; falls back to the "
-            "REPRO_BACKEND environment variable, and deterministic backends "
-            "produce bit-identical results for a fixed seed"
-        ),
-    )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     subparsers.add_parser("list", help="list all experiments")
@@ -93,11 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--engine",
         default=None,
-        choices=("process", "batch", "compiled", "event", "sparse"),
+        choices=("process", "batch", "event", "sparse"),
         help=(
             "measurement engine for engine-aware experiments: 'batch' "
-            "(vectorised rounds, the default), 'compiled' (batch on the "
-            "numba backend — bit-identical, JIT-compiled rounds), 'process' "
+            "(vectorised rounds, the default), 'process' "
             "(sequential rounds), 'event' (continuous-time Gillespie), or "
             "'sparse' (frontier-proportional kernels for million-vertex "
             "graphs); shorthand for --set engine=NAME"
@@ -261,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = subparsers.add_parser(
         "lint",
-        help="static invariant checks: determinism, cache identity, backend purity",
+        help="static invariant checks: determinism, cache identity, spawn safety",
     )
     lint.add_argument(
         "paths",
@@ -775,22 +762,16 @@ def _run_one(
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    from repro.backends import set_default_backend
     from repro.parallel import resolve_jobs, set_default_jobs
 
     parser = build_parser()
     args = parser.parse_args(argv)
     previous_jobs = None
-    previous_backend = None
     try:
         jobs = resolve_jobs(args.jobs)
         # Process-wide defaults so every ensemble an experiment measures
         # inherits the flags; restored for embedded callers (tests).
         previous_jobs = set_default_jobs(jobs)
-        if args.backend is not None:
-            # Validated (and the backend constructed) eagerly: a typo or
-            # missing GPU library fails here, not mid-experiment.
-            previous_backend = set_default_backend(args.backend)
         if args.command == "list":
             for experiment_id in experiment_ids():
                 spec = get_spec(experiment_id)
@@ -859,11 +840,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     finally:
         if previous_jobs is not None:
             set_default_jobs(previous_jobs)
-        if previous_backend is not None:
-            # The saved spec may be an unvalidated REPRO_BACKEND value;
-            # restoring must not re-validate it (a broken environment
-            # default would crash an otherwise successful command).
-            set_default_backend(previous_backend, validate=False)
     return 0
 
 

@@ -42,16 +42,6 @@ the shards run inline (``jobs=1``) or across a process pool
 (``jobs>1``).  When the pool would *spawn* workers (no ``fork``), the
 graph ships once through a :class:`~repro.parallel.SharedGraph`
 segment and reattaches zero-copy in each worker.
-
-The kernels run against the :class:`~repro.backends.Backend` protocol
-(``backend=`` on every entry point): the default NumPy backend keeps
-the original in-place ops verbatim — bit-identical to the pre-backend
-engines at every ``jobs`` count — while the array-API backend runs the
-same kernels on any conforming namespace (CuPy for GPUs).  Randomness
-is always drawn on the host generator, so a fixed seed produces
-bit-identical results on every deterministic backend, and the replica
-bookkeeping (completion times, replica ids, trace matrices) stays on
-the host regardless of where the ``(R, n)`` evolution happens.
 """
 
 from __future__ import annotations
@@ -61,13 +51,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._rng import SeedLike, ensure_generator, spawn_seed_sequences
-from repro.backends import Backend, resolve_backend
+from repro.core.memory import check_dense_state_budget
 from repro.core.process import (
     resolve_vertex,
     validate_branching,
 )
 from repro.core.runner import default_max_rounds
-from repro.errors import BackendError, CoverTimeoutError, InfectionTimeoutError
+from repro.errors import CoverTimeoutError, InfectionTimeoutError
 from repro.graphs.base import Graph
 from repro.parallel import (
     acquire_shared_graph,
@@ -161,12 +151,7 @@ class BatchTraces:
         completion requires all vertices *simultaneously* infected
         (timeout contract above).
         """
-        # Trace matrices are host-resident whatever backend evolved the
-        # state, so the aggregation runs the reference backend's cumsum
-        # — the one protocol op the trace path (not the round loop)
-        # consumes.
-        xp = resolve_backend("numpy")
-        return self.initial_cumulative + xp.cumsum(self.newly_counts, axis=1)
+        return self.initial_cumulative + np.cumsum(self.newly_counts, axis=1)
 
     def total_transmissions(self) -> np.ndarray:
         """``(R,)`` messages summed over each replica's whole run.
@@ -203,11 +188,7 @@ class _ShardTraceRecorder:
     The kernels hand in live-block vectors (one entry per *unfinished*
     replica); the recorder scatters them into fixed ``(R, capacity)``
     matrices, doubling the round capacity as needed, so recording adds
-    no per-round allocation in the steady state.  Recording is a
-    host-side concern: kernels transfer their per-round count vectors
-    with :meth:`~repro.backends.Backend.to_numpy` (free on the NumPy
-    backend), so trace matrices are ordinary host arrays whatever
-    backend evolved the state.
+    no per-round allocation in the steady state.
     """
 
     def __init__(self, n_replicas: int) -> None:
@@ -253,14 +234,9 @@ def _cobra_shard(
     """One shard of COBRA replicas; ``-1`` marks a timeout.
 
     Returns the cover times, or ``(times, active, newly,
-    transmissions)`` matrices when tracing is requested.  All array
-    work flows through the shipped backend; completion times and
-    replica-id bookkeeping stay host-side.
+    transmissions)`` matrices when tracing is requested.
     """
-    graph, start, mandatory, rho, max_rounds, include_start_in_cover, record, backend = (
-        context
-    )
-    xp = resolve_backend(backend)
+    graph, start, mandatory, rho, max_rounds, include_start_in_cover, record = context
     graph = resolve_shared_graph(graph)
     n_replicas = stop_index - start_index
     rng = ensure_generator(seed)
@@ -274,68 +250,62 @@ def _cobra_shard(
     # Row i of every buffer belongs to replica ``replica_ids[i]``; rows
     # of finished replicas are compacted away, so ``[:live]`` is always
     # the whole unfinished population and nothing else.
-    active = xp.zeros((n_replicas, stride), "bool")
+    active = np.zeros((n_replicas, stride), dtype=bool)
     active[:, start] = True
-    covered = xp.zeros((n_replicas, stride), "bool")
+    covered = np.zeros((n_replicas, stride), dtype=bool)
     if include_start_in_cover:
         covered[:, start] = True
     # Scratch for the per-round counts; fully recomputed from
     # ``covered`` before every read, so no initial fill is needed.
-    covered_counts = xp.empty(n_replicas, "int64")
+    covered_counts = np.empty(n_replicas, dtype=np.int64)
     cover_times = np.full(n_replicas, -1, dtype=np.int64)
     replica_ids = np.arange(n_replicas)
-    scratch = xp.zeros((n_replicas, stride), "bool")
-    newly = xp.empty((n_replicas, stride), "bool") if record else None
+    scratch = np.zeros((n_replicas, stride), dtype=bool)
+    newly = np.empty((n_replicas, stride), dtype=bool) if record else None
     recorder = _ShardTraceRecorder(n_replicas) if record else None
 
     live = n_replicas
     for round_index in range(1, max_rounds + 1):
         if live == 0:
             break
-        flat_active = xp.ravel(active[:live])
-        positions = xp.flatnonzero(flat_active)
+        flat_active = active[:live].ravel()
+        positions = np.flatnonzero(flat_active)
         columns = positions & vertex_mask
         bases = positions - columns
-        picks = graph.sample_neighbors(columns, mandatory, rng, backend=xp)
-        next_state = xp.fill_false(scratch[:live])
-        flat_next = xp.ravel(next_state)
+        picks = graph.sample_neighbors(columns, mandatory, rng)
+        next_state = scratch[:live]
+        next_state[...] = False
+        flat_next = next_state.ravel()
         # Single flat scatter for all mandatory draws of all replicas.
         picks += bases[:, None]
-        xp.put_true(flat_next, picks)
+        flat_next[picks] = True
         branch = None
         if rho > 0.0:
-            branch = xp.random(rng, xp.size(columns)) < rho
-            if xp.any_scalar(branch):
-                extra = xp.ravel(
-                    graph.sample_neighbors(columns[branch], 1, rng, backend=xp)
-                )
-                xp.put_true(flat_next, bases[branch] + extra)
+            branch = rng.random(columns.size) < rho
+            if branch.any():
+                extra = graph.sample_neighbors(columns[branch], 1, rng).ravel()
+                flat_next[bases[branch] + extra] = True
         cumulative = covered[:live]
         if recorder is not None:
-            fresh = xp.greater(next_state, cumulative, out=newly[:live])  # next & ~covered
-            fresh_counts = xp.sum_along_last(fresh)
+            fresh = np.greater(next_state, cumulative, out=newly[:live])  # next & ~covered
+            fresh_counts = fresh.sum(axis=-1)
             rows = bases // stride
-            transmissions = xp.bincount(rows, live) * mandatory
+            transmissions = np.bincount(rows, minlength=live) * mandatory
             if branch is not None:
-                transmissions = transmissions + xp.bincount(rows[branch], live)
+                transmissions += np.bincount(rows[branch], minlength=live)
             recorder.record(
-                replica_ids[:live],
-                xp.to_numpy(xp.sum_along_last(next_state)),
-                xp.to_numpy(fresh_counts),
-                xp.to_numpy(transmissions),
+                replica_ids[:live], next_state.sum(axis=-1), fresh_counts, transmissions
             )
         cumulative |= next_state
-        counts = xp.sum_along_last(cumulative, out=covered_counts[:live])
-        if xp.max_scalar(counts) == n:
+        counts = np.sum(cumulative, axis=-1, out=covered_counts[:live])
+        if int(counts.max()) == n:
             done = counts == n
             keep = ~done
-            done_np = xp.to_numpy(done)
-            keep_np = ~done_np
-            cover_times[replica_ids[:live][done_np]] = round_index
-            live = int(keep_np.sum())
+            cover_times[replica_ids[:live][done]] = round_index
+            live = int(keep.sum())
             active[:live] = next_state[keep]
             covered[:live] = cumulative[keep]
-            replica_ids[:live] = replica_ids[: keep_np.size][keep_np]
+            replica_ids[:live] = replica_ids[: keep.size][keep]
         else:
             active, scratch = scratch, active
 
@@ -351,29 +321,27 @@ def _bips_shard(
 
     Returns the infection times, or the trace matrices when requested.
     """
-    graph, source, mandatory, rho, max_rounds, record, backend = context
-    xp = resolve_backend(backend)
+    graph, source, mandatory, rho, max_rounds, record = context
     graph = resolve_shared_graph(graph)
     n_replicas = stop_index - start_index
     rng = ensure_generator(seed)
     n = graph.n_vertices
 
-    infected = xp.zeros((n_replicas, n), "bool")
+    infected = np.zeros((n_replicas, n), dtype=bool)
     infected[:, source] = True
     infection_times = np.full(n_replicas, -1, dtype=np.int64)
     replica_ids = np.arange(n_replicas)
-    scratch = xp.empty((n_replicas, n), "bool")
+    scratch = np.empty((n_replicas, n), dtype=bool)
     # Every vertex of every live replica samples each round; the flat
     # vertex list and the per-slot state-row offsets never change, so
     # both are built once and sliced to the live block.
-    flat_vertices = xp.tile(xp.arange(n), n_replicas)
-    row_offsets = xp.repeat(xp.arange(n_replicas) * n, n)
-    hits_buffer = xp.empty((n_replicas * n, mandatory), "bool")
+    flat_vertices = np.tile(np.arange(n, dtype=np.int64), n_replicas)
+    row_offsets = np.repeat(np.arange(n_replicas, dtype=np.int64) * n, n)
+    hits_buffer = np.empty((n_replicas * n, mandatory), dtype=bool)
     recorder = _ShardTraceRecorder(n_replicas) if record else None
     if recorder is not None:
-        ever_infected = xp.empty((n_replicas, n), "bool")
-        ever_infected[...] = infected
-        newly = xp.empty((n_replicas, n), "bool")
+        ever_infected = infected.copy()
+        newly = np.empty((n_replicas, n), dtype=bool)
 
     live = n_replicas
     for round_index in range(1, max_rounds + 1):
@@ -381,137 +349,49 @@ def _bips_shard(
             break
         slots = live * n
         vertices = flat_vertices[:slots]
-        picks = graph.sample_neighbors(vertices, mandatory, rng, backend=xp)
+        picks = graph.sample_neighbors(vertices, mandatory, rng)
         picks += row_offsets[:slots, None]
-        state_flat = xp.ravel(infected[:live])
-        hits = xp.take(state_flat, picks, out=hits_buffer[:slots])
+        state_flat = infected[:live].ravel()
+        hits = np.take(state_flat, picks, out=hits_buffer[:slots])
         next_state = scratch[:live]
-        next_flat = xp.any_along_last(hits, out=xp.ravel(next_state))
-        coin = None
+        next_flat = np.any(hits, axis=-1, out=next_state.ravel())
         n_extra = 0
         if rho > 0.0:
-            coin = xp.random(rng, slots) < rho
-            extra_slots = xp.flatnonzero(coin)
-            n_extra = xp.size(extra_slots)
+            coin = rng.random(slots) < rho
+            extra_slots = np.flatnonzero(coin)
+            n_extra = extra_slots.size
             if n_extra:
-                extra = xp.ravel(
-                    graph.sample_neighbors(vertices[extra_slots], 1, rng, backend=xp)
-                )
-                xp.or_at(
-                    next_flat,
-                    extra_slots,
-                    xp.take(state_flat, extra + row_offsets[extra_slots]),
-                )
+                extra = graph.sample_neighbors(vertices[extra_slots], 1, rng).ravel()
+                next_flat[extra_slots] |= state_flat[extra + row_offsets[extra_slots]]
         next_state[:, source] = True
-        counts = xp.sum_along_last(next_state)
+        counts = next_state.sum(axis=-1)
         if recorder is not None:
-            fresh = xp.greater(next_state, ever_infected[:live], out=newly[:live])
-            fresh_counts = xp.sum_along_last(fresh)
+            fresh = np.greater(next_state, ever_infected[:live], out=newly[:live])
+            fresh_counts = fresh.sum(axis=-1)
             ever_infected[:live] |= next_state
             # Contacts per replica, the persistent source's excluded
             # (its draws exist only for vectorisation, like the
             # sequential engine).
-            transmissions = xp.full(live, (n - 1) * mandatory, "int64")
-            if coin is not None and n_extra:
+            transmissions = np.full(live, (n - 1) * mandatory, dtype=np.int64)
+            if n_extra:
                 non_source = vertices[extra_slots] != source
-                transmissions = transmissions + xp.bincount(
-                    extra_slots[non_source] // n, live
-                )
-            recorder.record(
-                replica_ids[:live],
-                xp.to_numpy(counts),
-                xp.to_numpy(fresh_counts),
-                xp.to_numpy(transmissions),
-            )
+                transmissions += np.bincount(extra_slots[non_source] // n, minlength=live)
+            recorder.record(replica_ids[:live], counts, fresh_counts, transmissions)
         done = counts == n
-        # Gate the device-to-host mask transfer on a scalar check, like
-        # the COBRA kernel: most rounds finish nothing, and the
-        # steady-state loop should stay transfer-free on GPU backends.
-        if xp.any_scalar(done):
-            done_np = xp.to_numpy(done)
+        if done.any():
             keep = ~done
-            keep_np = ~done_np
-            infection_times[replica_ids[:live][done_np]] = round_index
-            live = int(keep_np.sum())
+            infection_times[replica_ids[:live][done]] = round_index
+            live = int(keep.sum())
             infected[:live] = next_state[keep]
-            replica_ids[:live] = replica_ids[: keep_np.size][keep_np]
+            replica_ids[:live] = replica_ids[: keep.size][keep]
             if recorder is not None:
-                ever_infected[:live] = ever_infected[: keep_np.size][keep]
+                ever_infected[:live] = ever_infected[: keep.size][keep]
         else:
             infected, scratch = scratch, infected
 
     if recorder is None:
         return infection_times
     return recorder.finalize(infection_times)
-
-
-def _resolve_engine_backend(graph: Graph, backend: "str | Backend | None") -> Backend:
-    """Resolve and validate the backend for one batch entry point.
-
-    Non-NumPy backends only support the regular-degree sampling fast
-    path, so irregular graphs are rejected here — before any shard is
-    seeded — with a clear error instead of failing mid-kernel.
-    """
-    resolved = resolve_backend(backend)
-    if not resolved.is_numpy and not graph.is_regular:
-        raise BackendError(
-            f"backend {resolved.spec!r} supports only regular graphs "
-            f"(the degree-regular sampling fast path); graph "
-            f"{graph.name!r} has degrees "
-            f"{graph.min_degree}..{graph.max_degree}"
-        )
-    return resolved
-
-
-def _resolve_shard_kernel(engine_backend: Backend, process: str):
-    """Pick the shard kernel the resolved backend should run.
-
-    Backends that provide compiled kernels (the numba tier) get the
-    Numba-JIT shards from :mod:`repro.core.compiled` — warmed here, in
-    the parent, so the on-disk compile cache is populated before any
-    worker pool starts and spawn workers never pay the JIT cost.
-    Everything else runs the reference kernels above.  Both kernel
-    families are module-level functions, so either pickles to spawn
-    workers.
-    """
-    if engine_backend.provides_compiled_kernels:
-        from repro.core import compiled
-
-        compiled.ensure_warm()
-        if process == "cobra":
-            return compiled.compiled_cobra_shard
-        return compiled.compiled_bips_shard
-    return _cobra_shard if process == "cobra" else _bips_shard
-
-
-def _check_memory_budget(
-    graph: Graph,
-    engine_backend: Backend,
-    process: str,
-    n_replicas: int,
-    mandatory: int,
-    record: bool,
-    shard_size: int | None,
-    jobs: int | None,
-) -> None:
-    """Fail fast when the dense ``(R, n)`` state cannot fit in memory.
-
-    Host-memory estimation only applies to the NumPy reference backend
-    — device backends budget their own memory.
-    """
-    if not engine_backend.is_numpy:
-        return
-    from repro.core.memory import check_dense_state_budget
-
-    check_dense_state_budget(
-        graph,
-        process=process,
-        n_replicas=n_replicas,
-        mandatory=mandatory,
-        record=record,
-        shard_size=shard_size,
-        jobs=jobs,
-    )
 
 
 def _run_sharded(
@@ -533,8 +413,7 @@ def _run_sharded(
     campaign entries open one) the publication is cached and reused
     across every ensemble call on the same graph — one copy per graph
     per scope; otherwise the segments are freed before returning, even
-    on error.  A backend travelling in ``parameters`` pickles as its
-    spec string and re-resolves inside each worker.
+    on error.
     """
     bounds = shard_bounds(n_replicas, shard_size)
     seeds = spawn_seed_sequences(seed, len(bounds))
@@ -599,7 +478,6 @@ def batch_cobra_cover_times(
     raise_on_timeout: bool = True,
     jobs: int | None = None,
     shard_size: int | None = None,
-    backend: "str | Backend | None" = None,
 ) -> np.ndarray:
     """Cover times of ``n_replicas`` independent COBRA runs.
 
@@ -610,9 +488,6 @@ def batch_cobra_cover_times(
     shards over a process pool (``None`` = the process-wide default,
     ``0`` = one worker per CPU); for a fixed ``seed`` and
     ``shard_size`` the result is bit-identical for every ``jobs``.
-    ``backend`` selects the array backend (``None`` = the process-wide
-    default, normally NumPy); deterministic backends are bit-identical
-    to each other because all draws come from the host generator.
 
     Returns an int64 array of length ``n_replicas``; timeouts raise
     :class:`~repro.errors.CoverTimeoutError` (default) or are reported
@@ -624,16 +499,18 @@ def batch_cobra_cover_times(
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
     if max_rounds is None:
         max_rounds = default_max_rounds(graph)
-    engine_backend = _resolve_engine_backend(graph, backend)
-    _check_memory_budget(
-        graph, engine_backend, "cobra", n_replicas, mandatory, False, shard_size, jobs
+    check_dense_state_budget(
+        graph,
+        process="cobra",
+        n_replicas=n_replicas,
+        mandatory=mandatory,
+        record=False,
+        shard_size=shard_size,
+        jobs=jobs,
     )
-    parameters = (
-        start, mandatory, rho, max_rounds, include_start_in_cover, False, engine_backend,
-    )
-    kernel = _resolve_shard_kernel(engine_backend, "cobra")
+    parameters = (start, mandatory, rho, max_rounds, include_start_in_cover, False)
     times = np.concatenate(
-        _run_sharded(kernel, graph, parameters, n_replicas, seed, shard_size, jobs)
+        _run_sharded(_cobra_shard, graph, parameters, n_replicas, seed, shard_size, jobs)
     )
     _check_timeouts(times, raise_on_timeout, "COBRA", "cover", graph, max_rounds)
     return times
@@ -651,7 +528,6 @@ def batch_cobra_traces(
     raise_on_timeout: bool = True,
     jobs: int | None = None,
     shard_size: int | None = None,
-    backend: "str | Backend | None" = None,
 ) -> BatchTraces:
     """Per-round curves of ``n_replicas`` independent COBRA runs.
 
@@ -660,8 +536,8 @@ def batch_cobra_traces(
     bit-identical to the times engine's output), but each round's
     active / newly-covered / transmission counts are recorded per
     replica, so message-accounting ensembles leave the sequential
-    path.  Sharding, ``jobs``, and ``backend`` follow the same
-    seed-stable contract.  With ``raise_on_timeout=False`` timed-out
+    path.  Sharding and ``jobs`` follow the same seed-stable
+    contract.  With ``raise_on_timeout=False`` timed-out
     rows stay in the returned matrices — see the
     :class:`BatchTraces` timeout contract.
     """
@@ -671,16 +547,18 @@ def batch_cobra_traces(
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
     if max_rounds is None:
         max_rounds = default_max_rounds(graph)
-    engine_backend = _resolve_engine_backend(graph, backend)
-    _check_memory_budget(
-        graph, engine_backend, "cobra", n_replicas, mandatory, True, shard_size, jobs
+    check_dense_state_budget(
+        graph,
+        process="cobra",
+        n_replicas=n_replicas,
+        mandatory=mandatory,
+        record=True,
+        shard_size=shard_size,
+        jobs=jobs,
     )
-    parameters = (
-        start, mandatory, rho, max_rounds, include_start_in_cover, True, engine_backend,
-    )
-    kernel = _resolve_shard_kernel(engine_backend, "cobra")
+    parameters = (start, mandatory, rho, max_rounds, include_start_in_cover, True)
     times, active, newly, transmissions = _merge_traces(
-        _run_sharded(kernel, graph, parameters, n_replicas, seed, shard_size, jobs)
+        _run_sharded(_cobra_shard, graph, parameters, n_replicas, seed, shard_size, jobs)
     )
     _check_timeouts(times, raise_on_timeout, "COBRA", "cover", graph, max_rounds)
     return BatchTraces(
@@ -704,15 +582,13 @@ def batch_bips_infection_times(
     raise_on_timeout: bool = True,
     jobs: int | None = None,
     shard_size: int | None = None,
-    backend: "str | Backend | None" = None,
 ) -> np.ndarray:
     """Infection times of ``n_replicas`` independent BIPS runs.
 
     All vertices of all unfinished replicas sample each round, so the
     inner loop is a single ``(U·n, k)`` gather for `U` unfinished
-    replicas per shard.  Sharding, ``jobs``, and ``backend`` follow
-    the same seed-stable contract as
-    :func:`batch_cobra_cover_times`.  Timeouts raise
+    replicas per shard.  Sharding and ``jobs`` follow the same
+    seed-stable contract as :func:`batch_cobra_cover_times`.  Timeouts raise
     :class:`~repro.errors.InfectionTimeoutError` (default) or are
     reported as ``-1``.
     """
@@ -722,14 +598,18 @@ def batch_bips_infection_times(
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
     if max_rounds is None:
         max_rounds = default_max_rounds(graph)
-    engine_backend = _resolve_engine_backend(graph, backend)
-    _check_memory_budget(
-        graph, engine_backend, "bips", n_replicas, mandatory, False, shard_size, jobs
+    check_dense_state_budget(
+        graph,
+        process="bips",
+        n_replicas=n_replicas,
+        mandatory=mandatory,
+        record=False,
+        shard_size=shard_size,
+        jobs=jobs,
     )
-    parameters = (source, mandatory, rho, max_rounds, False, engine_backend)
-    kernel = _resolve_shard_kernel(engine_backend, "bips")
+    parameters = (source, mandatory, rho, max_rounds, False)
     times = np.concatenate(
-        _run_sharded(kernel, graph, parameters, n_replicas, seed, shard_size, jobs)
+        _run_sharded(_bips_shard, graph, parameters, n_replicas, seed, shard_size, jobs)
     )
     _check_timeouts(
         times, raise_on_timeout, "BIPS", "infect", graph, max_rounds,
@@ -749,7 +629,6 @@ def batch_bips_traces(
     raise_on_timeout: bool = True,
     jobs: int | None = None,
     shard_size: int | None = None,
-    backend: "str | Backend | None" = None,
 ) -> BatchTraces:
     """Per-round curves of ``n_replicas`` independent BIPS runs.
 
@@ -767,14 +646,18 @@ def batch_bips_traces(
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
     if max_rounds is None:
         max_rounds = default_max_rounds(graph)
-    engine_backend = _resolve_engine_backend(graph, backend)
-    _check_memory_budget(
-        graph, engine_backend, "bips", n_replicas, mandatory, True, shard_size, jobs
+    check_dense_state_budget(
+        graph,
+        process="bips",
+        n_replicas=n_replicas,
+        mandatory=mandatory,
+        record=True,
+        shard_size=shard_size,
+        jobs=jobs,
     )
-    parameters = (source, mandatory, rho, max_rounds, True, engine_backend)
-    kernel = _resolve_shard_kernel(engine_backend, "bips")
+    parameters = (source, mandatory, rho, max_rounds, True)
     times, active, newly, transmissions = _merge_traces(
-        _run_sharded(kernel, graph, parameters, n_replicas, seed, shard_size, jobs)
+        _run_sharded(_bips_shard, graph, parameters, n_replicas, seed, shard_size, jobs)
     )
     _check_timeouts(
         times, raise_on_timeout, "BIPS", "infect", graph, max_rounds,

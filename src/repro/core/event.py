@@ -157,7 +157,7 @@ class _Contacts:
     Weighted draws use one global prefix-sum over the CSR weight array:
     position ``j`` is selected iff ``cum0[j] <= base(v) + r < cum0[j+1]``
     for ``r`` uniform on ``[0, row_total(v))`` — zero-weight positions
-    occupy an empty interval and are never selected.
+    span an empty interval and are never selected.
     """
 
     __slots__ = ("indptr", "indices", "degrees", "weights", "cum0", "row_tot")

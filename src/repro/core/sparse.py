@@ -23,11 +23,15 @@ The kernels here keep the *exact same processes* in sparse state:
   armed set only, and rebuilds the infected bitset incrementally
   (clearing old bits costs the *old* frontier, not n).
 
-Agreement with the batch engines is therefore **distributional**, not
-bit-identical — like the event engine, and KS-tested the same way
-(``tests/core/test_sparse.py``).  Within the sparse engine the usual
-contract holds: sharding depends only on ``n_replicas`` / ``shard_size``
-and shard seeds are ``SeedSequence.spawn`` children, so ``jobs=1`` and
+Sparse COBRA is **bit-identical** to the batch engine: ``np.unique``
+keeps the frontier in ascending (replica, vertex) order, which is the
+order the batch kernel's ``flatnonzero`` visits its active cells, so
+both engines draw the same picks and branching coins from the same
+stream.  Sparse BIPS agrees with batch BIPS only **in distribution**
+(KS-tested in ``tests/core/test_sparse.py``): it draws for the armed set
+alone, so its stream differs.  Both engines share the batch sharding
+contract: shards depend only on ``n_replicas`` / ``shard_size`` and
+shard seeds are ``SeedSequence.spawn`` children, so ``jobs=1`` and
 ``jobs=8`` return bit-identical times.
 
 When to use which engine (see also the README's Scale section): dense
@@ -43,11 +47,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro._rng import SeedLike, ensure_generator
-from repro.backends import Backend, resolve_backend
 from repro.core.batch import _check_timeouts, _run_sharded
 from repro.core.process import resolve_vertex, validate_branching
 from repro.core.runner import default_max_rounds
-from repro.errors import BackendError, InfectionTimeoutError
+from repro.errors import InfectionTimeoutError
 from repro.graphs.base import Graph
 
 _WORD_BITS = 64
@@ -187,38 +190,6 @@ def _sparse_bips_shard(
     return infection_times
 
 
-def _resolve_sparse_kernel(backend: "str | Backend | None", process: str):
-    """Pick the sparse shard kernel for a ``backend`` argument.
-
-    The sparse engine is host-only, so ``backend=None`` always means
-    the NumPy reference kernels — deliberately *not* the process-wide
-    default spec, which may name a device backend these kernels cannot
-    run on.  An explicit backend must either provide compiled kernels
-    (the numba tier; warmed here so spawn workers reuse the on-disk
-    compile cache) or be a host-NumPy backend; anything else is
-    rejected up front with a clear error.
-    """
-    if backend is None:
-        resolved = None
-    else:
-        resolved = resolve_backend(backend)
-        if resolved.provides_compiled_kernels:
-            from repro.core import compiled
-
-            compiled.ensure_warm()
-            if process == "cobra":
-                return compiled.compiled_sparse_cobra_shard
-            return compiled.compiled_sparse_bips_shard
-        if not resolved.is_numpy:
-            raise BackendError(
-                f"engine='sparse' runs on the host (NumPy reference or "
-                f"compiled numba kernels); backend {resolved.spec!r} is "
-                "not supported — use backend='numpy', backend='numba', "
-                "or engine='batch'"
-            )
-    return _sparse_cobra_shard if process == "cobra" else _sparse_bips_shard
-
-
 def sparse_cobra_cover_times(
     graph: Graph,
     start: int,
@@ -231,19 +202,15 @@ def sparse_cobra_cover_times(
     raise_on_timeout: bool = True,
     jobs: int | None = None,
     shard_size: int | None = None,
-    backend: "str | Backend | None" = None,
 ) -> np.ndarray:
     """Cover times of ``n_replicas`` COBRA runs in sparse-frontier state.
 
-    Same process and same discrete-round semantics as
-    :func:`~repro.core.batch.batch_cobra_cover_times` (equal in
-    distribution; *not* bit-identical — the engines consume randomness
-    in different orders), but memory is ``R·n/8`` bits plus the
-    frontier, and each round costs O(frontier) instead of O(R·n).
-    Sharding, seeding, ``jobs``, and the timeout contract follow the
-    batch engine exactly.  ``backend="numba"`` swaps in the compiled
-    frontier kernels (bit-identical for a fixed seed); ``None`` always
-    means the host reference kernels.
+    Bit-identical to :func:`~repro.core.batch.batch_cobra_cover_times`
+    for the same arguments — both engines draw picks and coins in
+    ascending (replica, vertex) order from the same shard streams — but
+    memory is ``R·n/8`` bits plus the frontier, and each round costs
+    O(frontier) instead of O(R·n).  Sharding, seeding, ``jobs``, and the
+    timeout contract follow the batch engine exactly.
     """
     mandatory, rho = validate_branching(branching)
     start = resolve_vertex(graph, start, role="start")
@@ -251,10 +218,9 @@ def sparse_cobra_cover_times(
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
     if max_rounds is None:
         max_rounds = default_max_rounds(graph)
-    kernel = _resolve_sparse_kernel(backend, "cobra")
     parameters = (start, mandatory, rho, max_rounds, include_start_in_cover)
     times = np.concatenate(
-        _run_sharded(kernel, graph, parameters, n_replicas, seed, shard_size, jobs)
+        _run_sharded(_sparse_cobra_shard, graph, parameters, n_replicas, seed, shard_size, jobs)
     )
     _check_timeouts(times, raise_on_timeout, "COBRA", "cover", graph, max_rounds)
     return times
@@ -271,7 +237,6 @@ def sparse_bips_infection_times(
     raise_on_timeout: bool = True,
     jobs: int | None = None,
     shard_size: int | None = None,
-    backend: "str | Backend | None" = None,
 ) -> np.ndarray:
     """Infection times of ``n_replicas`` BIPS runs in sparse-frontier state.
 
@@ -282,9 +247,7 @@ def sparse_bips_infection_times(
     neighbours with certainty.  Early rounds therefore cost the
     frontier volume; as infection saturates the armed set approaches n
     and dense batch wins — this engine is for the large-n sparse
-    regime, not a replacement.  ``backend="numba"`` swaps in the
-    compiled frontier kernels (bit-identical for a fixed seed);
-    ``None`` always means the host reference kernels.
+    regime, not a replacement.
     """
     mandatory, rho = validate_branching(branching)
     source = resolve_vertex(graph, source, role="source")
@@ -292,10 +255,9 @@ def sparse_bips_infection_times(
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
     if max_rounds is None:
         max_rounds = default_max_rounds(graph)
-    kernel = _resolve_sparse_kernel(backend, "bips")
     parameters = (source, mandatory, rho, max_rounds)
     times = np.concatenate(
-        _run_sharded(kernel, graph, parameters, n_replicas, seed, shard_size, jobs)
+        _run_sharded(_sparse_bips_shard, graph, parameters, n_replicas, seed, shard_size, jobs)
     )
     _check_timeouts(
         times, raise_on_timeout, "BIPS", "infect", graph, max_rounds,

@@ -115,15 +115,6 @@ class FaultSpecError(ReproError):
     """
 
 
-class BackendError(ReproError):
-    """Raised on invalid array-backend configuration.
-
-    Examples: an unknown backend spec, a GPU backend requested on a
-    machine without the library installed, or a workload a non-NumPy
-    backend does not support (e.g. irregular graphs).
-    """
-
-
 class CacheError(ReproError):
     """Raised on invalid result-cache configuration or unusable keys.
 

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-from repro.backends import default_backend_spec, set_default_backend
 from repro.errors import ExperimentError, ScenarioError
 from repro.experiments import get_spec, run_experiment_cached
 from repro.parallel import iter_resilient, resolve_jobs, set_default_jobs
@@ -335,18 +334,10 @@ def _isolated_entry(
     daemons; the clamp keeps the fallback paths from even trying).
     Run inline (sequential campaigns, degraded pools) the clamp is
     skipped, so entries keep their replica-level parallelism.  The
-    parent's default array backend travels in the context and is
-    installed here (unvalidated — a broken spec fails at first use,
-    exactly as it would in the parent): spawn workers re-import the
-    package and would otherwise silently fall back to the environment
-    default, dropping a ``--backend`` choice.  Previous defaults are
-    always restored.
+    previous default is always restored.
     """
     clamp = multiprocessing.current_process().daemon
     previous_jobs = set_default_jobs(1) if clamp else None
-    previous_backend = set_default_backend(
-        context.get("backend", default_backend_spec()), validate=False
-    )
     try:
         return _execute_entry(
             CampaignEntry.from_dict(entry_data),
@@ -357,7 +348,6 @@ def _isolated_entry(
     finally:
         if previous_jobs is not None:
             set_default_jobs(previous_jobs)
-        set_default_backend(previous_backend, validate=False)
 
 
 def _resilient_entry(
@@ -426,7 +416,6 @@ def _worker_context(directory: Path, cache_dir: str | None) -> dict[str, Any]:
     return {
         "directory": str(directory),
         "cache_dir": cache_dir,
-        "backend": default_backend_spec(),
     }
 
 

@@ -63,29 +63,14 @@ def _measure(
 
 #: The engine-selection seam: every measurement helper that offers a
 #: choice accepts exactly these names (and the CLI mirrors them).
-#: ``"compiled"`` is sugar for the batch engine on the compiled numba
-#: backend — same kernel shape, JIT round loops.
-ENGINES = ("process", "batch", "compiled", "event", "sparse")
-
-#: Engines that accept a ``backend`` argument.  The batch engine runs
-#: any backend; the sparse engine accepts host backends (numpy
-#: reference or the compiled numba tier); ``compiled`` *is* a backend
-#: choice, so an explicit ``backend`` there must provide compiled
-#: kernels.
-_BACKEND_ENGINES = ("batch", "compiled", "sparse")
+ENGINES = ("process", "batch", "event", "sparse")
 
 
-def _validate_engine(engine: str, backend=None, rate_options=None) -> None:
+def _validate_engine(engine: str, rate_options=None) -> None:
     if engine not in ENGINES:
         raise ExperimentError(
             f"engine must be one of {', '.join(repr(e) for e in ENGINES)}, "
             f"got {engine!r}"
-        )
-    if backend is not None and engine not in _BACKEND_ENGINES:
-        raise ExperimentError(
-            f"backend={backend!r} requires engine='batch' (any backend) or "
-            f"engine='compiled'/'sparse' (host backends); engine={engine!r} "
-            f"runs on host NumPy only"
         )
     if engine != "event" and rate_options:
         names = ", ".join(sorted(rate_options))
@@ -93,26 +78,6 @@ def _validate_engine(engine: str, backend=None, rate_options=None) -> None:
             f"{names} only apply to the continuous-time engine; pass "
             f"engine='event' (got engine={engine!r})"
         )
-
-
-def _compiled_engine_backend(backend):
-    """The backend ``engine="compiled"`` should run: numba by default.
-
-    An explicit ``backend`` must actually provide compiled kernels —
-    silently running the reference kernels under an engine named
-    "compiled" would misreport every benchmark built on the seam.
-    """
-    from repro.backends import resolve_backend
-
-    if backend is None:
-        return "numba"
-    if not resolve_backend(backend).provides_compiled_kernels:
-        raise ExperimentError(
-            f"engine='compiled' needs a backend with compiled kernels; "
-            f"backend={backend!r} has none (drop the backend argument to "
-            "get 'numba', or use engine='batch')"
-        )
-    return backend
 
 
 def _event_max_time(
@@ -141,7 +106,6 @@ def measure_cobra_cover(
     max_rounds: int | None = None,
     jobs: int | None = None,
     engine: str = "batch",
-    backend=None,
     transmission_rate: float = 1.0,
     time_step: float | None = None,
     edge_rate_overrides=None,
@@ -167,16 +131,10 @@ def measure_cobra_cover(
     ``engine="sparse"`` runs the frontier-sparse kernel
     (:func:`~repro.core.sparse.sparse_cobra_cover_times`) whose
     per-round cost tracks the active frontier instead of ``R·n`` —
-    the engine of choice for million-vertex graphs (also equal in
-    distribution).  ``engine="compiled"`` is the batch engine on the
-    compiled numba backend — bit-identical to ``engine="batch"`` for a
-    fixed seed, several times faster on dense cells (requires the
-    ``cobra-repro[numba]`` extra).  ``jobs`` shards the replicas over
-    worker processes with seed-stable results in every engine.
-    ``backend`` selects the array backend for the batch engine (any
-    backend) and the sparse engine (host backends: ``"numpy"`` or
-    ``"numba"``); ``None`` = the process-wide default (batch) or the
-    host reference kernels (sparse).
+    the engine of choice for million-vertex graphs, and bit-identical
+    to ``engine="batch"`` for a fixed seed.  ``jobs`` shards the
+    replicas over worker processes with seed-stable results in every
+    engine.
     """
     rate_options = {}
     if transmission_rate != 1.0:
@@ -185,7 +143,7 @@ def measure_cobra_cover(
         rate_options["time_step"] = time_step
     if edge_rate_overrides:
         rate_options["edge_rate_overrides"] = edge_rate_overrides
-    _validate_engine(engine, backend, rate_options)
+    _validate_engine(engine, rate_options)
     if engine == "event":
         times = event_cobra_cover_times(
             graph,
@@ -209,12 +167,8 @@ def measure_cobra_cover(
             seed=seed,
             max_rounds=max_rounds,
             jobs=jobs,
-            backend=backend,
         )
         return EnsembleMeasurement(times=times, stats=summarize(times))
-    if engine == "compiled":
-        backend = _compiled_engine_backend(backend)
-        engine = "batch"
     if engine == "batch":
         times = batch_cobra_cover_times(
             graph,
@@ -224,7 +178,6 @@ def measure_cobra_cover(
             seed=seed,
             max_rounds=max_rounds,
             jobs=jobs,
-            backend=backend,
         )
         return EnsembleMeasurement(times=times, stats=summarize(times))
     return _measure(
@@ -246,7 +199,6 @@ def measure_bips_infection(
     max_rounds: int | None = None,
     jobs: int | None = None,
     engine: str = "batch",
-    backend=None,
     transmission_rate: float = 1.0,
     recovery_rate: float = 0.0,
     time_step: float | None = None,
@@ -254,9 +206,9 @@ def measure_bips_infection(
 ) -> EnsembleMeasurement:
     """Ensemble of BIPS infection times on ``graph``.
 
-    Supports the same ``engine`` / ``jobs`` / ``backend`` / rate
-    options (and the same ``"batch"`` default) as
-    :func:`measure_cobra_cover`, plus ``recovery_rate``: with
+    Supports the same ``engine`` / ``jobs`` / rate options (and the
+    same ``"batch"`` default) as :func:`measure_cobra_cover`, plus
+    ``recovery_rate``: with
     ``engine="event"`` and asynchronous clocks, infected non-source
     vertices additionally recover spontaneously at that rate
     (:func:`~repro.core.event.event_bips_infection_times`).
@@ -270,7 +222,7 @@ def measure_bips_infection(
         rate_options["time_step"] = time_step
     if edge_rate_overrides:
         rate_options["edge_rate_overrides"] = edge_rate_overrides
-    _validate_engine(engine, backend, rate_options)
+    _validate_engine(engine, rate_options)
     if engine == "event":
         times = event_bips_infection_times(
             graph,
@@ -295,12 +247,8 @@ def measure_bips_infection(
             seed=seed,
             max_rounds=max_rounds,
             jobs=jobs,
-            backend=backend,
         )
         return EnsembleMeasurement(times=times, stats=summarize(times))
-    if engine == "compiled":
-        backend = _compiled_engine_backend(backend)
-        engine = "batch"
     if engine == "batch":
         times = batch_bips_infection_times(
             graph,
@@ -310,7 +258,6 @@ def measure_bips_infection(
             seed=seed,
             max_rounds=max_rounds,
             jobs=jobs,
-            backend=backend,
         )
         return EnsembleMeasurement(times=times, stats=summarize(times))
     return _measure(

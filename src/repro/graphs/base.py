@@ -8,7 +8,7 @@ sparse row (CSR) layout supports this with two NumPy gathers and no
 Python-level loops:
 
 * ``indptr`` — ``int64`` array of length ``n + 1``; the neighbours of
-  vertex ``u`` occupy ``indices[indptr[u]:indptr[u + 1]]``.
+  vertex ``u`` are ``indices[indptr[u]:indptr[u + 1]]``.
 * ``indices`` — array of length ``2m`` (each undirected edge appears
   in both endpoint rows), sorted within each row; stored as ``int64``
   by default, or ``int32`` when a caller opts in via ``index_dtype``
@@ -380,7 +380,6 @@ class Graph:
         vertices: np.ndarray,
         samples_per_vertex: int,
         rng: np.random.Generator,
-        backend=None,
     ) -> np.ndarray:
         """Draw uniform random neighbours, with replacement, per vertex.
 
@@ -392,31 +391,16 @@ class Graph:
         samples_per_vertex:
             Number ``k`` of independent draws per listed vertex.
         rng:
-            NumPy generator supplying the randomness.  Draws always
-            come from this host generator, whatever the backend — that
-            is what keeps results bit-identical across backends.
-        backend:
-            Optional :class:`~repro.backends.base.Backend`.  When given
-            (and not the NumPy backend) ``vertices`` is a backend array
-            and the regular-degree fast path runs on the backend: the
-            host-drawn positions transfer once and gather against the
-            backend-resident copy of ``indices``.  Only regular graphs
-            are supported there; the batch entry points enforce this
-            before any work starts.
+            NumPy generator supplying the randomness.
 
         Returns
         -------
         numpy.ndarray
             Shape ``(m, k)``; entry ``[i, j]`` is the ``j``-th uniform
-            neighbour drawn for ``vertices[i]``.  A backend array when
-            a non-NumPy ``backend`` is given.
+            neighbour drawn for ``vertices[i]``.
         """
         if samples_per_vertex < 1:
             raise ValueError(f"samples_per_vertex must be >= 1, got {samples_per_vertex}")
-        if backend is not None and not backend.is_numpy:
-            return self._sample_neighbors_on_backend(
-                vertices, samples_per_vertex, rng, backend
-            )
         vertices = np.asarray(vertices, dtype=np.int64)
         if vertices.size == 0:
             return np.empty((0, samples_per_vertex), dtype=np.int64)
@@ -437,28 +421,6 @@ class Graph:
         draws = rng.random((vertices.size, samples_per_vertex))
         positions = offsets[:, None] + (draws * degrees[:, None]).astype(np.int64)
         return self._indices[positions].astype(np.int64, copy=False)
-
-    def _sample_neighbors_on_backend(
-        self, vertices, samples_per_vertex: int, rng: np.random.Generator, backend
-    ):
-        """The regular-degree fast path on a non-NumPy backend.
-
-        Mirrors the NumPy fast path op for op — host ``uniform_draws``
-        (identical stream consumption), position arithmetic, one flat
-        gather — but the positions live on the backend and the gather
-        runs against :meth:`Backend.graph_indices`'s device-resident
-        copy of ``indices``.
-        """
-        r = self._regular_degree
-        if r is None or r == 0:
-            raise GraphPropertyError(
-                f"graph {self._name!r} is not regular; non-NumPy backends "
-                "support only the regular-degree sampling fast path"
-            )
-        count = backend.size(vertices)
-        positions = backend.uniform_draws(rng, r, count, samples_per_vertex)
-        positions += (vertices * r)[:, None]
-        return backend.take(backend.graph_indices(self), positions)
 
     def sample_distinct_neighbors(
         self, vertices: np.ndarray, samples_per_vertex: int, rng: np.random.Generator

@@ -21,7 +21,7 @@ Implicit graphs work with every engine that samples through the public
 few bytes (the constructor arguments), so spawn pools never need a
 :class:`~repro.parallel.SharedGraph` segment for them.  Operations that
 inherently need the CSR arrays (``indptr`` / ``indices`` /
-``neighbor_matrix`` / non-NumPy backends) raise
+``neighbor_matrix``) raise
 :class:`~repro.errors.GraphPropertyError` pointing at
 :meth:`ImplicitGraph.materialize`.
 """
@@ -161,14 +161,11 @@ class ImplicitGraph(Graph):
         vertices: np.ndarray,
         samples_per_vertex: int,
         rng: np.random.Generator,
-        backend=None,
     ) -> np.ndarray:
         if samples_per_vertex < 1:
             raise ValueError(
                 f"samples_per_vertex must be >= 1, got {samples_per_vertex}"
             )
-        if backend is not None and not backend.is_numpy:
-            raise self._no_csr(f"the non-NumPy backend {backend.spec!r}")
         vertices = np.asarray(vertices, dtype=np.int64)
         if vertices.size == 0:
             return np.empty((0, samples_per_vertex), dtype=np.int64)

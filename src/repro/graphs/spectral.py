@@ -35,6 +35,9 @@ from repro.graphs.base import Graph
 #: from the dense eigensolver to the sparse one.
 DENSE_LIMIT = 1500
 
+#: Seed of the fixed Lanczos start vector (see :func:`_extreme_eigenvalues`).
+_START_VECTOR_SEED = 0
+
 
 def adjacency_matrix(graph: Graph, *, sparse: bool = False):
     """Adjacency matrix as a dense array or ``scipy.sparse.csr_matrix``."""
@@ -116,14 +119,25 @@ def lambda_second(graph: Graph, *, method: str = "auto") -> float:
     raise ValueError(f"unknown method {method!r}; expected auto/dense/sparse/power")
 
 
-def _lambda_second_sparse(graph: Graph) -> float:
-    """Extreme eigenvalues via Lanczos on the sparse normalised adjacency."""
+def _extreme_eigenvalues(matrix, k: int, which: str) -> np.ndarray:
+    """``k`` extreme eigenvalues of a sparse symmetric matrix (``eigsh``).
+
+    ARPACK starts from its own random vector unless ``v0`` is given, so
+    repeated calls on one graph would disagree in the last bits.  One
+    fixed, seeded start vector makes every call return the same floats.
+    """
     from scipy.sparse.linalg import eigsh
 
+    start = np.random.default_rng(_START_VECTOR_SEED).standard_normal(matrix.shape[0])
+    return eigsh(matrix, k=k, which=which, return_eigenvectors=False, tol=1e-10, v0=start)
+
+
+def _lambda_second_sparse(graph: Graph) -> float:
+    """Extreme eigenvalues via Lanczos on the sparse normalised adjacency."""
     matrix = _normalized_adjacency(graph, sparse=True)
     # Two algebraically largest (1 and λ_2) and the smallest (λ_n).
-    top = eigsh(matrix, k=2, which="LA", return_eigenvectors=False, tol=1e-10)
-    bottom = eigsh(matrix, k=1, which="SA", return_eigenvectors=False, tol=1e-10)
+    top = _extreme_eigenvalues(matrix, 2, "LA")
+    bottom = _extreme_eigenvalues(matrix, 1, "SA")
     second_largest = float(np.sort(top)[0])
     smallest = float(bottom[0])
     return max(abs(second_largest), abs(smallest))
@@ -185,15 +199,7 @@ def cheeger_bounds(graph: Graph, *, method: str = "auto") -> tuple[float, float]
     if method == "dense":
         second = float(eigenvalues(graph)[1])
     else:
-        from scipy.sparse.linalg import eigsh
-
-        top = eigsh(
-            _normalized_adjacency(graph, sparse=True),
-            k=2,
-            which="LA",
-            return_eigenvectors=False,
-            tol=1e-10,
-        )
+        top = _extreme_eigenvalues(_normalized_adjacency(graph, sparse=True), 2, "LA")
         second = float(np.sort(top)[0])
     gap = 1.0 - second
     return (gap / 2.0, math.sqrt(max(2.0 * gap, 0.0)))

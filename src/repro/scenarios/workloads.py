@@ -36,7 +36,7 @@ from repro.scenarios.families import GraphCase, GraphFamily
 
 #: Engine names the engine-aware workloads accept (the seam of
 #: :func:`repro.experiments.sweep.measure_cobra_cover` and friends).
-ENGINE_CHOICES = ("process", "batch", "compiled", "event", "sparse")
+ENGINE_CHOICES = ("process", "batch", "event", "sparse")
 
 
 def _edge_rate_triple(item):

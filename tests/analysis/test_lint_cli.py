@@ -57,7 +57,6 @@ def test_list_rules_prints_the_registry(capsys):
     for rule_id in (
         "rng-discipline",
         "determinism",
-        "backend-purity",
         "cache-identity",
         "spawn-safety",
         "error-taxonomy",

@@ -6,7 +6,6 @@ from pathlib import Path
 
 from repro.analysis.lint.engine import Finding, Rule, lint_file
 from repro.analysis.lint.rules import all_rules, rules_by_id
-from repro.analysis.lint.rules.backend_purity import backend_vocabulary
 from repro.analysis.lint.rules.cache_identity import CacheIdentityRule
 from repro.analysis.lint.rules.determinism import DeterminismRule
 from repro.analysis.lint.rules.error_taxonomy import ErrorTaxonomyRule
@@ -31,7 +30,7 @@ def _lint(
 def test_rule_registry_is_complete_and_unique():
     rules = all_rules()
     ids = [rule.id for rule in rules]
-    assert len(ids) == len(set(ids)) == 6
+    assert len(ids) == len(set(ids)) == 5
     assert rules_by_id().keys() == set(ids)
 
 
@@ -112,113 +111,6 @@ def test_determinism_clean_when_sorted_or_monotonic(tmp_path):
 def test_determinism_only_applies_to_the_library_tree(tmp_path):
     source = "import time\nstamp = time.time()\n"
     assert _lint(tmp_path, source, DeterminismRule(), library=False) == []
-
-
-# --- backend-purity ---------------------------------------------------
-
-
-def test_backend_vocabulary_parses_the_live_protocol():
-    vocabulary = backend_vocabulary()
-    assert {"take", "or_at", "uniform_draws"} <= vocabulary
-    assert "bogus_op" not in vocabulary
-
-
-def test_backend_purity_flags_off_protocol_xp_and_raw_numpy(tmp_path):
-    source = (
-        "import numpy as np\n"
-        "def _demo_shard(xp, state):\n"
-        "    xp.bogus_op(state)\n"
-        "    np.add(state, 1)\n"
-        "    np.random.shuffle(state)\n"
-    )
-    rule = rules_by_id()["backend-purity"]
-    findings = _lint(tmp_path, source, rule)
-    messages = " | ".join(finding.message for finding in findings)
-    assert len(findings) == 3
-    assert "xp.bogus_op" in messages
-    assert "np.add" in messages
-    assert "randomness" in messages
-
-
-def test_backend_purity_reaches_module_local_helpers(tmp_path):
-    source = (
-        "import numpy as np\n"
-        "def _helper(xp, state):\n"
-        "    return xp.not_an_op(state)\n"
-        "def _demo_shard(xp, state):\n"
-        "    return _helper(xp, state)\n"
-    )
-    rule = rules_by_id()["backend-purity"]
-    findings = _lint(tmp_path, source, rule)
-    assert len(findings) == 1
-    assert "_helper" in findings[0].message
-
-
-def test_backend_purity_clean_on_protocol_ops_and_host_only_kernels(tmp_path):
-    portable = (
-        "import numpy as np\n"
-        "def _demo_shard(xp, state):\n"
-        "    hosts = np.zeros(4, dtype=np.int64)\n"
-        "    return xp.take(state, xp.arange(2)), hosts\n"
-    )
-    rule = rules_by_id()["backend-purity"]
-    assert _lint(tmp_path, portable, rule) == []
-    host_only = (
-        "import numpy as np\n"
-        "def _sparse_demo_shard(context, state):\n"
-        "    return np.unique(np.repeat(state, 2))\n"
-    )
-    assert _lint(tmp_path, host_only, rule) == []
-
-
-def test_backend_purity_flags_njit_numpy_outside_allowlist(tmp_path):
-    source = (
-        "import numpy as np\n"
-        "from numba import njit\n"
-        "@njit(cache=True, parallel=True)\n"
-        "def _round_kernel(state):\n"
-        "    keys = np.unique(state)\n"
-        "    draws = np.random.random(4)\n"
-        "    return keys, draws\n"
-    )
-    rule = rules_by_id()["backend-purity"]
-    findings = _lint(tmp_path, source, rule)
-    messages = " | ".join(finding.message for finding in findings)
-    assert len(findings) == 2
-    assert "np.unique" in messages
-    assert "randomness" in messages
-
-
-def test_backend_purity_flags_njit_attribute_decorator_form(tmp_path):
-    source = (
-        "import numba\n"
-        "import numpy as np\n"
-        "@numba.njit\n"
-        "def _round_kernel(state):\n"
-        "    return np.sort(state)\n"
-    )
-    rule = rules_by_id()["backend-purity"]
-    findings = _lint(tmp_path, source, rule)
-    assert len(findings) == 1
-    assert "np.sort" in findings[0].message
-
-
-def test_backend_purity_clean_on_allowlisted_njit_kernel(tmp_path):
-    source = (
-        "import numpy as np\n"
-        "from numba import njit, prange\n"
-        "@njit(cache=True, parallel=True)\n"
-        "def _round_kernel(state, out):\n"
-        "    buffer = np.empty(state.shape[0], np.int64)\n"
-        "    for i in prange(state.shape[0]):\n"
-        "        buffer[i] = state[i] & np.uint64(63)\n"
-        "        out[i] = np.zeros(1, np.bool_)[0]\n"
-        "    return buffer\n"
-        "def _plain_helper(values):\n"
-        "    return np.unique(values)\n"
-    )
-    rule = rules_by_id()["backend-purity"]
-    assert _lint(tmp_path, source, rule) == []
 
 
 # --- cache-identity ---------------------------------------------------

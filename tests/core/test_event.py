@@ -344,7 +344,3 @@ class TestMeasurementSeam:
     def test_unknown_engine_rejected(self, small_expander):
         with pytest.raises(ExperimentError, match="engine"):
             measure_cobra_cover(small_expander, engine="quantum")
-
-    def test_backend_requires_batch(self, small_expander):
-        with pytest.raises(ExperimentError, match="backend"):
-            measure_cobra_cover(small_expander, engine="event", backend="numpy")

@@ -38,7 +38,7 @@ def test_cached_equals_recomputed(experiment_id, tmp_path, monkeypatch):
 
 def test_micro_overrides_do_not_collide_with_defaults(tmp_path, monkeypatch):
     # The micro-scale E4 entry and the default quick E4 entry describe
-    # different workloads, so they must occupy different cache keys.
+    # different workloads, so they must use different cache keys.
     cache = ResultCache(tmp_path / "cache")
     apply_micro_overrides("E4", monkeypatch.setattr)
     run_experiment_cached("E4", seed=1, cache=cache)

@@ -76,45 +76,6 @@ class TestCampaignDescription:
         with pytest.raises(ExperimentError, match="must be an object"):
             Campaign.from_json('{"name": "d", "entries": ["E5"]}')
 
-    def test_worker_context_carries_the_default_backend(self, tmp_path):
-        # Spawn workers re-import the package and re-seed the backend
-        # default from the environment, so the parent's choice must
-        # travel in the worker context (like jobs and cache_dir).
-        from pathlib import Path
-
-        from repro import backends
-        from repro.experiments.campaign import _worker_context
-
-        previous = backends.set_default_backend("array-api:numpy")
-        try:
-            context = _worker_context(Path(tmp_path), None)
-            assert context["backend"] == "array-api:numpy"
-        finally:
-            backends.set_default_backend(previous, validate=False)
-
-        # The worker-side kernel installs the shipped spec for the
-        # entry's duration and restores the previous default after.
-        import repro.experiments.campaign as campaign_module
-
-        seen = {}
-        original = campaign_module._execute_entry
-
-        def spy(entry, directory, cache_dir=None, attempt=1):
-            seen["spec"] = backends.default_backend_spec()
-            return {"ok": True}
-
-        before = backends.default_backend_spec()
-        campaign_module._execute_entry = spy
-        try:
-            campaign_module._isolated_entry(
-                {"directory": str(tmp_path), "backend": "array-api:numpy"},
-                {"experiment_id": "E5"},
-            )
-        finally:
-            campaign_module._execute_entry = original
-        assert seen["spec"] == "array-api:numpy"
-        assert backends.default_backend_spec() == before
-
     def test_non_list_entries_rejected_with_type_name(self):
         # A dict used to iterate its keys and a string its characters,
         # each failing with a baffling per-entry message; the container

@@ -104,6 +104,20 @@ class TestLambdaSecond:
         sparse = lambda_second(graph, method="sparse")
         assert sparse == pytest.approx(dense, abs=1e-7)
 
+    def test_sparse_matches_dense_to_machine_precision(self):
+        graph = generators.random_regular(1000, 8, seed=4)
+        dense = lambda_second(graph, method="dense")
+        sparse = lambda_second(graph, method="sparse")
+        assert sparse == pytest.approx(dense, rel=1e-12)
+
+    def test_sparse_solver_is_deterministic(self):
+        # Above DENSE_LIMIT "auto" runs eigsh; its fixed start vector
+        # makes repeated calls return the very same floats.
+        graph = generators.random_regular(2048, 8, seed=3)
+        first = lambda_second(graph)
+        assert all(lambda_second(graph) == first for _ in range(3))
+        assert cheeger_bounds(graph, method="sparse") == cheeger_bounds(graph, method="sparse")
+
     def test_power_matches_dense(self):
         graph = generators.random_regular(60, 4, seed=5)
         dense = lambda_second(graph, method="dense")

@@ -48,44 +48,6 @@ class TestParser:
         args = build_parser().parse_args(["--jobs", "2", "campaign", "c.json", "--jobs", "5"])
         assert args.jobs == 5
 
-    def test_backend_global_flag(self):
-        args = build_parser().parse_args(["--backend", "cupy", "run", "E1"])
-        assert args.backend == "cupy"
-        assert build_parser().parse_args(["run", "E1"]).backend is None
-
-
-class TestBackendFlag:
-    def test_sets_and_restores_the_default_backend(self, capsys):
-        from repro.backends import default_backend
-
-        before = default_backend().spec
-        assert main(["--backend", "array-api:numpy", "info", "E4"]) == 0
-        assert default_backend().spec == before  # restored for embedded callers
-
-    def test_unknown_backend_fails_at_the_flag(self, capsys):
-        assert main(["--backend", "warp-drive", "info", "E4"]) == 1
-        assert "unknown backend" in capsys.readouterr().err
-
-    def test_broken_inherited_default_survives_the_restore(self, monkeypatch):
-        # REPRO_BACKEND may carry a spec that never validated (it is
-        # read at import time); a successful command with a *valid*
-        # --backend must still exit 0 and put the broken spec back
-        # rather than crashing while restoring it.
-        from repro import backends
-
-        monkeypatch.setattr(backends, "_default_spec", "bogus-from-env")
-        assert main(["--backend", "numpy", "info", "E4"]) == 0
-        assert backends._default_spec == "bogus-from-env"
-
-    def test_missing_gpu_backend_fails_with_instructions(self, capsys):
-        try:
-            import cupy  # noqa: F401
-        except ImportError:
-            assert main(["--backend", "cupy", "info", "E4"]) == 1
-            assert "cupy" in capsys.readouterr().err
-        else:  # pragma: no cover - GPU machines
-            assert main(["--backend", "cupy", "info", "E4"]) == 0
-
 
 class TestCommands:
     def test_list_prints_all_experiments(self, capsys):

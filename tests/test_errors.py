@@ -6,7 +6,6 @@ import pytest
 
 import repro
 from repro.errors import (
-    BackendError,
     CoverTimeoutError,
     ExactEngineError,
     ExperimentError,
@@ -31,7 +30,6 @@ class TestHierarchy:
             InfectionTimeoutError,
             ExactEngineError,
             ExperimentError,
-            BackendError,
         ],
     )
     def test_all_derive_from_repro_error(self, exception):
