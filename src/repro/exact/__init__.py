@@ -15,6 +15,7 @@ from repro.exact.cover_exact import ExactCobraCover
 from repro.exact.duality import (
     MonteCarloDualityPoint,
     duality_gap,
+    duality_gaps,
     duality_monte_carlo,
     duality_series,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "ExactCobra",
     "ExactCobraCover",
     "duality_gap",
+    "duality_gaps",
     "duality_series",
     "duality_monte_carlo",
     "MonteCarloDualityPoint",

@@ -65,6 +65,21 @@ class ExactCobraCover:
         self._full = (1 << self._n) - 1
         self._include_start = include_start_in_cover
         self._engine = ExactCobra(graph, branching=branching, replacement=replacement)
+        self._successor_cache: dict[int, list[tuple[int, float]]] = {}
+
+    def _successors(self, active: int) -> list[tuple[int, float]]:
+        """``(next_active, probability)`` pairs of one step from ``active``.
+
+        The support of the engine's cached row, as plain Python ints and
+        floats, so the per-state loop below pays NumPy indexing once per
+        mask instead of once per state per round.
+        """
+        cached = self._successor_cache.get(active)
+        if cached is None:
+            row = self._engine.step_distribution(active)
+            cached = [(int(mask), float(row[mask])) for mask in np.flatnonzero(row > 0.0)]
+            self._successor_cache[active] = cached
+        return cached
 
     def cover_time_distribution(
         self, start: int | Iterable[int], *, t_max: int = 200, tolerance: float = 1e-12
@@ -91,10 +106,8 @@ class ExactCobraCover:
             next_states: dict[tuple[int, int], float] = {}
             absorbed = 0.0
             for (active, covered), probability in states.items():
-                row = self._engine.step_distribution(active)
-                for next_active in np.flatnonzero(row > 0.0):
-                    next_active = int(next_active)
-                    mass = probability * float(row[next_active])
+                for next_active, step_probability in self._successors(active):
+                    mass = probability * step_probability
                     next_covered = covered | next_active
                     if next_covered == self._full:
                         absorbed += mass

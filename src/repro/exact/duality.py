@@ -30,6 +30,7 @@ from repro.exact.bips_exact import ExactBips
 from repro.exact.cobra_exact import ExactCobra
 from repro.exact.subsets import mask_from_vertices, masks_disjoint_from
 from repro.graphs.base import Graph
+from repro.parallel import map_shards
 
 
 def duality_series(
@@ -106,6 +107,42 @@ def duality_gap(
         loss_probability=loss_probability,
     )
     return float(np.max(np.abs(cobra_side - bips_side)))
+
+
+def duality_gaps(
+    cases: Sequence[tuple[Graph, int | Iterable[int], int, float, float]],
+    t_max: int,
+    *,
+    jobs: int | None = None,
+) -> list[float]:
+    """:func:`duality_gap` over ``t <= t_max`` for each case, in case order.
+
+    A case is ``(graph, start, source, branching, loss_probability)``.
+    Each is an independent exact computation, so the cases are
+    spread over ``jobs`` workers (``None`` = the process-wide default)
+    by :func:`repro.parallel.map_shards`; every gap is the same float
+    at any ``jobs``.
+    """
+    return map_shards(_duality_gap_case, t_max, cases, jobs=jobs)
+
+
+def _duality_gap_case(
+    t_max: int,
+    graph: Graph,
+    start: int | Iterable[int],
+    source: int,
+    branching: float,
+    loss_probability: float,
+) -> float:
+    """Worker kernel of :func:`duality_gaps`: the gap of one case."""
+    return duality_gap(
+        graph,
+        start,
+        source,
+        t_max,
+        branching=branching,
+        loss_probability=loss_probability,
+    )
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,18 @@ at every period, and full re-sampling is mildly *faster* than the
 static graph (a token's two pushes explore fresh neighbourhoods every
 round, eliminating locally unlucky topology).  This is an extension
 measurement, not a claim of the paper; it is reported as such.
+
+Every (period, n, replica) cell is independent, so the replicas run as
+one :func:`repro.parallel.map_shards` call over the process-wide
+``jobs`` default (the CLI's ``--jobs``).  Each replica seeds from its
+own ``SeedSequence`` child, so results are identical at any ``jobs``.
 """
 
 from __future__ import annotations
 
-from repro._rng import spawn_generators
+import numpy as np
+
+from repro._rng import spawn_seed_sequences
 from repro.analysis.fitting import fit_log_linear
 from repro.analysis.stats import summarize
 from repro.analysis.tables import Table
@@ -27,6 +34,7 @@ from repro.core.dynamic import (
 from repro.core.runner import run_process
 from repro.experiments.results import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
+from repro.parallel import map_shards
 from repro.scenarios.base import resolve_workload, result_parameters, workload_label
 from repro.scenarios.workloads import E12Workload
 
@@ -69,6 +77,34 @@ def _period_label(period: int) -> str:
     return "static" if period >= 10_000_000 else f"period={period}"
 
 
+def _replica_times(
+    context: tuple[int, int],
+    period: int,
+    n: int,
+    replica: int,
+    seed_sequence: np.random.SeedSequence,
+) -> tuple[int, int]:
+    """COBRA cover and BIPS infection time of one replica (a pool kernel).
+
+    ``context`` is ``(seed, degree)``.  BIPS draws from the generator
+    COBRA left off, so the pair shares one task.
+    """
+    seed, degree = context
+    rng = np.random.default_rng(seed_sequence)
+    provider = EvolvingRegularGraph(
+        n, degree, period=period, seed=(seed, n, period % 1000, replica)
+    )
+    process = DynamicCobraProcess(provider, 0, branching=2.0, seed=rng)
+    cover = run_process(process, raise_on_timeout=True)
+
+    provider2 = EvolvingRegularGraph(
+        n, degree, period=period, seed=(seed, n, period % 1000, replica, 2)
+    )
+    bips = DynamicBipsProcess(provider2, 0, branching=2.0, seed=rng)
+    infection = run_process(bips, raise_on_timeout=True)
+    return cover.completion_time, infection.completion_time
+
+
 def run(
     workload: "E12Workload | str | None" = None,
     seed: int = 0,
@@ -81,6 +117,16 @@ def run(
     sizes, samples = wl.sizes, wl.samples
     periods = wl.periods
 
+    tasks = [
+        (period, n, replica, seed_sequence)
+        for period in periods
+        for n in sizes
+        for replica, seed_sequence in enumerate(
+            spawn_seed_sequences((seed, n, period % 1000, 12), samples)
+        )
+    ]
+    replica_times = iter(map_shards(_replica_times, (seed, wl.degree), tasks))
+
     table = Table(["regime", "n", "mean cov", "mean infec"])
     fits = Table(["regime", "process", "slope b", "R^2"])
     slope_pairs: dict[str, float] = {}
@@ -89,27 +135,10 @@ def run(
         label = _period_label(period)
         cover_means: list[float] = []
         infect_means: list[float] = []
-        for offset, n in enumerate(sizes):
-            cover_times: list[int] = []
-            infect_times: list[int] = []
-            for replica, rng in enumerate(
-                spawn_generators((seed, n, period % 1000, 12), samples)
-            ):
-                provider = EvolvingRegularGraph(
-                    n, wl.degree, period=period, seed=(seed, n, period % 1000, replica)
-                )
-                process = DynamicCobraProcess(provider, 0, branching=2.0, seed=rng)
-                result = run_process(process, raise_on_timeout=True)
-                cover_times.append(result.completion_time)
-
-                provider2 = EvolvingRegularGraph(
-                    n, wl.degree, period=period, seed=(seed, n, period % 1000, replica, 2)
-                )
-                bips = DynamicBipsProcess(provider2, 0, branching=2.0, seed=rng)
-                result2 = run_process(bips, raise_on_timeout=True)
-                infect_times.append(result2.completion_time)
-            cover_stats = summarize(cover_times)
-            infect_stats = summarize(infect_times)
+        for n in sizes:
+            cell = [next(replica_times) for _ in range(samples)]
+            cover_stats = summarize([cover for cover, _ in cell])
+            infect_stats = summarize([infection for _, infection in cell])
             table.add_row([label, n, cover_stats.mean, infect_stats.mean])
             cover_means.append(cover_stats.mean)
             infect_means.append(infect_stats.mean)

@@ -55,8 +55,9 @@ def complete(n: int) -> Graph:
     """Complete graph `K_n` (`(n-1)`-regular, `λ = 1/(n-1)`)."""
     if n < 2:
         raise GraphConstructionError(f"complete graph needs n >= 2, got {n}")
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return from_edges(n, edges, name=f"complete(n={n})")
+    # Row u is every other vertex, (u + d) % n for d = 1 .. n-1.
+    rows = (np.arange(n, dtype=np.int64)[:, None] + np.arange(1, n, dtype=np.int64)) % n
+    return _adopt_regular_rows(rows, f"complete(n={n})", "int64")
 
 
 def cycle(n: int) -> Graph:

@@ -388,6 +388,26 @@ class E12Workload(Workload):
         ),
     }
 
+    def validate(self) -> None:
+        # E12 derives each period's graph and process seeds from
+        # period % 1000 and labels every period >= 10_000_000 "static":
+        # periods that agree on either would share seeds or a row label.
+        streams: dict[int, int] = {}
+        for period in self.periods:
+            if period % 1000 in streams:
+                raise ScenarioError(
+                    f"E12 periods {streams[period % 1000]} and {period} share a "
+                    "seed stream (equal period % 1000); pick periods that differ "
+                    "mod 1000"
+                )
+            streams[period % 1000] = period
+        static = [period for period in self.periods if period >= 10_000_000]
+        if len(static) > 1:
+            raise ScenarioError(
+                f"E12 periods {static[0]} and {static[1]} are both >= 10_000_000 "
+                "and would both be labelled 'static'; keep at most one"
+            )
+
 
 @dataclass(frozen=True)
 class E13Workload(Workload):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exact.duality import duality_gap, duality_series
+from repro.exact.duality import duality_gap, duality_gaps, duality_series
 from repro.graphs import generators
 
 
@@ -136,3 +136,19 @@ class TestDualitySeries:
         cobra_side, bips_side = duality_series(petersen, [0], 7, 50)
         assert cobra_side[-1] < 1e-5
         assert bips_side[-1] < 1e-5
+
+
+class TestDualityGaps:
+    CASES = [
+        (generators.petersen(), [0], 7, 2.0, 0.0),
+        (generators.complete(6), [1, 2], 4, 1.5, 0.3),
+        (generators.cycle(9), 0, 5, 1.0, 0.6),
+    ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_equals_one_gap_per_case(self, jobs):
+        expected = [
+            duality_gap(graph, start, source, 6, branching=k, loss_probability=loss)
+            for graph, start, source, k, loss in self.CASES
+        ]
+        assert duality_gaps(self.CASES, 6, jobs=jobs) == expected

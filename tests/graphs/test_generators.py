@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import GraphConstructionError
 from repro.graphs import generators
+from repro.graphs.build import from_edges
 from repro.graphs.properties import is_bipartite, is_connected
 
 
@@ -20,6 +21,17 @@ class TestComplete:
     def test_minimum_size(self):
         with pytest.raises(GraphConstructionError):
             generators.complete(1)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 64])
+    def test_equals_edge_list_build(self, n):
+        graph = generators.complete(n)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        reference = from_edges(n, edges, name=f"complete(n={n})")
+        assert graph.name == reference.name
+        for ours, theirs in ((graph.indptr, reference.indptr), (graph.indices, reference.indices)):
+            assert ours.dtype == theirs.dtype
+            np.testing.assert_array_equal(ours, theirs)
+        assert graph.regular_degree == reference.regular_degree == n - 1
 
 
 class TestCycleAndPath:

@@ -117,6 +117,26 @@ class TestValidation:
                 samples=20,
             )
 
+    @pytest.mark.parametrize(
+        "periods, match",
+        [
+            ((1, 1001), "periods 1 and 1001 share a seed stream"),
+            ((4, 4), "periods 4 and 4 share a seed stream"),
+            ((1000, 10_000_000), "periods 1000 and 10000000 share a seed stream"),
+            ((10_000_000, 20_000_000), "share a seed stream"),
+            ((2, 10_000_000, 10_000_001), "both >= 10_000_000"),
+        ],
+    )
+    def test_e12_periods_must_not_share_a_seed_stream(self, periods, match):
+        base = get_experiment("E12").preset("quick")
+        with pytest.raises(ScenarioError, match=match):
+            base.with_overrides({"periods": periods})
+
+    def test_e12_distinct_periods_accepted(self):
+        base = get_experiment("E12").preset("quick")
+        workload = base.with_overrides({"periods": (1, 2, 999, 10_000_000)})
+        assert workload.periods == (1, 2, 999, 10_000_000)
+
     def test_family_sizes_validated(self):
         with pytest.raises(ScenarioError, match="powers of two"):
             E2Workload(sizes=(100,), samples=2, family="hypercube")
