@@ -13,11 +13,12 @@ Four cells frame the claim:
 * **Sparse-walk cell** (the asserted bar): a single COBRA token
   (``branching = 1.0``) exploring a 512x512 torus for a fixed horizon.
   The frontier is one vertex, so the sparse engine must beat the dense
-  batch engine by ``>= 5x`` (measured ~16x on one core).
+  batch engine by ``>= 5x`` (≈47x in the committed ``BENCH_scale.json``).
 * **Dense-cover cell** (the honest control): COBRA ``k = 2`` full
   cover on a 1024-vertex expander, where the frontier reaches Theta(n)
   within a few rounds — the benchmark *asserts that dense batch stays
-  faster*; the sparse engine is a regime tool, not a replacement.
+  faster* (≈1.9x in the committed rows); the sparse engine is a regime
+  tool, not a replacement.
 * **Memmap power-law cell**: a Barabasi-Albert graph saved with
   :func:`~repro.graphs.io.save_graph_memmap` and run through the
   sparse engine with a worker pool — spawn workers re-map the same
@@ -56,7 +57,7 @@ OUT_PATH = Path(__file__).resolve().parent / "out" / "BENCH_scale.json"
 
 # Cover ladder: implicit 3-D tori, full cover, top rung at ~10^6.
 # (side, replicas) — the million-vertex rung runs one replica: a full
-# cover there is ~45 s and the ladder is about the rate, not the CI.
+# cover there is ~10 s and the ladder is about the rate, not the CI.
 LADDER = (
     ((17, 2), (31, 2), (47, 2)) if BENCH_QUICK else ((31, 2), (47, 2), (101, 1))
 )

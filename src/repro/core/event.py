@@ -65,6 +65,7 @@ from repro._rng import SeedLike, ensure_generator, spawn_seed_sequences
 from repro.core.batch import _run_sharded
 from repro.core.process import resolve_vertex, resolve_vertex_set, validate_branching
 from repro.core.runner import default_max_rounds
+from repro.core.sparse import sorted_unique
 from repro.errors import CoverTimeoutError, InfectionTimeoutError, ProcessError
 from repro.graphs.base import Graph
 from repro.parallel import resolve_shared_graph
@@ -322,7 +323,7 @@ def _cobra_replica_sync(
                 flat = np.concatenate(
                     [flat, contacts.draw_many(verts[branch], 1, rng).ravel()]
                 )
-        verts = np.unique(flat)  # tokens coalesce; sorted for determinism
+        verts = sorted_unique(flat)  # tokens coalesce; sorted for determinism
         fresh = verts[~covered[verts]]
         if fresh.size:
             covered[fresh] = True

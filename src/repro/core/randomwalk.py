@@ -22,6 +22,7 @@ import numpy as np
 
 from repro._rng import SeedLike
 from repro.core.process import RoundRecord, SpreadingProcess, resolve_vertex_set
+from repro.core.sparse import sorted_unique
 from repro.errors import ProcessError
 from repro.graphs.base import Graph
 
@@ -93,7 +94,7 @@ class RandomWalkProcess(SpreadingProcess):
 
     @property
     def active_count(self) -> int:
-        return int(np.unique(self._positions).size)
+        return int(sorted_unique(self._positions.copy()).size)
 
     @property
     def cumulative_mask(self) -> np.ndarray:

@@ -61,6 +61,24 @@ def resolve_index_dtype(index_dtype: str, n_vertices: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
+#: Bit generators whose ``random_raw`` output is exactly the 64-bit word
+#: ``Generator.integers(0, 2**64, dtype=uint64)`` returns, read without
+#: the bounded-integer call's per-call overhead.  MT19937 is absent: its
+#: raw output is 32-bit.
+_RAW_WORD_GENERATORS = (
+    np.random.PCG64,
+    np.random.PCG64DXSM,
+    np.random.Philox,
+    np.random.SFC64,
+)
+
+#: ``_SHIFTS[bits - 1]`` slices a 64-bit word into ``64 // bits`` draws
+#: of ``bits`` bits each.
+_SHIFTS = tuple(
+    np.arange(64 // bits, dtype=np.uint64) * np.uint64(bits) for bits in range(1, 64)
+)
+
+
 def uniform_draws(
     rng: np.random.Generator, bound: int, count: int, width: int
 ) -> np.ndarray:
@@ -72,18 +90,25 @@ def uniform_draws(
     regular expander degrees 4, 8, 16, ... — draws are *bit-sliced* out
     of full 64-bit random words (one word yields ``64 // log2(bound)``
     exact draws), several times cheaper than per-draw bounded rejection
-    sampling; other bounds use the generator's bounded-integer path.
+    sampling; the words come straight from the bit generator where its
+    raw output is the same word.  Other bounds use the generator's
+    bounded-integer path.
     """
     if bound & (bound - 1) == 0:
         bits = bound.bit_length() - 1
         if bits == 0:
             return np.zeros((count, width), dtype=np.int64)
-        per_word = 64 // bits
+        shifts = _SHIFTS[bits - 1]
         total = count * width
-        words = rng.integers(0, 2**64, size=-(-total // per_word), dtype=np.uint64)
-        shifts = np.arange(per_word, dtype=np.uint64) * np.uint64(bits)
-        draws = (words[:, None] >> shifts) & np.uint64(bound - 1)
-        return draws.astype(np.int64).ravel()[:total].reshape(count, width)
+        n_words = -(-total // shifts.size)
+        bit_generator = rng.bit_generator
+        if type(bit_generator) in _RAW_WORD_GENERATORS:
+            words = bit_generator.random_raw(n_words)
+        else:
+            words = rng.integers(0, 2**64, size=n_words, dtype=np.uint64)
+        draws = words[:, None] >> shifts
+        draws &= np.uint64(bound - 1)
+        return draws.view(np.int64).ravel()[:total].reshape(count, width)
     return rng.integers(0, bound, size=(count, width))
 
 

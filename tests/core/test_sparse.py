@@ -14,7 +14,12 @@ import numpy as np
 import pytest
 
 from repro.core.batch import batch_bips_infection_times, batch_cobra_cover_times
-from repro.core.sparse import sparse_bips_infection_times, sparse_cobra_cover_times
+from repro.core.sparse import (
+    KeyDeduper,
+    sorted_unique,
+    sparse_bips_infection_times,
+    sparse_cobra_cover_times,
+)
 from repro.errors import CoverTimeoutError, ExperimentError, InfectionTimeoutError
 from repro.experiments.sweep import measure_bips_infection, measure_cobra_cover
 from repro.graphs import complete, generators
@@ -216,3 +221,41 @@ class TestEngineSeam:
     def test_engine_error_names_sparse(self, small_expander):
         with pytest.raises(ExperimentError, match="'sparse'"):
             measure_cobra_cover(small_expander, n_samples=4, engine="bogus")
+
+
+class TestKeyDedupe:
+    """The kernels' dedupe returns exactly what ``np.unique`` would."""
+
+    UNIVERSE = 8192
+    INPUTS = {
+        "empty": lambda rng: np.empty(0, dtype=np.int64),
+        "single": lambda rng: np.array([4321], dtype=np.int64),
+        "all-duplicate": lambda rng: np.full(2000, 77, dtype=np.int64),
+        "sparse": lambda rng: rng.integers(0, 8192, size=40),
+        "dense": lambda rng: rng.integers(0, 8192, size=6000),
+        "dense-edges": lambda rng: np.concatenate([np.arange(8192), [0, 8191]]),
+    }
+
+    @pytest.mark.parametrize("name", list(INPUTS))
+    def test_sorted_unique_equals_np_unique(self, name, rng):
+        keys = self.INPUTS[name](rng)
+        expected = np.unique(keys)
+        assert np.array_equal(sorted_unique(keys.copy()), expected)
+
+    def test_deduper_equals_np_unique_and_clears_marks(self, rng):
+        dedupe = KeyDeduper(self.UNIVERSE)
+        for name in ["sparse", "dense", "empty", "single", "all-duplicate", "dense-edges", "dense"]:
+            keys = self.INPUTS[name](rng)
+            expected = np.unique(keys)
+            distinct = dedupe(keys.copy())
+            assert np.array_equal(distinct, expected), name
+            assert distinct.dtype == np.int64
+            if dedupe.marks is not None:
+                assert not dedupe.marks.any(), name
+
+    def test_mark_array_only_for_dense_inputs(self, rng):
+        dedupe = KeyDeduper(self.UNIVERSE)
+        dedupe(rng.integers(0, self.UNIVERSE, size=self.UNIVERSE // 8 - 1))
+        assert dedupe.marks is None
+        dedupe(rng.integers(0, self.UNIVERSE, size=self.UNIVERSE // 8))
+        assert dedupe.marks is not None and dedupe.marks.size == self.UNIVERSE

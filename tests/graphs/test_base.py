@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphConstructionError, GraphPropertyError
-from repro.graphs.base import Graph
+from repro.graphs.base import Graph, uniform_draws
 from repro.graphs.build import from_edges
 
 
@@ -159,3 +159,54 @@ class TestSampleNeighbors:
         picks = graph.sample_neighbors(np.array([0, 0, 0, 0]), 2, rng)
         assert picks.shape == (4, 2)
         assert set(np.unique(picks)) <= {1, 2}
+
+
+def _integers_word_draws(rng, bound, count, width):
+    """Bit-sliced draws from ``Generator.integers`` words: the reference stream."""
+    bits = bound.bit_length() - 1
+    per_word = 64 // bits
+    total = count * width
+    words = rng.integers(0, 2**64, size=-(-total // per_word), dtype=np.uint64)
+    shifts = np.arange(per_word, dtype=np.uint64) * np.uint64(bits)
+    draws = (words[:, None] >> shifts) & np.uint64(bound - 1)
+    return draws.astype(np.int64).ravel()[:total].reshape(count, width)
+
+
+def _same_state(a, b) -> bool:
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[key], b[key]) for key in a)
+    return bool(np.array_equal(a, b))
+
+
+class TestUniformDraws:
+    """Power-of-two bounds read raw words where the bit generator allows it.
+
+    For PCG64, PCG64DXSM, Philox and SFC64 each ``random_raw`` output is
+    the word ``integers(0, 2**64, dtype=uint64)`` returns; MT19937 keeps
+    the ``integers`` path.  Either way the draws and the generator state
+    afterwards must equal the ``integers`` reference, also when other
+    draws are interleaved.
+    """
+
+    REQUESTS = [(8, 16, 1), (4, 3, 2), (2, 70, 1), (16, 0, 2), (64, 5, 3), (8, 1, 1)]
+
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
+         np.random.MT19937],
+    )
+    def test_matches_integers_words_and_state(self, bit_generator):
+        fast = np.random.Generator(bit_generator(2016))
+        reference = np.random.Generator(bit_generator(2016))
+        for bound, count, width in self.REQUESTS:
+            # Interleave float and bounded-integer draws, which buffer
+            # half-words in some bit generators.
+            assert np.array_equal(fast.random(3), reference.random(3))
+            assert np.array_equal(fast.integers(0, 6, 5), reference.integers(0, 6, 5))
+            drawn = uniform_draws(fast, bound, count, width)
+            expected = _integers_word_draws(reference, bound, count, width)
+            assert drawn.dtype == np.int64
+            assert drawn.shape == (count, width)
+            assert np.array_equal(drawn, expected)
+        assert _same_state(fast.bit_generator.state, reference.bit_generator.state)
+        assert fast.random() == reference.random()
