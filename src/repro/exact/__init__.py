@@ -7,6 +7,15 @@ vertices the full distribution over subsets can be evolved exactly
 theorem — an exact identity, not an asymptotic — into a
 machine-precision assertion, and provides ground truth against which
 the Monte-Carlo simulators are validated.
+
+Each engine builds its step matrix in closed form: BIPS rows are
+product measures, and COBRA rows are the Möbius inverses of products of
+per-vertex subset-sum factors (:mod:`repro.exact.subsets`).  Up to
+:data:`~repro.exact.subsets.MATRIX_LIMIT` vertices the matrix is built
+once per engine and laws evolve by vector–matrix products; above it the
+rows a round needs are built on demand.  The exact cover-time law
+evolves a (covered, active) array with the same matrix, so it shares
+that limit.
 """
 
 from repro.exact.bips_exact import ExactBips

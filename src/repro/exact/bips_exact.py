@@ -2,15 +2,15 @@
 
 Given ``A_t = A``, the next infected set is a product of independent
 per-vertex Bernoullis: vertex ``u ≠ v`` is infected with probability
-``p_u(A) = 1 - (1 - d_A(u)/d(u))^k`` (adjusted for fractional ``k``),
-and the source bit is always set.  The exact step therefore folds one
-Bernoulli per vertex into a delta at the source bit — ``n - 1``
-O(2^n) reshape operations per starting mask.
+``p_u(A) = 1 - (1 - d_A(u)/d(u))^k`` (adjusted for fractional ``k``,
+distinct contacts and loss), and the source bit is always set.  Each
+step-matrix row is therefore a product measure:
+:meth:`ExactBips.infection_probabilities` vectorised over masks, expanded
+bit by bit by :func:`~repro.exact.subsets.product_measure`.
 
-For graphs up to :data:`MATRIX_LIMIT` vertices the full
-``2^n × 2^n`` transition matrix is materialised once and reused across
-steps; larger graphs (up to the global exact-engine limit) evolve the
-distribution on the fly.
+Up to :data:`~repro.exact.subsets.MATRIX_LIMIT` vertices the matrix is
+built once per engine and reused across steps; above it the rows of the
+masks that carry mass are built each round.
 """
 
 from __future__ import annotations
@@ -23,20 +23,11 @@ from repro.core.process import (
     validate_loss,
     validate_replacement,
 )
-from repro.exact.subsets import (
-    bernoulli_fold,
-    check_size,
-    masks_disjoint_from,
-    popcount_table,
-)
+from repro.exact.subsets import SubsetChain, masks_disjoint_from, product_measure
 from repro.graphs.base import Graph
 
-#: Materialise the full transition matrix up to this many vertices
-#: (2^10 x 2^10 doubles = 8 MiB).
-MATRIX_LIMIT = 10
 
-
-class ExactBips:
+class ExactBips(SubsetChain):
     """Exact subset-distribution evolution of BIPS on a small graph.
 
     Parameters
@@ -67,22 +58,18 @@ class ExactBips:
         replacement: bool = True,
         loss_probability: float = 0.0,
     ) -> None:
-        check_size(graph.n_vertices)
+        super().__init__(graph.n_vertices)
         self._graph = graph
-        self._n = graph.n_vertices
-        self._size = 1 << self._n
         self._source = resolve_vertex(graph, source, role="source")
         self._mandatory, self._rho = validate_branching(branching)
         validate_replacement(graph, self._mandatory, self._rho, replacement)
         self._replacement = bool(replacement)
         self._loss = validate_loss(loss_probability, replacement)
-        self._popcount = popcount_table(self._n)
         self._neighbor_masks = np.array(
             [sum(1 << int(v) for v in graph.neighbors(u)) for u in range(self._n)],
             dtype=np.int64,
         )
         self._degrees = graph.degrees.astype(np.float64)
-        self._matrix: np.ndarray | None = None
 
     @property
     def graph(self) -> Graph:
@@ -98,12 +85,9 @@ class ExactBips:
     # One-step machinery
     # ------------------------------------------------------------------
 
-    def infection_probabilities(self, mask: int) -> np.ndarray:
-        """Per-vertex next-round infection probabilities given ``A_t = mask``.
-
-        The source's entry is reported as 1 (it is always infected).
-        """
-        overlap = self._popcount[self._neighbor_masks & mask].astype(np.float64)
+    def _infection_probabilities(self, masks: np.ndarray) -> np.ndarray:
+        """``(len(masks), n)`` next-round infection probabilities."""
+        overlap = self._popcount[self._neighbor_masks & masks[:, None]].astype(np.float64)
         degrees = self._degrees
         if self._replacement:
             hit_fraction = (1.0 - self._loss) * overlap / degrees
@@ -115,7 +99,7 @@ class ExactBips:
             # per-draw factors; an extra distinct draw (probability rho)
             # multiplies in (d - a - k) / (d - k).
             uninfected = degrees - overlap
-            miss = np.ones(self._n, dtype=np.float64)
+            miss = np.ones_like(overlap)
             for draw in range(self._mandatory):
                 miss *= np.clip(uninfected - draw, 0.0, None) / (degrees - draw)
             if self._rho > 0.0:
@@ -123,50 +107,22 @@ class ExactBips:
                 extra_miss = np.clip(uninfected - k, 0.0, None) / (degrees - k)
                 miss *= (1.0 - self._rho) + self._rho * extra_miss
         probabilities = 1.0 - miss
-        probabilities[self._source] = 1.0
+        probabilities[:, self._source] = 1.0
         return probabilities
+
+    def infection_probabilities(self, mask: int) -> np.ndarray:
+        """Per-vertex next-round infection probabilities given ``A_t = mask``.
+
+        The source's entry is reported as 1 (it is always infected).
+        """
+        return self._infection_probabilities(np.array([mask], dtype=np.int64))[0]
+
+    def _columns(self, masks: np.ndarray) -> np.ndarray:
+        return product_measure(self._infection_probabilities(masks))
 
     def step_distribution(self, mask: int) -> np.ndarray:
         """Exact distribution of ``A_{t+1}`` given ``A_t = mask``."""
-        probabilities = self.infection_probabilities(mask)
-        distribution = np.zeros(self._size, dtype=np.float64)
-        distribution[1 << self._source] = 1.0
-        for u in range(self._n):
-            if u == self._source:
-                continue
-            distribution = bernoulli_fold(distribution, u, float(probabilities[u]), self._n)
-        return distribution
-
-    def _ensure_matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            matrix = np.zeros((self._size, self._size), dtype=np.float64)
-            source_bit = 1 << self._source
-            for mask in range(self._size):
-                if mask & source_bit:
-                    matrix[mask] = self.step_distribution(mask)
-            self._matrix = matrix
-        return self._matrix
-
-    def evolve(self, distribution: np.ndarray, steps: int = 1) -> np.ndarray:
-        """Evolve a subset distribution ``steps`` rounds forward."""
-        if steps < 0:
-            raise ValueError(f"steps must be non-negative, got {steps}")
-        current = np.asarray(distribution, dtype=np.float64).copy()
-        if current.shape != (self._size,):
-            raise ValueError(
-                f"distribution must have shape ({self._size},), got {current.shape}"
-            )
-        if self._n <= MATRIX_LIMIT and steps > 0:
-            matrix = self._ensure_matrix()
-            for _ in range(steps):
-                current = current @ matrix
-            return current
-        for _ in range(steps):
-            next_distribution = np.zeros_like(current)
-            for mask in np.flatnonzero(current > 0.0):
-                next_distribution += current[mask] * self.step_distribution(int(mask))
-            current = next_distribution
-        return current
+        return self._row(mask)
 
     # ------------------------------------------------------------------
     # Quantities of interest
@@ -206,7 +162,7 @@ class ExactBips:
         current = self.initial_distribution()
         series[0] = float((current * sizes).sum())
         for t in range(1, t_max + 1):
-            current = self.evolve(current, 1)
+            current = self._advance(current)
             series[t] = float((current * sizes).sum())
         return series
 
@@ -225,7 +181,7 @@ class ExactBips:
         pmf[0] = float(current[full])
         current[full] = 0.0
         for t in range(1, t_max + 1):
-            current = self.evolve(current, 1)
+            current = self._advance(current)
             pmf[t] = float(current[full])
             current[full] = 0.0
         return pmf, float(current.sum())
@@ -245,7 +201,7 @@ class ExactBips:
         """
         current = self.initial_distribution()
         for _ in range(t_cap):
-            next_distribution = self.evolve(current, 1)
+            next_distribution = self._advance(current)
             if float(np.abs(next_distribution - current).sum()) < tolerance:
                 return next_distribution
             current = next_distribution
@@ -274,7 +230,7 @@ class ExactBips:
         current /= total
         theta = 0.0
         for _ in range(t_cap):
-            next_distribution = self.evolve(current, 1)
+            next_distribution = self._advance(current)
             next_distribution[full] = 0.0
             survival = float(next_distribution.sum())
             if survival <= 0.0:
@@ -320,7 +276,7 @@ class ExactBips:
                     f"expected infection time did not converge within {t_cap} steps "
                     f"(remaining mass {survival:.3e})"
                 )
-            current = self.evolve(current, 1)
+            current = self._advance(current)
             absorbed = float(current[full])
             expectation += t * absorbed
             survival -= absorbed

@@ -1,23 +1,35 @@
 """Exact distribution evolution for the COBRA set process.
 
-Given ``C_t = C``, the next active set is the union of independent
-random singletons: each vertex ``u ∈ C`` contributes ``k`` uniform
-draws from ``N(u)`` (plus a fractional extra draw).  The exact step
-therefore union-convolves a delta at ``∅`` with one uniform-singleton
-distribution per draw:
+Given ``C_t = S``, the next active set is the union of independent
+random choice sets, one per vertex ``u ∈ S``.  The union's zeta
+(subset-sum) transform is therefore a product:
 
-``fold(h, u) = Σ_{x ∈ N(u)} (1/d(u)) · (h union {x})``
+``P(C_{t+1} ⊆ T | C_t = S) = Π_{u ∈ S} h_u(T)``
 
-each an O(2^n · d(u)) reshape pass.  Hitting-time tails — the left-hand
-side of the duality theorem — are computed by evolving a *defective*
-distribution restricted to target-free masks: mass that would land on a
-mask containing the target is dropped (the walk has hit), and the
-surviving total mass after ``t`` steps is ``P(Hit_C(v) > t)``.
+where ``h_u(T)`` is the probability that ``u``'s choice set lies in
+``T``.  It depends only on ``a = |N(u) ∩ T|``:
+
+* with replacement, ``h_u = q^k (1 - ρ + ρ q)`` with
+  ``q = loss + (1 - loss)·a/d(u)`` (``k`` mandatory draws, one extra
+  with probability ``ρ``, each draw lost with probability ``loss``);
+* without replacement, ``h_u = (1 - ρ)·C(a, k)/C(d, k) + ρ·C(a, k+1)/C(d, k+1)``.
+
+The transformed rows are built by doubling over the lowest bit,
+``Z[S] = Z[S \\ {u}]·h_u``, and one Möbius pass along ``T`` recovers
+the step matrix.  Entries with ``|T| > |S|·⌈k⌉`` are impossible and are
+set to zero, which removes the pass's rounding residue there.  The dead
+state ``∅`` (reachable under loss) is row 0, a delta at 0.
+
+Hitting-time tails — the left-hand side of the duality theorem — are
+computed by evolving a *defective* distribution restricted to
+target-free masks: mass that lands on a mask containing the target is
+dropped (the walk has hit), and the surviving total mass after ``t``
+steps is ``P(Hit_C(v) > t)``.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from typing import Iterable
 
 import numpy as np
@@ -29,14 +41,27 @@ from repro.core.process import (
     validate_loss,
     validate_replacement,
 )
-from repro.exact.subsets import check_size, mask_from_vertices, or_with_bit
+from repro.exact.subsets import (
+    SubsetChain,
+    mask_from_vertices,
+    masks_containing,
+    mobius,
+    vertices_from_mask,
+)
 from repro.graphs.base import Graph
 
-#: Cache per-starting-mask one-step rows up to this many vertices.
-ROW_CACHE_LIMIT = 10
+
+def _inside_fraction(size: int, degree: int) -> np.ndarray:
+    """``C(a, size) / C(degree, size)`` for ``a = 0 .. degree``.
+
+    The chance that a uniform ``size``-subset of a ``degree``-vertex
+    neighbourhood lies inside a given ``a`` of its vertices.
+    """
+    inside = np.array([math.comb(a, size) for a in range(degree + 1)], dtype=np.float64)
+    return inside / math.comb(degree, size)
 
 
-class ExactCobra:
+class ExactCobra(SubsetChain):
     """Exact subset-distribution evolution of COBRA on a small graph.
 
     Parameters
@@ -65,16 +90,28 @@ class ExactCobra:
         replacement: bool = True,
         loss_probability: float = 0.0,
     ) -> None:
-        check_size(graph.n_vertices)
+        super().__init__(graph.n_vertices)
         self._graph = graph
-        self._n = graph.n_vertices
-        self._size = 1 << self._n
-        self._mandatory, self._rho = validate_branching(branching)
-        validate_replacement(graph, self._mandatory, self._rho, replacement)
-        self._replacement = bool(replacement)
-        self._loss = validate_loss(loss_probability, replacement)
-        self._row_cache: dict[int, np.ndarray] = {}
-        self._choice_law_cache: dict[int, list[tuple[int, float]]] = {}
+        mandatory, rho = validate_branching(branching)
+        validate_replacement(graph, mandatory, rho, replacement)
+        loss = validate_loss(loss_probability, replacement)
+        #: Most vertices one active vertex can choose in a round.
+        self._draws = mandatory + (1 if rho > 0.0 else 0)
+        #: ``h_u(T)`` for every vertex ``u`` (rows) and mask ``T``.
+        self._factors = np.empty((self._n, self._size), dtype=np.float64)
+        all_masks = np.arange(self._size, dtype=np.int64)
+        for u in range(self._n):
+            neighbors = graph.neighbors(u)
+            degree = neighbors.size
+            if replacement:
+                q = loss + (1.0 - loss) * np.arange(degree + 1) / degree
+                by_overlap = q**mandatory * (1.0 - rho + rho * q)
+            else:
+                by_overlap = (1.0 - rho) * _inside_fraction(mandatory, degree)
+                if rho > 0.0:
+                    by_overlap += rho * _inside_fraction(mandatory + 1, degree)
+            overlap = self._popcount[all_masks & mask_from_vertices(neighbors.tolist())]
+            self._factors[u] = by_overlap[overlap]
 
     @property
     def graph(self) -> Graph:
@@ -85,88 +122,26 @@ class ExactCobra:
     # One-step machinery
     # ------------------------------------------------------------------
 
-    def _uniform_singleton_fold(self, distribution: np.ndarray, vertex: int) -> np.ndarray:
-        """Union-convolve with one (possibly lost) uniform draw from ``N(vertex)``."""
-        neighbors = self._graph.neighbors(vertex)
-        weight = (1.0 - self._loss) / neighbors.size
-        result = np.zeros_like(distribution)
-        for x in neighbors:
-            result += weight * or_with_bit(distribution, int(x), self._n)
-        if self._loss > 0.0:
-            result += self._loss * distribution
-        return result
-
-    def _distinct_choice_law(self, vertex: int) -> list[tuple[int, float]]:
-        """Without-replacement choice-set law of one vertex.
-
-        A uniform ``k``-subset of ``N(vertex)`` with probability
-        ``1 - rho``, a uniform ``(k+1)``-subset with probability
-        ``rho``; returned as ``(mask, probability)`` pairs.
-        """
-        cached = self._choice_law_cache.get(vertex)
-        if cached is not None:
-            return cached
-        neighbors = [int(v) for v in self._graph.neighbors(vertex)]
-        law: dict[int, float] = {}
-
-        def add_subsets(size: int, weight: float) -> None:
-            subsets = list(itertools.combinations(neighbors, size))
-            probability = weight / len(subsets)
-            for subset in subsets:
-                subset_mask = mask_from_vertices(subset)
-                law[subset_mask] = law.get(subset_mask, 0.0) + probability
-
-        if self._rho > 0.0:
-            add_subsets(self._mandatory, 1.0 - self._rho)
-            add_subsets(self._mandatory + 1, self._rho)
+    def _columns(self, masks: np.ndarray) -> np.ndarray:
+        zeta = np.empty((self._size, masks.size), dtype=np.float64)
+        if masks.size == self._size:
+            # Every mask: double over the lowest bit, Z[S] = Z[S without u]·h_u.
+            zeta[:, 0] = 1.0
+            for u in range(self._n):
+                half = 1 << u
+                np.multiply(zeta[:, :half], self._factors[u, :, None], out=zeta[:, half : 2 * half])
         else:
-            add_subsets(self._mandatory, 1.0)
-        result = sorted(law.items())
-        self._choice_law_cache[vertex] = result
-        return result
-
-    def _union_fold_with_law(
-        self, distribution: np.ndarray, law: list[tuple[int, float]]
-    ) -> np.ndarray:
-        """Union-convolve a distribution with an arbitrary subset law."""
-        result = np.zeros_like(distribution)
-        for subset_mask, probability in law:
-            contribution = distribution * probability
-            bits = subset_mask
-            position = 0
-            while bits:
-                if bits & 1:
-                    contribution = or_with_bit(contribution, position, self._n)
-                bits >>= 1
-                position += 1
-            result += contribution
-        return result
+            for column, mask in enumerate(masks.tolist()):
+                zeta[:, column] = np.prod(self._factors[vertices_from_mask(mask)], axis=0)
+        columns = mobius(zeta, self._n)
+        columns[self._popcount[:, None] > self._draws * self._popcount[masks]] = 0.0
+        return columns
 
     def step_distribution(self, mask: int) -> np.ndarray:
         """Exact distribution of ``C_{t+1}`` given ``C_t = mask``."""
         if mask <= 0:
             raise ValueError("COBRA requires a non-empty active set")
-        cached = self._row_cache.get(mask)
-        if cached is not None:
-            return cached
-        distribution = np.zeros(self._size, dtype=np.float64)
-        distribution[0] = 1.0
-        for u in range(self._n):
-            if not (mask >> u) & 1:
-                continue
-            if self._replacement:
-                for _ in range(self._mandatory):
-                    distribution = self._uniform_singleton_fold(distribution, u)
-                if self._rho > 0.0:
-                    branched = self._uniform_singleton_fold(distribution, u)
-                    distribution = (1.0 - self._rho) * distribution + self._rho * branched
-            else:
-                distribution = self._union_fold_with_law(
-                    distribution, self._distinct_choice_law(u)
-                )
-        if self._n <= ROW_CACHE_LIMIT:
-            self._row_cache[mask] = distribution
-        return distribution
+        return self._row(mask)
 
     # ------------------------------------------------------------------
     # Full-law evolution (no absorption)
@@ -178,27 +153,6 @@ class ExactCobra:
         distribution = np.zeros(self._size, dtype=np.float64)
         distribution[mask_from_vertices(vertices.tolist())] = 1.0
         return distribution
-
-    def evolve(self, distribution: np.ndarray, steps: int = 1) -> np.ndarray:
-        """Evolve a subset distribution ``steps`` rounds forward."""
-        if steps < 0:
-            raise ValueError(f"steps must be non-negative, got {steps}")
-        current = np.asarray(distribution, dtype=np.float64).copy()
-        if current.shape != (self._size,):
-            raise ValueError(
-                f"distribution must have shape ({self._size},), got {current.shape}"
-            )
-        for _ in range(steps):
-            next_distribution = np.zeros_like(current)
-            for mask in np.flatnonzero(current > 0.0):
-                mask = int(mask)
-                if mask == 0:
-                    # A dead walk (all messages lost) stays dead.
-                    next_distribution[0] += current[0]
-                    continue
-                next_distribution += current[mask] * self.step_distribution(mask)
-            current = next_distribution
-        return current
 
     def distribution_at(self, start: int | Iterable[int], t: int) -> np.ndarray:
         """Exact law of ``C_t`` from ``C_0 = start``."""
@@ -235,25 +189,15 @@ class ExactCobra:
         target = resolve_vertex(self._graph, target, role="target")
         if t_max < 0:
             raise ValueError(f"t_max must be non-negative, got {t_max}")
-        target_bit = 1 << target
-        all_masks = np.arange(self._size, dtype=np.int64)
-        target_free = (all_masks & target_bit) == 0
+        hit = masks_containing(target, self._n)
 
         survival = np.empty(t_max + 1, dtype=np.float64)
         defective = self.initial_distribution(start)
-        defective[~target_free] = 0.0
+        defective[hit] = 0.0
         survival[0] = float(defective.sum())
         for t in range(1, t_max + 1):
-            next_defective = np.zeros_like(defective)
-            for mask in np.flatnonzero(defective > 0.0):
-                mask = int(mask)
-                if mask == 0:
-                    # A dead walk never hits the target: permanent survival.
-                    next_defective[0] += defective[0]
-                    continue
-                next_defective += defective[mask] * self.step_distribution(mask)
-            next_defective[~target_free] = 0.0
-            defective = next_defective
+            defective = self._advance(defective)
+            defective[hit] = 0.0
             survival[t] = float(defective.sum())
         return survival
 

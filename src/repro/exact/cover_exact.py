@@ -1,10 +1,14 @@
-"""Exact cover-time law of COBRA on tiny graphs.
+"""Exact cover-time law of COBRA on small graphs.
 
-The cover time depends on the pair ``(C_t, covered set)``, so its state
-space is pairs ``(A, V)`` with ``A ⊆ V`` — up to ``3^n`` states, which
-is tractable for `n` up to ~8.  The engine evolves a sparse dictionary
-of state probabilities, absorbing mass whose covered set reaches `V`;
-the absorbed-by-round sequence is the exact pmf of ``cov``.
+The cover time depends on the pair (covered set ``V``, active set
+``A``), so the engine evolves a dense ``2^n × 2^n`` array indexed
+``[V, A]``.  One round is one product with the COBRA step matrix, which
+moves ``A`` to ``A'``, then ``n`` in-place bit folds that move each
+entry to ``V | A'``.  Mass reaching ``V = full`` is absorbed; the
+absorbed-by-round sequence is the exact pmf of ``cov``, and the summed
+unabsorbed mass is its tail.  The array is as large as the step
+matrix, so the engine shares its limit,
+:data:`~repro.exact.subsets.MATRIX_LIMIT` vertices.
 
 This closes the loop the duality cannot: Theorem 4 gives exact
 *hitting-tail* identities per target vertex, but the cover time is the
@@ -22,11 +26,11 @@ import numpy as np
 from repro.core.process import resolve_vertex_set, validate_branching
 from repro.errors import ExactEngineError
 from repro.exact.cobra_exact import ExactCobra
-from repro.exact.subsets import mask_from_vertices
+from repro.exact.subsets import MATRIX_LIMIT, mask_from_vertices
 from repro.graphs.base import Graph
 
-#: Pair-state enumeration is 3^n-ish; keep n small.
-MAX_COVER_EXACT_VERTICES = 8
+#: The (covered, active) array is as large as the materialised step matrix.
+MAX_COVER_EXACT_VERTICES = MATRIX_LIMIT
 
 
 class ExactCobraCover:
@@ -56,8 +60,9 @@ class ExactCobraCover:
     ) -> None:
         if graph.n_vertices > MAX_COVER_EXACT_VERTICES:
             raise ExactEngineError(
-                f"exact cover law enumerates ~3^n pair states; n={graph.n_vertices} "
-                f"exceeds the limit of {MAX_COVER_EXACT_VERTICES} vertices"
+                f"exact cover law evolves a 2^n x 2^n (covered, active) array; "
+                f"n={graph.n_vertices} exceeds the limit of "
+                f"{MAX_COVER_EXACT_VERTICES} vertices"
             )
         validate_branching(branching)
         self._graph = graph
@@ -65,21 +70,47 @@ class ExactCobraCover:
         self._full = (1 << self._n) - 1
         self._include_start = include_start_in_cover
         self._engine = ExactCobra(graph, branching=branching, replacement=replacement)
-        self._successor_cache: dict[int, list[tuple[int, float]]] = {}
 
-    def _successors(self, active: int) -> list[tuple[int, float]]:
-        """``(next_active, probability)`` pairs of one step from ``active``.
+    def _cover_law(
+        self, start: int | Iterable[int], t_max: int, tolerance: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(pmf, survival)``: ``P(cov = t)`` and ``P(cov > t)``.
 
-        The support of the engine's cached row, as plain Python ints and
-        floats, so the per-state loop below pays NumPy indexing once per
-        mask instead of once per state per round.
+        ``pmf`` covers ``t = 0 .. t_max`` and ``survival`` the rounds
+        evolved: evolution stops after the first round whose unabsorbed
+        mass is below ``tolerance``.
         """
-        cached = self._successor_cache.get(active)
-        if cached is None:
-            row = self._engine.step_distribution(active)
-            cached = [(int(mask), float(row[mask])) for mask in np.flatnonzero(row > 0.0)]
-            self._successor_cache[active] = cached
-        return cached
+        start_vertices = resolve_vertex_set(self._graph, start, role="start")
+        start_mask = mask_from_vertices(start_vertices.tolist())
+        covered0 = start_mask if self._include_start else 0
+
+        pmf = np.zeros(t_max + 1, dtype=np.float64)
+        survival = np.zeros(t_max + 1, dtype=np.float64)
+        if covered0 == self._full:
+            pmf[0] = 1.0
+            return pmf, survival
+        size = self._full + 1
+        matrix = self._engine._step_matrix()
+        state = np.zeros((size, size), dtype=np.float64)
+        state[covered0, start_mask] = 1.0
+        survival[0] = 1.0
+        for t in range(1, t_max + 1):
+            live = np.flatnonzero(state.any(axis=1))
+            stepped = np.zeros_like(state)
+            stepped[live] = state[live] @ matrix
+            for bit in range(self._n):
+                # Cover the active set's bit: [V, A'] -> [V | bit, A'].
+                low = 1 << bit
+                view = stepped.reshape(-1, 2, low, size // (2 * low), 2, low)
+                view[:, 1, :, :, 1, :] += view[:, 0, :, :, 1, :]
+                view[:, 0, :, :, 1, :] = 0.0
+            pmf[t] = stepped[self._full].sum()
+            stepped[self._full] = 0.0
+            state = stepped
+            survival[t] = state.sum()
+            if survival[t] < tolerance:
+                return pmf, survival[: t + 1]
+        return pmf, survival
 
     def cover_time_distribution(
         self, start: int | Iterable[int], *, t_max: int = 200, tolerance: float = 1e-12
@@ -87,39 +118,11 @@ class ExactCobraCover:
         """``(pmf, tail)`` of ``cov`` from ``C_0 = start``.
 
         ``pmf[t] = P(cov = t)`` for ``t = 0 .. t_max``; ``tail`` is the
-        unabsorbed mass beyond ``t_max``.  Evolution stops early once
-        the tail drops below ``tolerance``.
+        unabsorbed mass after the last evolved round.  Evolution stops
+        early once the tail drops below ``tolerance``.
         """
-        start_vertices = resolve_vertex_set(self._graph, start, role="start")
-        start_mask = mask_from_vertices(start_vertices.tolist())
-        covered0 = start_mask if self._include_start else 0
-
-        pmf = np.zeros(t_max + 1, dtype=np.float64)
-        states: dict[tuple[int, int], float] = {}
-        if covered0 == self._full:
-            pmf[0] = 1.0
-            return pmf, 0.0
-        states[(start_mask, covered0)] = 1.0
-
-        remaining = 1.0
-        for t in range(1, t_max + 1):
-            next_states: dict[tuple[int, int], float] = {}
-            absorbed = 0.0
-            for (active, covered), probability in states.items():
-                for next_active, step_probability in self._successors(active):
-                    mass = probability * step_probability
-                    next_covered = covered | next_active
-                    if next_covered == self._full:
-                        absorbed += mass
-                    else:
-                        key = (next_active, next_covered)
-                        next_states[key] = next_states.get(key, 0.0) + mass
-            pmf[t] = absorbed
-            remaining -= absorbed
-            states = next_states
-            if remaining < tolerance:
-                break
-        return pmf, max(remaining, 0.0)
+        pmf, survival = self._cover_law(start, t_max, tolerance)
+        return pmf, float(survival[-1])
 
     def expected_cover_time(
         self, start: int | Iterable[int], *, t_max: int = 500, tolerance: float = 1e-10
@@ -137,6 +140,5 @@ class ExactCobraCover:
     def survival_series(
         self, start: int | Iterable[int], t_max: int
     ) -> np.ndarray:
-        """``P(cov > t)`` for ``t = 0 .. t_max``."""
-        pmf, tail = self.cover_time_distribution(start, t_max=t_max, tolerance=0.0)
-        return 1.0 - np.cumsum(pmf)
+        """``P(cov > t)`` for ``t = 0 .. t_max``, summed from the unabsorbed state."""
+        return self._cover_law(start, t_max, 0.0)[1]

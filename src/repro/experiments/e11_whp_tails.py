@@ -47,7 +47,7 @@ SPEC = ExperimentSpec(
         "upper tails decay geometrically, so quantiles track the mean"
     ),
     paper_reference="Theorems 1-3 (w.h.p. clauses) and Eq. (1)",
-    version="1",
+    version="2",
 )
 
 TAIL_GRAPH_N = 1024
@@ -153,8 +153,7 @@ def run(
 
     # --- exact tail on a tiny graph -------------------------------------
     exact_engine = ExactCobraCover(complete(7))
-    pmf, tail_mass = exact_engine.cover_time_distribution(0, t_max=60)
-    survival = 1.0 - np.cumsum(pmf)
+    survival = exact_engine.survival_series(0, 60)
     # Per-round decay ratio of the exact survival once past the bulk.
     usable = np.flatnonzero(survival > 1e-12)
     late = usable[usable >= 10]

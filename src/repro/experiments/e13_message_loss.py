@@ -41,7 +41,7 @@ SPEC = ExperimentSpec(
         "probability for COBRA"
     ),
     paper_reference="extension of Theorems 3 and 4 (choice-set thinning)",
-    version="1",
+    version="2",
 )
 
 GRAPH_N = 1024

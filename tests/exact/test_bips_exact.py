@@ -65,7 +65,7 @@ class TestEvolution:
         graph = generators.cycle(5)
         engine_fold = ExactBips(graph, 0)
         start = engine_fold.initial_distribution()
-        # Fold path: step mask-by-mask (bypass the matrix).
+        # Row path: accumulate the step rows mask by mask.
         by_fold = np.zeros_like(start)
         for mask in np.flatnonzero(start > 0):
             by_fold += start[mask] * engine_fold.step_distribution(int(mask))

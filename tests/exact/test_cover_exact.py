@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro._rng import spawn_generators
+from repro.core.batch import batch_cobra_cover_times
 from repro.core.cobra import CobraProcess
 from repro.core.runner import run_process
 from repro.errors import ExactEngineError
@@ -38,6 +39,7 @@ class TestCoverLaw:
         pmf, tail = engine.cover_time_distribution([0, 1, 2], t_max=5)
         assert pmf[0] == pytest.approx(1.0)
         assert tail == pytest.approx(0.0)
+        assert np.array_equal(engine.survival_series([0, 1, 2], 5), np.zeros(6))
 
     def test_cycle_without_replacement_is_deterministic(self):
         # k=2 distinct picks on a cycle flood deterministically: C7 from
@@ -95,5 +97,40 @@ class TestCoverLaw:
             assert expected_cover >= expected_hit - 1e-9
 
     def test_size_limit(self):
-        with pytest.raises(ExactEngineError, match="3\\^n"):
-            ExactCobraCover(generators.petersen())
+        with pytest.raises(ExactEngineError, match="limit of 10 vertices"):
+            ExactCobraCover(generators.cycle(11))
+
+
+class TestSurvivalSeries:
+    def test_summed_tail_matches_pmf_tail_sums(self):
+        # P(cov > t) is summed from the unabsorbed state, so it keeps its
+        # relative precision deep in the tail, where 1 - cumsum(pmf)
+        # cancels down to rounding noise.
+        engine = ExactCobraCover(generators.complete(7))
+        survival = engine.survival_series(0, 60)
+        pmf, _ = engine.cover_time_distribution(0, t_max=60, tolerance=0.0)
+        tail_sums = np.cumsum(pmf[::-1])[::-1]  # tail_sums[s] = sum of pmf[s:], small end first
+        checked = np.flatnonzero(survival > 1e-12)
+        assert checked.size > 15
+        for t in checked:
+            assert survival[t] == pytest.approx(tail_sums[t + 1], rel=1e-9, abs=0.0)
+
+
+class TestPetersenCoverLaw:
+    """n = 10: the largest graph the exact cover law accepts."""
+
+    @pytest.fixture(scope="class")
+    def law(self):
+        return ExactCobraCover(generators.petersen()).cover_time_distribution(0, t_max=200)
+
+    def test_pmf_plus_tail_is_one(self, law):
+        pmf, tail = law
+        assert abs(pmf.sum() + tail - 1.0) < 1e-12
+        assert tail < 1e-12
+
+    def test_mean_inside_batch_confidence_interval(self, law):
+        pmf, _ = law
+        exact_mean = float(np.dot(np.arange(pmf.size), pmf))
+        times = batch_cobra_cover_times(generators.petersen(), 0, n_replicas=4000, seed=10)
+        half_width = 3.2905 * times.std(ddof=1) / np.sqrt(times.size)  # 99.9% two-sided
+        assert abs(times.mean() - exact_mean) < half_width

@@ -1,4 +1,5 @@
-"""Tests for the bitmask subset algebra in :mod:`repro.exact.subsets`."""
+"""Tests for the bitmask subset algebra in :mod:`repro.exact.subsets`
+and the closed forms the exact engines build their step rows from."""
 
 from __future__ import annotations
 
@@ -6,17 +7,23 @@ import numpy as np
 import pytest
 
 from repro.errors import ExactEngineError
+from repro.exact import subsets
+from repro.exact.bips_exact import ExactBips
+from repro.exact.cobra_exact import ExactCobra
+from repro.exact.duality import duality_gap
 from repro.exact.subsets import (
+    MATRIX_LIMIT,
     MAX_EXACT_VERTICES,
-    bernoulli_fold,
     check_size,
     mask_from_vertices,
     masks_containing,
     masks_disjoint_from,
-    or_with_bit,
+    mobius,
     popcount_table,
+    product_measure,
     vertices_from_mask,
 )
+from repro.graphs import generators
 
 
 class TestMasks:
@@ -53,54 +60,115 @@ class TestPopcountTable:
         check_size(MAX_EXACT_VERTICES)  # boundary is allowed
 
 
-class TestBernoulliFold:
-    def test_extends_delta(self):
-        n_bits = 3
-        distribution = np.zeros(8)
-        distribution[0] = 1.0
-        folded = bernoulli_fold(distribution, 1, 0.3, n_bits)
-        assert folded[0] == pytest.approx(0.7)
-        assert folded[0b010] == pytest.approx(0.3)
-        assert folded.sum() == pytest.approx(1.0)
+def _subset_sums(values: np.ndarray) -> np.ndarray:
+    """Zeta transform by its definition: ``Σ_{U ⊆ T} values[U]`` for every ``T``.
 
-    def test_builds_product_measure(self):
-        n_bits = 3
-        distribution = np.zeros(8)
-        distribution[0] = 1.0
-        probabilities = [0.2, 0.5, 0.9]
-        for bit, p in enumerate(probabilities):
-            distribution = bernoulli_fold(distribution, bit, p, n_bits)
-        for mask in range(8):
-            expected = 1.0
-            for bit, p in enumerate(probabilities):
-                expected *= p if (mask >> bit) & 1 else 1.0 - p
-            assert distribution[mask] == pytest.approx(expected)
-
-    def test_conserves_mass(self):
-        rng = np.random.default_rng(0)
-        distribution = rng.random(16)
-        distribution[8:] = 0.0  # no mass on bit 3
-        distribution /= distribution.sum()
-        folded = bernoulli_fold(distribution, 3, 0.4, 4)
-        assert folded.sum() == pytest.approx(1.0)
+    Acts along the first axis, like :func:`mobius`.
+    """
+    masks = np.arange(values.shape[0])
+    inside = (masks[:, None] & masks[None, :]) == masks[None, :]  # [T, U]: U ⊆ T
+    return inside @ values
 
 
-class TestOrWithBit:
-    def test_moves_all_mass_to_bit_set_half(self):
-        n_bits = 3
-        distribution = np.zeros(8)
-        distribution[0b001] = 0.5
-        distribution[0b100] = 0.5
-        result = or_with_bit(distribution, 1, n_bits)
-        assert result[0b011] == pytest.approx(0.5)
-        assert result[0b110] == pytest.approx(0.5)
-        assert result.sum() == pytest.approx(1.0)
+class TestTransforms:
+    @pytest.mark.parametrize("n_bits", range(1, 11))
+    def test_mobius_inverts_subset_sums(self, n_bits):
+        rng = np.random.default_rng(n_bits)
+        values = rng.standard_normal(1 << n_bits)
+        recovered = mobius(_subset_sums(values), n_bits)
+        assert np.allclose(recovered, values, rtol=0.0, atol=1e-9)
 
-    def test_idempotent_on_bit_set_masks(self):
-        distribution = np.zeros(4)
-        distribution[0b10] = 1.0
-        result = or_with_bit(distribution, 1, 2)
-        assert result[0b10] == pytest.approx(1.0)
+    def test_mobius_acts_on_the_first_axis(self):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((8, 4))
+        recovered = mobius(_subset_sums(values), 3)
+        assert np.allclose(recovered, values, rtol=0.0, atol=1e-12)
+
+    def test_product_measure(self):
+        probabilities = np.array([[0.2, 0.5, 0.9], [1.0, 0.0, 0.25]])
+        law = product_measure(probabilities)
+        assert law.shape == (8, 2)
+        for column, column_probabilities in zip(law.T, probabilities):
+            assert column.sum() == pytest.approx(1.0)
+            for mask in range(8):
+                expected = 1.0
+                for bit, p in enumerate(column_probabilities):
+                    expected *= p if (mask >> bit) & 1 else 1.0 - p
+                assert column[mask] == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        ("branching", "loss", "replacement"),
+        [(1.0, 0.0, True), (1.5, 0.0, True), (2.0, 0.3, True), (3.0, 0.0, True),
+         (1.5, 0.0, False), (2.0, 0.0, False)],
+    )
+    def test_cobra_zeta_row_is_product_of_vertex_factors(
+        self, petersen, branching, loss, replacement
+    ):
+        # A COBRA step is a union of independent per-vertex choice sets:
+        # the subset sums of the row of S are the product over u in S of
+        # the subset sums of the row of {u}.
+        engine = ExactCobra(
+            petersen, branching=branching, replacement=replacement, loss_probability=loss
+        )
+        factors = {u: _subset_sums(engine.step_distribution(1 << u)) for u in range(10)}
+        for mask in range(1, 1 << 10, 37):
+            expected = np.prod([factors[u] for u in vertices_from_mask(mask)], axis=0)
+            assert np.allclose(
+                _subset_sums(engine.step_distribution(mask)), expected, rtol=0.0, atol=1e-14
+            )
+
+    def test_cobra_vertex_factor_closed_form(self, petersen):
+        # With replacement, P(choice set of u inside T) = q^k (1 - rho + rho q)
+        # with q = loss + (1 - loss) |N(u) ∩ T| / d(u).
+        engine = ExactCobra(petersen, branching=1.5, loss_probability=0.2)
+        neighbors = mask_from_vertices(petersen.neighbors(0).tolist())
+        overlap = popcount_table(10)[np.arange(1 << 10) & neighbors]
+        q = 0.2 + 0.8 * overlap / 3
+        assert np.allclose(
+            _subset_sums(engine.step_distribution(1)), q * (0.5 + 0.5 * q),
+            rtol=0.0, atol=1e-15,
+        )
+
+    @pytest.mark.parametrize(("branching", "replacement"), [(2.0, True), (1.5, False)])
+    def test_bips_row_is_product_measure(self, petersen, branching, replacement):
+        engine = ExactBips(petersen, 3, branching=branching, replacement=replacement)
+        masks = np.arange(1 << 10)
+        for mask in range(1 << 3, 1 << 10, 41):
+            probabilities = engine.infection_probabilities(mask)
+            expected = np.ones(1 << 10)
+            for u, p in enumerate(probabilities):
+                expected *= np.where((masks >> u) & 1 == 1, p, 1.0 - p)
+            assert np.allclose(engine.step_distribution(mask), expected, rtol=0.0, atol=1e-15)
+
+
+class TestOnDemandRounds:
+    """Above ``MATRIX_LIMIT`` rounds are built on demand by the same closed forms."""
+
+    @pytest.fixture
+    def engines(self, petersen):
+        options = dict(branching=1.5, loss_probability=0.3)
+        return ExactCobra(petersen, **options), ExactBips(petersen, 2, **options)
+
+    def test_matches_materialised_matrix(self, engines, monkeypatch):
+        cobra, bips = engines
+
+        def laws():
+            return [
+                cobra.evolve(cobra.initial_distribution([0, 4]), 3),
+                cobra.step_distribution(0b1000010001),
+                cobra.hitting_survival_series([0], 7, 6),
+                bips.evolve(bips.initial_distribution(), 3),
+                bips.step_distribution(0b0110000100),
+            ]
+
+        materialised = laws()
+        monkeypatch.setattr(subsets, "MATRIX_LIMIT", 0)
+        for on_demand, expected in zip(laws(), materialised):
+            assert np.allclose(on_demand, expected, rtol=0.0, atol=1e-14)
+
+    def test_duality_above_the_limit(self):
+        graph = generators.cycle(MATRIX_LIMIT + 2)
+        assert duality_gap(graph, [0, 3], 7, 8, branching=1.5, loss_probability=0.2) < 1e-10
 
 
 class TestSelectors:

@@ -68,20 +68,23 @@ class TestExactBipsWithoutReplacement:
 
 class TestExactCobraWithoutReplacement:
     def test_choice_law_is_uniform_over_subsets(self, petersen):
+        # One active vertex's next set is its choice set.
         engine = ExactCobra(petersen, branching=2.0, replacement=False)
-        law = engine._distinct_choice_law(0)
-        assert len(law) == 3  # C(3, 2) subsets
-        for _, probability in law:
-            assert probability == pytest.approx(1 / 3)
+        law = engine.step_distribution(1 << 0)
+        support = np.flatnonzero(law)
+        assert len(support) == 3  # C(3, 2) subsets
+        for subset_mask in support:
+            assert int(popcount_table(10)[subset_mask]) == 2
+            assert law[subset_mask] == pytest.approx(1 / 3)
 
     def test_fractional_choice_law_mixes_sizes(self, petersen):
         engine = ExactCobra(petersen, branching=1.5, replacement=False)
-        law = dict(engine._distinct_choice_law(0))
+        law = engine.step_distribution(1 << 0)
         popcount = popcount_table(10)
         mass_by_size: dict[int, float] = {}
-        for subset_mask, probability in law.items():
+        for subset_mask in np.flatnonzero(law):
             size = int(popcount[subset_mask])
-            mass_by_size[size] = mass_by_size.get(size, 0.0) + probability
+            mass_by_size[size] = mass_by_size.get(size, 0.0) + float(law[subset_mask])
         assert mass_by_size[1] == pytest.approx(0.5)
         assert mass_by_size[2] == pytest.approx(0.5)
 
