@@ -13,6 +13,24 @@ from repro.graphs.generators import circulant, complete, random_regular, torus
 from repro.graphs.spectral import lambda_second
 
 
+def bench_random_regular_n64_r8(benchmark):
+    # E12's smallest per-round snapshot.
+    seeds = iter(range(100_000))
+    benchmark(lambda: random_regular(64, 8, seed=next(seeds)))
+
+
+def bench_random_regular_n512_r8(benchmark):
+    # E12's largest per-round snapshot.
+    seeds = iter(range(100_000))
+    benchmark(lambda: random_regular(512, 8, seed=next(seeds)))
+
+
+def bench_random_regular_n64_r60(benchmark):
+    # Dense degree (2r > n - 1): sampled as the complement of a 3-regular graph.
+    seeds = iter(range(100_000))
+    benchmark(lambda: random_regular(64, 60, seed=next(seeds)))
+
+
 def bench_random_regular_n1024_r8(benchmark):
     seeds = iter(range(10_000))
     benchmark(lambda: random_regular(1024, 8, seed=next(seeds)))

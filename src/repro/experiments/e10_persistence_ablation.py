@@ -38,7 +38,7 @@ SPEC = ExperimentSpec(
         "same dynamics die out with constant probability from a single seed"
     ),
     paper_reference="Section 1 (BIPS definition and BVDV motivation)",
-    version="1",
+    version="2",
 )
 
 GRAPH_N = 256

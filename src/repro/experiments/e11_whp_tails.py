@@ -47,7 +47,7 @@ SPEC = ExperimentSpec(
         "upper tails decay geometrically, so quantiles track the mean"
     ),
     paper_reference="Theorems 1-3 (w.h.p. clauses) and Eq. (1)",
-    version="2",
+    version="3",
 )
 
 TAIL_GRAPH_N = 1024

@@ -46,7 +46,7 @@ SPEC = ExperimentSpec(
         "the expander every round does not slow the processes down"
     ),
     paper_reference="extension (cf. the authors' follow-up work on dynamic graphs)",
-    version="1",
+    version="2",
 )
 
 QUICK_SIZES = (128, 256, 512, 1024)

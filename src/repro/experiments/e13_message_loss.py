@@ -41,7 +41,7 @@ SPEC = ExperimentSpec(
         "probability for COBRA"
     ),
     paper_reference="extension of Theorems 3 and 4 (choice-set thinning)",
-    version="2",
+    version="3",
 )
 
 GRAPH_N = 1024

@@ -33,7 +33,7 @@ SPEC = ExperimentSpec(
     paper_reference="Theorem 1",
     # v2: ensembles ride the vectorised batch engine (same distribution,
     # different same-seed draws), invalidating cached v1 results.
-    version="2",
+    version="3",
 )
 
 QUICK_SIZES = (256, 512, 1024, 2048)

@@ -31,7 +31,7 @@ SPEC = ExperimentSpec(
     paper_reference="Theorem 3 (via Corollary 1)",
     # v2: the batch-kernel rewrite changed this experiment's same-seed
     # draws (distribution unchanged), invalidating cached v1 results.
-    version="2",
+    version="3",
 )
 
 QUICK_SIZES = (256, 512, 1024, 2048)

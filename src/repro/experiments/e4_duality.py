@@ -33,7 +33,7 @@ SPEC = ExperimentSpec(
         "for BIPS, for every C, v, t and branching factor k"
     ),
     paper_reference="Theorem 4",
-    version="2",
+    version="3",
 )
 
 QUICK_TRIALS = 2000

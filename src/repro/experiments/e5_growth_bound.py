@@ -34,7 +34,7 @@ SPEC = ExperimentSpec(
         "infected set A on every connected regular graph (rho = 1 for k = 2)"
     ),
     paper_reference="Lemma 1 and Corollary 1",
-    version="1",
+    version="2",
 )
 
 EXHAUSTIVE_LIMIT = 12

@@ -45,7 +45,7 @@ SPEC = ExperimentSpec(
     paper_reference="Lemmas 2, 3, 4 (proof of Theorem 2)",
     # v2: trajectories come from the batched trace engine (same
     # distribution, different same-seed draws).
-    version="2",
+    version="3",
 )
 
 QUICK_SIZES = (512, 1024, 2048, 4096)

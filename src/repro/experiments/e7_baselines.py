@@ -38,7 +38,7 @@ SPEC = ExperimentSpec(
     paper_reference="Section 1 (results (i)-(iii) of Dutta et al., and the k=1 remark)",
     # v2: the COBRA ensembles ride the batch engine default (same
     # distribution, different same-seed draws).
-    version="2",
+    version="3",
 )
 
 QUICK = {

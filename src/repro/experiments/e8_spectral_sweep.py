@@ -41,7 +41,7 @@ SPEC = ExperimentSpec(
     paper_reference="Theorem 1 (gap dependence)",
     # v2: ensembles ride the vectorised batch engine (same distribution,
     # different same-seed draws), invalidating cached v1 results.
-    version="2",
+    version="3",
 )
 
 CIRCULANT_N = 513  # odd => non-bipartite for every offset set

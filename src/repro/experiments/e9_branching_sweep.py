@@ -44,7 +44,7 @@ SPEC = ExperimentSpec(
     paper_reference="Section 1 (motivation) and Theorems 1, 3",
     # v2: the COBRA sweep's message accounting rides the batched trace
     # engine (same distribution, different same-seed draws).
-    version="2",
+    version="3",
 )
 
 GRAPH_N = 1024

@@ -8,7 +8,10 @@ Regular families (the paper's setting):
 * :func:`circulant` — cycles with chord sets; analytically known
   eigenvalues and tunable spectral gap.
 * :func:`random_regular` — random `r`-regular graphs, `λ ≈ 2√(r-1)/r`
-  w.h.p.; the paper's canonical expander testbed.
+  w.h.p.; the paper's canonical expander testbed.  Drawn in NumPy by
+  networkx's batched stub pairing (same law, different stream), as the
+  complement of an `(n-1-r)`-regular draw when `2r > n-1`, and
+  conditioned on connectivity.
 * :func:`hypercube` — `d`-dimensional binary cube (bipartite; useful as
   a boundary case where `λ = 1` and the theorems are vacuous).
 * :func:`torus` — `d`-dimensional discrete torus; the regular analogue
@@ -19,6 +22,9 @@ Regular families (the paper's setting):
 Irregular families (for generality tests and baselines): :func:`path`,
 :func:`star`, :func:`grid`, :func:`binary_tree`, :func:`barbell`,
 :func:`ring_of_cliques`, :func:`erdos_renyi`, :func:`complete_bipartite`.
+
+Only :func:`watts_strogatz` and :func:`barabasi_albert` still call
+networkx; it is imported when one of them runs.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from repro._rng import SeedLike, ensure_generator
 from repro.errors import GraphConstructionError
 from repro.graphs.base import Graph, resolve_index_dtype
 from repro.graphs.build import from_edges
+from repro.graphs.properties import is_connected
 
 
 def _adopt_regular_rows(rows: np.ndarray, name: str, index_dtype: str) -> Graph:
@@ -191,27 +198,137 @@ def circulant(n: int, offsets: Sequence[int], *, index_dtype: str = "int64") -> 
     return _adopt_regular_rows(rows, name, index_dtype)
 
 
+def _pairing_edge_keys(n: int, r: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted keys ``u * n + v`` (``u < v``) of one simple ``r``-regular graph.
+
+    The batched pairing that networkx's ``random_regular_graph`` runs (a
+    Steger–Wormald variant), one vectorised pass per round: shuffle the
+    leftover stubs, pair neighbours, and keep each pair that is neither
+    a loop nor an edge kept already; of a pair repeated within the pass
+    the first copy is kept.  The stubs of every other pair are the next
+    pass's leftovers.  After each pass :func:`_stuck` decides, as
+    networkx does, whether the attempt restarts from scratch.
+    """
+    stubs = np.repeat(np.arange(n, dtype=np.int64), r)
+    while True:
+        kept = np.empty(0, dtype=np.int64)
+        leftover = stubs
+        while leftover.size:
+            shuffled = rng.permutation(leftover)
+            lo = np.minimum(shuffled[0::2], shuffled[1::2])
+            hi = np.maximum(shuffled[0::2], shuffled[1::2])
+            keys = lo * n + hi
+            valid = (lo != hi) & ~_contains(kept, keys)
+            ordered = np.sort(keys[valid])
+            first = np.ones(ordered.size, dtype=bool)
+            first[1:] = ordered[1:] != ordered[:-1]
+            fresh = ordered[first]
+            kept = np.insert(kept, np.searchsorted(kept, fresh), fresh)
+            rejected = ~valid
+            if fresh.size < ordered.size:
+                # networkx keeps the first copy of a repeated pair in pass
+                # order and rejects the later ones.
+                copies = np.flatnonzero(valid & _contains(ordered[~first], keys))
+                _, kept_copy = np.unique(keys[copies], return_index=True)
+                rejected[copies] = True
+                rejected[copies[kept_copy]] = False
+            leftover = np.column_stack((lo[rejected], hi[rejected])).ravel()
+            if leftover.size and _stuck(leftover, kept, n):
+                break
+        else:
+            return kept
+
+
+def _stuck(leftover: np.ndarray, kept: np.ndarray, n: int) -> bool:
+    """networkx's restart test on one pass's leftover stubs.
+
+    networkx scans the leftover vertices in the order they first lost a
+    stub in the pass (``leftover`` lists them so), and its scan swaps
+    the outer loop variable, so it does not try every pair: for the
+    ``i``-th vertex ``p_i`` it tries ``(min(p_i, m_j), p_j)`` for
+    ``j < i`` when ``p_i`` is below every earlier vertex and for every
+    ``j`` otherwise, where ``m_j`` is the minimum of ``p_0 .. p_{j-1}``.
+    The attempt is stuck when every tried pair is an edge already.  The
+    restart rule shapes the law, so it is reproduced as is; rows are
+    scanned in blocks of about 65k pairs.
+    """
+    vertices, first_seen = np.unique(leftover, return_index=True)
+    scan = vertices[np.argsort(first_seen)]
+    count = scan.size
+    below = np.minimum.accumulate(np.concatenate(([n], scan[:-1])))
+    stop = np.where(scan < below, np.arange(count), count)
+    step = max(1, 65536 // count)
+    for row in range(0, count, step):
+        partner = np.minimum(scan[row : row + step, None], below)
+        tried = np.arange(count) < stop[row : row + step, None]
+        pairs = (np.minimum(partner, scan) * n + np.maximum(partner, scan))[tried]
+        if not _contains(kept, pairs).all():
+            return False
+    return True
+
+
+def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Elementwise ``keys in sorted_keys``, by binary search."""
+    if not sorted_keys.size:
+        return np.zeros(keys.shape, dtype=bool)
+    slot = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return sorted_keys[slot] == keys
+
+
 def random_regular(n: int, r: int, seed: SeedLike = None, *, max_tries: int = 100) -> Graph:
     """Connected random `r`-regular simple graph on `n` vertices.
 
-    Uses NetworkX's pairing-model sampler and retries until the sample
-    is connected (for `r >= 3` a sample is connected w.h.p., so retries
-    are rare).  Requires `n * r` even and `r < n`.
+    Samples by the batched pairing of networkx's ``random_regular_graph``
+    (a Steger & Wormald 1999 variant), vectorised on the caller's
+    generator: shuffle the ``n·r`` stubs and pair neighbours; keep each
+    pair that is neither a loop nor an edge kept already; re-shuffle the
+    leftover stubs and repeat; restart when networkx's test finds no
+    valid pair among the leftovers.  The sample is then checked
+    connected by BFS, and the draw repeats (up to ``max_tries`` times)
+    until it is; for ``r >= 3`` a sample is connected w.h.p., so retries
+    are rare.  Rows are built straight from the sorted edge keys and
+    validated by :class:`Graph` (bounds, loops, duplicates, symmetry).
+    Requires ``n * r`` even and ``r < n``.
+
+    **Law.**  For ``2r <= n - 1`` it is networkx's law conditioned on
+    connectivity: the pairing replays networkx's loop pair for pair,
+    restart rule included, so only the random stream differs from a
+    networkx build.  That law is asymptotically uniform over
+    `r`-regular graphs for ``r = O(n^(1/3 - ε))`` (Kim & Vu 2003), not
+    exactly uniform.
+
+    **Dense degrees.**  For ``2r > n - 1`` the pairing gets stuck and
+    restarts thousands of times, so the sampler draws the
+    ``(n - 1 - r)``-regular graph and returns its complement.
+    Complementation is a bijection between the two degree classes, and
+    the complement is always connected: every degree is at least
+    ``n/2``, so any two non-adjacent vertices share a neighbour.  The
+    law here is the complement of the pairing law at degree
+    ``n - 1 - r``.  That is the uniform law wherever the pairing law is
+    uniform, but it is not networkx's law at degree `r`: on 6 vertices,
+    3-regular, ``K_{3,3}`` comes out 31% of the time against networkx's
+    15% (uniform: 1/7).
     """
     if r < 1 or r >= n:
         raise GraphConstructionError(f"need 1 <= r < n, got r={r}, n={n}")
     if (n * r) % 2 != 0:
         raise GraphConstructionError(f"n*r must be even, got n={n}, r={r}")
-    import networkx as nx
-
     rng = ensure_generator(seed)
+    dense = 2 * r > n - 1
+    indptr = np.arange(n + 1, dtype=np.int64) * r
     for _ in range(max_tries):
-        nx_seed = int(rng.integers(0, 2**31 - 1))
-        candidate = nx.random_regular_graph(r, n, seed=nx_seed)
-        if nx.is_connected(candidate):
-            graph = from_edges(
-                n, list(candidate.edges()), name=f"random_regular(n={n}, r={r})"
-            )
+        keys = _pairing_edge_keys(n, n - 1 - r if dense else r, rng)
+        lo, hi = np.divmod(keys, n)
+        if dense:
+            adjacent = np.eye(n, dtype=bool)
+            adjacent[lo, hi] = adjacent[hi, lo] = True
+            indices = np.nonzero(~adjacent)[1]
+        else:
+            directed = np.concatenate((keys, hi * n + lo))
+            directed.sort()
+            indices = directed % n
+        graph = Graph(indptr, indices, name=f"random_regular(n={n}, r={r})")
+        if is_connected(graph):
             return graph
     raise GraphConstructionError(
         f"failed to sample a connected {r}-regular graph on {n} vertices "
@@ -477,8 +594,6 @@ def erdos_renyi(n: int, p: float, seed: SeedLike = None, *, connected: bool = Fa
         graph = from_edges(n, edges, name=f"erdos_renyi(n={n}, p={p})")
         if not connected:
             return graph
-        from repro.graphs.properties import is_connected
-
         if is_connected(graph):
             return graph
     raise GraphConstructionError(

@@ -5,7 +5,9 @@
 ``branching=1.5`` so the fractional ``rho`` path is exercised, 48
 replicas in three shards of 16, seed 123).  The kernels must reproduce
 them bit for bit at every ``jobs`` count — this is the regression net
-under any kernel refactor.
+under any kernel refactor.  The graph's edges are pinned beside them in
+``tests/data/batch_goldens_graph.npz``, so the goldens do not depend on
+the random-graph generator.
 
 The CI ``spawn`` job runs this file under
 ``multiprocessing.set_start_method("spawn")``, so the goldens are also
@@ -25,9 +27,12 @@ from repro.core.batch import (
     batch_cobra_cover_times,
     batch_cobra_traces,
 )
-from repro.graphs.generators import random_regular
+from repro.graphs import from_edges
 
-GOLDENS = Path(__file__).resolve().parent.parent / "data" / "batch_goldens.npz"
+DATA = Path(__file__).resolve().parent.parent / "data"
+GOLDENS = DATA / "batch_goldens.npz"
+#: Edges of the random 4-regular graph on 64 vertices the goldens ran on.
+GRAPH_EDGES = DATA / "batch_goldens_graph.npz"
 
 #: The exact configuration the goldens were captured with.
 BRANCHING = 1.5
@@ -41,7 +46,8 @@ def goldens():
 
 @pytest.fixture(scope="module")
 def graph():
-    return random_regular(64, 4, seed=7)
+    with np.load(GRAPH_EDGES) as data:
+        return from_edges(64, data["edges"].tolist())
 
 
 def _assert_traces_match(traces, goldens, prefix):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,29 @@ class TestRandomRegular:
     def test_degree_bounds(self):
         with pytest.raises(GraphConstructionError):
             generators.random_regular(5, 5)
+
+    @pytest.mark.parametrize("n", [4, 10])
+    def test_degree_n_minus_one_is_complete(self, n):
+        graph = generators.random_regular(n, n - 1, seed=3)
+        np.testing.assert_array_equal(graph.indptr, generators.complete(n).indptr)
+        np.testing.assert_array_equal(graph.indices, generators.complete(n).indices)
+
+    def test_dense_degree_builds_fast(self):
+        # 2r > n - 1 samples the complement: no stuck-pairing restarts.
+        start = time.perf_counter()
+        graph = generators.random_regular(64, 60, seed=0)
+        assert time.perf_counter() - start < 1.0
+        assert graph.regular_degree == 60
+        assert is_connected(graph)
+
+    @pytest.mark.parametrize(("n", "r"), [(64, 8), (100, 3), (33, 16), (33, 18), (16, 15)])
+    def test_every_draw_is_a_connected_regular_graph(self, n, r):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            graph = generators.random_regular(n, r, seed=rng)
+            assert graph.regular_degree == r
+            assert graph.n_edges == n * r // 2
+            assert is_connected(graph)
 
 
 class TestRingOfCliques:

@@ -15,6 +15,11 @@ code (module constants + ``run(mode=...)`` only):
 These tests pin the acceptance criteria: preset workloads produce the
 same cache keys and the same results as the old ``mode=`` path.
 
+All three were re-captured once when ``random_regular`` moved from
+networkx to the in-repo NumPy pairing: every experiment draws random
+regular graphs, so every result changed and every spec version was
+bumped.
+
 **Rounding rule.**  Report tables mix sampled integers with floats from
 eigensolvers and least-squares fits, whose last bits drift across
 LAPACK/ARPACK builds.  :func:`result_digest` therefore hashes integers
@@ -26,6 +31,7 @@ pinned by ``tests/data/batch_goldens.npz``.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -35,17 +41,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.cache import result_key
+from repro.cache import ResultCache, result_key
 from repro.experiments import (
     experiment_ids,
     get_experiment,
     resolved_parameters,
 )
 from repro.experiments.microscale import MICRO_OVERRIDES, apply_micro_overrides
+from repro.experiments.results import ExperimentResult
+from repro.experiments.spec import ExperimentSpec
 
 GOLDENS = json.loads(
     (Path(__file__).resolve().parents[1] / "data" / "scenario_goldens.json").read_text()
 )
+
+#: Spec versions while ``random_regular`` still called networkx.
+PRE_NUMPY_SAMPLER_VERSIONS = {
+    "E1": "2", "E2": "2", "E3": "2", "E4": "2", "E5": "1", "E6": "2", "E7": "2",
+    "E8": "2", "E9": "2", "E10": "1", "E11": "2", "E12": "1", "E13": "2",
+}
 
 
 def _canonical(value):
@@ -96,6 +110,29 @@ class TestCacheKeyGoldens:
         )
         assert via_mode == golden
         assert via_workload == golden
+
+    @pytest.mark.parametrize("experiment_id", experiment_ids())
+    def test_results_from_before_the_numpy_sampler_miss(self, experiment_id, tmp_path):
+        # Every experiment draws random regular graphs, so the switch from
+        # networkx to the NumPy pairing bumped every spec version: a
+        # result cached under the previous version must not be served.
+        current = resolved_parameters(experiment_id, "quick")
+        stale = copy.deepcopy(current)
+        stale["spec"]["version"] = PRE_NUMPY_SAMPLER_VERSIONS[experiment_id]
+        assert current["spec"]["version"] != stale["spec"]["version"]
+        cached = ExperimentResult(
+            spec=ExperimentSpec.from_dict(stale["spec"]),
+            mode="quick",
+            seed=0,
+            parameters={},
+            tables={},
+            figures={},
+            findings=[],
+        )
+        cache = ResultCache(tmp_path)
+        cache.put(experiment_id, "quick", 0, stale, cached)
+        assert cache.get(experiment_id, "quick", 0, stale) is not None
+        assert cache.get(experiment_id, "quick", 0, current) is None
 
     def test_scenario_workloads_get_their_own_keys(self):
         module = get_experiment("E4")
