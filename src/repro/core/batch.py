@@ -33,6 +33,12 @@ Two output modes share one kernel per process:
   extra randomness: for a fixed seed the trace engines' completion
   times are bit-identical to the times engines'.
 
+The same recorder also serves a private *watched-set* mode
+(:func:`_watched_ensemble`): per replica and round, whether the active
+set meets a given vertex set.  It gives the Monte-Carlo tier of the
+duality check (:func:`repro.exact.duality.duality_monte_carlo`) both
+sides of Theorem 4 at every horizon from one ensemble per side.
+
 Both engines shard their replicas into about
 :data:`~repro.parallel.DEFAULT_SHARD_COUNT` fixed blocks seeded by
 ``SeedSequence.spawn`` children indexed by shard position.  The shard
@@ -183,49 +189,35 @@ class BatchTraces:
 
 
 class _ShardTraceRecorder:
-    """Per-round counters of one shard, scattered by replica id.
+    """Per-round values of one shard, scattered by replica id.
 
     The kernels hand in live-block vectors (one entry per *unfinished*
-    replica); the recorder scatters them into fixed ``(R, capacity)``
-    matrices, doubling the round capacity as needed, so recording adds
-    no per-round allocation in the steady state.
+    replica), one per column the recorder was built with; the recorder
+    scatters them into fixed ``(R, capacity)`` matrices of the column
+    dtypes, doubling the round capacity as needed, so recording adds
+    no per-round allocation in the steady state.  Rows of finished
+    replicas keep zeros (``False``) from their completion on.
     """
 
-    def __init__(self, n_replicas: int) -> None:
-        self._n = n_replicas
+    def __init__(self, n_replicas: int, dtypes: tuple = (np.int64,) * 3) -> None:
         self._capacity = 64
-        self._active = np.zeros((n_replicas, self._capacity), dtype=np.int64)
-        self._newly = np.zeros((n_replicas, self._capacity), dtype=np.int64)
-        self._transmissions = np.zeros((n_replicas, self._capacity), dtype=np.int64)
+        self._columns = [np.zeros((n_replicas, self._capacity), dtype=d) for d in dtypes]
         self._rounds = 0
 
-    def record(
-        self,
-        replica_ids: np.ndarray,
-        active: np.ndarray,
-        newly: np.ndarray,
-        transmissions: np.ndarray,
-    ) -> None:
+    def record(self, replica_ids: np.ndarray, *values: np.ndarray) -> None:
         if self._rounds == self._capacity:
             self._capacity *= 2
-            grow = lambda a: np.concatenate([a, np.zeros_like(a)], axis=1)  # noqa: E731
-            self._active = grow(self._active)
-            self._newly = grow(self._newly)
-            self._transmissions = grow(self._transmissions)
-        column = self._rounds
-        self._active[replica_ids, column] = active
-        self._newly[replica_ids, column] = newly
-        self._transmissions[replica_ids, column] = transmissions
+            self._columns = [
+                np.concatenate([matrix, np.zeros_like(matrix)], axis=1)
+                for matrix in self._columns
+            ]
+        for matrix, value in zip(self._columns, values):
+            matrix[replica_ids, self._rounds] = value
         self._rounds += 1
 
     def finalize(self, completion_times: np.ndarray) -> tuple[np.ndarray, ...]:
         rounds = self._rounds
-        return (
-            completion_times,
-            self._active[:, :rounds].copy(),
-            self._newly[:, :rounds].copy(),
-            self._transmissions[:, :rounds].copy(),
-        )
+        return (completion_times, *(matrix[:, :rounds].copy() for matrix in self._columns))
 
 
 def _cobra_shard(
@@ -234,9 +226,11 @@ def _cobra_shard(
     """One shard of COBRA replicas; ``-1`` marks a timeout.
 
     Returns the cover times, or ``(times, active, newly,
-    transmissions)`` matrices when tracing is requested.
+    transmissions)`` matrices when tracing is requested, or ``(times,
+    seen)`` when ``watch`` is a vertex array: ``seen[i, t - 1]`` says
+    whether ``C_t`` meets the watched set in replica ``i``.
     """
-    graph, start, mandatory, rho, max_rounds, include_start_in_cover, record = context
+    graph, start, mandatory, rho, max_rounds, include_start_in_cover, record, watch = context
     graph = resolve_shared_graph(graph)
     n_replicas = stop_index - start_index
     rng = ensure_generator(seed)
@@ -263,6 +257,7 @@ def _cobra_shard(
     scratch = np.zeros((n_replicas, stride), dtype=bool)
     newly = np.empty((n_replicas, stride), dtype=bool) if record else None
     recorder = _ShardTraceRecorder(n_replicas) if record else None
+    watcher = _ShardTraceRecorder(n_replicas, (bool,)) if watch is not None else None
 
     live = n_replicas
     for round_index in range(1, max_rounds + 1):
@@ -296,6 +291,8 @@ def _cobra_shard(
             recorder.record(
                 replica_ids[:live], next_state.sum(axis=-1), fresh_counts, transmissions
             )
+        if watcher is not None:
+            watcher.record(replica_ids[:live], next_state[:, watch].any(axis=-1))
         cumulative |= next_state
         counts = np.sum(cumulative, axis=-1, out=covered_counts[:live])
         if int(counts.max()) == n:
@@ -309,6 +306,8 @@ def _cobra_shard(
         else:
             active, scratch = scratch, active
 
+    if watcher is not None:
+        return watcher.finalize(cover_times)
     if recorder is None:
         return cover_times
     return recorder.finalize(cover_times)
@@ -319,9 +318,12 @@ def _bips_shard(
 ) -> np.ndarray | tuple[np.ndarray, ...]:
     """One shard of BIPS replicas; ``-1`` marks a timeout.
 
-    Returns the infection times, or the trace matrices when requested.
+    Returns the infection times, or the trace matrices when requested,
+    or ``(times, seen)`` when ``watch`` is a vertex array:
+    ``seen[i, t - 1]`` says whether ``A_t`` meets the watched set in
+    replica ``i``.
     """
-    graph, source, mandatory, rho, max_rounds, record = context
+    graph, source, mandatory, rho, max_rounds, record, watch = context
     graph = resolve_shared_graph(graph)
     n_replicas = stop_index - start_index
     rng = ensure_generator(seed)
@@ -342,6 +344,7 @@ def _bips_shard(
     if recorder is not None:
         ever_infected = infected.copy()
         newly = np.empty((n_replicas, n), dtype=bool)
+    watcher = _ShardTraceRecorder(n_replicas, (bool,)) if watch is not None else None
 
     live = n_replicas
     for round_index in range(1, max_rounds + 1):
@@ -377,6 +380,8 @@ def _bips_shard(
                 non_source = vertices[extra_slots] != source
                 transmissions += np.bincount(extra_slots[non_source] // n, minlength=live)
             recorder.record(replica_ids[:live], counts, fresh_counts, transmissions)
+        if watcher is not None:
+            watcher.record(replica_ids[:live], next_state[:, watch].any(axis=-1))
         done = counts == n
         if done.any():
             keep = ~done
@@ -389,6 +394,8 @@ def _bips_shard(
         else:
             infected, scratch = scratch, infected
 
+    if watcher is not None:
+        return watcher.finalize(infection_times)
     if recorder is None:
         return infection_times
     return recorder.finalize(infection_times)
@@ -432,10 +439,14 @@ def _run_sharded(
     return map_shards(kernel, (graph, *parameters), tasks, jobs=jobs)
 
 
-def _merge_traces(results: list) -> tuple[np.ndarray, ...]:
-    """Concatenate per-shard trace tuples, padding rounds to the longest."""
+def _merge_traces(results: list, rounds: int = 0) -> tuple[np.ndarray, ...]:
+    """Concatenate per-shard ``(times, *matrices)`` tuples.
+
+    Round columns are zero-padded to the longest shard, or to
+    ``rounds`` when that is longer.
+    """
     times = np.concatenate([shard[0] for shard in results])
-    rounds = max(shard[1].shape[1] for shard in results)
+    rounds = max(rounds, *(shard[1].shape[1] for shard in results))
 
     def stack(position: int) -> np.ndarray:
         padded = [
@@ -446,7 +457,48 @@ def _merge_traces(results: list) -> tuple[np.ndarray, ...]:
         ]
         return np.concatenate(padded, axis=0)
 
-    return times, stack(1), stack(2), stack(3)
+    return (times, *(stack(position) for position in range(1, len(results[0]))))
+
+
+def _watched_ensemble(
+    process: str,
+    graph: Graph,
+    origin: int | np.ndarray,
+    watch: np.ndarray,
+    *,
+    branching: float,
+    n_replicas: int,
+    rounds: int,
+    seed: SeedLike,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``rounds`` rounds of a COBRA or BIPS ensemble watching a vertex set.
+
+    ``origin`` is COBRA's start set ``C_0`` or BIPS's persistent source.
+    Returns ``(times, seen)``: the completion times (``-1`` for a
+    replica not complete by ``rounds``) and an ``(n_replicas, rounds)``
+    bool matrix whose column ``t - 1`` says whether ``C_t`` / ``A_t``
+    meets ``watch``; a replica's columns after its completion round are
+    False.  Watching draws no randomness, so the times are the times
+    engine's at ``max_rounds=rounds``, with the same seed-stable shards
+    over the default ``jobs``.
+    """
+    mandatory, rho = validate_branching(branching)
+    check_dense_state_budget(
+        graph,
+        process=process,
+        n_replicas=n_replicas,
+        mandatory=mandatory,
+        record=False,
+        shard_size=None,
+        jobs=None,
+    )
+    if process == "cobra":
+        kernel, parameters = _cobra_shard, (origin, mandatory, rho, rounds, False, False, watch)
+    else:
+        kernel, parameters = _bips_shard, (origin, mandatory, rho, rounds, False, watch)
+    return _merge_traces(
+        _run_sharded(kernel, graph, parameters, n_replicas, seed, None, None), rounds
+    )
 
 
 def _check_timeouts(
@@ -508,7 +560,7 @@ def batch_cobra_cover_times(
         shard_size=shard_size,
         jobs=jobs,
     )
-    parameters = (start, mandatory, rho, max_rounds, include_start_in_cover, False)
+    parameters = (start, mandatory, rho, max_rounds, include_start_in_cover, False, None)
     times = np.concatenate(
         _run_sharded(_cobra_shard, graph, parameters, n_replicas, seed, shard_size, jobs)
     )
@@ -556,7 +608,7 @@ def batch_cobra_traces(
         shard_size=shard_size,
         jobs=jobs,
     )
-    parameters = (start, mandatory, rho, max_rounds, include_start_in_cover, True)
+    parameters = (start, mandatory, rho, max_rounds, include_start_in_cover, True, None)
     times, active, newly, transmissions = _merge_traces(
         _run_sharded(_cobra_shard, graph, parameters, n_replicas, seed, shard_size, jobs)
     )
@@ -607,7 +659,7 @@ def batch_bips_infection_times(
         shard_size=shard_size,
         jobs=jobs,
     )
-    parameters = (source, mandatory, rho, max_rounds, False)
+    parameters = (source, mandatory, rho, max_rounds, False, None)
     times = np.concatenate(
         _run_sharded(_bips_shard, graph, parameters, n_replicas, seed, shard_size, jobs)
     )
@@ -655,7 +707,7 @@ def batch_bips_traces(
         shard_size=shard_size,
         jobs=jobs,
     )
-    parameters = (source, mandatory, rho, max_rounds, True)
+    parameters = (source, mandatory, rho, max_rounds, True, None)
     times, active, newly, transmissions = _merge_traces(
         _run_sharded(_bips_shard, graph, parameters, n_replicas, seed, shard_size, jobs)
     )

@@ -53,9 +53,9 @@ class CobraProcess(SpreadingProcess):
         When true, count ``C_0`` as covered at round 0 instead of the
         paper's union-from-round-1 convention.
     track_first_hits:
-        Record the first round each vertex becomes active, enabling
-        :meth:`first_hit_times` (hitting times ``Hit_{C_0}(v)``,
-        with round 0 counting for the start set).
+        Record the round each vertex is first covered, enabling
+        :meth:`first_hit_times` (see there for how start vertices
+        report).
     replacement:
         The paper's processes sample *with* replacement (default).
         ``False`` draws distinct neighbours instead — an extension;
@@ -158,10 +158,16 @@ class CobraProcess(SpreadingProcess):
         return self._cover_time
 
     def first_hit_times(self) -> np.ndarray:
-        """Per-vertex first activation round (-1 if never active yet).
+        """Per-vertex round of first coverage (-1 if not covered yet).
 
-        ``first_hit_times()[v]`` realises the paper's hitting time
-        ``Hit_{C_0}(v)`` for this run; start vertices report 0.
+        For a vertex outside ``C_0`` this is its first activation round,
+        which realises the paper's hitting time ``Hit_{C_0}(v)`` for
+        this run.  A start vertex reports 0 until a token first revisits
+        it.  Under the paper's cover convention the start set is not
+        covered at round 0, so that revisit covers it and its round
+        replaces the 0 (``Hit_{C_0}(v) = 0`` for ``v ∈ C_0`` whatever
+        this reports); with ``include_start_in_cover=True`` start
+        vertices keep 0.
         """
         if self._first_hit is None:
             raise RuntimeError("first-hit tracking was disabled for this process")

@@ -24,7 +24,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro._rng import SeedLike, spawn_generators
+from repro._rng import SeedLike
+from repro.core.batch import _watched_ensemble
 from repro.core.process import resolve_vertex, resolve_vertex_set
 from repro.exact.bips_exact import ExactBips
 from repro.exact.cobra_exact import ExactCobra
@@ -187,33 +188,54 @@ def duality_monte_carlo(
 ) -> list[MonteCarloDualityPoint]:
     """Estimate both duality sides by simulation on graphs of any size.
 
-    For each horizon ``t``, runs ``trials`` independent COBRA processes
-    from ``start`` (recording whether ``source`` was hit by round
-    ``t``) and ``trials`` independent BIPS processes with persistent
-    source ``source`` (recording whether the start set is disjoint from
-    ``A_t``).  Unlike the exact engines this scales to arbitrary `n`;
-    agreement is judged by Wilson-interval overlap.
+    Runs one ensemble per side to the largest horizon and reads every
+    horizon off it, so the horizons share their ``trials`` replicas:
+    ``trials`` COBRA processes from ``start`` (has ``source`` been
+    active in some round ``1..t``?) and ``trials`` BIPS processes with
+    persistent source ``source`` (does ``A_t`` meet the start set?).
+    ``t = 0`` is the indicator ``source ∉ start`` on both sides.  The
+    ensembles run on the dense batch kernels, sharded over the default
+    ``jobs`` with the same estimates at any ``jobs``.  Unlike the exact
+    engines this scales to arbitrary `n`; agreement is judged by
+    Wilson-interval overlap.
     """
     from repro.analysis.stats import proportion_ci
-    from repro.core.bips import BipsProcess
-    from repro.core.cobra import CobraProcess
 
     source = resolve_vertex(graph, source, role="source")
     start_vertices = resolve_vertex_set(graph, start, role="start")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    horizons = [int(t) for t in horizons]
+    if any(t < 0 for t in horizons):
+        raise ValueError(f"horizons must be non-negative, got {horizons}")
+    rounds = max(horizons, default=0)
+    source_in_start = bool(np.any(start_vertices == source))
+    if rounds > 0:
+        component = _seed_component(seed)
+        _, source_active = _watched_ensemble(
+            "cobra", graph, start_vertices, np.array([source]),
+            branching=branching, n_replicas=trials, rounds=rounds, seed=(component, 1),
+        )
+        bips_times, meets_start = _watched_ensemble(
+            "bips", graph, source, start_vertices,
+            branching=branching, n_replicas=trials, rounds=rounds, seed=(component, 2),
+        )
+        # A replica that covered has hit the source on the way, so the
+        # running OR needs no completion fix-up.
+        hit = np.logical_or.accumulate(source_active, axis=1)
+        # Lossless full infection is absorbing: a replica that completed
+        # meets the start set in every later round.
+        meets_start |= (bips_times[:, None] > 0) & (
+            bips_times[:, None] <= np.arange(1, rounds + 1)
+        )
     points: list[MonteCarloDualityPoint] = []
     for t in horizons:
-        cobra_misses = 0
-        for rng in spawn_generators((_seed_component(seed), t, 1), trials):
-            process = CobraProcess(graph, start_vertices.tolist(), branching=branching, seed=rng)
-            process.run(t)
-            if process.first_hit_times()[source] < 0:
-                cobra_misses += 1
-        bips_misses = 0
-        for rng in spawn_generators((_seed_component(seed), t, 2), trials):
-            process = BipsProcess(graph, source, branching=branching, seed=rng)
-            process.run(t)
-            if not process.active_mask[start_vertices].any():
-                bips_misses += 1
+        if t == 0:
+            cobra_misses = bips_misses = 0 if source_in_start else trials
+        else:
+            # Hit_C(v) = 0 when v is in C, whatever the tokens do later.
+            cobra_misses = 0 if source_in_start else int(np.count_nonzero(~hit[:, t - 1]))
+            bips_misses = int(np.count_nonzero(~meets_start[:, t - 1]))
         points.append(
             MonteCarloDualityPoint(
                 t=t,

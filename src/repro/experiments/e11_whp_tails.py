@@ -15,6 +15,13 @@ the upper tail of the cover/infection-time distribution directly:
 
 On tiny graphs, the exact cover-time law (`repro.exact.ExactCobraCover`)
 confirms the geometric decay with no sampling error at all.
+
+The ensembles run on the batch engine through
+:func:`~repro.experiments.sweep.measure_cobra_cover` and
+:func:`~repro.experiments.sweep.measure_bips_infection`, sharded over
+``--jobs``.  The ladder graphs come from
+:func:`~repro.experiments.sweep.expander`, because no ladder row
+reports ``λ``.
 """
 
 from __future__ import annotations
@@ -28,13 +35,15 @@ from repro.analysis.tails import (
     fit_geometric_tail,
     restart_expectation_bound,
 )
-from repro.core.bips import BipsProcess
-from repro.core.cobra import CobraProcess
-from repro.core.runner import sample_completion_times
 from repro.exact.cover_exact import ExactCobraCover
 from repro.experiments.results import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
-from repro.experiments.sweep import expander_with_gap
+from repro.experiments.sweep import (
+    expander,
+    expander_with_gap,
+    measure_bips_infection,
+    measure_cobra_cover,
+)
 from repro.graphs.generators import complete
 from repro.scenarios.base import resolve_workload, result_parameters, workload_label
 from repro.scenarios.workloads import E11Workload
@@ -47,7 +56,8 @@ SPEC = ExperimentSpec(
         "upper tails decay geometrically, so quantiles track the mean"
     ),
     paper_reference="Theorems 1-3 (w.h.p. clauses) and Eq. (1)",
-    version="3",
+    # v4: the ensembles run on the batch engine (same law, new draws).
+    version="4",
 )
 
 TAIL_GRAPH_N = 1024
@@ -104,11 +114,11 @@ def run(
     rates: dict[str, float] = {}
     survival_series: dict[str, tuple[list[float], list[float]]] = {}
     cobra_mean = cobra_p99 = float("nan")
-    for label, factory in (
-        ("COBRA k=2", lambda rng: CobraProcess(graph, 0, seed=rng)),
-        ("BIPS k=2", lambda rng: BipsProcess(graph, 0, seed=rng)),
+    for label, measure in (
+        ("COBRA k=2", measure_cobra_cover),
+        ("BIPS k=2", measure_bips_infection),
     ):
-        times = sample_completion_times(factory, tail_samples, seed=(seed, len(label)))
+        times = measure(graph, n_samples=tail_samples, seed=(seed, len(label))).times
         fit = fit_geometric_tail(times, threshold_quantile=0.5)
         rates[label] = fit.rate
         mean = float(times.mean())
@@ -139,12 +149,10 @@ def run(
     concentration = Table(["n", "mean cov", "p99", "max", "p99/mean", "max/mean"])
     spreads: list[float] = []
     for offset, n in enumerate(ladder):
-        ladder_graph, _ = expander_with_gap(n, tail_r, seed=seed + 50 + offset)
-        times = sample_completion_times(
-            lambda rng: CobraProcess(ladder_graph, 0, seed=rng),
-            ladder_samples,
-            seed=(seed, n, 111),
-        )
+        ladder_graph = expander(n, tail_r, seed=seed + 50 + offset)
+        times = measure_cobra_cover(
+            ladder_graph, n_samples=ladder_samples, seed=(seed, n, 111)
+        ).times
         mean = float(times.mean())
         p99 = float(np.percentile(times, 99))
         spread = float(times.max()) / mean

@@ -11,7 +11,9 @@ Two tiers of verification:
   proof never uses regularity; reported as an observation).
 * **Monte-Carlo** (a 200-vertex expander, beyond exact reach): estimate
   both sides by simulation and check agreement within Wilson 95%
-  intervals.
+  intervals.  One batch ensemble per side runs to the last checkpoint
+  and every checkpoint is read off it, so the checkpoints share their
+  trials; the ensembles shard over ``--jobs`` like the exact cases.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ SPEC = ExperimentSpec(
         "for BIPS, for every C, v, t and branching factor k"
     ),
     paper_reference="Theorem 4",
-    version="3",
+    # v4: the Monte-Carlo tier runs one batch ensemble per side (same
+    # law, new draws).
+    version="4",
 )
 
 QUICK_TRIALS = 2000

@@ -4,7 +4,8 @@ Each helper runs an ensemble of independently seeded replicas of one
 process configuration and returns both the raw completion times and a
 :class:`~repro.analysis.stats.SummaryStats`.  Graph-building helpers
 bundle the expander construction with its spectral-gap measurement so
-experiments report ``λ`` alongside every row.
+experiments report ``λ`` alongside every row; :func:`expander` builds
+the same graph for callers that do not report it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.core.event import event_bips_infection_times, event_cobra_cover_times
 from repro.core.cobra import CobraProcess
 from repro.core.push import PushProcess
 from repro.core.pushpull import PushPullProcess
-from repro.core.randomwalk import RandomWalkProcess
 from repro.core.runner import sample_completion_times
 from repro.core.sparse import sparse_bips_infection_times, sparse_cobra_cover_times
 from repro.errors import ExperimentError
@@ -303,28 +303,48 @@ def measure_random_walk_cover(
     graph: Graph,
     *,
     start: int = 0,
-    n_walkers: int = 1,
     n_samples: int = 10,
     seed: SeedLike = None,
     max_rounds: int | None = None,
     jobs: int | None = None,
 ) -> EnsembleMeasurement:
-    """Ensemble of random-walk cover times on ``graph``."""
-    return _measure(
-        lambda rng: RandomWalkProcess(graph, start, n_walkers=n_walkers, seed=rng),
-        n_samples,
-        seed,
-        max_rounds,
-        jobs,
+    """Ensemble of simple-random-walk cover times on ``graph``.
+
+    The start vertex counts as visited at round 0, the random-walk
+    convention of :class:`~repro.core.randomwalk.RandomWalkProcess`.
+    A COBRA token with ``k = 1`` moves to one uniform neighbour per
+    round, so the walk runs as single-token COBRA on the sparse engine
+    (:func:`~repro.core.sparse.sparse_cobra_cover_times` with
+    ``include_start_in_cover=True``), whose per-round cost is one token
+    per replica; ``jobs`` shards the replicas with seed-stable results.
+    """
+    times = sparse_cobra_cover_times(
+        graph,
+        start,
+        branching=1.0,
+        n_replicas=n_samples,
+        seed=seed,
+        max_rounds=max_rounds,
+        include_start_in_cover=True,
+        jobs=jobs,
     )
+    return EnsembleMeasurement(times=times, stats=summarize(times))
+
+
+def expander(n: int, r: int, seed: SeedLike = None) -> Graph:
+    """The connected random `r`-regular graph of :func:`expander_with_gap`.
+
+    For callers that do not report ``λ``: the same graph for the same
+    ``(n, r, seed)``, without the eigensolve.
+    """
+    return random_regular(n, r, seed=np.random.default_rng(derive_seed_sequence(seed)))
 
 
 def expander_with_gap(
     n: int, r: int, seed: SeedLike = None, *, lambda_method: str = "auto"
 ) -> tuple[Graph, float]:
     """A connected random `r`-regular graph together with its measured ``λ``."""
-    sequence = derive_seed_sequence(seed)
-    graph = random_regular(n, r, seed=np.random.default_rng(sequence))
+    graph = expander(n, r, seed)
     return graph, lambda_second(graph, method=lambda_method)
 
 

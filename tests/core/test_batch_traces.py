@@ -7,6 +7,7 @@ import pytest
 
 from repro._rng import spawn_generators
 from repro.core.batch import (
+    _watched_ensemble,
     batch_bips_infection_times,
     batch_bips_traces,
     batch_cobra_cover_times,
@@ -279,3 +280,45 @@ class TestTimeoutAggregateContract:
             traces.total_transmissions(), traces.transmissions.sum(axis=1)
         )
         assert np.all(traces.cumulative_counts()[:, -1] < small_expander.n_vertices)
+
+
+class TestWatchedEnsemble:
+    """The private watched-set mode behind the Monte-Carlo duality tier."""
+
+    @pytest.mark.parametrize("process", ["cobra", "bips"])
+    def test_times_bit_identical_to_times_engine(self, small_expander, process):
+        times, seen = _watched_ensemble(
+            process, small_expander, 0, np.array([5, 9]),
+            branching=1.5, n_replicas=70, rounds=6, seed=4,
+        )
+        engine = batch_cobra_cover_times if process == "cobra" else batch_bips_infection_times
+        expected = engine(
+            small_expander, 0, branching=1.5, n_replicas=70, seed=4, max_rounds=6,
+            raise_on_timeout=False,
+        )
+        assert np.array_equal(times, expected)
+        assert seen.shape == (70, 6) and seen.dtype == bool
+
+    @pytest.mark.parametrize("process", ["cobra", "bips"])
+    def test_watching_every_vertex_marks_the_live_rounds(self, small_expander, process):
+        # The active set is never empty while a replica runs, so watching
+        # all of V sets exactly the columns up to each completion round.
+        everything = np.arange(small_expander.n_vertices)
+        times, seen = _watched_ensemble(
+            process, small_expander, 0, everything,
+            branching=2.0, n_replicas=40, rounds=40, seed=2,
+        )
+        assert np.all(times > 0)
+        rounds = np.arange(1, 41)
+        assert np.array_equal(seen, rounds <= times[:, None])
+
+    def test_start_set_and_watched_source(self, petersen):
+        # C_0 = {0, 3}, watching vertex 7: a replica's first set bit is
+        # its hitting round, never 0 (round 0 is not recorded).
+        times, seen = _watched_ensemble(
+            "cobra", petersen, np.array([0, 3]), np.array([7]),
+            branching=2.0, n_replicas=50, rounds=8, seed=1,
+        )
+        first = np.where(seen.any(axis=1), seen.argmax(axis=1) + 1, -1)
+        assert np.all((first >= 1) | (first == -1))
+        assert np.all((times < 0) | (first >= 1) & (first <= times))

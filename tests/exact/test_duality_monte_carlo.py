@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import pytest
+from scipy import stats
+
 from repro.exact.duality import duality_monte_carlo, duality_series
 from repro.graphs import generators
+from repro.parallel import set_default_jobs
+
+#: False-positive budget per binomial test.
+ALPHA = 1e-3
 
 
 class TestDualityMonteCarlo:
@@ -44,3 +51,46 @@ class TestDualityMonteCarlo:
         b = duality_monte_carlo(petersen, [0], 7, (3,), trials=300, seed=9)[0]
         assert a.cobra_estimate == b.cobra_estimate
         assert a.bips_estimate == b.bips_estimate
+
+    def test_same_estimates_at_jobs_1_and_2(self, petersen):
+        # 300 trials make ten shards per side, so jobs=2 really pools.
+        results = []
+        previous = set_default_jobs(1)
+        try:
+            for jobs in (1, 2):
+                set_default_jobs(jobs)
+                results.append(
+                    duality_monte_carlo(
+                        petersen, [0, 3], 7, (1, 2, 4), branching=1.5, trials=300, seed=4
+                    )
+                )
+        finally:
+            set_default_jobs(previous)
+        assert results[0] == results[1]
+
+    def test_fractional_branching_and_start_set_match_exact(self, petersen):
+        # Each miss count is Binomial(trials, exact value); eight tests at
+        # ALPHA each.  By t = 8 most BIPS replicas have completed, so the
+        # late horizons check that full infection is read as absorbing.
+        horizons, trials = (2, 3, 5, 8), 2000
+        exact_cobra, exact_bips = duality_series(petersen, [0, 3], 7, 8, branching=1.5)
+        points = duality_monte_carlo(
+            petersen, [0, 3], 7, horizons, branching=1.5, trials=trials, seed=5
+        )
+        for point in points:
+            for estimate, exact in (
+                (point.cobra_estimate, exact_cobra[point.t]),
+                (point.bips_estimate, exact_bips[point.t]),
+            ):
+                misses = round(estimate * trials)
+                assert stats.binomtest(misses, trials, exact).pvalue > ALPHA
+
+    def test_source_in_start_set_is_never_missed(self, petersen):
+        points = duality_monte_carlo(petersen, [0, 7], 7, (0, 1, 3), trials=64, seed=6)
+        for point in points:
+            assert point.cobra_estimate == 0.0
+            assert point.bips_estimate == 0.0
+
+    def test_rejects_negative_horizons(self, petersen):
+        with pytest.raises(ValueError, match="horizons"):
+            duality_monte_carlo(petersen, [0], 7, (2, -1), trials=20, seed=0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.sweep import (
+    expander,
     expander_with_gap,
     measure_bips_infection,
     measure_cobra_cover,
@@ -38,6 +39,11 @@ class TestMeasurementHelpers:
         measurement = measure_random_walk_cover(graph, n_samples=4, seed=0)
         assert np.all(measurement.times >= 11)
 
+    def test_random_walk_counts_the_start_at_round_zero(self):
+        # K2: the walk visits the only other vertex in round 1.
+        measurement = measure_random_walk_cover(generators.complete(2), n_samples=5, seed=0)
+        assert np.array_equal(measurement.times, np.ones(5, dtype=np.int64))
+
     def test_deterministic(self, small_expander):
         a = measure_cobra_cover(small_expander, n_samples=5, seed=3)
         b = measure_cobra_cover(small_expander, n_samples=5, seed=3)
@@ -67,3 +73,7 @@ class TestExpanderWithGap:
         b, lam_b = expander_with_gap(64, 4, seed=9)
         assert a == b
         assert lam_a == lam_b
+
+    @pytest.mark.parametrize(("n", "r", "seed"), [(64, 4, 0), (128, 8, 7), (256, 3, (2, 5))])
+    def test_expander_is_the_same_graph_without_lambda(self, n, r, seed):
+        assert expander(n, r, seed) == expander_with_gap(n, r, seed)[0]
