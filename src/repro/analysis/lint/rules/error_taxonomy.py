@@ -1,11 +1,12 @@
 """``error-taxonomy``: no handler swallows errors it cannot classify.
 
-The resilience layer (:mod:`repro.resilience`) only works because
-every failure keeps its type: ``is_transient`` classifies by error
-class, campaigns record ``error_type`` in manifests, and retries
-decide by taxonomy.  An ``except Exception`` that swallows breaks the
-chain — a terminal configuration error masquerades as success, or a
-transient fault never reaches the retry policy.
+Failures are only useful while they keep their type: campaigns record
+each failed entry's ``error_type`` in the manifest, and callers catch
+library failures by class (:class:`~repro.errors.ReproError` and its
+subclasses) while programming errors propagate.  An
+``except Exception`` that swallows breaks that chain — a
+configuration error masquerades as success, and neither the manifest
+nor the caller ever learns what failed.
 
 The rule flags, in library code:
 
@@ -46,8 +47,8 @@ class ErrorTaxonomyRule(Rule):
     id = "error-taxonomy"
     title = "broad handlers must re-raise or classify, never swallow"
     hint = (
-        "narrow the exception types, consult repro.resilience.is_transient, "
-        "re-raise a ReproError subclass, or record the error before moving on"
+        "narrow the exception types, re-raise a ReproError subclass, or "
+        "record the error (its type and message) before moving on"
     )
     NODE_TYPES: ClassVar[tuple[type, ...]] = (ast.ExceptHandler,)
 
@@ -61,7 +62,7 @@ class ErrorTaxonomyRule(Rule):
                 ctx,
                 node,
                 "bare except: catches KeyboardInterrupt and SystemExit too, "
-                "and erases the error taxonomy the retry layer classifies by",
+                "and erases the error type callers and manifests rely on",
             )
             return
         broad = [name for name in _exception_names(node.type) if name in _BROAD]
@@ -76,13 +77,12 @@ class ErrorTaxonomyRule(Rule):
                 and child.id == node.name
                 and isinstance(child.ctx, ast.Load)
             ):
-                # The error object flows somewhere (classifier, record,
-                # message): the taxonomy survives.
+                # The error object flows somewhere (record, message,
+                # wrapper): the taxonomy survives.
                 return
         yield self.finding(
             ctx,
             node,
             f"except {' / '.join(broad)} swallows the error without re-raise "
-            "or classification: terminal and transient failures become "
-            "indistinguishable",
+            "or record: the failure's type and message are lost",
         )

@@ -16,10 +16,9 @@ platforms and in the CI spawn job:
   shared quietly forks per process.
 
 Worker-executed functions are identified statically: anything passed
-to the repro pool seams (``map_shards`` / ``imap_shards`` /
-``iter_resilient``), to ``multiprocessing`` dispatch methods
-(``apply_async`` / ``imap`` / ``imap_unordered``), or as a pool
-``initializer=``.
+to the repro pool seams (``map_shards`` / ``imap_shards``), to
+``multiprocessing`` dispatch methods (``apply_async`` / ``imap`` /
+``imap_unordered``), or as a pool ``initializer=``.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import ClassVar, Iterator
 from repro.analysis.lint.engine import FileContext, Finding, Rule
 
 #: repro's own pool seams: first positional argument runs in workers.
-_POOL_SEAMS = frozenset({"map_shards", "imap_shards", "iter_resilient"})
+_POOL_SEAMS = frozenset({"map_shards", "imap_shards"})
 
 #: multiprocessing.Pool dispatch methods with a worker callable first.
 _POOL_METHODS = frozenset({"apply_async", "imap", "imap_unordered"})

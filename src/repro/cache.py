@@ -46,7 +46,6 @@ from typing import Any
 
 from repro.errors import CacheError
 from repro.experiments.results import ExperimentResult
-from repro.testing.faults import should_inject
 
 #: Version of the on-disk entry layout.  Entries recording any other
 #: version are ignored (miss) and removed by ``prune()``.
@@ -226,10 +225,6 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        if should_inject("cache_corrupt", token=path.name):
-            # Chaos harness: tear the just-published entry, exactly as
-            # a crash midway through a non-atomic rewrite would.
-            path.write_text(payload[: max(1, len(payload) // 3)])
         self.stats.writes += 1
         return path
 

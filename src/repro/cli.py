@@ -16,17 +16,17 @@ Usage (installed as ``cobra-repro`` or via ``python -m repro``)::
     cobra-repro campaign c.json --jobs 0  # one campaign entry per CPU
     cobra-repro run E1 --cache-dir .repro-cache   # reuse cached results
     cobra-repro campaign c.json --stream  # tail entries as they finish
-    cobra-repro campaign c.json --retries 3 --entry-deadline 300   # resilient
-    cobra-repro campaign c.json --resume  # continue after a crash
+    cobra-repro campaign c.json --cache-dir c/    # re-run to restart after a crash
     cobra-repro campaign c.json --shard 0/4 --cache-dir shared/   # 1 of 4 hosts
     cobra-repro cache stats               # inspect the result cache
     cobra-repro lint src tests            # static invariant checks
     cobra-repro lint --format json        # ... machine-readable findings
 
-A campaign run exits 3 when any entry failed or was skipped
-(``--fail-fast``), so schedulers can tell "ran but incomplete" from
-usage errors (exit 1).  ``lint`` exits 2 when findings remain, again
-distinct from usage errors.
+A campaign run exits 3 when any entry failed, so schedulers can tell
+"ran but incomplete" from usage errors (exit 1).  An interrupted
+campaign restarts by running the same command again with the same
+``--cache-dir``: finished entries load from the cache.  ``lint``
+exits 2 when findings remain, again distinct from usage errors.
 
 ``--jobs`` never changes results: replica seeding is sharded
 seed-stably (see :mod:`repro.parallel`), so any worker count produces
@@ -196,51 +196,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="print one line per entry as it completes (completion order under --jobs)",
     )
     campaign.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "attempt budget per entry for transient failures (dead workers, "
-            "missed deadlines, OS errors), with deterministic exponential "
-            "backoff; default 1 = no retries"
-        ),
-    )
-    campaign.add_argument(
-        "--entry-deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "hung-worker watchdog for pooled entries: an entry silent past "
-            "this wall-clock budget fails (retryably) and the pool is recycled"
-        ),
-    )
-    campaign.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "replay the crash-safe journal (manifest.partial*.jsonl) in the "
-            "output directory and run only unfinished entries"
-        ),
-    )
-    campaign.add_argument(
         "--shard",
         default=None,
         metavar="I/N",
         help=(
             "run only the entries whose campaign index is I mod N (0-based) "
             "and write manifest.shardIofN.json; N processes or hosts sharing "
-            "a --cache-dir chew one campaign, then an unsharded --resume run "
-            "merges the full manifest"
-        ),
-    )
-    campaign.add_argument(
-        "--fail-fast",
-        action="store_true",
-        help=(
-            "stop at the first failed entry; entries never started are "
-            "recorded as skipped"
+            "a --cache-dir chew one campaign, then an unsharded re-run with "
+            "the same --cache-dir merges the full manifest"
         ),
     )
     _add_jobs_option(campaign)
@@ -438,16 +401,18 @@ def _campaign(
     cache_dir: Path | None,
     stream: bool,
     *,
-    retries: int | None = None,
-    entry_deadline: float | None = None,
-    resume: bool = False,
     shard: str | None = None,
-    fail_fast: bool = False,
 ) -> int:
     """Run a campaign file; returns the process exit code (0 or 3)."""
     import json
 
-    from repro.experiments.campaign import Campaign, CampaignEntry, iter_campaign, run_campaign
+    from repro.experiments.campaign import (
+        Campaign,
+        CampaignEntry,
+        iter_campaign,
+        owned_indices,
+        run_campaign,
+    )
 
     text = file.read_text()
     try:
@@ -470,25 +435,15 @@ def _campaign(
         description.validate()
     else:
         description = Campaign.from_json(text)
-    options = dict(
-        jobs=jobs,
-        cache_dir=cache_dir,
-        retry=retries,
-        entry_deadline=entry_deadline,
-        resume=resume,
-        shard=shard,
-        fail_fast=fail_fast,
-    )
+    options = dict(jobs=jobs, cache_dir=cache_dir, shard=shard)
     if stream:
-        total = len(description.entries)
+        total = len(owned_indices(description, shard))
         entries = []
         for done, (index, record) in enumerate(
             iter_campaign(description, out, **options), start=1
         ):
             if "error" in record:
                 status = f"ERROR {record['error']}"
-            elif record.get("skipped"):
-                status = "skipped"
             elif record.get("cached"):
                 status = "cached"
             else:
@@ -505,18 +460,15 @@ def _campaign(
     total_seconds = sum(entry.get("seconds", 0.0) for entry in manifest["entries"])
     cached = sum(1 for entry in manifest["entries"] if entry.get("cached"))
     errors = sum(1 for entry in manifest["entries"] if "error" in entry)
-    skipped = sum(1 for entry in manifest["entries"] if entry.get("skipped"))
     summary = f"campaign {description.name!r}: {len(manifest['entries'])} runs"
     if cached:
         summary += f" ({cached} cached)"
     if errors:
         summary += f" ({errors} failed)"
-    if skipped:
-        summary += f" ({skipped} skipped)"
     print(f"{summary} in {total_seconds:.1f}s -> {out / description.name}")
     # Exit 3 — distinct from usage errors (1) — when the campaign ran
-    # but is incomplete, so schedulers and CI can retry or alert.
-    return 3 if errors or skipped else 0
+    # but an entry failed, so schedulers and CI can retry or alert.
+    return 3 if errors else 0
 
 
 def _lint(args: "argparse.Namespace") -> int:
@@ -824,11 +776,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 jobs,
                 _effective_cache_dir(args),
                 args.stream,
-                retries=args.retries,
-                entry_deadline=args.entry_deadline,
-                resume=args.resume,
                 shard=args.shard,
-                fail_fast=args.fail_fast,
             )
         elif args.command == "lint":
             return _lint(args)

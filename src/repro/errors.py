@@ -88,33 +88,6 @@ class ParallelError(ReproError):
     """
 
 
-class EntryDeadlineError(ParallelError):
-    """Raised when a pooled task misses its wall-clock deadline.
-
-    The watchdog cannot tell a hung worker from one the OS killed —
-    either way the result never arrives — so both surface as this one
-    error.  Classified *transient* by the retry policy (unlike
-    :class:`ProcessTimeoutError`, which reports a simulation that
-    deterministically failed to converge and is never retried).
-    """
-
-
-class WorkerCrashError(ParallelError):
-    """Raised when a pool worker died before returning its result.
-
-    Classified *transient* by the retry policy: a fresh worker on a
-    recycled pool may well succeed.
-    """
-
-
-class FaultSpecError(ReproError):
-    """Raised on a malformed fault-injection plan or spec.
-
-    Examples: an unknown injection site, a rate outside ``[0, 1]``, or
-    unparseable ``REPRO_FAULTS`` JSON.
-    """
-
-
 class CacheError(ReproError):
     """Raised on invalid result-cache configuration or unusable keys.
 

@@ -25,25 +25,29 @@ instead of recomputed and marked ``"cached": true`` in the manifest.
 manifest record as its entry completes (completion order under
 ``jobs > 1``), so a dashboard or the CLI can tail a long campaign
 instead of waiting for the final manifest.
+
+The cache is also how a campaign restarts.  Re-run an interrupted
+campaign with the same ``cache_dir`` and every entry that finished
+loads from the store; only the rest compute.  ``shard="i/N"`` runs
+sharing one cache merge the same way, through one unsharded re-run.
+Entries run on :func:`repro.parallel.imap_shards` with a fresh worker
+per entry, in completion order.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import multiprocessing
-import os
 import time
 import traceback as traceback_module
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from repro.errors import ExperimentError, ScenarioError
 from repro.experiments import get_spec, run_experiment_cached
-from repro.parallel import iter_resilient, resolve_jobs, set_default_jobs
-from repro.resilience import RetryPolicy, is_transient, resolve_retry
-from repro.testing.faults import fault_point
+from repro.parallel import imap_shards, resolve_jobs, set_default_jobs
 
 #: The only keys a campaign-entry description may carry.
 _ENTRY_KEYS = frozenset({"experiment_id", "mode", "seed", "scenario", "overrides"})
@@ -286,18 +290,13 @@ def _entry_stem(entry: CampaignEntry) -> str:
 
 
 def _execute_entry(
-    entry: CampaignEntry,
-    directory: Path,
-    cache_dir: str | None = None,
-    attempt: int = 1,
+    entry: CampaignEntry, directory: Path, cache_dir: str | None = None
 ) -> dict[str, Any]:
     """Run one entry, save its result files, return its manifest record.
 
     Cached entries record ``"seconds": 0.0`` — the lookup cost is noise,
     and a constant keeps manifests reproducible byte-for-byte across
-    runs and worker counts once the cache is warm.  ``attempts`` records
-    how many tries the retry machinery spent on the entry (1 on the
-    happy path), so a flaky environment is visible in the manifest.
+    runs and worker counts once the cache is warm.
     """
     started = time.perf_counter()
     workload = entry.resolve_workload()
@@ -318,53 +317,39 @@ def _execute_entry(
         "result_text": f"{stem}.txt",
         "seconds": round(elapsed, 2),
         "cached": cached,
-        "attempts": attempt,
         "findings": result.findings,
     }
 
 
 def _isolated_entry(
-    context: dict[str, Any], entry_data: dict[str, Any], attempt: int = 1
+    context: dict[str, Any], entry_data: dict[str, Any]
 ) -> dict[str, Any]:
-    """Kernel: one campaign entry with the parent's defaults installed.
+    """Kernel: one campaign entry, as a manifest record that never raises.
+
+    A failing entry returns an error record instead of raising, so one
+    failure never aborts the campaign.  The record is built where the
+    entry ran, so under a pool its traceback is the worker's own.
 
     In a daemonic pool worker the ensemble-jobs default is clamped to 1
     for the entry's lifetime — entry-level and replica-level
     parallelism never stack (nested pools are already disabled for
     daemons; the clamp keeps the fallback paths from even trying).
-    Run inline (sequential campaigns, degraded pools) the clamp is
-    skipped, so entries keep their replica-level parallelism.  The
-    previous default is always restored.
+    Run inline (sequential campaigns) the clamp is skipped, so entries
+    keep their replica-level parallelism.  The previous default is
+    always restored.
     """
+    entry = CampaignEntry.from_dict(entry_data)
     clamp = multiprocessing.current_process().daemon
     previous_jobs = set_default_jobs(1) if clamp else None
     try:
         return _execute_entry(
-            CampaignEntry.from_dict(entry_data),
-            Path(context["directory"]),
-            cache_dir=context.get("cache_dir"),
-            attempt=attempt,
+            entry, Path(context["directory"]), cache_dir=context["cache_dir"]
         )
+    except Exception as error:
+        return _error_record(entry, error)
     finally:
         if previous_jobs is not None:
             set_default_jobs(previous_jobs)
-
-
-def _resilient_entry(
-    context: dict[str, Any], entry_data: dict[str, Any], attempt: int = 1
-) -> dict[str, Any]:
-    """:func:`_isolated_entry` behind the campaign fault-injection gate.
-
-    The worker-side fault sites fire *before* any real work, so an
-    injected crash or hang costs nothing but the retry; the token is
-    the entry's result-file stem, giving fault plans a stable per-entry
-    identity to match on.
-    """
-    token = _entry_stem(CampaignEntry.from_dict(entry_data))
-    fault_point("worker_crash", token=token, attempt=attempt)
-    fault_point("worker_hang", token=token, attempt=attempt)
-    fault_point("worker_fault", token=token, attempt=attempt)
-    return _isolated_entry(context, entry_data, attempt)
 
 
 #: Error-record tracebacks keep only this many trailing characters —
@@ -372,79 +357,29 @@ def _resilient_entry(
 _TRACEBACK_TAIL = 2000
 
 
-def _truncated_traceback(text: str | None) -> str | None:
-    if not text:
-        return None
-    text = text.rstrip()
-    if len(text) <= _TRACEBACK_TAIL:
-        return text
-    return "... (truncated) ...\n" + text[-_TRACEBACK_TAIL:]
-
-
-def _error_record(
-    entry: CampaignEntry,
-    error: BaseException,
-    attempts: int = 1,
-    traceback_text: str | None = None,
-) -> dict[str, Any]:
+def _error_record(entry: CampaignEntry, error: BaseException) -> dict[str, Any]:
     """Manifest record for a failed entry (no result files).
 
-    ``error`` keeps the one-line ``Type: message`` form; ``terminal``
-    distinguishes "retrying could never help" from "the attempt budget
-    ran out"; the truncated traceback tail (worker-side when the entry
-    died in a pool worker) makes post-mortems possible from the
-    manifest alone.
+    ``error`` keeps the one-line ``Type: message`` form and
+    ``error_type`` the bare class name; the truncated traceback tail
+    makes post-mortems possible from the manifest alone.
     """
-    if traceback_text is None and error.__traceback__ is not None:
-        traceback_text = "".join(
-            traceback_module.format_exception(type(error), error, error.__traceback__)
-        )
-    record: dict[str, Any] = {
+    text = "".join(
+        traceback_module.format_exception(type(error), error, error.__traceback__)
+    ).rstrip()
+    if len(text) > _TRACEBACK_TAIL:
+        text = "... (truncated) ...\n" + text[-_TRACEBACK_TAIL:]
+    return {
         **entry.to_dict(),
         "error": f"{type(error).__name__}: {error}",
         "error_type": type(error).__name__,
-        "attempts": attempts,
-        "terminal": not is_transient(error),
+        "traceback": text,
     }
-    tail = _truncated_traceback(traceback_text)
-    if tail is not None:
-        record["traceback"] = tail
-    return record
-
-
-def _worker_context(directory: Path, cache_dir: str | None) -> dict[str, Any]:
-    return {
-        "directory": str(directory),
-        "cache_dir": cache_dir,
-    }
-
-
-def _prepare(campaign: Campaign, output_dir: str | Path) -> Path:
-    campaign.validate()
-    directory = Path(output_dir) / campaign.name
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
 
 
 def _entry_label(record: dict[str, Any]) -> str:
     base = record.get("scenario", record.get("mode"))
     return f"{record['experiment_id']} ({base}, seed {record['seed']})"
-
-
-# ---------------------------------------------------------------------------
-# Crash-safe journal, sharding, resume
-# ---------------------------------------------------------------------------
-
-#: Basename shared by all partial-progress journals in a campaign dir.
-_JOURNAL_PREFIX = "manifest.partial"
-
-#: Journal line-format version.
-_JOURNAL_SCHEMA = 1
-
-
-def _campaign_fingerprint(campaign: Campaign) -> str:
-    """Digest of the campaign description; guards journal replay."""
-    return hashlib.sha256(campaign.to_json().encode()).hexdigest()[:16]
 
 
 def _resolve_shard(shard: Any) -> tuple[int, int] | None:
@@ -494,143 +429,10 @@ def _resolve_shard(shard: Any) -> tuple[int, int] | None:
     return (index, count)
 
 
-def _journal_path(directory: Path, shard_spec: tuple[int, int] | None) -> Path:
-    """This run's own journal file — one per shard, so appends never race."""
-    if shard_spec is None:
-        return directory / f"{_JOURNAL_PREFIX}.jsonl"
-    index, count = shard_spec
-    return directory / f"{_JOURNAL_PREFIX}.shard{index}of{count}.jsonl"
-
-
-def _append_journal_line(path: Path, payload: dict[str, Any]) -> None:
-    """Append one JSON line with a single atomic ``write(2)``.
-
-    ``O_APPEND`` plus one ``os.write`` of the whole line is atomic for
-    local POSIX filesystems, so a SIGKILL mid-campaign can tear at most
-    the final line — which replay skips — never an earlier one.
-    """
-    data = (json.dumps(payload, separators=(",", ":")) + "\n").encode()
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    try:
-        os.write(fd, data)
-    finally:
-        os.close(fd)
-
-
-def _start_journal(
-    path: Path,
-    campaign: Campaign,
-    fingerprint: str,
-    shard_spec: tuple[int, int] | None,
-) -> None:
-    """Write the header line unless the journal already has content."""
-    if path.exists() and path.stat().st_size > 0:
-        return
-    header: dict[str, Any] = {
-        "campaign": campaign.name,
-        "fingerprint": fingerprint,
-        "schema": _JOURNAL_SCHEMA,
-        "entries": len(campaign.entries),
-    }
-    if shard_spec is not None:
-        header["shard"] = f"{shard_spec[0]}/{shard_spec[1]}"
-    _append_journal_line(path, header)
-
-
-def _load_journal(
-    directory: Path, campaign: Campaign, fingerprint: str
-) -> dict[int, dict[str, Any]]:
-    """Replayable records from every journal in the directory.
-
-    Reads all ``manifest.partial*.jsonl`` files (a multi-host campaign
-    leaves one per shard), skipping torn or malformed lines — a line
-    only enters a journal after its entry completed, so anything
-    unparseable is the tail write a crash interrupted.  A journal whose
-    header names a different campaign fingerprint is a hard error:
-    silently replaying records from a different campaign would
-    fabricate results.
-    """
-    records: dict[int, dict[str, Any]] = {}
-    for path in sorted(directory.glob(f"{_JOURNAL_PREFIX}*.jsonl")):
-        try:
-            text = path.read_text()
-        except OSError:
-            continue
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except ValueError:
-                continue  # torn tail write
-            if not isinstance(data, dict):
-                continue
-            if "fingerprint" in data:
-                if data["fingerprint"] != fingerprint:
-                    raise ExperimentError(
-                        f"journal {path.name} belongs to a different campaign "
-                        f"(fingerprint {data['fingerprint']!r}, expected "
-                        f"{fingerprint!r}); delete stale {_JOURNAL_PREFIX}* "
-                        "files or use a fresh output directory"
-                    )
-                continue
-            index = data.get("index")
-            record = data.get("record")
-            if isinstance(index, bool) or not isinstance(index, int):
-                continue
-            if not isinstance(record, dict):
-                continue
-            if not 0 <= index < len(campaign.entries):
-                continue
-            entry = campaign.entries[index]
-            if (
-                record.get("experiment_id") != entry.experiment_id
-                or record.get("seed") != entry.seed
-            ):
-                continue
-            records[index] = record
-    return records
-
-
-def _clear_journals(directory: Path, shard_spec: tuple[int, int] | None) -> None:
-    """Drop journals a fresh (non-resume) run must not inherit.
-
-    An unsharded fresh run owns the directory and clears every journal;
-    a sharded fresh run clears only its own — peer shards may be alive
-    on other hosts.
-    """
-    if shard_spec is None:
-        for path in sorted(directory.glob(f"{_JOURNAL_PREFIX}*.jsonl")):
-            path.unlink(missing_ok=True)
-    else:
-        _journal_path(directory, shard_spec).unlink(missing_ok=True)
-
-
-def _replayable(
-    record: dict[str, Any],
-    entry: CampaignEntry,
-    directory: Path,
-    store_dir: str | None,
-) -> bool:
-    """Whether a journal record can stand in for re-executing its entry.
-
-    Error records replay when terminal — the failure is deterministic,
-    so retrying cannot change it — but not when the attempt budget
-    merely ran out: a resume is a fresh budget.  Success records replay
-    verbatim only when their result files still exist and no cache is
-    configured; with a cache the entry re-runs instead, which is a
-    near-free cache hit and also heals a cache entry the crash lost.
-    """
-    if "error" in record:
-        return bool(record.get("terminal", True))
-    if store_dir is not None:
-        return False
-    json_name = record.get("result_json")
-    text_name = record.get("result_text")
-    if not isinstance(json_name, str) or not isinstance(text_name, str):
-        return False
-    return (directory / json_name).exists() and (directory / text_name).exists()
+def owned_indices(campaign: Campaign, shard: Any = None) -> range:
+    """Campaign indices a ``shard="i/N"`` run owns (all of them for ``None``)."""
+    index, count = _resolve_shard(shard) or (0, 1)
+    return range(index, len(campaign.entries), count)
 
 
 def _write_manifest(
@@ -651,112 +453,48 @@ def _write_manifest(
     return manifest
 
 
-def _iter_outcomes(
+def _prepare(
+    campaign: Campaign,
+    output_dir: str | Path,
+    jobs: int | None,
+    cache: Any | None,
+    cache_dir: str | Path | None,
+    shard: Any,
+) -> tuple[Path, str | None, tuple[int, int] | None]:
+    """Validate a run eagerly, before any work; make its directory.
+
+    Returns the campaign directory, the cache directory (or ``None``)
+    and the resolved shard.
+    """
+    campaign.validate()
+    directory = Path(output_dir) / campaign.name
+    directory.mkdir(parents=True, exist_ok=True)
+    resolve_jobs(jobs)
+    return directory, _cache_dir_argument(cache, cache_dir), _resolve_shard(shard)
+
+
+def _iter_records(
     campaign: Campaign,
     directory: Path,
     store_dir: str | None,
-    *,
     jobs: int | None,
-    policy: "RetryPolicy | None",
-    resume: bool,
     shard_spec: tuple[int, int] | None,
-    entry_deadline: float | None,
-    fail_fast: bool,
-    progress: Callable[[str], None] | None,
+    progress: Callable[[str], None] | None = None,
 ) -> Iterator[tuple[int, dict[str, Any]]]:
-    """Shared engine of :func:`run_campaign` and :func:`iter_campaign`.
-
-    Yields ``(index, record)`` for every entry this run owns, exactly
-    once each: journal replays first (campaign order), then live
-    completions (completion order), then — after a ``fail_fast`` stop —
-    ``{"skipped": true}`` records for entries never started.  Every
-    live record is journalled before it is yielded, so a crash after
-    the consumer saw a record never loses it.
-    """
-    fingerprint = _campaign_fingerprint(campaign)
-    journal = _journal_path(directory, shard_spec)
-    if resume:
-        replayable = _load_journal(directory, campaign, fingerprint)
-    else:
-        _clear_journals(directory, shard_spec)
-        replayable = {}
-    _start_journal(journal, campaign, fingerprint, shard_spec)
-
-    if shard_spec is None:
-        owned = list(range(len(campaign.entries)))
-    else:
-        shard_index, shard_count = shard_spec
-        owned = [
-            index
-            for index in range(len(campaign.entries))
-            if index % shard_count == shard_index
-        ]
-
-    emitted: set[int] = set()
-    failed = False
-    pending: list[int] = []
-    for index in owned:
-        entry = campaign.entries[index]
-        record = replayable.get(index)
-        if record is not None and _replayable(record, entry, directory, store_dir):
+    """Yield ``(index, record)`` once per owned entry, in completion order."""
+    owned = owned_indices(campaign, shard_spec)
+    tasks = [(campaign.entries[index].to_dict(),) for index in owned]
+    context = {"directory": str(directory), "cache_dir": store_dir}
+    with closing(
+        imap_shards(_isolated_entry, context, tasks, jobs=jobs, isolate=True, ordered=False)
+    ) as results:
+        for position, record in results:
             if progress is not None:
-                progress(f"resume: replaying {_entry_label(record)}")
-            emitted.add(index)
-            failed = failed or "error" in record
-            yield index, record
-        else:
-            pending.append(index)
-
-    if pending and not (failed and fail_fast):
-        stems = {index: _entry_stem(campaign.entries[index]) for index in pending}
-        tasks = [(campaign.entries[index].to_dict(),) for index in pending]
-
-        def backoff(task_index: int, attempt: int, error: BaseException):
-            if policy is None:
-                return None
-            return policy.next_delay(stems[pending[task_index]], attempt, error)
-
-        outcomes = iter_resilient(
-            _resilient_entry,
-            _worker_context(directory, store_dir),
-            tasks,
-            jobs=jobs,
-            isolate=True,
-            deadline=entry_deadline,
-            retry_delay=backoff,
-            on_event=progress,
-        )
-        try:
-            for outcome in outcomes:
-                index = pending[outcome.index]
-                if outcome.ok:
-                    record = outcome.value
+                if "error" in record:
+                    progress(f"failed {_entry_label(record)}: {record['error']}")
                 else:
-                    record = _error_record(
-                        campaign.entries[index],
-                        outcome.error,
-                        attempts=outcome.attempts,
-                        traceback_text=outcome.traceback,
-                    )
-                _append_journal_line(journal, {"index": index, "record": record})
-                emitted.add(index)
-                if progress is not None:
-                    if outcome.ok:
-                        progress(
-                            f"finished {_entry_label(record)} "
-                            f"in {record['seconds']}s"
-                        )
-                    else:
-                        progress(f"failed {_entry_label(record)}: {record['error']}")
-                yield index, record
-                if fail_fast and "error" in record:
-                    break
-        finally:
-            outcomes.close()
-
-    for index in owned:
-        if index not in emitted:
-            yield index, {**campaign.entries[index].to_dict(), "skipped": True}
+                    progress(f"finished {_entry_label(record)} in {record['seconds']}s")
+            yield owned[position], record
 
 
 def run_campaign(
@@ -767,82 +505,46 @@ def run_campaign(
     jobs: int | None = None,
     cache: Any | None = None,
     cache_dir: str | Path | None = None,
-    retry: "RetryPolicy | int | None" = None,
-    resume: bool = False,
     shard: Any = None,
-    entry_deadline: float | None = None,
-    fail_fast: bool = False,
 ) -> dict[str, Any]:
     """Execute a campaign, saving each result and a manifest.
 
     Results land in ``output_dir/<campaign-name>/`` as
     ``<eid>_<mode>_s<seed>.json`` (plus ``.txt`` renders); the manifest
     ``manifest.json`` records entries, file names, wall-clock
-    durations, attempt counts, and headline findings.  Returns the
-    manifest dict.
+    durations, and headline findings.  Returns the manifest dict.
 
     A failing entry does not abort the campaign: its record carries an
-    ``"error"`` line, an ``"error_type"``, whether the failure was
-    ``"terminal"``, and a truncated ``"traceback"`` — and no result
-    files.  With ``fail_fast=True``, the first error record stops the
-    campaign and every entry not yet started is recorded as
-    ``{"skipped": true}``.
+    ``"error"`` line, an ``"error_type"``, and a truncated
+    ``"traceback"`` — and no result files.
 
     ``jobs > 1`` executes independent entries concurrently, each in a
     fresh worker process (per-entry isolation), with the manifest kept
     in campaign order and byte-identical in structure to a sequential
     run (entry seeding is per-entry, so results match ``jobs=1``
-    exactly; only the ``seconds`` timings differ).  ``entry_deadline``
-    (seconds, pooled runs) arms the hung-worker watchdog: an entry
-    whose worker goes silent past the deadline fails with
-    :class:`~repro.errors.EntryDeadlineError` and the pool is recycled.
+    exactly; only the ``seconds`` timings differ).
 
     ``cache=`` (a :class:`~repro.cache.ResultCache`) or ``cache_dir=``
     (a path) enables result caching: entries already in the store are
     loaded instead of recomputed and marked ``"cached": true`` (with
     ``"seconds": 0.0``) in the manifest, so a warm fully-cached
     campaign produces a byte-identical manifest at any worker count.
-
-    ``retry=`` (a :class:`~repro.resilience.RetryPolicy` or an integer
-    attempt budget) retries *transient* failures — dead workers, missed
-    deadlines, OS-level errors — with deterministic exponential
-    backoff; deliberate library errors stay terminal and surface on the
-    first attempt.
-
-    Every completed entry is appended to an on-disk journal
-    (``manifest.partial*.jsonl``) before the manifest exists.
-    ``resume=True`` replays that journal instead of starting over:
-    terminal error records are trusted verbatim, interrupted or
-    transient-failed entries re-run, and completed work is skipped
-    (through the cache when one is configured — a near-free hit — or
-    via the journal record when not).
+    A campaign that was interrupted restarts by being re-run with the
+    same cache: finished entries load, the rest compute.
 
     ``shard="i/N"`` (0-based) runs only the entries whose campaign
     index is ``i`` modulo ``N`` and writes ``manifest.shardIofN.json``,
     so N processes or hosts can chew one campaign concurrently,
-    coordinating only through the shared cache; a final unsharded
-    ``resume=True`` run over the same directory merges everything into
-    ``manifest.json`` at cache speed.
+    coordinating only through the shared cache; a final unsharded run
+    with the same cache merges everything into ``manifest.json`` at
+    cache speed.
     """
-    directory = _prepare(campaign, output_dir)
-    store_dir = _cache_dir_argument(cache, cache_dir)
-    resolve_jobs(jobs)  # validate eagerly, before any work
-    policy = resolve_retry(retry)
-    shard_spec = _resolve_shard(shard)
-    records: dict[int, dict[str, Any]] = {}
-    for index, record in _iter_outcomes(
-        campaign,
-        directory,
-        store_dir,
-        jobs=jobs,
-        policy=policy,
-        resume=resume,
-        shard_spec=shard_spec,
-        entry_deadline=entry_deadline,
-        fail_fast=fail_fast,
-        progress=progress,
-    ):
-        records[index] = record
+    directory, store_dir, shard_spec = _prepare(
+        campaign, output_dir, jobs, cache, cache_dir, shard
+    )
+    records = dict(
+        _iter_records(campaign, directory, store_dir, jobs, shard_spec, progress)
+    )
     return _write_manifest(directory, campaign, records, shard_spec)
 
 
@@ -853,19 +555,14 @@ def iter_campaign(
     jobs: int | None = None,
     cache: Any | None = None,
     cache_dir: str | Path | None = None,
-    retry: "RetryPolicy | int | None" = None,
-    resume: bool = False,
     shard: Any = None,
-    entry_deadline: float | None = None,
-    fail_fast: bool = False,
 ) -> Iterator[tuple[int, dict[str, Any]]]:
     """Stream a campaign: yield ``(index, record)`` as entries complete.
 
     The streaming sibling of :func:`run_campaign` — same result files,
-    same journal, same manifest on disk once the iterator is exhausted
-    — but each manifest record is yielded the moment its entry
-    finishes (journal replays first, then live completions in
-    *completion* order under ``jobs > 1``), so a dashboard or progress
+    same manifest on disk once the iterator is exhausted — but each
+    manifest record is yielded the moment its entry finishes
+    (*completion* order under ``jobs > 1``), so a dashboard or progress
     line can tail a long campaign live.  ``index`` is the entry's
     position in the campaign, and the on-disk manifest keeps
     deterministic campaign order regardless of completion order.
@@ -873,42 +570,28 @@ def iter_campaign(
     A failing entry does not abort the campaign: its record carries an
     ``"error"`` message (and no result files), and every owned entry is
     yielded exactly once.  Abandoning the iterator early stops the
-    campaign without writing a manifest — the journal still holds every
-    completed entry, so a later ``resume=True`` run picks up from
-    there.
+    campaign without writing a manifest; a later run with the same
+    cache loads every entry that finished.
 
     Validation (unknown ids, bad modes, bad ``jobs``, bad ``shard``)
     happens eagerly, before the iterator is returned.
     """
-    directory = _prepare(campaign, output_dir)
-    store_dir = _cache_dir_argument(cache, cache_dir)
-    resolve_jobs(jobs)  # validate eagerly, before the first yield
-    policy = resolve_retry(retry)
-    shard_spec = _resolve_shard(shard)
-    return _iter_records(
-        campaign,
-        directory,
-        store_dir,
-        jobs=jobs,
-        policy=policy,
-        resume=resume,
-        shard_spec=shard_spec,
-        entry_deadline=entry_deadline,
-        fail_fast=fail_fast,
+    directory, store_dir, shard_spec = _prepare(
+        campaign, output_dir, jobs, cache, cache_dir, shard
     )
+    return _stream(campaign, directory, store_dir, jobs, shard_spec)
 
 
-def _iter_records(
+def _stream(
     campaign: Campaign,
     directory: Path,
     store_dir: str | None,
-    **plan_options: Any,
+    jobs: int | None,
+    shard_spec: tuple[int, int] | None,
 ) -> Iterator[tuple[int, dict[str, Any]]]:
     """Generator body of :func:`iter_campaign` (validation already done)."""
     records: dict[int, dict[str, Any]] = {}
-    for index, record in _iter_outcomes(
-        campaign, directory, store_dir, progress=None, **plan_options
-    ):
+    for index, record in _iter_records(campaign, directory, store_dir, jobs, shard_spec):
         records[index] = record
         yield index, record
-    _write_manifest(directory, campaign, records, plan_options["shard_spec"])
+    _write_manifest(directory, campaign, records, shard_spec)

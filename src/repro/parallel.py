@@ -33,6 +33,11 @@ For spawn-started pools, :class:`SharedGraph` publishes a graph's CSR
 arrays once through ``multiprocessing.shared_memory`` and reattaches
 them zero-copy in every worker, so shipping a large graph costs one
 copy total instead of one per worker per task.
+
+Two entry points share one executor: :func:`map_shards` returns every
+result in task order, and :func:`imap_shards` streams them, optionally
+in completion order and with a fresh worker per task — the form
+campaigns run their entries on.
 """
 
 from __future__ import annotations
@@ -40,16 +45,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import time
-import traceback as traceback_module
 from contextlib import contextmanager
-from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.errors import EntryDeadlineError, ParallelError
+from repro.errors import ParallelError
 from repro.graphs.base import Graph
 
 #: Default number of shards a workload is split into.  The
@@ -339,12 +341,6 @@ class SharedGraph:
         """
         if self._graph is None:
             if self._indptr_shm is None:
-                from repro.testing.faults import fault_point
-
-                # Injection point for the resilience suite: a worker
-                # losing the attach race surfaces as a transient
-                # OSError here, exactly like the real failure mode.
-                fault_point("shm_attach", token=self._name)
                 self._indptr_shm = _attach_segment(self._indptr_segment)
                 self._indices_shm = _attach_segment(self._indices_segment)
             indptr = np.ndarray(
@@ -482,8 +478,6 @@ def map_shards(
     tasks: Sequence[Sequence[Any]],
     *,
     jobs: int | None = None,
-    isolate: bool = False,
-    on_result: Callable[[int, Any], None] | None = None,
 ) -> list[Any]:
     """Apply ``kernel(context, *task)`` to every task, in task order.
 
@@ -504,22 +498,8 @@ def map_shards(
         ``0`` = CPU count).  With one worker, a single task, or when
         already inside a pool worker, tasks run inline in this process
         — same code path, same results.
-    isolate:
-        Give every task a fresh worker process (``maxtasksperchild=1``);
-        used by campaigns for per-entry process isolation.
-    on_result:
-        Optional callback invoked as ``on_result(index, result)`` in
-        task order as results become available (progress reporting).
     """
-    tasks = list(tasks)
-    results: list[Any] = [None] * len(tasks)
-    for index, result in imap_shards(
-        kernel, context, tasks, jobs=jobs, isolate=isolate, ordered=True
-    ):
-        if on_result is not None:
-            on_result(index, result)
-        results[index] = result
-    return results
+    return [result for _, result in imap_shards(kernel, context, tasks, jobs=jobs)]
 
 
 def imap_shards(
@@ -533,16 +513,28 @@ def imap_shards(
 ) -> Iterator[tuple[int, Any]]:
     """Yield ``(index, result)`` pairs as ``kernel(context, *task)`` runs.
 
-    The streaming sibling of :func:`map_shards`, for consumers that
-    want results as they land (progress tails, dashboards) instead of
-    one list at the end.  ``ordered=True`` yields in task order;
-    ``ordered=False`` yields in *completion* order under a pool
-    (``imap_unordered``), which is what keeps a long tail of slow tasks
-    from hiding every finished fast one.  Inline execution (one worker,
-    a single task, nested inside a pool worker, or an unpicklable
-    kernel on spawn-only platforms) always yields in task order —
-    completion order *is* task order there.  All other parameters
-    behave exactly as in :func:`map_shards`.
+    The streaming form of :func:`map_shards`, for consumers that want
+    results as they land (campaign entries, progress tails) instead of
+    one list at the end.  ``kernel``, ``context``, ``tasks`` and
+    ``jobs`` behave exactly as in :func:`map_shards`.
+
+    ``ordered=True`` yields in task order; ``ordered=False`` yields in
+    *completion* order under a pool (``imap_unordered``), which is what
+    keeps a long tail of slow tasks from hiding every finished fast
+    one.  Inline execution (one worker, a single task, nested inside a
+    pool worker, or an unpicklable kernel on spawn-only platforms)
+    always yields in task order — completion order *is* task order
+    there.  ``isolate=True`` gives every task a fresh worker process
+    (``maxtasksperchild=1``); campaigns use it for per-entry process
+    isolation.
+
+    A task that raises aborts the iteration with its exception, so a
+    kernel that must not stop its siblings (the campaign entry kernel)
+    catches its own failures and returns them as values.  Under a pool
+    the exception is raised once the other tasks have finished, so the
+    pool shuts down idle.  A worker the OS kills outright never reports
+    back: ``multiprocessing.Pool`` then waits forever, and the remedy
+    is to interrupt the run.
 
     Abandoning the iterator early terminates the pool cleanly (the
     ``with`` block unwinds on ``GeneratorExit``).
@@ -573,293 +565,25 @@ def imap_shards(
         maxtasksperchild=1 if isolate else None,
     ) as pool:
         if ordered:
-            for index, result in enumerate(pool.imap(_run_task, tasks, chunksize=1)):
-                yield index, result
+            results = pool.imap(_run_task, tasks, chunksize=1)
         else:
-            indexed = list(enumerate(tasks))
-            for index, result in pool.imap_unordered(
-                _run_indexed_task, indexed, chunksize=1
-            ):
-                yield index, result
-
-
-# ---------------------------------------------------------------------------
-# Resilient execution: deadlines, retries, pool recycling
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TaskOutcome:
-    """Final fate of one resilient task: a value or an error, plus cost.
-
-    ``attempts`` counts every attempt made (the successful one
-    included); ``traceback`` carries the formatted traceback of the
-    final failure — the worker-side one when the task died in a pool
-    worker (recovered from the pickled exception's remote-traceback
-    cause), the local one when it ran inline.
-    """
-
-    index: int
-    value: Any = None
-    error: BaseException | None = None
-    attempts: int = 1
-    traceback: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-
-def _failure_traceback(error: BaseException) -> str:
-    """The most informative traceback text available for ``error``.
-
-    Exceptions re-raised from pool workers arrive with the worker's
-    formatted traceback chained on as a ``RemoteTraceback`` cause;
-    locally raised ones still own their real traceback.
-    """
-    cause = getattr(error, "__cause__", None)
-    if cause is not None and type(cause).__name__ == "RemoteTraceback":
-        return str(cause)
-    return "".join(
-        traceback_module.format_exception(type(error), error, error.__traceback__)
-    )
-
-
-def _run_retry_task(task_and_attempt: tuple[Sequence[Any], int]) -> Any:
-    """Worker-side body of :func:`iter_resilient` submissions.
-
-    The attempt number rides along as the kernel's final positional
-    argument so retry-aware kernels (and their fault-injection points)
-    can tell a first attempt from a retry.
-    """
-    task, attempt = task_and_attempt
-    assert _worker_kernel is not None, "worker pool was not initialised"
-    return _worker_kernel(_worker_context, *task, attempt)
-
-
-class _RetrySchedule:
-    """Pending attempts with per-attempt not-before times (backoff)."""
-
-    def __init__(self, indices: Sequence[int]) -> None:
-        # (ready_at, index, attempt) kept in FIFO order of insertion;
-        # the queue is tiny (campaign entries), so linear scans beat
-        # the bookkeeping a heap would need for requeue-at-front.
-        self._queue: list[tuple[float, int, int]] = [
-            (0.0, index, 1) for index in indices
-        ]
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def push(self, index: int, attempt: int, ready_at: float) -> None:
-        self._queue.append((ready_at, index, attempt))
-
-    def push_front(self, index: int, attempt: int) -> None:
-        self._queue.insert(0, (0.0, index, attempt))
-
-    def pop_ready(self, now: float) -> tuple[int, int] | None:
-        for position, (ready_at, index, attempt) in enumerate(self._queue):
-            if ready_at <= now:
-                del self._queue[position]
-                return index, attempt
-        return None
-
-    def next_ready_at(self) -> float | None:
-        if not self._queue:
-            return None
-        return min(ready_at for ready_at, _, _ in self._queue)
-
-
-def iter_resilient(
-    kernel: Callable[..., Any],
-    context: Any,
-    tasks: Sequence[Sequence[Any]],
-    *,
-    jobs: int | None = None,
-    isolate: bool = True,
-    deadline: float | None = None,
-    retry_delay: Callable[[int, int, BaseException], float | None] | None = None,
-    max_pool_restarts: int = 2,
-    poll_interval: float = 0.05,
-    on_event: Callable[[str], None] | None = None,
-) -> Iterator[TaskOutcome]:
-    """Run tasks with retries, deadlines, and pool recycling.
-
-    The failure-hardened sibling of :func:`imap_shards`, built for
-    campaign entries: each task is ``kernel(context, *task, attempt)``
-    (the attempt number is appended so kernels can report it), a
-    *raising* task is classified by ``retry_delay(index, attempt,
-    error)`` — a float means "retry after that backoff", ``None``
-    means "give up" — and every task produces exactly one
-    :class:`TaskOutcome`, yielded in completion order.
-
-    ``deadline`` (seconds, pooled execution only) is the hung-worker
-    watchdog: an attempt whose result has not arrived in time is
-    failed with :class:`~repro.errors.EntryDeadlineError` and the pool
-    is *recycled* — terminated and rebuilt — because a hung or
-    OS-killed worker cannot be reaped individually; innocent in-flight
-    attempts are re-dispatched without consuming an attempt.  After
-    ``max_pool_restarts`` consecutive recycles with no completed task
-    in between, execution degrades to inline (``jobs=1``-style, no
-    deadline) rather than thrashing a pool that keeps dying —
-    degraded, not dead.
-
-    Inline execution (one worker, one task, nested in a pool worker,
-    an unpicklable kernel on a spawn platform, or post-degradation)
-    runs the same retry loop in-process; deadlines cannot be enforced
-    there (a hung attempt cannot be preempted) and are ignored.
-    """
-    tasks = list(tasks)
-    if not tasks:
-        return
-    if deadline is not None and deadline <= 0:
-        raise ParallelError(f"deadline must be > 0 seconds, got {deadline}")
-    if max_pool_restarts < 0:
-        raise ParallelError(
-            f"max_pool_restarts must be >= 0, got {max_pool_restarts}"
-        )
-    n_workers = min(resolve_jobs(jobs), len(tasks))
-    schedule = _RetrySchedule(range(len(tasks)))
-
-    def settle_failure(index: int, attempt: int, error: BaseException,
-                       tb: str | None) -> TaskOutcome | None:
-        """Requeue a failed attempt or close the task out; None = requeued."""
-        delay = None
-        if retry_delay is not None:
-            delay = retry_delay(index, attempt, error)
-        if delay is None:
-            return TaskOutcome(
-                index=index, error=error, attempts=attempt, traceback=tb
+            results = pool.imap_unordered(
+                _run_indexed_task, list(enumerate(tasks)), chunksize=1
             )
-        schedule.push(index, attempt + 1, time.monotonic() + float(delay))
-        return None
-
-    def run_inline() -> Iterator[TaskOutcome]:
-        while schedule:
-            now = time.monotonic()
-            ready = schedule.pop_ready(now)
-            if ready is None:
-                next_at = schedule.next_ready_at()
-                time.sleep(max(0.0, min(next_at - now, poll_interval)))
-                continue
-            index, attempt = ready
+        # A failed task stops the yielding at once but raises only after
+        # every other task has reported.  Leaving the ``with`` block
+        # terminates the pool, and terminating workers that are still
+        # sending results can kill one holding the result queue's lock;
+        # the pool's shutdown then waits on that lock forever.
+        failure: Exception | None = None
+        for position in range(len(tasks)):
             try:
-                value = kernel(context, *tasks[index], attempt)
-            except Exception as error:  # noqa: BLE001 - classified by policy
-                outcome = settle_failure(
-                    index, attempt, error, _failure_traceback(error)
-                )
-                if outcome is not None:
-                    yield outcome
-            else:
-                yield TaskOutcome(index=index, value=value, attempts=attempt)
-
-    inline = not will_pool(jobs, len(tasks))
-    pool_context = _pool_context()
-    if not inline and pool_context.get_start_method() != "fork":
-        try:
-            pickle.dumps((kernel, context))
-        except Exception:  # repro: ignore[error-taxonomy] -- picklability probe: any failure means degrade to inline
-            inline = True
-    if inline:
-        yield from run_inline()
-        return
-
-    def make_pool():
-        return pool_context.Pool(
-            processes=n_workers,
-            initializer=_initialize_worker,
-            initargs=(kernel, context),
-            maxtasksperchild=1 if isolate else None,
-        )
-
-    pool = make_pool()
-    in_flight: dict[int, tuple[int, Any, float]] = {}  # index -> (attempt, result, started)
-    restarts_since_success = 0
-    try:
-        while schedule or in_flight:
-            now = time.monotonic()
-            # Keep every worker busy with whatever attempts are ready.
-            while len(in_flight) < n_workers:
-                ready = schedule.pop_ready(now)
-                if ready is None:
-                    break
-                index, attempt = ready
-                handle = pool.apply_async(_run_retry_task, ((tasks[index], attempt),))
-                in_flight[index] = (attempt, handle, now)
-
-            progressed = False
-            expired: list[int] = []
-            for index, (attempt, handle, started) in list(in_flight.items()):
-                if handle.ready():
-                    del in_flight[index]
-                    progressed = True
-                    try:
-                        value = handle.get()
-                    except Exception as error:  # noqa: BLE001 - classified by policy
-                        outcome = settle_failure(
-                            index, attempt, error, _failure_traceback(error)
-                        )
-                        if outcome is not None:
-                            yield outcome
-                    else:
-                        restarts_since_success = 0
-                        yield TaskOutcome(index=index, value=value, attempts=attempt)
-                elif deadline is not None and now - started > deadline:
-                    expired.append(index)
-
-            if expired:
-                # A hung (or silently killed) worker cannot be reaped on
-                # its own: recycle the whole pool and re-dispatch the
-                # innocent in-flight attempts at unchanged attempt counts.
-                progressed = True
-                pool.terminate()
-                pool.join()
-                for index in expired:
-                    attempt, _, _ = in_flight.pop(index)
-                    error = EntryDeadlineError(
-                        f"task {index} exceeded its {deadline:g}s deadline "
-                        f"on attempt {attempt} (worker hung or died); "
-                        "pool recycled"
-                    )
-                    outcome = settle_failure(index, attempt, error, None)
-                    if outcome is not None:
-                        yield outcome
-                for index, (attempt, _, _) in in_flight.items():
-                    schedule.push_front(index, attempt)
-                in_flight.clear()
-                restarts_since_success += 1
-                if restarts_since_success > max_pool_restarts:
-                    if on_event is not None:
-                        on_event(
-                            f"worker pool died {restarts_since_success} times in "
-                            "a row; degrading to in-process execution"
-                        )
-                    pool = None
-                    yield from run_inline()
-                    return
-                if on_event is not None:
-                    on_event("recycled the worker pool after a missed deadline")
-                try:
-                    pool = make_pool()
-                except Exception:  # pragma: no cover - pool creation failure  # repro: ignore[error-taxonomy] -- degrade path: failure is reported via on_event and execution continues inline
-                    if on_event is not None:
-                        on_event(
-                            "could not rebuild the worker pool; degrading to "
-                            "in-process execution"
-                        )
-                    pool = None
-                    yield from run_inline()
-                    return
-
-            if not progressed:
-                next_at = schedule.next_ready_at()
-                pause = poll_interval
-                if not in_flight and next_at is not None:
-                    pause = max(0.0, min(next_at - now, poll_interval))
-                time.sleep(pause)
-    finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-
+                result = next(results)
+            except Exception as error:  # repro: ignore[error-taxonomy] -- held, then re-raised once the pool is idle
+                if failure is None:
+                    failure = error
+                continue
+            if failure is None:
+                yield (position, result) if ordered else result
+        if failure is not None:
+            raise failure

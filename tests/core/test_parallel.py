@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,14 @@ def _echo_kernel(context, start, stop):
 
 def _square_kernel(context, value):
     return context * value * value
+
+
+def _fail_first_kernel(directory, index):
+    if index == 0:
+        raise ValueError("task 0 failed")
+    time.sleep(0.05)
+    (Path(directory) / f"{index}.done").touch()
+    return index
 
 
 class TestResolveJobs:
@@ -117,16 +128,14 @@ class TestMapShards:
     def test_empty_tasks(self):
         assert map_shards(_square_kernel, 1, [], jobs=4) == []
 
-    def test_on_result_called_in_order(self):
-        seen: list[tuple[int, int]] = []
-        map_shards(
-            _square_kernel,
-            1,
-            [(i,) for i in range(5)],
-            jobs=2,
-            on_result=lambda index, result: seen.append((index, result)),
-        )
-        assert seen == [(i, i * i) for i in range(5)]
+    def test_pool_raises_only_after_the_other_tasks_finish(self, tmp_path):
+        # The pool is torn down idle: terminating workers that are
+        # still reporting results can hang the shutdown.
+        tasks = [(i,) for i in range(6)]
+        with pytest.raises(ValueError, match="task 0 failed"):
+            map_shards(_fail_first_kernel, str(tmp_path), tasks, jobs=2)
+        done = sorted(path.name for path in tmp_path.iterdir())
+        assert done == [f"{i}.done" for i in range(1, 6)]
 
 
 class TestBatchJobsInvariance:

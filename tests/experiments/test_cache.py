@@ -183,6 +183,24 @@ class TestResultCache:
         cache.put("E0", "quick", 0, PARAMS, result)
         assert not list(tmp_path.glob(".tmp-*"))
 
+    def test_cache_path_must_be_directory(self, tmp_path):
+        blocker = tmp_path / "occupied"
+        blocker.write_text("not a directory")
+        with pytest.raises(CacheError, match="not a directory"):
+            ResultCache(blocker)
+
+    def test_stats_summary_counts(self, tmp_path, result):
+        cache = ResultCache(tmp_path)
+        cache.put("E0", "quick", 0, PARAMS, result)
+        cache.get("E0", "quick", 0, PARAMS)
+        cache.get("E0", "quick", 9, PARAMS)
+        summary = cache.stats_summary()
+        assert summary["entries"] == 1
+        assert summary["hits"] == 1
+        assert summary["misses"] == 1
+        assert summary["writes"] == 1
+        assert summary["schema"] == CACHE_SCHEMA_VERSION
+
 
 class TestQuarantine:
     def test_corrupt_entry_quarantined_on_read(self, tmp_path, result):
@@ -241,37 +259,3 @@ class TestQuarantine:
         assert path.exists()
         assert not list(tmp_path.glob("*.corrupt"))
 
-
-class TestCacheCorruptionFault:
-    def test_injected_corruption_tears_the_published_entry(self, tmp_path, result, monkeypatch):
-        from repro.testing.faults import inject_faults
-
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        cache = ResultCache(tmp_path)
-        with inject_faults({"site": "cache_corrupt"}):
-            path = cache.put("E0", "quick", 0, PARAMS, result)
-        # The entry is torn exactly as a crash mid-rewrite would leave
-        # it: a read quarantines it and degrades to a miss...
-        assert cache.get("E0", "quick", 0, PARAMS) is None
-        assert path.with_name(path.name + ".corrupt").exists()
-        # ...and the next (fault-free) put self-heals.
-        cache.put("E0", "quick", 0, PARAMS, result)
-        assert cache.get("E0", "quick", 0, PARAMS) is not None
-
-    def test_cache_path_must_be_directory(self, tmp_path):
-        blocker = tmp_path / "occupied"
-        blocker.write_text("not a directory")
-        with pytest.raises(CacheError, match="not a directory"):
-            ResultCache(blocker)
-
-    def test_stats_summary_counts(self, tmp_path, result):
-        cache = ResultCache(tmp_path)
-        cache.put("E0", "quick", 0, PARAMS, result)
-        cache.get("E0", "quick", 0, PARAMS)
-        cache.get("E0", "quick", 9, PARAMS)
-        summary = cache.stats_summary()
-        assert summary["entries"] == 1
-        assert summary["hits"] == 1
-        assert summary["misses"] == 1
-        assert summary["writes"] == 1
-        assert summary["schema"] == CACHE_SCHEMA_VERSION

@@ -139,6 +139,13 @@ class TestStreamingWithFailures:
         assert "error" in by_index[1]
         assert "RuntimeError" in by_index[1]["error"]
         assert "worker died on seed 1" in by_index[1]["error"]
+        # The record is built where the entry ran: under a pool the
+        # traceback is the worker's own, down to the raising frame.
+        assert by_index[1]["error_type"] == "RuntimeError"
+        assert "_exploding_run" in by_index[1]["traceback"]
+        assert by_index[1]["traceback"].endswith(
+            "RuntimeError: worker died on seed 1"
+        )
         for index in (0, 2):
             assert by_index[index]["findings"]
             assert "error" not in by_index[index]

@@ -7,8 +7,21 @@ import json
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments import e4_duality
 from repro.experiments.campaign import Campaign, CampaignEntry, run_campaign
+from repro.scenarios.base import overrides_digest
+
+#: A shrunken E4 workload.  Entry overrides travel with the entry, so
+#: spawned pool workers see them too (a patched module constant would
+#: only reach forked ones).
+SMALL_E4 = {"trials": 50, "exact_t_max": 3}
+
+
+def _small_e4(seed: int) -> CampaignEntry:
+    return CampaignEntry("E4", seed=seed, overrides=SMALL_E4)
+
+
+def _stem(seed: int) -> str:
+    return f"e4_quick-{overrides_digest(SMALL_E4)}_s{seed}"
 
 
 class TestCampaignDescription:
@@ -97,21 +110,16 @@ class TestCampaignDescription:
 
 
 class TestRunCampaign:
-    def test_executes_and_writes_manifest(self, tmp_path, monkeypatch):
+    def test_executes_and_writes_manifest(self, tmp_path):
         # Keep it fast: shrink E4 and run it twice with different seeds.
-        monkeypatch.setattr(e4_duality, "QUICK_TRIALS", 50)
-        monkeypatch.setattr(e4_duality, "EXACT_T_MAX", 3)
-        campaign = Campaign(
-            name="mini",
-            entries=[CampaignEntry("E4", seed=0), CampaignEntry("E4", seed=1)],
-        )
+        campaign = Campaign(name="mini", entries=[_small_e4(0), _small_e4(1)])
         messages: list[str] = []
         manifest = run_campaign(campaign, tmp_path, progress=messages.append)
 
         directory = tmp_path / "mini"
         assert (directory / "manifest.json").exists()
-        assert (directory / "e4_quick_s0.json").exists()
-        assert (directory / "e4_quick_s1.txt").exists()
+        assert (directory / f"{_stem(0)}.json").exists()
+        assert (directory / f"{_stem(1)}.txt").exists()
         assert len(manifest["entries"]) == 2
         assert all(entry["seconds"] >= 0 for entry in manifest["entries"])
         assert all(entry["findings"] for entry in manifest["entries"])
@@ -120,25 +128,18 @@ class TestRunCampaign:
         reloaded = json.loads((directory / "manifest.json").read_text())
         assert reloaded["campaign"] == "mini"
 
-    def test_results_load_back(self, tmp_path, monkeypatch):
+    def test_results_load_back(self, tmp_path):
         from repro.experiments.results import ExperimentResult
 
-        monkeypatch.setattr(e4_duality, "QUICK_TRIALS", 50)
-        monkeypatch.setattr(e4_duality, "EXACT_T_MAX", 3)
-        campaign = Campaign(name="load", entries=[CampaignEntry("E4")])
+        campaign = Campaign(name="load", entries=[_small_e4(0)])
         run_campaign(campaign, tmp_path)
-        result = ExperimentResult.load(tmp_path / "load" / "e4_quick_s0.json")
+        result = ExperimentResult.load(tmp_path / "load" / f"{_stem(0)}.json")
         assert result.spec.experiment_id == "E4"
 
-    def test_parallel_matches_sequential(self, tmp_path, monkeypatch):
+    def test_parallel_matches_sequential(self, tmp_path):
         # Same campaign at jobs=1 and jobs=2: identical manifests
         # (modulo wall-clock timings) and identical result payloads.
-        monkeypatch.setattr(e4_duality, "QUICK_TRIALS", 50)
-        monkeypatch.setattr(e4_duality, "EXACT_T_MAX", 3)
-        campaign = Campaign(
-            name="par",
-            entries=[CampaignEntry("E4", seed=0), CampaignEntry("E4", seed=1)],
-        )
+        campaign = Campaign(name="par", entries=[_small_e4(0), _small_e4(1)])
         sequential = run_campaign(campaign, tmp_path / "seq", jobs=1)
         messages: list[str] = []
         parallel = run_campaign(
@@ -153,7 +154,7 @@ class TestRunCampaign:
 
         assert strip_timings(sequential) == strip_timings(parallel)
         assert len(messages) == 2
-        for stem in ("e4_quick_s0", "e4_quick_s1"):
+        for stem in (_stem(0), _stem(1)):
             left = json.loads((tmp_path / "seq" / "par" / f"{stem}.json").read_text())
             right = json.loads((tmp_path / "par" / "par" / f"{stem}.json").read_text())
             assert left == right
@@ -167,18 +168,13 @@ class TestRunCampaign:
 
 
 class TestIterCampaign:
-    def _mini(self, monkeypatch) -> Campaign:
-        monkeypatch.setattr(e4_duality, "QUICK_TRIALS", 50)
-        monkeypatch.setattr(e4_duality, "EXACT_T_MAX", 3)
-        return Campaign(
-            name="stream",
-            entries=[CampaignEntry("E4", seed=0), CampaignEntry("E4", seed=1)],
-        )
+    def _mini(self) -> Campaign:
+        return Campaign(name="stream", entries=[_small_e4(0), _small_e4(1)])
 
-    def test_streams_records_and_writes_manifest(self, tmp_path, monkeypatch):
+    def test_streams_records_and_writes_manifest(self, tmp_path):
         from repro.experiments.campaign import iter_campaign
 
-        campaign = self._mini(monkeypatch)
+        campaign = self._mini()
         yielded = list(iter_campaign(campaign, tmp_path))
         assert [index for index, _ in yielded] == [0, 1]
         assert all(record["findings"] for _, record in yielded)
@@ -186,10 +182,10 @@ class TestIterCampaign:
         manifest = json.loads((tmp_path / "stream" / "manifest.json").read_text())
         assert manifest["entries"] == [record for _, record in yielded]
 
-    def test_matches_run_campaign_manifest(self, tmp_path, monkeypatch):
+    def test_matches_run_campaign_manifest(self, tmp_path):
         from repro.experiments.campaign import iter_campaign
 
-        campaign = self._mini(monkeypatch)
+        campaign = self._mini()
         cache_dir = tmp_path / "cache"
         run_campaign(campaign, tmp_path / "warm", cache_dir=cache_dir)
 
@@ -206,10 +202,10 @@ class TestIterCampaign:
         with pytest.raises(ExperimentError, match="no entries"):
             iter_campaign(Campaign(name="empty"), tmp_path)
 
-    def test_abandoning_iterator_writes_no_manifest(self, tmp_path, monkeypatch):
+    def test_abandoning_iterator_writes_no_manifest(self, tmp_path):
         from repro.experiments.campaign import iter_campaign
 
-        campaign = self._mini(monkeypatch)
+        campaign = self._mini()
         iterator = iter_campaign(campaign, tmp_path)
         next(iterator)
         iterator.close()
