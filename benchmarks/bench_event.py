@@ -1,26 +1,25 @@
 """Benchmarks of the event-driven engine against the batch engine.
 
-The event engine's contract is that per-tick cost tracks the *active
+The event engine's contract is that per-event cost tracks the *active
 frontier*, while the batch engine pays O(n) vectorised work per round
 no matter how little is happening.  Two cells frame that trade:
 
 * **Sparse-walk cell** (the asserted bar): a single COBRA token
   (``branching = 1.0``) exploring a 512x512 torus for a fixed horizon.
   The frontier is exactly one vertex, so the event engine does O(1)
-  work per tick while the batch engine sweeps 262144 vertices per
-  round.  Both clock modes must beat batch here: the discrete-round
-  limit (``time_step=1.0``) by ``>= 3x`` and the asynchronous
-  exponential-clock mode by ``>= 3x`` (measured ~12x / ~22x on one
-  core).
+  work per firing while the batch engine sweeps 262144 vertices per
+  round.  The event engine must beat batch here by ``>= 3x``.
 * **Dense-cover cell** (the honest control): COBRA ``k = 2`` full
   cover on a 1024-vertex 8-regular expander, where the frontier grows
   to Theta(n) within a few rounds.  Here the batch engine's wide
   vectorised rounds win and the benchmark *asserts that batch is
   faster* — the event engine is a regime tool, not a replacement.
 
-Every run also asserts the seed-stable contract — ``jobs=1`` and
-``jobs=4`` must produce bit-identical completion times in both clock
-modes — and writes the measured matrix to
+The two engines run different laws (exponential clocks against
+synchronous rounds) on the same time scale; the cells compare the
+cost of equal horizons, not equal outputs.  Every run also asserts the
+seed-stable contract — ``jobs=1`` and ``jobs=4`` must produce
+bit-identical completion times — and writes the measured matrix to
 ``benchmarks/out/BENCH_event.json``.  ``REPRO_BENCH_QUICK=1`` shrinks
 the workloads to smoke scale and skips the timing bars (CI runs it
 that way).
@@ -48,7 +47,6 @@ OUT_PATH = Path(__file__).resolve().parent / "out" / "BENCH_event.json"
 SPARSE_SIDE = 128 if BENCH_QUICK else 512
 SPARSE_HORIZON = 500 if BENCH_QUICK else 2000
 SPARSE_REPLICAS = 2 if BENCH_QUICK else 4
-SPARSE_SYNC_BAR = 3.0
 SPARSE_EXP_BAR = 3.0
 
 # Dense-cover cell: the regime where batch must stay ahead.
@@ -79,7 +77,7 @@ def dense_cell():
 
 
 def bench_event_sparse_walk(benchmark, sparse_cell):
-    """Raw event engine (async clocks) on the sparse-walk workload."""
+    """Raw event engine on the sparse-walk workload."""
     benchmark.pedantic(
         lambda: event_cobra_cover_times(
             sparse_cell,
@@ -100,10 +98,9 @@ def bench_event_speed_bars_and_determinism(benchmark, sparse_cell, dense_cell):
 
     Asserts (real scale only):
 
-    * sparse-walk cell: event beats batch in both clock modes
-      (``>= 3x`` each);
+    * sparse-walk cell: event beats batch by ``>= 3x``;
     * dense-cover cell: batch stays faster than the event engine;
-    * always: jobs=1 vs jobs=4 bit-identical times in both clock modes.
+    * always: jobs=1 vs jobs=4 bit-identical event times.
     """
 
     def measure() -> dict:
@@ -119,19 +116,6 @@ def bench_event_speed_bars_and_determinism(benchmark, sparse_cell, dense_cell):
                 n_replicas=SPARSE_REPLICAS,
                 seed=0,
                 max_rounds=SPARSE_HORIZON,
-                raise_on_timeout=False,
-            ),
-            3,
-        )
-        sync_sparse = _best_of(
-            lambda: event_cobra_cover_times(
-                sparse_cell,
-                0,
-                branching=1.0,
-                time_step=1.0,
-                n_replicas=SPARSE_REPLICAS,
-                seed=0,
-                max_time=horizon,
                 raise_on_timeout=False,
             ),
             3,
@@ -153,11 +137,8 @@ def bench_event_speed_bars_and_determinism(benchmark, sparse_cell, dense_cell):
             "replicas": SPARSE_REPLICAS,
             "horizon": SPARSE_HORIZON,
             "batch_seconds": round(batch_sparse, 5),
-            "event_sync_seconds": round(sync_sparse, 5),
             "event_exp_seconds": round(exp_sparse, 5),
-            "speedup_sync": round(batch_sparse / sync_sparse, 2),
             "speedup_exp": round(batch_sparse / exp_sparse, 2),
-            "sync_bar": SPARSE_SYNC_BAR,
             "exp_bar": SPARSE_EXP_BAR,
         }
 
@@ -168,13 +149,9 @@ def bench_event_speed_bars_and_determinism(benchmark, sparse_cell, dense_cell):
             ),
             3,
         )
-        sync_dense = _best_of(
+        exp_dense = _best_of(
             lambda: event_cobra_cover_times(
-                dense_cell,
-                0,
-                time_step=1.0,
-                n_replicas=DENSE_REPLICAS,
-                seed=0,
+                dense_cell, 0, n_replicas=DENSE_REPLICAS, seed=0
             ),
             3,
         )
@@ -182,46 +159,30 @@ def bench_event_speed_bars_and_determinism(benchmark, sparse_cell, dense_cell):
             "n": DENSE_N,
             "replicas": DENSE_REPLICAS,
             "batch_seconds": round(batch_dense, 5),
-            "event_sync_seconds": round(sync_dense, 5),
-            "batch_advantage": round(sync_dense / batch_dense, 2),
+            "event_exp_seconds": round(exp_dense, 5),
+            "batch_advantage": round(exp_dense / batch_dense, 2),
         }
 
         # -- determinism: jobs never changes results -----------------
-        for time_step in (1.0, None):
-            inline = event_cobra_cover_times(
+        def walk(jobs: int) -> np.ndarray:
+            return event_cobra_cover_times(
                 sparse_cell,
                 0,
                 branching=1.0,
-                time_step=time_step,
                 n_replicas=8,
                 seed=1,
                 max_time=horizon,
                 raise_on_timeout=False,
-                jobs=1,
+                jobs=jobs,
                 shard_size=2,
             )
-            pooled = event_cobra_cover_times(
-                sparse_cell,
-                0,
-                branching=1.0,
-                time_step=time_step,
-                n_replicas=8,
-                seed=1,
-                max_time=horizon,
-                raise_on_timeout=False,
-                jobs=JOBS,
-                shard_size=2,
-            )
-            assert np.array_equal(inline, pooled)
-        matrix["determinism"] = "jobs=1 vs jobs=4 bit-identical (sync + exp clocks)"
+
+        assert np.array_equal(walk(1), walk(JOBS))
+        matrix["determinism"] = f"jobs=1 vs jobs={JOBS} bit-identical"
 
         if not BENCH_QUICK:
-            assert matrix["sparse_walk"]["speedup_sync"] >= SPARSE_SYNC_BAR, (
-                f"event engine (sync clocks) fell below the {SPARSE_SYNC_BAR}x bar "
-                f"on the sparse-walk cell: {matrix['sparse_walk']}"
-            )
             assert matrix["sparse_walk"]["speedup_exp"] >= SPARSE_EXP_BAR, (
-                f"event engine (async clocks) fell below the {SPARSE_EXP_BAR}x bar "
+                f"event engine fell below the {SPARSE_EXP_BAR}x bar "
                 f"on the sparse-walk cell: {matrix['sparse_walk']}"
             )
             assert matrix["dense_cover"]["batch_advantage"] >= 1.0, (

@@ -47,6 +47,7 @@ from typing import Sequence
 
 from repro.errors import ReproError
 from repro.experiments import experiment_ids, get_spec
+from repro.scenarios.workloads import ENGINE_CHOICES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,13 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--engine",
         default=None,
-        choices=("process", "batch", "event", "sparse"),
+        choices=ENGINE_CHOICES,
         help=(
             "measurement engine for engine-aware experiments: 'batch' "
-            "(vectorised rounds, the default), 'process' "
-            "(sequential rounds), 'event' (continuous-time Gillespie), or "
-            "'sparse' (frontier-proportional kernels for million-vertex "
-            "graphs); shorthand for --set engine=NAME"
+            "(vectorised rounds, the default), 'sparse' "
+            "(frontier-proportional rounds for million-vertex graphs), or "
+            "'event' (continuous-time Gillespie); shorthand for "
+            "--set engine=NAME"
         ),
     )
     run.add_argument(

@@ -23,10 +23,8 @@ from repro.core.dynamic import (
     static_provider,
 )
 from repro.core.event import (
-    SisEventResult,
     event_bips_infection_times,
     event_cobra_cover_times,
-    event_sis_times,
     resolve_edge_rates,
 )
 from repro.core.process import RoundRecord, SpreadingProcess, Trace
@@ -67,8 +65,6 @@ __all__ = [
     "sparse_bips_infection_times",
     "event_cobra_cover_times",
     "event_bips_infection_times",
-    "event_sis_times",
-    "SisEventResult",
     "resolve_edge_rates",
     "DynamicCobraProcess",
     "DynamicBipsProcess",

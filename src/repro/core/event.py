@@ -1,50 +1,39 @@
-"""Event-driven continuous-time engines: Gillespie COBRA, BIPS, and SIS.
+"""Event-driven continuous-time engines: Gillespie COBRA and BIPS.
 
-The round-based engines (sequential and batch) pay ``rounds × n`` even
-when almost nothing is happening.  The engines here simulate the same
-processes in *continuous time*: every active particle (COBRA) or armed
-vertex (BIPS/SIS) carries an independent exponential clock, and a
-binary-heap kernel pops one firing at a time, touching only the active
-frontier.  Cost scales with *events*, not rounds — the regime the
-epidemic-modelling literature simulates with Gillespie kernels, and the
-natural home of the paper's dual-process view (a COBRA token firing is
-one contact of the dual epidemic).
+The round engines (batch and sparse) simulate the paper's synchronous
+rounds, in which every active particle (COBRA) or vertex (BIPS) acts
+once per round.  The engines here run the same processes in
+*continuous time*: every active particle or armed vertex carries an
+independent ``Exponential(rate)`` clock, and a binary-heap kernel pops
+one firing at a time, touching only the active frontier.  Cost scales
+with *events*, not rounds — the regime the epidemic-modelling
+literature simulates with Gillespie kernels, and the natural home of
+the paper's dual-process view (a COBRA token firing is one contact of
+the dual epidemic).
 
-Two clock laws share each kernel, selected by ``time_step``:
-
-* ``time_step=None`` (default) — true asynchronous Gillespie dynamics:
-  each armed vertex fires after ``Exponential(rate)`` waiting times,
-  events are processed one at a time, and lazy heap invalidation (an
-  epoch counter per clock) keeps disarmed vertices from firing.  By
-  memorylessness, cancelling a clock and redrawing it later is
-  law-exact, so the kernel only ever schedules the armed frontier.
-* ``time_step=Δ`` — the *discrete-round limit*: every armed vertex
-  fires deterministically at every multiple of ``Δ``, and each
-  generation is processed against a snapshot of the pre-generation
-  state.  This reproduces the synchronous round law exactly (completion
-  time = rounds × Δ in distribution), which is what the agreement tests
-  pin against the batch engines, while still only touching the armed
-  frontier each tick — the sparse-frontier fast path the event
-  benchmark measures.
+Lazy heap invalidation (an epoch counter per clock) keeps disarmed
+vertices from firing: by memorylessness, cancelling a clock and
+redrawing it later is law-exact, so the kernels only ever schedule the
+armed frontier.  Clocks have unit mean at unit rate, so completion
+times land on the same scale as round counts, but the laws differ.
 
 Rates:
 
 * ``transmission_rate`` scales every firing clock (and divides the
   default time horizon, so doubling the rate halves completion times).
-* ``recovery_rate`` (BIPS/SIS, asynchronous mode only) adds independent
-  spontaneous-recovery clocks to infected vertices; the persistent BIPS
-  source never recovers.
+* ``recovery_rate`` (BIPS) adds independent spontaneous-recovery
+  clocks to infected vertices; the persistent source never recovers.
 * ``edge_rate_overrides`` reweights neighbour-contact selection per
   edge: a firing vertex picks each neighbour with probability
-  proportional to the edge weight (default 1.0), and the BIPS/SIS hit
+  proportional to the edge weight (default 1.0), and the BIPS hit
   probability becomes the infected fraction *by weight*.  A weight of
   ``0.0`` blocks an edge entirely.
 
-BIPS/SIS *arming*: a susceptible vertex with no infected-weight among
-its neighbours resamples to susceptible with certainty, so skipping its
+BIPS *arming*: a susceptible vertex with no infected-weight among its
+neighbours resamples to susceptible with certainty, so skipping its
 clock is law-exact; the armed set is ``infected ∪ {susceptible with
-infected neighbour weight > 0}`` and the kernels maintain it
-incrementally on every flip.
+infected neighbour weight > 0}`` minus the source, and the kernel
+maintains it incrementally on every flip.
 
 Sharding and determinism mirror :mod:`repro.core.batch` exactly: the
 replicas split into fixed shards via :func:`~repro.core.batch._run_sharded`
@@ -57,15 +46,13 @@ zero-copy through the SharedGraph path.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro._rng import SeedLike, ensure_generator, spawn_seed_sequences
 from repro.core.batch import _run_sharded
-from repro.core.process import resolve_vertex, resolve_vertex_set, validate_branching
+from repro.core.process import resolve_vertex, validate_branching
 from repro.core.runner import default_max_rounds
-from repro.core.sparse import sorted_unique
 from repro.errors import CoverTimeoutError, InfectionTimeoutError, ProcessError
 from repro.graphs.base import Graph
 from repro.parallel import resolve_shared_graph
@@ -141,7 +128,7 @@ def resolve_edge_rates(graph: Graph, overrides) -> np.ndarray | None:
         weights[positions(u, v)] = rate
         weights[positions(v, u)] = rate
 
-    row_totals = np.add.reduceat(weights, indptr[:-1])
+    _, row_totals = _weight_prefix(indptr, weights)
     row_totals[graph.degrees == 0] = 1.0  # isolated vertices never fire
     dead = np.flatnonzero(row_totals <= 0.0)
     if dead.size:
@@ -150,6 +137,12 @@ def resolve_edge_rates(graph: Graph, overrides) -> np.ndarray | None:
             f"contact rate; every vertex needs at least one positive edge"
         )
     return weights
+
+
+def _weight_prefix(indptr: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR weight prefix sum ``cum0`` (leading 0.0) and each row's total."""
+    cum0 = np.concatenate([[0.0], np.cumsum(weights)])
+    return cum0, cum0[indptr[1:]] - cum0[indptr[:-1]]
 
 
 class _Contacts:
@@ -172,8 +165,7 @@ class _Contacts:
             self.cum0 = None
             self.row_tot = None
         else:
-            self.cum0 = np.concatenate([[0.0], np.cumsum(weights)])
-            self.row_tot = self.cum0[self.indptr[1:]] - self.cum0[self.indptr[:-1]]
+            self.cum0, self.row_tot = _weight_prefix(self.indptr, weights)
 
     def draw_one(self, v: int, k: int, rng: np.random.Generator) -> np.ndarray:
         """``k`` contact draws (with replacement) for one firing vertex."""
@@ -183,30 +175,12 @@ class _Contacts:
         x = self.cum0[lo] + rng.random(k) * self.row_tot[v]
         return self.indices[np.searchsorted(self.cum0, x, side="right") - 1]
 
-    def draw_many(self, verts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-        """``(m, k)`` contact draws for a whole generation of vertices."""
-        lo = self.indptr[verts]
-        if self.weights is None:
-            offsets = rng.integers(0, self.degrees[verts][:, None], size=(verts.size, k))
-            return self.indices[lo[:, None] + offsets]
-        x = self.cum0[lo][:, None] + rng.random((verts.size, k)) * self.row_tot[verts][:, None]
-        return self.indices[np.searchsorted(self.cum0, x, side="right") - 1]
-
     def infected_fraction(self, v: int, n_inf: np.ndarray, w_inf) -> float:
         """The probability one contact of ``v`` lands on an infected vertex."""
         if self.weights is None:
             return n_inf[v] / self.degrees[v]
         q = w_inf[v] / self.row_tot[v]
         return min(1.0, max(0.0, q))
-
-    def seed_mass(self, infected_vertices, n_inf: np.ndarray, w_inf) -> None:
-        """Initialise neighbour infected-mass counters from an infected set."""
-        for u in infected_vertices:
-            row = slice(self.indptr[u], self.indptr[u + 1])
-            neighbours = self.indices[row]
-            n_inf[neighbours] += 1
-            if w_inf is not None:
-                w_inf[neighbours] += self.weights[row]
 
     def apply_flip(self, v: int, sign: int, n_inf: np.ndarray, w_inf) -> np.ndarray:
         """Propagate one state flip of ``v`` into its neighbours' mass.
@@ -235,7 +209,7 @@ class _Contacts:
 # ---------------------------------------------------------------------------
 
 
-def _cobra_replica_exp(
+def _cobra_replica(
     contacts: _Contacts,
     n: int,
     start: int,
@@ -243,7 +217,6 @@ def _cobra_replica_exp(
     rho: float,
     rate: float,
     max_time: float,
-    include_start: bool,
     rng: np.random.Generator,
 ) -> float:
     """One asynchronous COBRA replica; ``-1.0`` marks a timeout.
@@ -257,11 +230,6 @@ def _cobra_replica_exp(
     covered = np.zeros(n, dtype=bool)
     active[start] = True
     covered_count = 0
-    if include_start:
-        covered[start] = True
-        covered_count = 1
-        if covered_count == n:
-            return 0.0
     epoch = np.zeros(n, dtype=np.int64)
     heap = [(rng.exponential() / rate, start, 0)]
     while heap:
@@ -288,99 +256,37 @@ def _cobra_replica_exp(
     return -1.0  # pragma: no cover - COBRA always keeps >= 1 active site
 
 
-def _cobra_replica_sync(
-    contacts: _Contacts,
-    n: int,
-    start: int,
-    mandatory: int,
-    rho: float,
-    time_step: float,
-    max_ticks: int,
-    include_start: bool,
-    rng: np.random.Generator,
-) -> float:
-    """One discrete-round-limit COBRA replica (all sites fire each tick).
-
-    Identical in law to the synchronous round engines with completion
-    time scaled by ``time_step``, but each tick costs only the active
-    frontier — the sparse-frontier regime where events beat rounds.
-    """
-    covered = np.zeros(n, dtype=bool)
-    covered_count = 0
-    if include_start:
-        covered[start] = True
-        covered_count = 1
-        if covered_count == n:
-            return 0.0
-    # The active set travels as a sorted vertex array, never as a
-    # length-n mask scan, so tick cost tracks the frontier.
-    verts = np.array([start], dtype=np.int64)
-    for tick in range(1, max_ticks + 1):
-        flat = contacts.draw_many(verts, mandatory, rng).ravel()
-        if rho > 0.0:
-            branch = rng.random(verts.size) < rho
-            if branch.any():
-                flat = np.concatenate(
-                    [flat, contacts.draw_many(verts[branch], 1, rng).ravel()]
-                )
-        verts = sorted_unique(flat)  # tokens coalesce; sorted for determinism
-        fresh = verts[~covered[verts]]
-        if fresh.size:
-            covered[fresh] = True
-            covered_count += fresh.size
-        if covered_count == n:
-            return tick * time_step
-    return -1.0
-
-
 # ---------------------------------------------------------------------------
-# BIPS / SIS kernels (one epidemic kernel; BIPS = persistent source).
+# BIPS kernel.
 # ---------------------------------------------------------------------------
 
 
-def _epidemic_replica_exp(
+def _bips_replica(
     contacts: _Contacts,
     n: int,
-    source: int | None,
-    initial_mask: np.ndarray,
+    source: int,
     mandatory: int,
     rho: float,
     rate: float,
     recovery_rate: float,
     max_time: float,
     rng: np.random.Generator,
-) -> tuple[float, float]:
-    """One asynchronous BIPS/SIS replica: ``(completion, extinction)`` times.
+) -> float:
+    """One asynchronous BIPS replica; ``-1.0`` marks a timeout.
 
     Armed vertices resample at ``rate``: the new state is infected with
     probability ``1 - (1 - q)^k`` for infected-neighbour fraction ``q``
     (by weight), exactly the refresh law of the round engines.  The
-    persistent source (BIPS) never resamples; ``recovery_rate`` adds
+    persistent source never resamples; ``recovery_rate`` adds
     spontaneous recovery clocks to infected non-source vertices.
-    Either return value is ``-1.0`` when that outcome never happened.
     """
-    weighted = contacts.weights is not None
-    infected = initial_mask.copy()
-    infected_count = int(infected.sum())
-    if infected_count == n:
-        return 0.0, -1.0
+    infected = np.zeros(n, dtype=bool)
+    infected_count = 0
     n_inf = np.zeros(n, dtype=np.int64)
-    w_inf = np.zeros(n, dtype=np.float64) if weighted else None
-    contacts.seed_mass(np.flatnonzero(infected), n_inf, w_inf)
+    w_inf = np.zeros(n, dtype=np.float64) if contacts.weights is not None else None
     epoch = np.zeros(n, dtype=np.int64)
     repoch = np.zeros(n, dtype=np.int64)
     heap: list[tuple[float, int, int, int]] = []
-    for v in range(n):
-        if v == source:
-            continue
-        if infected[v] or n_inf[v] > 0:
-            epoch[v] += 1
-            heapq.heappush(heap, (rng.exponential() / rate, v, 0, int(epoch[v])))
-        if recovery_rate > 0.0 and infected[v]:
-            repoch[v] += 1
-            heapq.heappush(
-                heap, (rng.exponential() / recovery_rate, v, 1, int(repoch[v]))
-            )
 
     def flip(v: int, now: float) -> None:
         nonlocal infected_count
@@ -388,9 +294,8 @@ def _epidemic_replica_exp(
         infected[v] = not infected[v]
         infected_count += sign
         neighbours = contacts.apply_flip(v, sign, n_inf, w_inf)
+        # The source is always infected, so it is never a candidate.
         candidates = neighbours[~infected[neighbours]]
-        if source is not None:
-            candidates = candidates[candidates != source]
         if sign > 0:
             for x in candidates[n_inf[candidates] == 1]:
                 x = int(x)
@@ -409,12 +314,17 @@ def _epidemic_replica_exp(
                     (now + rng.exponential() / recovery_rate, v, 1, int(repoch[v])),
                 )
 
+    # Infecting the source arms its neighbours, in ascending vertex
+    # order (CSR rows are sorted), each with a clock started at time 0.
+    flip(source, 0.0)
+    if infected_count == n:
+        return 0.0
     while heap:
         t, v, kind, entry_epoch = heapq.heappop(heap)
         if entry_epoch != (epoch[v] if kind == 0 else repoch[v]):
             continue
         if t > max_time:
-            return -1.0, -1.0
+            return -1.0
         if kind == 0:
             q = contacts.infected_fraction(v, n_inf, w_inf)
             k = mandatory + (1 if rho > 0.0 and rng.random() < rho else 0)
@@ -434,83 +344,8 @@ def _epidemic_replica_exp(
             if not (infected[v] or n_inf[v] > 0):
                 epoch[v] += 1  # cancel the now-pointless resample clock
         if infected_count == n:
-            return t, -1.0
-        if infected_count == 0:
-            return -1.0, t
-    return -1.0, -1.0  # pragma: no cover - armed set empties only at extinction
-
-
-def _epidemic_replica_sync(
-    contacts: _Contacts,
-    n: int,
-    source: int | None,
-    initial_mask: np.ndarray,
-    mandatory: int,
-    rho: float,
-    time_step: float,
-    max_ticks: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """One discrete-round-limit BIPS/SIS replica (all armed fire each tick).
-
-    Every armed vertex resamples against a snapshot of the pre-tick
-    state — exactly the synchronous refresh law, with completion times
-    scaled by ``time_step``.  Unarmed susceptible vertices resample to
-    susceptible with certainty, so skipping them is law-exact and the
-    per-tick cost is the armed frontier, not ``n``.
-    """
-    weighted = contacts.weights is not None
-    infected = initial_mask.copy()
-    infected_count = int(infected.sum())
-    if infected_count == n:
-        return 0.0, -1.0
-    n_inf = np.zeros(n, dtype=np.int64)
-    w_inf = np.zeros(n, dtype=np.float64) if weighted else None
-    contacts.seed_mass(np.flatnonzero(infected), n_inf, w_inf)
-    # The armed set travels as a sorted vertex array and is patched
-    # incrementally at the vertices each tick touches, so tick cost
-    # tracks the frontier, not n (one O(n) scan at initialisation).
-    armed = infected | (n_inf > 0)
-    if source is not None:
-        armed[source] = False
-    verts = np.flatnonzero(armed)
-    for tick in range(1, max_ticks + 1):
-        if verts.size == 0:  # pragma: no cover - extinction returns first
-            break
-        if weighted:
-            q = np.clip(w_inf[verts] / contacts.row_tot[verts], 0.0, 1.0)
-        else:
-            q = n_inf[verts] / contacts.degrees[verts]
-        if rho > 0.0:
-            k = mandatory + (rng.random(verts.size) < rho)
-        else:
-            k = mandatory
-        certain = q >= 1.0
-        p = -np.expm1(k * np.log1p(-np.where(certain, 0.0, q)))
-        p = np.where(certain, 1.0, p)
-        new = rng.random(verts.size) < p
-        changed = verts[new != infected[verts]]
-        if changed.size:
-            touched = [changed]
-            for v in changed:
-                v = int(v)
-                sign = -1 if infected[v] else 1
-                infected[v] = not infected[v]
-                infected_count += sign
-                touched.append(contacts.apply_flip(v, sign, n_inf, w_inf))
-            touched_verts = np.unique(np.concatenate(touched))
-            now_armed = infected[touched_verts] | (n_inf[touched_verts] > 0)
-            if source is not None:
-                now_armed[touched_verts == source] = False
-            verts = np.union1d(
-                np.setdiff1d(verts, touched_verts, assume_unique=True),
-                touched_verts[now_armed],
-            )
-        if infected_count == n:
-            return tick * time_step, -1.0
-        if infected_count == 0:
-            return -1.0, tick * time_step
-    return -1.0, -1.0
+            return t
+    return -1.0  # an isolated source arms nothing
 
 
 # ---------------------------------------------------------------------------
@@ -521,50 +356,32 @@ def _epidemic_replica_sync(
 def _cobra_event_shard(
     context: tuple, start_index: int, stop_index: int, seed: SeedLike
 ) -> np.ndarray:
-    (graph, weights, start, mandatory, rho, rate, time_step, max_time, max_ticks,
-     include_start) = context
+    graph, weights, start, mandatory, rho, rate, max_time = context
     graph = resolve_shared_graph(graph)
     contacts = _Contacts(graph, weights)
     n = graph.n_vertices
     times = np.empty(stop_index - start_index, dtype=np.float64)
     for i, child in enumerate(spawn_seed_sequences(seed, times.size)):
-        rng = ensure_generator(child)
-        if time_step is None:
-            times[i] = _cobra_replica_exp(
-                contacts, n, start, mandatory, rho, rate, max_time, include_start, rng
-            )
-        else:
-            times[i] = _cobra_replica_sync(
-                contacts, n, start, mandatory, rho, time_step, max_ticks,
-                include_start, rng,
-            )
+        times[i] = _cobra_replica(
+            contacts, n, start, mandatory, rho, rate, max_time, ensure_generator(child)
+        )
     return times
 
 
-def _epidemic_event_shard(
+def _bips_event_shard(
     context: tuple, start_index: int, stop_index: int, seed: SeedLike
 ) -> np.ndarray:
-    (graph, weights, source, initial, mandatory, rho, rate, recovery_rate,
-     time_step, max_time, max_ticks) = context
+    graph, weights, source, mandatory, rho, rate, recovery_rate, max_time = context
     graph = resolve_shared_graph(graph)
     contacts = _Contacts(graph, weights)
     n = graph.n_vertices
-    initial_mask = np.zeros(n, dtype=bool)
-    initial_mask[initial] = True
-    outcomes = np.empty((stop_index - start_index, 2), dtype=np.float64)
-    for i, child in enumerate(spawn_seed_sequences(seed, outcomes.shape[0])):
-        rng = ensure_generator(child)
-        if time_step is None:
-            outcomes[i] = _epidemic_replica_exp(
-                contacts, n, source, initial_mask, mandatory, rho, rate,
-                recovery_rate, max_time, rng,
-            )
-        else:
-            outcomes[i] = _epidemic_replica_sync(
-                contacts, n, source, initial_mask, mandatory, rho, time_step,
-                max_ticks, rng,
-            )
-    return outcomes
+    times = np.empty(stop_index - start_index, dtype=np.float64)
+    for i, child in enumerate(spawn_seed_sequences(seed, times.size)):
+        times[i] = _bips_replica(
+            contacts, n, source, mandatory, rho, rate, recovery_rate, max_time,
+            ensure_generator(child),
+        )
+    return times
 
 
 # ---------------------------------------------------------------------------
@@ -580,35 +397,20 @@ def _validate_rate(name: str, value: float, *, minimum_exclusive: bool) -> float
     return value
 
 
-def _resolve_horizon(
-    graph: Graph, max_time: float | None, time_step: float | None, rate: float
-) -> tuple[float, int]:
-    """The time horizon and (sync mode) tick cap for one entry point.
+def _resolve_horizon(graph: Graph, max_time: float | None, rate: float) -> float:
+    """The time horizon for one entry point.
 
-    The default horizon matches the round engines' generous
-    :func:`~repro.core.runner.default_max_rounds` cap, converted to
-    time units: ``cap × Δ`` in sync mode, ``cap / rate`` in
-    asynchronous mode (each armed vertex fires ``rate`` times per unit
-    time, so ``cap / rate`` spans the same number of generations).
+    The default matches the round engines' generous
+    :func:`~repro.core.runner.default_max_rounds` cap, converted to time
+    units: each armed vertex fires ``rate`` times per unit time, so
+    ``cap / rate`` spans the same number of generations.
     """
-    if time_step is not None:
-        time_step = float(time_step)
-        if not np.isfinite(time_step) or time_step <= 0.0:
-            raise ProcessError(
-                f"time_step must be a finite number > 0 (or None for "
-                f"asynchronous clocks), got {time_step}"
-            )
     if max_time is None:
-        cap = default_max_rounds(graph)
-        if time_step is not None:
-            return cap * time_step, cap
-        return cap / rate, 0
+        return default_max_rounds(graph) / rate
     max_time = float(max_time)
     if not np.isfinite(max_time) or max_time <= 0.0:
         raise ProcessError(f"max_time must be a finite number > 0, got {max_time}")
-    if time_step is not None:
-        return max_time, int(np.floor(max_time / time_step + 1e-9))
-    return max_time, 0
+    return max_time
 
 
 def _check_time_timeouts(
@@ -639,12 +441,10 @@ def event_cobra_cover_times(
     *,
     branching: float = 2.0,
     transmission_rate: float = 1.0,
-    time_step: float | None = None,
     edge_rate_overrides=None,
     n_replicas: int = 100,
     seed: SeedLike = None,
     max_time: float | None = None,
-    include_start_in_cover: bool = False,
     raise_on_timeout: bool = True,
     jobs: int | None = None,
     shard_size: int | None = None,
@@ -654,9 +454,7 @@ def event_cobra_cover_times(
     The Gillespie sibling of
     :func:`~repro.core.batch.batch_cobra_cover_times`: same sharding
     and seed-stability contract (bit-identical at any ``jobs``), but
-    returns *float* times in continuous units.  ``time_step=Δ``
-    switches to the discrete-round limit, whose times are exactly
-    ``rounds × Δ`` in distribution.  Timeouts raise
+    returns *float* times in continuous units.  Timeouts raise
     :class:`~repro.errors.CoverTimeoutError` (default) or are reported
     as ``-1.0``.
     """
@@ -666,11 +464,8 @@ def event_cobra_cover_times(
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
     rate = _validate_rate("transmission_rate", transmission_rate, minimum_exclusive=True)
     weights = resolve_edge_rates(graph, edge_rate_overrides)
-    max_time, max_ticks = _resolve_horizon(graph, max_time, time_step, rate)
-    parameters = (
-        weights, start, mandatory, rho, rate, time_step, max_time, max_ticks,
-        include_start_in_cover,
-    )
+    max_time = _resolve_horizon(graph, max_time, rate)
+    parameters = (weights, start, mandatory, rho, rate, max_time)
     times = np.concatenate(
         _run_sharded(_cobra_event_shard, graph, parameters, n_replicas, seed,
                      shard_size, jobs)
@@ -688,7 +483,6 @@ def event_bips_infection_times(
     branching: float = 2.0,
     transmission_rate: float = 1.0,
     recovery_rate: float = 0.0,
-    time_step: float | None = None,
     edge_rate_overrides=None,
     n_replicas: int = 100,
     seed: SeedLike = None,
@@ -699,13 +493,12 @@ def event_bips_infection_times(
 ) -> np.ndarray:
     """Continuous infection times of ``n_replicas`` event-driven BIPS runs.
 
-    Armed vertices resample their state asynchronously (or per tick
-    with ``time_step``); the persistent source stays infected
-    throughout, and completion is *simultaneous* full infection —
-    the same goal as the round engines.  ``recovery_rate`` adds
-    spontaneous recoveries (asynchronous mode only: a deterministic
-    tick grid cannot carry an independent recovery clock).  Timeouts
-    raise :class:`~repro.errors.InfectionTimeoutError` or are ``-1.0``.
+    Armed vertices resample their state asynchronously; the persistent
+    source stays infected throughout, and completion is *simultaneous*
+    full infection — the same goal as the round engines.
+    ``recovery_rate`` adds spontaneous recoveries of non-source
+    vertices.  Timeouts raise :class:`~repro.errors.InfectionTimeoutError`
+    or are ``-1.0``.
     """
     mandatory, rho = validate_branching(branching)
     source = resolve_vertex(graph, source, role="source")
@@ -713,116 +506,15 @@ def event_bips_infection_times(
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
     rate = _validate_rate("transmission_rate", transmission_rate, minimum_exclusive=True)
     recovery = _validate_rate("recovery_rate", recovery_rate, minimum_exclusive=False)
-    if recovery > 0.0 and time_step is not None:
-        raise ProcessError(
-            "recovery_rate > 0 requires asynchronous clocks (time_step=None); "
-            "the discrete-round limit has no recovery events"
-        )
     weights = resolve_edge_rates(graph, edge_rate_overrides)
-    max_time, max_ticks = _resolve_horizon(graph, max_time, time_step, rate)
-    initial = np.array([source], dtype=np.int64)
-    parameters = (
-        weights, source, initial, mandatory, rho, rate, recovery, time_step,
-        max_time, max_ticks,
-    )
-    outcomes = np.concatenate(
-        _run_sharded(_epidemic_event_shard, graph, parameters, n_replicas, seed,
+    max_time = _resolve_horizon(graph, max_time, rate)
+    parameters = (weights, source, mandatory, rho, rate, recovery, max_time)
+    times = np.concatenate(
+        _run_sharded(_bips_event_shard, graph, parameters, n_replicas, seed,
                      shard_size, jobs)
     )
-    times = outcomes[:, 0]
     _check_time_timeouts(
         times, raise_on_timeout, "BIPS", "infect", graph, max_time,
         InfectionTimeoutError,
     )
     return times
-
-
-@dataclass(frozen=True)
-class SisEventResult:
-    """Outcomes of an event-driven SIS ensemble.
-
-    Each replica ends in exactly one of three ways: full simultaneous
-    infection (``infection_times[i] >= 0``), extinction — the absorbing
-    all-susceptible state (``extinction_times[i] >= 0``) — or a
-    timeout (both ``-1.0``).
-    """
-
-    infection_times: np.ndarray
-    extinction_times: np.ndarray
-
-    @property
-    def n_replicas(self) -> int:
-        """Number of replicas."""
-        return int(self.infection_times.size)
-
-    def infected_mask(self) -> np.ndarray:
-        """Replicas that reached simultaneous full infection."""
-        return self.infection_times >= 0
-
-    def extinct_mask(self) -> np.ndarray:
-        """Replicas whose epidemic died out."""
-        return self.extinction_times >= 0
-
-    def timed_out_mask(self) -> np.ndarray:
-        """Replicas that hit the time horizon with neither outcome."""
-        return ~(self.infected_mask() | self.extinct_mask())
-
-
-def event_sis_times(
-    graph: Graph,
-    initial,
-    *,
-    branching: float = 2.0,
-    transmission_rate: float = 1.0,
-    recovery_rate: float = 0.0,
-    time_step: float | None = None,
-    edge_rate_overrides=None,
-    n_replicas: int = 100,
-    seed: SeedLike = None,
-    max_time: float | None = None,
-    raise_on_timeout: bool = True,
-    jobs: int | None = None,
-    shard_size: int | None = None,
-) -> SisEventResult:
-    """Event-driven SIS (no persistent source): infection vs extinction.
-
-    The ablation counterpart of :func:`event_bips_infection_times`
-    (compare :class:`~repro.core.sis.SisProcess`): identical resample
-    law but every vertex can recover, so the all-susceptible state is
-    absorbing and each replica either fully infects, goes extinct, or
-    times out.  With ``raise_on_timeout=True`` (default) replicas that
-    reach *neither* absorbing outcome raise
-    :class:`~repro.errors.InfectionTimeoutError`.
-    """
-    mandatory, rho = validate_branching(branching)
-    initial = resolve_vertex_set(graph, initial, role="initial")
-    if n_replicas < 1:
-        raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-    rate = _validate_rate("transmission_rate", transmission_rate, minimum_exclusive=True)
-    recovery = _validate_rate("recovery_rate", recovery_rate, minimum_exclusive=False)
-    if recovery > 0.0 and time_step is not None:
-        raise ProcessError(
-            "recovery_rate > 0 requires asynchronous clocks (time_step=None); "
-            "the discrete-round limit has no recovery events"
-        )
-    weights = resolve_edge_rates(graph, edge_rate_overrides)
-    max_time, max_ticks = _resolve_horizon(graph, max_time, time_step, rate)
-    parameters = (
-        weights, None, initial, mandatory, rho, rate, recovery, time_step,
-        max_time, max_ticks,
-    )
-    outcomes = np.concatenate(
-        _run_sharded(_epidemic_event_shard, graph, parameters, n_replicas, seed,
-                     shard_size, jobs)
-    )
-    result = SisEventResult(
-        infection_times=outcomes[:, 0].copy(), extinction_times=outcomes[:, 1].copy()
-    )
-    stuck = int(result.timed_out_mask().sum())
-    if stuck and raise_on_timeout:
-        raise InfectionTimeoutError(
-            f"{stuck}/{n_replicas} SIS event-engine replicas on {graph.name} "
-            f"neither fully infected nor went extinct within time horizon "
-            f"{max_time:g}"
-        )
-    return result

@@ -17,9 +17,7 @@ import numpy as np
 from repro._rng import SeedLike, derive_seed_sequence
 from repro.analysis.stats import SummaryStats, summarize
 from repro.core.batch import batch_bips_infection_times, batch_cobra_cover_times
-from repro.core.bips import BipsProcess
 from repro.core.event import event_bips_infection_times, event_cobra_cover_times
-from repro.core.cobra import CobraProcess
 from repro.core.push import PushProcess
 from repro.core.pushpull import PushPullProcess
 from repro.core.runner import sample_completion_times
@@ -28,6 +26,7 @@ from repro.errors import ExperimentError
 from repro.graphs.base import Graph
 from repro.graphs.generators import random_regular
 from repro.graphs.spectral import lambda_second
+from repro.scenarios.workloads import ENGINE_CHOICES
 
 
 @dataclass(frozen=True)
@@ -61,15 +60,10 @@ def _measure(
     return EnsembleMeasurement(times=times, stats=summarize(times))
 
 
-#: The engine-selection seam: every measurement helper that offers a
-#: choice accepts exactly these names (and the CLI mirrors them).
-ENGINES = ("process", "batch", "event", "sparse")
-
-
 def _validate_engine(engine: str, rate_options=None) -> None:
-    if engine not in ENGINES:
+    if engine not in ENGINE_CHOICES:
         raise ExperimentError(
-            f"engine must be one of {', '.join(repr(e) for e in ENGINES)}, "
+            f"engine must be one of {', '.join(repr(e) for e in ENGINE_CHOICES)}, "
             f"got {engine!r}"
         )
     if engine != "event" and rate_options:
@@ -80,19 +74,15 @@ def _validate_engine(engine: str, rate_options=None) -> None:
         )
 
 
-def _event_max_time(
-    max_rounds: int | None, time_step: float | None, transmission_rate: float
-) -> float | None:
+def _event_max_time(max_rounds: int | None, transmission_rate: float) -> float | None:
     """``max_rounds`` converted to the event engine's time horizon.
 
-    One round corresponds to one tick (``time_step`` mode) or to the
-    mean firing interval ``1 / transmission_rate`` (asynchronous mode),
-    so round-based callers keep their timeout semantics.
+    One round corresponds to the mean firing interval
+    ``1 / transmission_rate``, so round-based callers keep their
+    timeout semantics.
     """
     if max_rounds is None:
         return None
-    if time_step is not None:
-        return max_rounds * time_step
     return max_rounds / transmission_rate
 
 
@@ -107,40 +97,32 @@ def measure_cobra_cover(
     jobs: int | None = None,
     engine: str = "batch",
     transmission_rate: float = 1.0,
-    time_step: float | None = None,
     edge_rate_overrides=None,
 ) -> EnsembleMeasurement:
     """Ensemble of COBRA cover times on ``graph``.
 
-    ``engine="batch"`` (the default) uses the vectorised
-    :func:`~repro.core.batch.batch_cobra_cover_times` fast path;
-    ``"process"`` steps independent
-    :class:`~repro.core.cobra.CobraProcess` replicas instead.  The two
-    are identical in distribution (any real branching factor,
-    including the fractional ``1 + ρ`` of Theorem 3), and the batch
-    engine is much faster for large ensembles.  ``engine="event"``
-    runs the continuous-time Gillespie kernel
-    (:func:`~repro.core.event.event_cobra_cover_times`), which is the
-    only engine accepting the rate options: ``transmission_rate``,
-    ``time_step`` (``None`` = asynchronous exponential clocks, a float
-    = the discrete-round limit), and ``edge_rate_overrides``
-    (``(u, v, rate)`` triples).  All engines are identical in
-    distribution at uniform rates (the event engine in the round
-    limit), and ``max_rounds`` maps onto the event engine's time
-    horizon one round per tick (or per mean firing interval).
-    ``engine="sparse"`` runs the frontier-sparse kernel
+    ``engine`` is one of
+    :data:`~repro.scenarios.workloads.ENGINE_CHOICES`.  ``"batch"``
+    (the default) runs the vectorised synchronous-round kernel
+    (:func:`~repro.core.batch.batch_cobra_cover_times`), for any real
+    branching factor including the fractional ``1 + ρ`` of Theorem 3.
+    ``"sparse"`` runs the frontier-sparse kernel
     (:func:`~repro.core.sparse.sparse_cobra_cover_times`) whose
     per-round cost tracks the active frontier instead of ``R·n`` —
     the engine of choice for million-vertex graphs, and bit-identical
-    to ``engine="batch"`` for a fixed seed.  ``jobs`` shards the
+    to ``"batch"`` for a fixed seed.  ``"event"`` runs the
+    continuous-time Gillespie kernel
+    (:func:`~repro.core.event.event_cobra_cover_times`), a different
+    law on the same time scale, and the only engine accepting the rate
+    options ``transmission_rate`` and ``edge_rate_overrides``
+    (``(u, v, rate)`` triples); ``max_rounds`` maps onto its time
+    horizon one round per mean firing interval.  ``jobs`` shards the
     replicas over worker processes with seed-stable results in every
     engine.
     """
     rate_options = {}
     if transmission_rate != 1.0:
         rate_options["transmission_rate"] = transmission_rate
-    if time_step is not None:
-        rate_options["time_step"] = time_step
     if edge_rate_overrides:
         rate_options["edge_rate_overrides"] = edge_rate_overrides
     _validate_engine(engine, rate_options)
@@ -150,11 +132,10 @@ def measure_cobra_cover(
             start,
             branching=branching,
             transmission_rate=transmission_rate,
-            time_step=time_step,
             edge_rate_overrides=edge_rate_overrides,
             n_replicas=n_samples,
             seed=seed,
-            max_time=_event_max_time(max_rounds, time_step, transmission_rate),
+            max_time=_event_max_time(max_rounds, transmission_rate),
             jobs=jobs,
         )
         return EnsembleMeasurement(times=times, stats=summarize(times))
@@ -169,24 +150,16 @@ def measure_cobra_cover(
             jobs=jobs,
         )
         return EnsembleMeasurement(times=times, stats=summarize(times))
-    if engine == "batch":
-        times = batch_cobra_cover_times(
-            graph,
-            start,
-            branching=branching,
-            n_replicas=n_samples,
-            seed=seed,
-            max_rounds=max_rounds,
-            jobs=jobs,
-        )
-        return EnsembleMeasurement(times=times, stats=summarize(times))
-    return _measure(
-        lambda rng: CobraProcess(graph, start, branching=branching, seed=rng),
-        n_samples,
-        seed,
-        max_rounds,
-        jobs,
+    times = batch_cobra_cover_times(
+        graph,
+        start,
+        branching=branching,
+        n_replicas=n_samples,
+        seed=seed,
+        max_rounds=max_rounds,
+        jobs=jobs,
     )
+    return EnsembleMeasurement(times=times, stats=summarize(times))
 
 
 def measure_bips_infection(
@@ -201,15 +174,13 @@ def measure_bips_infection(
     engine: str = "batch",
     transmission_rate: float = 1.0,
     recovery_rate: float = 0.0,
-    time_step: float | None = None,
     edge_rate_overrides=None,
 ) -> EnsembleMeasurement:
     """Ensemble of BIPS infection times on ``graph``.
 
     Supports the same ``engine`` / ``jobs`` / rate options (and the
     same ``"batch"`` default) as :func:`measure_cobra_cover`, plus
-    ``recovery_rate``: with
-    ``engine="event"`` and asynchronous clocks, infected non-source
+    ``recovery_rate``: with ``engine="event"``, infected non-source
     vertices additionally recover spontaneously at that rate
     (:func:`~repro.core.event.event_bips_infection_times`).
     """
@@ -218,8 +189,6 @@ def measure_bips_infection(
         rate_options["transmission_rate"] = transmission_rate
     if recovery_rate != 0.0:
         rate_options["recovery_rate"] = recovery_rate
-    if time_step is not None:
-        rate_options["time_step"] = time_step
     if edge_rate_overrides:
         rate_options["edge_rate_overrides"] = edge_rate_overrides
     _validate_engine(engine, rate_options)
@@ -230,11 +199,10 @@ def measure_bips_infection(
             branching=branching,
             transmission_rate=transmission_rate,
             recovery_rate=recovery_rate,
-            time_step=time_step,
             edge_rate_overrides=edge_rate_overrides,
             n_replicas=n_samples,
             seed=seed,
-            max_time=_event_max_time(max_rounds, time_step, transmission_rate),
+            max_time=_event_max_time(max_rounds, transmission_rate),
             jobs=jobs,
         )
         return EnsembleMeasurement(times=times, stats=summarize(times))
@@ -249,24 +217,16 @@ def measure_bips_infection(
             jobs=jobs,
         )
         return EnsembleMeasurement(times=times, stats=summarize(times))
-    if engine == "batch":
-        times = batch_bips_infection_times(
-            graph,
-            source,
-            branching=branching,
-            n_replicas=n_samples,
-            seed=seed,
-            max_rounds=max_rounds,
-            jobs=jobs,
-        )
-        return EnsembleMeasurement(times=times, stats=summarize(times))
-    return _measure(
-        lambda rng: BipsProcess(graph, source, branching=branching, seed=rng),
-        n_samples,
-        seed,
-        max_rounds,
-        jobs,
+    times = batch_bips_infection_times(
+        graph,
+        source,
+        branching=branching,
+        n_replicas=n_samples,
+        seed=seed,
+        max_rounds=max_rounds,
+        jobs=jobs,
     )
+    return EnsembleMeasurement(times=times, stats=summarize(times))
 
 
 def measure_push_broadcast(

@@ -34,9 +34,10 @@ from repro.scenarios.base import (
 )
 from repro.scenarios.families import GraphCase, GraphFamily
 
-#: Engine names the engine-aware workloads accept (the seam of
-#: :func:`repro.experiments.sweep.measure_cobra_cover` and friends).
-ENGINE_CHOICES = ("process", "batch", "event", "sparse")
+#: The measurement engines: the names the engine-aware workloads, the
+#: ``measure_*`` helpers of :mod:`repro.experiments.sweep` and the CLI's
+#: ``--engine`` flag accept.
+ENGINE_CHOICES = ("batch", "sparse", "event")
 
 
 def _edge_rate_triple(item):

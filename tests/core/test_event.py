@@ -5,31 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batch import batch_bips_infection_times, batch_cobra_cover_times
+from repro.core.batch import batch_cobra_cover_times
 from repro.core.event import (
-    SisEventResult,
     event_bips_infection_times,
     event_cobra_cover_times,
-    event_sis_times,
     resolve_edge_rates,
 )
-from repro.errors import (
-    CoverTimeoutError,
-    ExperimentError,
-    InfectionTimeoutError,
-    ProcessError,
-)
+from repro.errors import CoverTimeoutError, ExperimentError, ProcessError
 from repro.experiments.sweep import measure_bips_infection, measure_cobra_cover
 from repro.graphs import complete
 from repro.graphs.base import Graph
-
-
-def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov–Smirnov statistic ``max |ECDF_a - ECDF_b|``."""
-    grid = np.concatenate([a, b])
-    ecdf_a = np.searchsorted(np.sort(a), grid, side="right") / a.size
-    ecdf_b = np.searchsorted(np.sort(b), grid, side="right") / b.size
-    return float(np.max(np.abs(ecdf_a - ecdf_b)))
 
 
 @pytest.fixture
@@ -42,41 +27,7 @@ def bridged_triangles() -> Graph:
 
 
 class TestDiscreteRoundLimitAgreement:
-    """The ISSUE's acceptance gate: ``time_step`` mode matches the round law."""
-
-    # At 300 samples per side the alpha = 0.001 KS critical value is
-    # c(0.001) * sqrt(2/300) = 1.95 * 0.0816 = 0.159; a false failure
-    # at the fixed seeds below would mean an actual law mismatch.
-    SAMPLES = 300
-    THRESHOLD = 0.159
-
-    def test_cobra_matches_batch_engine(self, small_expander):
-        event = event_cobra_cover_times(
-            small_expander, 0, time_step=1.0, n_replicas=self.SAMPLES, seed=101
-        )
-        batch = batch_cobra_cover_times(
-            small_expander, 0, n_replicas=self.SAMPLES, seed=202
-        )
-        assert ks_statistic(event, batch.astype(np.float64)) < self.THRESHOLD
-
-    def test_bips_matches_batch_engine(self, small_expander):
-        event = event_bips_infection_times(
-            small_expander, 0, time_step=1.0, n_replicas=self.SAMPLES, seed=303
-        )
-        batch = batch_bips_infection_times(
-            small_expander, 0, n_replicas=self.SAMPLES, seed=404
-        )
-        assert ks_statistic(event, batch.astype(np.float64)) < self.THRESHOLD
-
-    def test_fractional_branching_agrees_too(self, small_expander):
-        event = event_cobra_cover_times(
-            small_expander, 0, branching=1.5, time_step=1.0,
-            n_replicas=self.SAMPLES, seed=505,
-        )
-        batch = batch_cobra_cover_times(
-            small_expander, 0, branching=1.5, n_replicas=self.SAMPLES, seed=606
-        )
-        assert ks_statistic(event, batch.astype(np.float64)) < self.THRESHOLD
+    """The continuous-time engine against the round engines' time scale."""
 
     def test_asynchronous_mode_same_scale_as_rounds(self, small_expander):
         # Exponential clocks have unit mean, so asynchronous completion
@@ -97,36 +48,25 @@ class TestDeterminism:
         assert np.array_equal(solo, four)
 
     def test_bips_bit_identical_across_jobs(self, small_expander):
-        kwargs = dict(n_replicas=40, seed=12, shard_size=10, time_step=1.0)
+        kwargs = dict(n_replicas=40, seed=12, shard_size=10)
         solo = event_bips_infection_times(small_expander, 0, jobs=1, **kwargs)
         four = event_bips_infection_times(small_expander, 0, jobs=4, **kwargs)
         assert np.array_equal(solo, four)
 
     def test_sis_bit_identical_across_jobs(self, small_expander):
+        # SIS dynamics with a persistent source: BIPS with recovery.
         kwargs = dict(
             n_replicas=40, seed=13, shard_size=10, recovery_rate=0.05,
             max_time=200.0, raise_on_timeout=False,
         )
-        solo = event_sis_times(small_expander, [0, 1], jobs=1, **kwargs)
-        four = event_sis_times(small_expander, [0, 1], jobs=4, **kwargs)
-        assert np.array_equal(solo.infection_times, four.infection_times)
-        assert np.array_equal(solo.extinction_times, four.extinction_times)
+        solo = event_bips_infection_times(small_expander, 0, jobs=1, **kwargs)
+        four = event_bips_infection_times(small_expander, 0, jobs=4, **kwargs)
+        assert np.array_equal(solo, four)
 
     def test_same_seed_reproduces(self, small_expander):
         first = event_cobra_cover_times(small_expander, 0, n_replicas=20, seed=14)
         second = event_cobra_cover_times(small_expander, 0, n_replicas=20, seed=14)
         assert np.array_equal(first, second)
-
-    def test_time_step_scales_sync_times_exactly(self, small_expander):
-        # The sync kernel consumes identical randomness whatever the
-        # tick length, so halving the step exactly halves every time.
-        coarse = event_cobra_cover_times(
-            small_expander, 0, time_step=1.0, n_replicas=30, seed=15
-        )
-        fine = event_cobra_cover_times(
-            small_expander, 0, time_step=0.5, n_replicas=30, seed=15
-        )
-        assert np.array_equal(fine, 0.5 * coarse)
 
     def test_transmission_rate_scales_async_times_exactly(self, small_expander):
         # Every exponential clock divides by the rate, so the event
@@ -143,16 +83,6 @@ class TestCobraSemantics:
         times = event_cobra_cover_times(complete(5), 3, n_replicas=25, seed=21)
         assert times.shape == (25,)
         assert np.all(times > 0)
-
-    def test_include_start_in_cover(self, small_expander):
-        base = event_cobra_cover_times(
-            small_expander, 0, n_replicas=30, seed=22, time_step=1.0
-        )
-        with_start = event_cobra_cover_times(
-            small_expander, 0, n_replicas=30, seed=22, time_step=1.0,
-            include_start_in_cover=True,
-        )
-        assert np.all(with_start <= base)
 
     def test_timeout_raises_and_reports(self, small_expander):
         with pytest.raises(CoverTimeoutError, match="time horizon"):
@@ -217,6 +147,12 @@ class TestEdgeRateOverrides:
         with pytest.raises(ProcessError, match=message):
             resolve_edge_rates(bridged_triangles, overrides)
 
+    def test_isolated_last_vertex_accepted(self):
+        # The last CSR row is empty: row totals must not index past it.
+        graph = Graph.from_adjacency_lists([[1], [0, 2], [1], []], name="p3+1")
+        weights = resolve_edge_rates(graph, [(0, 1, 2.0)])
+        assert weights.tolist() == [2.0, 2.0, 1.0, 1.0]
+
     def test_vertex_with_all_zero_weight_rejected(self):
         path3 = Graph.from_adjacency_lists([[1], [0, 2], [1]], name="p3")
         with pytest.raises(ProcessError, match="zero total"):
@@ -224,6 +160,8 @@ class TestEdgeRateOverrides:
 
 
 class TestBipsAndSis:
+    """BIPS, with and without recovery (SIS dynamics around a persistent source)."""
+
     def test_bips_source_drives_full_infection(self, small_expander):
         times = event_bips_infection_times(small_expander, 0, n_replicas=10, seed=41)
         assert np.all(times > 0)
@@ -237,50 +175,6 @@ class TestBipsAndSis:
         )
         assert slowed.mean() > base.mean()
 
-    def test_recovery_requires_async_clocks(self, small_expander):
-        with pytest.raises(ProcessError, match="asynchronous"):
-            event_bips_infection_times(
-                small_expander, 0, recovery_rate=0.5, time_step=1.0
-            )
-        with pytest.raises(ProcessError, match="asynchronous"):
-            event_sis_times(small_expander, [0], recovery_rate=0.5, time_step=1.0)
-
-    def test_sis_outcomes_partition(self, small_expander):
-        result = event_sis_times(
-            small_expander, [0, 1, 2, 3], n_replicas=24, seed=43,
-            recovery_rate=0.05, max_time=200.0, raise_on_timeout=False,
-        )
-        assert isinstance(result, SisEventResult)
-        assert result.n_replicas == 24
-        combined = (
-            result.infected_mask().astype(int)
-            + result.extinct_mask().astype(int)
-            + result.timed_out_mask().astype(int)
-        )
-        assert np.all(combined == 1)  # exactly one outcome per replica
-
-    def test_sis_heavy_recovery_goes_extinct(self, small_expander):
-        result = event_sis_times(
-            small_expander, [0], n_replicas=12, seed=44, recovery_rate=25.0
-        )
-        assert np.all(result.extinct_mask())
-        assert np.all(result.extinction_times > 0)
-
-    def test_sis_no_recovery_from_half_infected_completes(self, small_expander):
-        # A lone seed may resample itself away (extinction is always
-        # reachable in SIS), so start from half the graph instead.
-        result = event_sis_times(
-            small_expander, list(range(32)), n_replicas=8, seed=45
-        )
-        assert np.all(result.infected_mask())
-        assert np.all(result.infection_times > 0)
-
-    def test_sis_timeout_raises(self, small_expander):
-        with pytest.raises(InfectionTimeoutError, match="neither"):
-            event_sis_times(
-                small_expander, [0], n_replicas=4, seed=46, max_time=1e-4
-            )
-
 
 class TestValidation:
     def test_bad_replica_counts(self, small_expander):
@@ -290,8 +184,6 @@ class TestValidation:
         ):
             with pytest.raises(ValueError, match="n_replicas"):
                 call(small_expander, 0, n_replicas=0)
-        with pytest.raises(ValueError, match="n_replicas"):
-            event_sis_times(small_expander, [0], n_replicas=0)
 
     @pytest.mark.parametrize("rate", [0.0, -1.0, float("inf"), float("nan")])
     def test_bad_transmission_rate(self, small_expander, rate):
@@ -301,11 +193,6 @@ class TestValidation:
     def test_bad_recovery_rate(self, small_expander):
         with pytest.raises(ProcessError, match="recovery_rate"):
             event_bips_infection_times(small_expander, 0, recovery_rate=-0.5)
-
-    @pytest.mark.parametrize("step", [0.0, -1.0, float("nan")])
-    def test_bad_time_step(self, small_expander, step):
-        with pytest.raises(ProcessError, match="time_step"):
-            event_cobra_cover_times(small_expander, 0, time_step=step)
 
     def test_bad_max_time(self, small_expander):
         with pytest.raises(ProcessError, match="max_time"):
@@ -338,9 +225,12 @@ class TestMeasurementSeam:
             measure_cobra_cover(small_expander, engine="batch", transmission_rate=2.0)
         with pytest.raises(ExperimentError, match="event"):
             measure_bips_infection(
-                small_expander, engine="process", edge_rate_overrides=[(0, 1, 2.0)]
+                small_expander, engine="sparse", edge_rate_overrides=[(0, 1, 2.0)]
             )
 
     def test_unknown_engine_rejected(self, small_expander):
-        with pytest.raises(ExperimentError, match="engine"):
-            measure_cobra_cover(small_expander, engine="quantum")
+        for engine in ("quantum", "process"):
+            with pytest.raises(ExperimentError, match="'batch', 'sparse', 'event'"):
+                measure_cobra_cover(small_expander, engine=engine)
+            with pytest.raises(ExperimentError, match="'batch', 'sparse', 'event'"):
+                measure_bips_infection(small_expander, engine=engine)

@@ -169,9 +169,10 @@ class TestCommands:
         assert payload["parameters"]["workload"]["engine"] == "event"
 
     def test_engine_flag_rejects_unknown_engine(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["run", "E1", "--engine", "quantum"])
-        assert "--engine" in capsys.readouterr().err
+        for engine in ("quantum", "process"):
+            with pytest.raises(SystemExit):
+                main(["run", "E1", "--engine", engine])
+            assert "--engine" in capsys.readouterr().err
 
     def test_negative_jobs_rejected(self, capsys):
         assert main(["--jobs", "-1", "list"]) == 1
