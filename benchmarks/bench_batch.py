@@ -15,6 +15,11 @@ expanders, COBRA ``k = 2``):
   benchmark asserts the v2 engine still beats sequential and *reports*
   the ratio (~2-3x on one core) instead of asserting 10x.
 
+A third cell times BIPS ``k = 2`` on both round engines (``n = 4096``,
+256 replicas, ``jobs=1``) and reports the seconds with no bar, beside
+the same cell measured on the pick-and-gather kernels that the
+infected-neighbour counts kernels replaced.
+
 The v1 kernel (PR 1's ``_cobra_shard``: full-size ``next_active``
 allocation per round, Python loop over draws, float-multiply neighbour
 sampling) is preserved here as a reference implementation so the
@@ -41,12 +46,14 @@ import pytest
 from benchmarks._root_summary import write_root_summary
 from repro._rng import ensure_generator, spawn_seed_sequences
 from repro.core.batch import (
+    batch_bips_infection_times,
     batch_bips_traces,
     batch_cobra_cover_times,
     batch_cobra_traces,
 )
 from repro.core.cobra import CobraProcess
 from repro.core.runner import default_max_rounds, sample_completion_times
+from repro.core.sparse import sparse_bips_infection_times
 from repro.graphs.generators import random_regular
 from repro.parallel import shard_bounds
 
@@ -63,6 +70,14 @@ SMALL_BAR = 10.0
 LARGE_N = 256 if BENCH_QUICK else 2000
 LARGE_REPLICAS = 64 if BENCH_QUICK else 200
 LARGE_BAR = 1.5
+
+# BIPS cell: batch and sparse BIPS at k = 2, reported only.
+BIPS_N = 256 if BENCH_QUICK else 4096
+BIPS_REPLICAS = 64 if BENCH_QUICK else 256
+#: The full-size BIPS cell measured with this code on the pick-and-gather
+#: kernels, the reference point of the counts kernels: the median of
+#: three runs (each a best of three, jobs=1) on a 2-core Xeon.
+BIPS_PICK_KERNEL_SECONDS = {"batch": 0.793, "sparse": 1.86}
 
 DEGREE = 8
 JOBS = 4
@@ -152,6 +167,11 @@ def large_cell():
     return random_regular(LARGE_N, DEGREE, seed=3)
 
 
+@pytest.fixture(scope="module")
+def bips_cell():
+    return random_regular(BIPS_N, DEGREE, seed=5)
+
+
 def bench_batch_v2_times_large(benchmark, large_cell):
     """Raw v2 cover-time engine on the ladder-top workload."""
     benchmark.pedantic(
@@ -174,7 +194,7 @@ def bench_batch_v2_traces_large(benchmark, large_cell):
     )
 
 
-def bench_batch_speed_bars_and_determinism(benchmark, small_cell, large_cell):
+def bench_batch_speed_bars_and_determinism(benchmark, small_cell, large_cell, bips_cell):
     """The engine matrix: v1 kernel vs v2 vs sequential vs jobs, plus bars.
 
     Asserts (real scale only):
@@ -254,6 +274,21 @@ def bench_batch_speed_bars_and_determinism(benchmark, small_cell, large_cell):
             "bar": LARGE_BAR,
         }
 
+        # -- BIPS cell: reported, no bar -----------------------------
+        bips = {"n": BIPS_N, "replicas": BIPS_REPLICAS, "branching": 2.0}
+        for engine, infection_times in (
+            ("batch", batch_bips_infection_times),
+            ("sparse", sparse_bips_infection_times),
+        ):
+            seconds = _best_of(
+                lambda: infection_times(bips_cell, 0, n_replicas=BIPS_REPLICAS, seed=0, jobs=1),
+                3,
+            )
+            bips[f"{engine}_seconds"] = round(seconds, 5)
+        if not BENCH_QUICK:
+            bips["pick_kernel_seconds"] = BIPS_PICK_KERNEL_SECONDS
+        matrix["bips_cell"] = bips
+
         # -- determinism: jobs never changes results -----------------
         inline_times = batch_cobra_cover_times(
             large_cell, 0, n_replicas=LARGE_REPLICAS, seed=0, jobs=1
@@ -304,6 +339,7 @@ def bench_batch_speed_bars_and_determinism(benchmark, small_cell, large_cell):
             "quick": matrix["quick"],
             "ladder_cell": matrix["ladder_cell"],
             "ladder_top": matrix["ladder_top"],
+            "bips_cell": matrix["bips_cell"],
             "determinism": matrix["determinism"],
         },
     )

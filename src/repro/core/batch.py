@@ -3,22 +3,38 @@
 The experiment ensembles run hundreds of independent replicas of the
 same configuration.  Stepping them one by one pays NumPy call overhead
 per replica per round; the batch engines here evolve all replicas
-simultaneously as ``(R, n)`` boolean matrices.
+simultaneously as dense matrices.
 
 The v2 kernels are *allocation-lean*: every per-round buffer (the
-next-state matrix, the newly-covered scratch, the flat vertex/offset
-index vectors) is allocated once per shard and reused through
-``out=`` / in-place operations, active/covered updates scatter through
-a single flat ``ravel``-indexed assignment instead of a Python loop
-over draws, and finished replicas are *compacted out* of the live
-block (their rows physically removed) rather than masked, so the
-per-round cost tracks the unfinished population exactly.
+next-state matrix, the newly-covered scratch, the neighbour counts) is
+allocated once per shard and reused through ``out=`` / in-place
+operations, state updates scatter through a single flat
+``ravel``-indexed assignment instead of a Python loop over draws, and
+finished replicas are *compacted out* of the live block (their rows
+physically removed) rather than masked, so the per-round cost tracks
+the unfinished population exactly.
+
+* **COBRA** keeps ``(R, n)`` boolean matrices and scatters each active
+  vertex's neighbour picks.
+* **BIPS** never picks neighbours.  A non-source vertex is infected
+  next round iff one of its samples hits an infected neighbour, which
+  given the infected set is one Bernoulli per vertex with ``p_v = 1 −
+  (1 − q_v)^m·(1 − ρ·q_v)``, ``q_v`` being its infected-neighbour
+  fraction.  Each round sums the infected neighbours of every vertex
+  (one row gather per neighbour slot over a vertex-major ``(n, R)``
+  state) and draws one uniform per *armed* ``(replica, vertex)`` pair,
+  a non-source vertex with ``q_v > 0``, in ascending order;
+  :class:`_InfectionLaw` turns the uniform into the infection.  Other
+  vertices would miss with certainty and draw nothing, so the sparse
+  engine (:mod:`repro.core.sparse`), which lists the same armed pairs
+  in the same order, returns the same bits.
 
 Semantics are identical to :class:`~repro.core.cobra.CobraProcess` and
 :class:`~repro.core.bips.BipsProcess` with replacement sampling (the
 paper's setting), for any real branching factor ``>= 1`` including the
 fractional ``k = 1 + ρ`` regime of Theorem 3; the test suite checks
-distributional agreement against the sequential engines.
+distributional agreement against the sequential engines, and the BIPS
+infection-time law against :class:`~repro.exact.bips_exact.ExactBips`.
 
 Two output modes share one kernel per process:
 
@@ -29,9 +45,11 @@ Two output modes share one kernel per process:
   :func:`batch_bips_traces`) additionally record per-round
   active / newly-covered / transmission counts as ``(R, T)`` arrays
   (a :class:`BatchTraces`), so message-accounting and phase-curve
-  ensembles (E9, E6) ride the same fast path.  Recording consumes no
-  extra randomness: for a fixed seed the trace engines' completion
-  times are bit-identical to the times engines'.
+  ensembles (E9, E6) ride the same fast path.  Recording draws nothing
+  from the round stream: for a fixed seed the trace engines' completion
+  times are bit-identical to the times engines'.  (At fractional k the
+  BIPS trace counts the branching coins of unarmed vertices too; it
+  draws them from a jumped copy of the shard's generator.)
 
 The same recorder also serves a private *watched-set* mode
 (:func:`_watched_ensemble`): per replica and round, whether the active
@@ -63,7 +81,7 @@ from repro.core.process import (
     validate_branching,
 )
 from repro.core.runner import default_max_rounds
-from repro.errors import CoverTimeoutError, InfectionTimeoutError
+from repro.errors import CoverTimeoutError, GraphPropertyError, InfectionTimeoutError
 from repro.graphs.base import Graph
 from repro.parallel import (
     acquire_shared_graph,
@@ -313,6 +331,77 @@ def _cobra_shard(
     return recorder.finalize(cover_times)
 
 
+class _InfectionLaw:
+    """A non-source BIPS vertex's next-round infection test, from counts.
+
+    A vertex with ``c`` of its ``d`` neighbours infected (``q = c/d``)
+    samples ``m + 1`` neighbours with probability ``ρ`` and ``m``
+    otherwise, and is infected iff a sample hits.  With ``h_j = 1 −
+    (1 − q)^(m + j)`` it is infected iff its uniform ``u`` satisfies
+    ``u < ρ·h₁`` or ``ρ ≤ u < ρ + (1 − ρ)·h₀``: ``u < ρ`` is its
+    branching coin, and on either side of ``ρ`` the rescaled ``u`` is a
+    fresh uniform.  That is probability ``1 − (1 − q)^m·(1 − ρ·q)``,
+    the law :class:`~repro.exact.bips_exact.ExactBips` uses.
+
+    Both thresholds are tabulated per ``(degree, count)``: ``index(v,
+    c) = offsets[v] + c``, with ``offsets`` ``None`` on a regular graph
+    (``index = c``).  Both round kernels look up this one table, so
+    equal indices and uniforms give equal bits.
+    """
+
+    def __init__(self, graph: Graph, mandatory: int, rho: float) -> None:
+        if graph.is_regular:
+            distinct = np.array([graph.regular_degree], dtype=np.int64)
+        else:
+            distinct, inverse = np.unique(graph.degrees, return_inverse=True)
+        counts = np.concatenate([np.arange(degree + 1) for degree in distinct])
+        #: Smallest unsigned dtype holding every table index.
+        self.index_dtype = np.min_scalar_type(counts.size - 1)
+        self.offsets = None
+        if not graph.is_regular:
+            starts = np.cumsum(distinct + 1) - (distinct + 1)
+            self.offsets = starts[inverse].astype(self.index_dtype)
+        miss = 1.0 - counts / np.repeat(distinct, distinct + 1)
+        all_miss = miss**mandatory
+        self.rho = rho
+        self.low = rho * (1.0 - all_miss * miss)
+        # ρ + (1 − ρ)·h₀, written so that it is exactly 1 when q = 1.
+        self.high = 1.0 - (1.0 - rho) * all_miss
+
+    def infected(self, uniforms: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Whether each armed vertex is infected, given its uniform and index."""
+        high = np.take(self.high, index)
+        if self.rho == 0.0:
+            return uniforms < high
+        low = np.take(self.low, index)
+        return uniforms < np.where(uniforms < self.rho, low, high)
+
+
+def _neighbour_slots(graph: Graph) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """Neighbour columns for summing infected neighbours one slot at a time.
+
+    Vertices are ordered by non-increasing degree (the identity on a
+    regular graph); slot ``j`` lists the ``j``-th neighbour of every
+    vertex of degree above ``j``, a prefix of that order, so no row is
+    padded to the maximum degree.  Returns ``(slots, rank)``: ``rank[v]``
+    is ``v``'s position in the order, ``None`` when it is the identity.
+    """
+    n = graph.n_vertices
+    degrees, flat = graph.neighborhoods(np.arange(n, dtype=np.int64))
+    starts = np.cumsum(degrees) - degrees
+    order = np.argsort(-degrees, kind="stable")
+    rank = None
+    if not graph.is_regular:
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+    sorted_degrees = degrees[order]
+    slots = []
+    for slot in range(int(sorted_degrees[0])):
+        rows = int(np.count_nonzero(sorted_degrees > slot))
+        slots.append(flat[starts[order[:rows]] + slot].astype(np.intp))
+    return slots, rank
+
+
 def _bips_shard(
     context: tuple, start_index: int, stop_index: int, seed: SeedLike
 ) -> np.ndarray | tuple[np.ndarray, ...]:
@@ -322,27 +411,46 @@ def _bips_shard(
     or ``(times, seen)`` when ``watch`` is a vertex array:
     ``seen[i, t - 1]`` says whether ``A_t`` meets the watched set in
     replica ``i``.
+
+    Each round counts every vertex's infected neighbours, draws one
+    uniform per *armed* ``(replica, vertex)`` pair (a non-source vertex
+    with an infected neighbour) in ascending order, and applies
+    :class:`_InfectionLaw`.  The state is vertex-major, ``(n, live)``,
+    so each neighbour slot is one row gather; the counts are turned
+    replica-major to list the armed pairs in draw order.
     """
     graph, source, mandatory, rho, max_rounds, record, watch = context
     graph = resolve_shared_graph(graph)
     n_replicas = stop_index - start_index
     rng = ensure_generator(seed)
+    # Only the trace reads unarmed vertices' branching coins; they come
+    # from a jumped copy of the stream, so recording draws nothing from
+    # ``rng`` and the completion times stay the times engine's.
+    coins = np.random.Generator(rng.bit_generator.jumped()) if record and rho > 0.0 else None
     n = graph.n_vertices
+    law = _InfectionLaw(graph, mandatory, rho)
+    slots, rank = _neighbour_slots(graph)
+    index_dtype = law.index_dtype
+    cells = n_replicas * n
 
-    infected = np.zeros((n_replicas, n), dtype=bool)
-    infected[:, source] = True
+    def block(buffer: np.ndarray, rows: int, columns: int) -> np.ndarray:
+        # A contiguous (rows, columns) view at the head of a flat buffer.
+        return buffer[: rows * columns].reshape(rows, columns)
+
+    state_buffer = np.zeros(cells, dtype=np.uint8)
+    gathered_buffer = np.empty(cells, dtype=np.uint8)
+    counts_buffer = np.empty(cells, dtype=index_dtype)
+    ranked_buffer = np.empty(cells, dtype=index_dtype) if rank is not None else None
+    index_buffer = np.empty(cells, dtype=index_dtype)
+    armed_buffer = np.empty(cells, dtype=bool)
+    next_buffer = np.empty(cells, dtype=np.uint8)
+    block(state_buffer, n, n_replicas)[source] = 1
     infection_times = np.full(n_replicas, -1, dtype=np.int64)
     replica_ids = np.arange(n_replicas)
-    scratch = np.empty((n_replicas, n), dtype=bool)
-    # Every vertex of every live replica samples each round; the flat
-    # vertex list and the per-slot state-row offsets never change, so
-    # both are built once and sliced to the live block.
-    flat_vertices = np.tile(np.arange(n, dtype=np.int64), n_replicas)
-    row_offsets = np.repeat(np.arange(n_replicas, dtype=np.int64) * n, n)
-    hits_buffer = np.empty((n_replicas * n, mandatory), dtype=bool)
     recorder = _ShardTraceRecorder(n_replicas) if record else None
     if recorder is not None:
-        ever_infected = infected.copy()
+        ever_infected = np.zeros((n_replicas, n), dtype=np.uint8)
+        ever_infected[:, source] = 1
         newly = np.empty((n_replicas, n), dtype=bool)
     watcher = _ShardTraceRecorder(n_replicas, (bool,)) if watch is not None else None
 
@@ -350,49 +458,55 @@ def _bips_shard(
     for round_index in range(1, max_rounds + 1):
         if live == 0:
             break
-        slots = live * n
-        vertices = flat_vertices[:slots]
-        picks = graph.sample_neighbors(vertices, mandatory, rng)
-        picks += row_offsets[:slots, None]
-        state_flat = infected[:live].ravel()
-        hits = np.take(state_flat, picks, out=hits_buffer[:slots])
-        next_state = scratch[:live]
-        next_flat = np.any(hits, axis=-1, out=next_state.ravel())
-        n_extra = 0
-        if rho > 0.0:
-            coin = rng.random(slots) < rho
-            extra_slots = np.flatnonzero(coin)
-            n_extra = extra_slots.size
-            if n_extra:
-                extra = graph.sample_neighbors(vertices[extra_slots], 1, rng).ravel()
-                next_flat[extra_slots] |= state_flat[extra + row_offsets[extra_slots]]
-        next_state[:, source] = True
-        counts = next_state.sum(axis=-1)
+        state = block(state_buffer, n, live)
+        gathered = block(gathered_buffer, n, live)
+        counts = block(counts_buffer, n, live)
+        counts.fill(0)
+        for slot in slots:
+            rows = slot.size
+            np.take(state, slot, axis=0, out=gathered[:rows], mode="clip")
+            counts[:rows] += gathered[:rows]
+        if rank is not None:
+            counts = np.take(counts, rank, axis=0, out=block(ranked_buffer, n, live), mode="clip")
+        index = block(index_buffer, live, n)
+        index[...] = counts.T
+        armed = np.greater(index, 0, out=block(armed_buffer, live, n))
+        armed[:, source] = False
+        positions = np.flatnonzero(armed)
+        uniforms = rng.random(positions.size)
+        if law.offsets is not None:
+            index += law.offsets
+        hit = law.infected(uniforms, np.take(index.ravel(), positions))
+        next_state = block(next_buffer, live, n)
+        next_state.fill(0)
+        next_state.ravel()[positions] = hit
+        next_state[:, source] = 1
+        infected_counts = np.count_nonzero(next_state, axis=-1)
         if recorder is not None:
             fresh = np.greater(next_state, ever_infected[:live], out=newly[:live])
             fresh_counts = fresh.sum(axis=-1)
             ever_infected[:live] |= next_state
-            # Contacts per replica, the persistent source's excluded
-            # (its draws exist only for vectorisation, like the
-            # sequential engine).
+            # Contacts per replica, the persistent source's excluded:
+            # ``m`` per non-source vertex, plus one per fired coin.
             transmissions = np.full(live, (n - 1) * mandatory, dtype=np.int64)
-            if n_extra:
-                non_source = vertices[extra_slots] != source
-                transmissions += np.bincount(extra_slots[non_source] // n, minlength=live)
-            recorder.record(replica_ids[:live], counts, fresh_counts, transmissions)
+            if coins is not None:
+                fired = positions[uniforms < rho] // n
+                transmissions += np.bincount(fired, minlength=live)
+                unarmed = n - 1 - np.count_nonzero(armed, axis=-1)
+                transmissions += coins.binomial(unarmed, rho)
+            recorder.record(replica_ids[:live], infected_counts, fresh_counts, transmissions)
         if watcher is not None:
             watcher.record(replica_ids[:live], next_state[:, watch].any(axis=-1))
-        done = counts == n
+        done = infected_counts == n
         if done.any():
             keep = ~done
             infection_times[replica_ids[:live][done]] = round_index
-            live = int(keep.sum())
-            infected[:live] = next_state[keep]
-            replica_ids[:live] = replica_ids[: keep.size][keep]
+            next_state = next_state[keep]
+            replica_ids[: next_state.shape[0]] = replica_ids[:live][keep]
             if recorder is not None:
-                ever_infected[:live] = ever_infected[: keep.size][keep]
-        else:
-            infected, scratch = scratch, infected
+                ever_infected[: next_state.shape[0]] = ever_infected[:live][keep]
+            live = next_state.shape[0]
+        block(state_buffer, n, live)[...] = next_state.T
 
     if watcher is not None:
         return watcher.finalize(infection_times)
@@ -487,7 +601,6 @@ def _watched_ensemble(
         graph,
         process=process,
         n_replicas=n_replicas,
-        mandatory=mandatory,
         record=False,
         shard_size=None,
         jobs=None,
@@ -555,7 +668,6 @@ def batch_cobra_cover_times(
         graph,
         process="cobra",
         n_replicas=n_replicas,
-        mandatory=mandatory,
         record=False,
         shard_size=shard_size,
         jobs=jobs,
@@ -603,7 +715,6 @@ def batch_cobra_traces(
         graph,
         process="cobra",
         n_replicas=n_replicas,
-        mandatory=mandatory,
         record=True,
         shard_size=shard_size,
         jobs=jobs,
@@ -623,6 +734,30 @@ def batch_cobra_traces(
     )
 
 
+def _bips_arguments(
+    graph: Graph, source: int, branching: float, n_replicas: int, max_rounds: int | None
+) -> tuple[int, int, float, int]:
+    """Validated ``(source, mandatory, rho, max_rounds)`` of a BIPS ensemble.
+
+    Shared by the batch and sparse entry points.  A vertex with no
+    neighbour can never be infected, so BIPS would only run to its
+    round cap: such graphs raise
+    :class:`~repro.errors.GraphPropertyError` up front.
+    """
+    mandatory, rho = validate_branching(branching)
+    source = resolve_vertex(graph, source, role="source")
+    if n_replicas < 1:
+        raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
+    if graph.min_degree == 0:
+        isolated = int(np.argmin(graph.degrees))
+        raise GraphPropertyError(
+            f"BIPS cannot infect isolated vertex {isolated} of {graph.name}"
+        )
+    if max_rounds is None:
+        max_rounds = default_max_rounds(graph)
+    return source, mandatory, rho, max_rounds
+
+
 def batch_bips_infection_times(
     graph: Graph,
     source: int,
@@ -637,24 +772,27 @@ def batch_bips_infection_times(
 ) -> np.ndarray:
     """Infection times of ``n_replicas`` independent BIPS runs.
 
-    All vertices of all unfinished replicas sample each round, so the
-    inner loop is a single ``(U·n, k)`` gather for `U` unfinished
-    replicas per shard.  Sharding and ``jobs`` follow the same
-    seed-stable contract as :func:`batch_cobra_cover_times`.  Timeouts raise
+    Each round counts every vertex's infected neighbours with one row
+    gather per neighbour slot over the ``(n, U)`` state of the `U`
+    unfinished replicas of a shard, then draws one uniform per armed
+    vertex (see :class:`_InfectionLaw`).  A round therefore moves
+    ``2m·U`` bytes: cheap at the bounded degrees the experiments use,
+    but on dense graphs such as ``K_n`` it costs more than sampling
+    ``k`` neighbours per vertex would.  Sharding and ``jobs`` follow
+    the same seed-stable contract as :func:`batch_cobra_cover_times`,
+    and :func:`~repro.core.sparse.sparse_bips_infection_times` returns
+    the same bits.  A graph with an isolated vertex raises
+    :class:`~repro.errors.GraphPropertyError`.  Timeouts raise
     :class:`~repro.errors.InfectionTimeoutError` (default) or are
     reported as ``-1``.
     """
-    mandatory, rho = validate_branching(branching)
-    source = resolve_vertex(graph, source, role="source")
-    if n_replicas < 1:
-        raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-    if max_rounds is None:
-        max_rounds = default_max_rounds(graph)
+    source, mandatory, rho, max_rounds = _bips_arguments(
+        graph, source, branching, n_replicas, max_rounds
+    )
     check_dense_state_budget(
         graph,
         process="bips",
         n_replicas=n_replicas,
-        mandatory=mandatory,
         record=False,
         shard_size=shard_size,
         jobs=jobs,
@@ -692,17 +830,13 @@ def batch_bips_traces(
     ``raise_on_timeout=False`` timed-out rows stay in the matrices
     under the :class:`BatchTraces` timeout contract.
     """
-    mandatory, rho = validate_branching(branching)
-    source = resolve_vertex(graph, source, role="source")
-    if n_replicas < 1:
-        raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-    if max_rounds is None:
-        max_rounds = default_max_rounds(graph)
+    source, mandatory, rho, max_rounds = _bips_arguments(
+        graph, source, branching, n_replicas, max_rounds
+    )
     check_dense_state_budget(
         graph,
         process="bips",
         n_replicas=n_replicas,
-        mandatory=mandatory,
         record=True,
         shard_size=shard_size,
         jobs=jobs,

@@ -54,24 +54,25 @@ def dense_state_limit_bytes() -> int | None:
 
 
 def estimate_dense_shard_bytes(
-    process: str, n_vertices: int, shard_rows: int, mandatory: int, record: bool
+    process: str, n_vertices: int, shard_rows: int, record: bool
 ) -> int:
     """Dominant dense-state bytes of one running shard.
 
     Mirrors the allocations in :mod:`repro.core.batch`: COBRA keeps
     three (four when tracing) ``(rows, stride)`` bool matrices at a
-    power-of-two column pitch; BIPS keeps two (four when tracing)
-    ``(rows, n)`` bool matrices, two ``(rows·n,)`` int64 index vectors,
-    and the ``(rows·n, mandatory)`` bool hits buffer.
+    power-of-two column pitch; BIPS keeps six (eight when tracing)
+    one-byte ``(rows, n)`` matrices — state, gather scratch, counts,
+    their replica-major copy, the armed mask and the next state — and,
+    when every vertex is armed, three 8-byte vectors of ``rows·n``
+    entries: the armed positions, their uniforms and their thresholds.
     """
     if process == "cobra":
         stride = 1 << (n_vertices - 1).bit_length() if n_vertices > 1 else 1
         matrices = 4 if record else 3
         return matrices * shard_rows * stride
     if process == "bips":
-        bool_matrices = 4 if record else 2
-        per_row = bool_matrices * n_vertices + 16 * n_vertices + n_vertices * mandatory
-        return shard_rows * per_row
+        byte_matrices = 8 if record else 6
+        return shard_rows * (byte_matrices + 3 * 8) * n_vertices
     raise ValueError(f"unknown process {process!r}")
 
 
@@ -80,7 +81,6 @@ def check_dense_state_budget(
     *,
     process: str,
     n_replicas: int,
-    mandatory: int,
     record: bool,
     shard_size: int | None,
     jobs: int | None,
@@ -97,7 +97,7 @@ def check_dense_state_budget(
     bounds = shard_bounds(n_replicas, shard_size)
     widest = max(stop - start for start, stop in bounds)
     per_shard = estimate_dense_shard_bytes(
-        process, graph.n_vertices, widest, mandatory, record
+        process, graph.n_vertices, widest, record
     )
     concurrent = (
         min(resolve_jobs(jobs), len(bounds)) if will_pool(jobs, len(bounds)) else 1

@@ -18,15 +18,18 @@ The kernels here keep the *exact same processes* in sparse state:
   round each live replica moves its one token to one site, so the pairs
   are already distinct and in order and the merge is skipped (the
   single-token walk, ``branching=1``, never merges).
-* **BIPS** — per round, only the *armed* set (infected vertices and
-  their neighbours) can become infected: every other vertex samples
-  exclusively non-infected neighbours and stays susceptible with
-  certainty, so skipping its draws leaves the process law unchanged
-  (the same thinning argument as the event engine).  The kernel
-  expands ``frontier ∪ N(frontier)`` through
-  :meth:`~repro.graphs.base.Graph.neighborhoods`, samples for the
-  armed set only, and rebuilds the infected bitset incrementally
-  (clearing old bits costs the *old* frontier, not n).
+* **BIPS** — the infected set is a ``(replica, vertex)`` pair list.
+  Each round keys every neighbour of every infected pair through
+  :meth:`~repro.graphs.base.Graph.neighborhoods`; a key's multiplicity
+  is that vertex's infected-neighbour count.  The distinct non-source
+  keys are the *armed* pairs, the only vertices that can become
+  infected: every other vertex samples exclusively non-infected
+  neighbours and stays susceptible with certainty, so it draws nothing
+  and the process law is unchanged (the same thinning argument as the
+  event engine).  Each armed pair draws one uniform against the batch
+  kernel's infection thresholds
+  (:class:`~repro.core.batch._InfectionLaw`), so a round costs the
+  volume of the infected set, not n.
 
 Both kernels dedupe pairs as int64 keys ``replica << shift | vertex``,
 ``shift`` being the bit length of ``n - 1``, so key order is (replica,
@@ -38,26 +41,28 @@ a ``bool`` mark array and read back with ``flatnonzero``; a sparser one
 is sorted in place and stripped of adjacent repeats.  The mark array is
 allocated on the shard's first dense round and reused; its ``R <<
 shift`` bytes never exceed the int64 key array that first needed it.
+BIPS uses the counted form: run lengths on the sort path, and on the
+dense path an int64 ``bincount`` tally of the universe, at most eight
+times the bytes of the key array.
 
-Sparse COBRA is **bit-identical** to the batch engine: the frontier
-stays in ascending (replica, vertex) order, which is the order the
-batch kernel's ``flatnonzero`` visits its active cells, so both engines
-draw the same picks and branching coins from the same stream.  Sparse
-BIPS agrees with batch BIPS only **in distribution** (KS-tested in
-``tests/core/test_sparse.py``): it draws for the armed set alone, so
-its stream differs, and ``tests/core/test_sparse_goldens.py`` pins it.
-Both engines share the batch sharding contract: shards depend only on
-``n_replicas`` / ``shard_size`` and shard seeds are
-``SeedSequence.spawn`` children, so ``jobs=1`` and ``jobs=8`` return
-bit-identical times.
+Both sparse kernels are **bit-identical** to the batch engines: the
+pair lists stay in ascending (replica, vertex) order, which is the
+order the batch kernels' ``flatnonzero`` visits their cells, so COBRA
+draws the same picks and branching coins, and BIPS the same uniforms
+for the same armed pairs, from the same stream.  Both engines share
+the batch sharding contract: shards depend only on ``n_replicas`` /
+``shard_size`` and shard seeds are ``SeedSequence.spawn`` children, so
+``jobs=1`` and ``jobs=8`` return bit-identical times.
 
 When to use which engine (see also the README's Scale section): dense
-batch for small graphs and dense-cover measurements, where it still
-leads (≈1.9× on ``benchmarks/bench_scale.py``'s 1024-vertex k=2 cover
-control, ``BENCH_scale.json``); ``sparse`` when n is large and the measured
-horizon keeps the frontier well below n (fixed-horizon growth cells,
-large sparse graphs, million-vertex scenarios, single-token walks);
-``event`` when continuous-time semantics or per-edge rates are wanted.
+batch for small graphs, dense-cover measurements and BIPS run to full
+infection, where it leads (≈1.9× on ``benchmarks/bench_scale.py``'s
+1024-vertex k=2 cover control, ``BENCH_scale.json``; about 4× for BIPS
+on ``benchmarks/bench_batch.py``'s cell); ``sparse`` when n is large
+and the measured horizon keeps the frontier well below n (fixed-horizon
+growth cells, large sparse graphs, million-vertex scenarios,
+single-token walks); ``event`` when continuous-time semantics or
+per-edge rates are wanted.
 """
 
 from __future__ import annotations
@@ -65,7 +70,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro._rng import SeedLike, ensure_generator
-from repro.core.batch import _check_timeouts, _run_sharded
+from repro.core.batch import (
+    _bips_arguments,
+    _check_timeouts,
+    _InfectionLaw,
+    _run_sharded,
+)
 from repro.core.process import resolve_vertex, validate_branching
 from repro.core.runner import default_max_rounds
 from repro.errors import InfectionTimeoutError
@@ -81,6 +91,14 @@ def _bit_coords(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vertices >> 6, _BIT_MASKS[vertices & 63]
 
 
+def _distinct_mask(keys: np.ndarray) -> np.ndarray:
+    """``True`` at the first element of every run of a sorted array."""
+    distinct = np.empty(keys.size, dtype=bool)
+    distinct[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    return distinct
+
+
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
     """The distinct values of ``keys`` in ascending order, as ``np.unique``.
 
@@ -91,10 +109,7 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     keys.sort()
     if keys.size < 2:
         return keys
-    distinct = np.empty(keys.size, dtype=bool)
-    distinct[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-    return keys[distinct]
+    return keys[_distinct_mask(keys)]
 
 
 class KeyDeduper:
@@ -107,6 +122,10 @@ class KeyDeduper:
     dense call.  Its ``universe`` bytes are then at most the bytes of
     the int64 key array that triggered it, and every call leaves it
     all-False.
+
+    :meth:`counted` also returns each key's multiplicity: the run
+    lengths of the sorted keys on the sparse path, and an int64
+    ``bincount`` tally of the universe on the dense path.
     """
 
     def __init__(self, universe: int) -> None:
@@ -124,6 +143,19 @@ class KeyDeduper:
         distinct = np.flatnonzero(marks)
         marks[distinct] = False
         return distinct
+
+    def counted(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted distinct ``keys`` and their int64 multiplicities.
+
+        May reorder ``keys`` in place.
+        """
+        if 8 * keys.size < self.universe:
+            keys.sort()
+            starts = np.flatnonzero(_distinct_mask(keys))
+            return keys[starts], np.diff(starts, append=keys.size)
+        tallies = np.bincount(keys, minlength=self.universe)
+        distinct = np.flatnonzero(tallies)
+        return distinct, tallies[distinct]
 
 
 def _sparse_cobra_shard(
@@ -199,7 +231,15 @@ def _sparse_cobra_shard(
 def _sparse_bips_shard(
     context: tuple, start_index: int, stop_index: int, seed: SeedLike
 ) -> np.ndarray:
-    """One shard of BIPS replicas in sparse state; ``-1`` marks timeout."""
+    """One shard of BIPS replicas in sparse state; ``-1`` marks timeout.
+
+    The batch kernel's round on a pair list: every neighbour of every
+    infected ``(replica, vertex)`` pair contributes one key, so the
+    counted dedupe yields the armed pairs in ascending order with their
+    infected-neighbour counts.  One uniform per armed pair and the same
+    :class:`~repro.core.batch._InfectionLaw` table give the batch
+    kernel's bits.
+    """
     graph, source, mandatory, rho, max_rounds = context
     from repro.parallel import resolve_shared_graph
 
@@ -207,13 +247,10 @@ def _sparse_bips_shard(
     n_replicas = stop_index - start_index
     rng = ensure_generator(seed)
     n = graph.n_vertices
-    n_words = (n + _WORD_BITS - 1) // _WORD_BITS
-
-    infected_bits = np.zeros((n_replicas, n_words), dtype=np.uint64)
+    law = _InfectionLaw(graph, mandatory, rho)
     infection_times = np.full(n_replicas, -1, dtype=np.int64)
-    source_word, source_bit = _bit_coords(np.int64(source))
-    infected_bits[:, source_word] |= source_bit
 
+    # The infected pairs, the persistent source included.
     rep = np.arange(n_replicas, dtype=np.int64)
     vtx = np.full(n_replicas, source, dtype=np.int64)
     shift = (n - 1).bit_length()
@@ -223,49 +260,27 @@ def _sparse_bips_shard(
     for round_index in range(1, max_rounds + 1):
         if rep.size == 0:
             break
-        # Armed set: infected vertices and their neighbours — the only
-        # vertices whose draws can hit an infected neighbour.
-        counts, flat = graph.neighborhoods(vtx)
-        keys = np.concatenate([rep, np.repeat(rep, counts)])
+        degrees, flat = graph.neighborhoods(vtx)
+        keys = np.repeat(rep, degrees)
         keys <<= shift
-        keys |= np.concatenate([vtx, flat])
-        keys = dedupe(keys)
-        armed_rep = keys >> shift
+        keys |= flat
+        keys, counts = dedupe.counted(keys)
         armed_vtx = keys & vertex_mask
+        armed = armed_vtx != source
+        keys, counts, armed_vtx = keys[armed], counts[armed], armed_vtx[armed]
+        uniforms = rng.random(keys.size)
+        if law.offsets is not None:
+            counts += law.offsets[armed_vtx]
+        hit = law.infected(uniforms, counts)
 
-        picks = graph.sample_neighbors(armed_vtx, mandatory, rng)
-        pick_words, pick_bits = _bit_coords(picks)
-        hits = (infected_bits[armed_rep[:, None], pick_words] & pick_bits) != 0
-        hit_any = hits.any(axis=1)
-        if rho > 0.0:
-            coin = rng.random(armed_vtx.size) < rho
-            if coin.any():
-                extra = graph.sample_neighbors(armed_vtx[coin], 1, rng).reshape(-1)
-                extra_words, extra_bits = _bit_coords(extra)
-                extra_hit = (infected_bits[armed_rep[coin], extra_words] & extra_bits) != 0
-                hit_any[coin] |= extra_hit
-
-        new_rep = armed_rep[hit_any]
-        new_vtx = armed_vtx[hit_any]
         # The persistent source stays infected in every live replica.
         live = np.flatnonzero(infection_times < 0)
-        not_source = new_vtx != source
-        new_rep = np.concatenate([new_rep[not_source], live])
-        new_vtx = np.concatenate([new_vtx[not_source], np.full(live.size, source)])
-
-        # Rebuild the bitset incrementally: clear the old frontier's
-        # bits (cost ∝ old frontier), then set the new one's.
-        old_words, old_bits = _bit_coords(vtx)
-        np.bitwise_and.at(infected_bits, (rep, old_words), ~old_bits)
-        words, bits = _bit_coords(new_vtx)
-        np.bitwise_or.at(infected_bits, (new_rep, words), bits)
-        rep, vtx = new_rep, new_vtx
-
-        infected_counts = np.bincount(rep, minlength=n_replicas)
-        finished = infected_counts == n
+        rep = np.concatenate([keys[hit] >> shift, live])
+        vtx = np.concatenate([armed_vtx[hit], np.full(live.size, source)])
+        finished = np.bincount(rep, minlength=n_replicas) == n
         if finished.any():
-            infection_times[finished & (infection_times < 0)] = round_index
-            keep = infection_times[rep] < 0
+            infection_times[finished] = round_index
+            keep = ~finished[rep]
             rep = rep[keep]
             vtx = vtx[keep]
     return infection_times
@@ -321,28 +336,24 @@ def sparse_bips_infection_times(
 ) -> np.ndarray:
     """Infection times of ``n_replicas`` BIPS runs in sparse-frontier state.
 
-    Distribution-equal to
-    :func:`~repro.core.batch.batch_bips_infection_times`: per round only
-    the armed set ``A_t ∪ N(A_t)`` samples, which leaves the law
-    unchanged because every other vertex would sample non-infected
-    neighbours with certainty.  Early rounds therefore cost the
-    frontier volume.  As infection saturates, the armed set approaches
-    n: its candidate pairs (each infected vertex plus its neighbours)
-    then fill the key space, so the dedupe marks them in a ``bool``
-    array of ``R·2^⌈log2 n⌉`` bytes instead of sorting them, and a round
-    costs a few passes over ``R·n``.  Dense batch then stays ahead on
-    small graphs: ≈3.5× on a 1024-vertex 8-regular expander at k=2 with
-    32 replicas, while on the 21³ torus the two engines are within 10%
-    (best of three, one core of a 2-core Xeon).  The stream differs
-    from the batch engine's (draws for the armed set only);
-    ``tests/core/test_sparse_goldens.py`` pins it.
+    Bit-identical to :func:`~repro.core.batch.batch_bips_infection_times`
+    for the same arguments: both engines draw one uniform per armed
+    vertex (a non-source vertex with an infected neighbour) in ascending
+    (replica, vertex) order from the same shard streams, and no other
+    vertex draws.  Early rounds therefore cost the volume of the
+    infected set.  As infection saturates, the armed set approaches n
+    and its keys fill the key space, so the dedupe tallies them with a
+    ``bincount`` over ``R·2^⌈log2 n⌉`` entries instead of sorting them,
+    and a round costs a few passes over ``R·n``.  Dense batch then
+    leads: ≈4× on a 1024-vertex 8-regular expander at k=2 with 32
+    replicas, and 3–8× on the 21³ torus with 2 to 32 replicas (best of
+    three, one core of a 2-core Xeon).  Sharding, seeding, ``jobs``, the
+    isolated-vertex check and the timeout contract follow the batch
+    engine exactly.
     """
-    mandatory, rho = validate_branching(branching)
-    source = resolve_vertex(graph, source, role="source")
-    if n_replicas < 1:
-        raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-    if max_rounds is None:
-        max_rounds = default_max_rounds(graph)
+    source, mandatory, rho, max_rounds = _bips_arguments(
+        graph, source, branching, n_replicas, max_rounds
+    )
     parameters = (source, mandatory, rho, max_rounds)
     times = np.concatenate(
         _run_sharded(_sparse_bips_shard, graph, parameters, n_replicas, seed, shard_size, jobs)

@@ -57,7 +57,7 @@ SPEC = ExperimentSpec(
     ),
     paper_reference="Theorems 1-3 (w.h.p. clauses) and Eq. (1)",
     # v4: the ensembles run on the batch engine (same law, new draws).
-    version="4",
+    version="5",
 )
 
 TAIL_GRAPH_N = 1024

@@ -35,7 +35,7 @@ SPEC = ExperimentSpec(
     paper_reference="Theorem 2 (and Theorem 4 for the order equivalence)",
     # v2: ensembles ride the vectorised batch engine (same distribution,
     # different same-seed draws), invalidating cached v1 results.
-    version="3",
+    version="4",
 )
 
 QUICK_SIZES = (256, 512, 1024, 2048)

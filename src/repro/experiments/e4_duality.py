@@ -37,7 +37,7 @@ SPEC = ExperimentSpec(
     paper_reference="Theorem 4",
     # v4: the Monte-Carlo tier runs one batch ensemble per side (same
     # law, new draws).
-    version="4",
+    version="5",
 )
 
 QUICK_TRIALS = 2000

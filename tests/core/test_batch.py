@@ -2,17 +2,33 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.core.batch import batch_bips_infection_times, batch_cobra_cover_times
+from repro.core.batch import (
+    batch_bips_infection_times,
+    batch_bips_traces,
+    batch_cobra_cover_times,
+)
 from repro.core.bips import BipsProcess
 from repro.core.cobra import CobraProcess
 from repro.core.runner import sample_completion_times
-from repro.errors import CoverTimeoutError, InfectionTimeoutError, ProcessTimeoutError
+from repro.errors import (
+    CoverTimeoutError,
+    GraphPropertyError,
+    InfectionTimeoutError,
+    ProcessTimeoutError,
+)
 from repro.exact.bips_exact import ExactBips
 from repro.exact.cover_exact import ExactCobraCover
-from repro.graphs import generators
+from repro.graphs import from_edges, generators
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestBatchCobra:
@@ -134,6 +150,39 @@ class TestBatchBips:
             small_expander, 0, n_replicas=5, seed=6, max_rounds=1, raise_on_timeout=False
         )
         assert np.all(times == -1)
+
+    def test_isolated_vertex_raises(self):
+        # Vertex 4 has no neighbour, so no round can infect it.
+        graph = from_edges(5, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(GraphPropertyError, match="isolated vertex 4"):
+            batch_bips_infection_times(graph, 0, n_replicas=4, seed=0)
+        with pytest.raises(GraphPropertyError, match="isolated vertex 4"):
+            batch_bips_traces(graph, 0, n_replicas=4, seed=0)
+
+    def test_bips_ensembles_never_import_scipy(self):
+        # The counts kernels are NumPy-only: scipy would add megabytes
+        # of resident memory and a fraction of a second to every worker.
+        script = (
+            "import sys\n"
+            "from repro.core.batch import batch_bips_infection_times, batch_bips_traces\n"
+            "from repro.core.sparse import sparse_bips_infection_times\n"
+            "from repro.graphs.generators import barabasi_albert, random_regular\n"
+            "for graph in (random_regular(256, 8, seed=1), barabasi_albert(200, 3, seed=1)):\n"
+            "    batch_bips_infection_times(graph, 0, n_replicas=8, seed=1)\n"
+            "    batch_bips_traces(graph, 0, branching=1.5, n_replicas=8, seed=1)\n"
+            "    sparse_bips_infection_times(graph, 0, n_replicas=8, seed=1)\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        assert completed.stdout.strip() == "False"
 
     def test_timeout_raises_infection_flavour(self, small_expander):
         # BIPS timeouts carry the infection-flavoured subclass (the

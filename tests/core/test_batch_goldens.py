@@ -5,7 +5,10 @@
 ``branching=1.5`` so the fractional ``rho`` path is exercised, 48
 replicas in three shards of 16, seed 123).  The kernels must reproduce
 them bit for bit at every ``jobs`` count — this is the regression net
-under any kernel refactor.  The graph's edges are pinned beside them in
+under any kernel refactor.  The ``bips_*`` keys were re-captured once,
+when the BIPS kernel moved to infected-neighbour counts (one uniform
+per armed vertex); the ``cobra_*`` keys are unchanged since their
+capture.  The graph's edges are pinned beside them in
 ``tests/data/batch_goldens_graph.npz``, so the goldens do not depend on
 the random-graph generator.
 

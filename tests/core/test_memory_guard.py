@@ -45,16 +45,18 @@ class TestLimitResolution:
 class TestEstimate:
     def test_cobra_counts_three_matrices(self):
         # 100 vertices round up to a 128-column pitch.
-        assert estimate_dense_shard_bytes("cobra", 100, 10, 2, False) == 3 * 10 * 128
-        assert estimate_dense_shard_bytes("cobra", 100, 10, 2, True) == 4 * 10 * 128
+        assert estimate_dense_shard_bytes("cobra", 100, 10, False) == 3 * 10 * 128
+        assert estimate_dense_shard_bytes("cobra", 100, 10, True) == 4 * 10 * 128
 
     def test_bips_counts_index_vectors(self):
-        per_row = 2 * 100 + 16 * 100 + 100 * 2
-        assert estimate_dense_shard_bytes("bips", 100, 10, 2, False) == 10 * per_row
+        # Six one-byte (rows, n) matrices (eight when tracing), plus the
+        # armed positions, uniforms and thresholds at 8 bytes per cell.
+        assert estimate_dense_shard_bytes("bips", 100, 10, False) == 10 * (6 + 24) * 100
+        assert estimate_dense_shard_bytes("bips", 100, 10, True) == 10 * (8 + 24) * 100
 
     def test_unknown_process_rejected(self):
         with pytest.raises(ValueError, match="unknown process"):
-            estimate_dense_shard_bytes("push", 100, 10, 2, False)
+            estimate_dense_shard_bytes("push", 100, 10, False)
 
 
 class TestGuardTrips:
@@ -97,7 +99,6 @@ class TestCheckDirectly:
             small_expander,
             process="cobra",
             n_replicas=64,
-            mandatory=2,
             record=False,
             shard_size=8,
             jobs=4,
@@ -110,7 +111,6 @@ class TestCheckDirectly:
                 small_expander,
                 process="cobra",
                 n_replicas=64,
-                mandatory=2,
                 record=False,
                 shard_size=None,
                 jobs=None,

@@ -1,11 +1,11 @@
 """Tests for the sparse-frontier COBRA/BIPS engines.
 
 The sparse kernels reimplement the exact same processes in
-frontier-proportional state.  Sparse COBRA draws picks and coins in the
-batch engine's ascending (replica, vertex) order, so the two return
-identical arrays; sparse BIPS draws only for the armed set, so its
-agreement with batch BIPS is distributional (KS-tested).  The shard
-contract — seed-stable, ``jobs``-invariant — is bit-exact for both.
+frontier-proportional state.  Both draw in the batch engines' ascending
+(replica, vertex) order — COBRA its picks and coins, BIPS one uniform
+per armed vertex — so sparse and batch return identical arrays.  The
+shard contract — seed-stable, ``jobs``-invariant — is bit-exact for
+both.
 """
 
 from __future__ import annotations
@@ -20,18 +20,15 @@ from repro.core.sparse import (
     sparse_bips_infection_times,
     sparse_cobra_cover_times,
 )
-from repro.errors import CoverTimeoutError, ExperimentError, InfectionTimeoutError
+from repro.errors import (
+    CoverTimeoutError,
+    ExperimentError,
+    GraphPropertyError,
+    InfectionTimeoutError,
+)
 from repro.experiments.sweep import measure_bips_infection, measure_cobra_cover
-from repro.graphs import complete, generators
+from repro.graphs import complete, from_edges, generators
 from repro.graphs.implicit import ImplicitHypercube, ImplicitTorus
-
-
-def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov–Smirnov statistic ``max |ECDF_a - ECDF_b|``."""
-    grid = np.concatenate([a, b])
-    ecdf_a = np.searchsorted(np.sort(a), grid, side="right") / a.size
-    ecdf_b = np.searchsorted(np.sort(b), grid, side="right") / b.size
-    return float(np.max(np.abs(ecdf_a - ecdf_b)))
 
 
 #: Graphs for the COBRA bit-identity check: regular with power-of-two
@@ -85,32 +82,46 @@ def test_sparse_cobra_equals_batch_on_larger_graphs(factory, branching):
     assert np.array_equal(sparse, batch_cobra_cover_times(graph, 0, **kwargs))
 
 
+#: Graphs for the BIPS bit-identity check: regular CSR with ``int64``
+#: and ``int32`` indices, implicit, and irregular (a grid, and a
+#: preferential-attachment graph with hubs).
+BIPS_GRAPHS = {
+    "rr64-4": lambda: generators.random_regular(64, 4, seed=7),
+    "q4-int32": lambda: generators.hypercube(4, index_dtype="int32"),
+    "implicit-q5": lambda: ImplicitHypercube(5),
+    "grid7x9": lambda: generators.grid((7, 9)),
+    "ba60-2": lambda: generators.barabasi_albert(60, 2, seed=3),
+}
+
+
+def _assert_sparse_bips_equals_batch(graph_name, branching, shard_size, jobs):
+    graph = BIPS_GRAPHS[graph_name]()
+    kwargs = dict(
+        branching=branching, n_replicas=24, seed=31, shard_size=shard_size, jobs=jobs
+    )
+    sparse = sparse_bips_infection_times(graph, 0, **kwargs)
+    assert np.array_equal(sparse, batch_bips_infection_times(graph, 0, **kwargs))
+
+
 class TestBatchAgreement:
-    """BIPS laws must match the dense batch engine, configuration by configuration."""
+    """Sparse BIPS returns the batch engine's bits, configuration by configuration.
 
-    # At 300 samples per side the alpha = 0.001 KS critical value is
-    # c(0.001) * sqrt(2/300) = 1.95 * 0.0816 = 0.159; a false failure
-    # at the fixed seeds below would mean an actual law mismatch.
-    SAMPLES = 300
-    THRESHOLD = 0.159
+    Both draw one uniform per armed (replica, vertex) pair in ascending
+    order and look up the same infection thresholds.
+    """
 
-    def test_bips_matches_batch_engine(self, small_expander):
-        sparse = sparse_bips_infection_times(
-            small_expander, 0, n_replicas=self.SAMPLES, seed=303
-        )
-        batch = batch_bips_infection_times(
-            small_expander, 0, n_replicas=self.SAMPLES, seed=404
-        )
-        assert ks_statistic(sparse, batch) < self.THRESHOLD
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("shard_size", [8, None])
+    @pytest.mark.parametrize("branching", [1.0, 2.0])
+    @pytest.mark.parametrize("graph_name", list(BIPS_GRAPHS))
+    def test_bips_matches_batch_engine(self, graph_name, branching, shard_size, jobs):
+        _assert_sparse_bips_equals_batch(graph_name, branching, shard_size, jobs)
 
-    def test_fractional_bips_agrees_too(self, small_expander):
-        sparse = sparse_bips_infection_times(
-            small_expander, 0, branching=1.25, n_replicas=self.SAMPLES, seed=707
-        )
-        batch = batch_bips_infection_times(
-            small_expander, 0, branching=1.25, n_replicas=self.SAMPLES, seed=808
-        )
-        assert ks_statistic(sparse, batch) < self.THRESHOLD
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("shard_size", [8, None])
+    @pytest.mark.parametrize("graph_name", list(BIPS_GRAPHS))
+    def test_fractional_bips_agrees_too(self, graph_name, shard_size, jobs):
+        _assert_sparse_bips_equals_batch(graph_name, 1.5, shard_size, jobs)
 
     def test_implicit_graph_agrees_with_materialised(self):
         implicit = ImplicitTorus((7, 7))
@@ -167,6 +178,13 @@ class TestValidationAndTimeouts:
             sparse_bips_infection_times(
                 small_expander, 0, n_replicas=4, seed=0, max_rounds=1
             )
+
+    def test_bips_isolated_vertex_raises(self):
+        # Vertex 4 has no neighbour: raise up front instead of running
+        # to the round cap.
+        graph = from_edges(5, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(GraphPropertyError, match="isolated vertex 4"):
+            sparse_bips_infection_times(graph, 0, n_replicas=4, seed=0)
 
     def test_timeouts_marked_minus_one_when_not_raising(self, small_expander):
         times = sparse_cobra_cover_times(
@@ -252,6 +270,16 @@ class TestKeyDedupe:
             assert distinct.dtype == np.int64
             if dedupe.marks is not None:
                 assert not dedupe.marks.any(), name
+
+    @pytest.mark.parametrize("name", list(INPUTS))
+    def test_counted_equals_np_unique_with_counts(self, name, rng):
+        # Sparse inputs take the run-length path, dense ones the tally.
+        keys = self.INPUTS[name](rng)
+        expected_keys, expected_counts = np.unique(keys, return_counts=True)
+        distinct, counts = KeyDeduper(self.UNIVERSE).counted(keys.copy())
+        assert np.array_equal(distinct, expected_keys)
+        assert np.array_equal(counts, expected_counts)
+        assert counts.dtype == np.int64
 
     def test_mark_array_only_for_dense_inputs(self, rng):
         dedupe = KeyDeduper(self.UNIVERSE)

@@ -14,13 +14,15 @@ graphs, one per neighbour-sampling path of ``Graph.sample_neighbors``:
 
 Each at ``branching`` 1.0, 1.5 and 2.0.  BIPS at ``branching=1.0`` on
 the torus is left out: it takes thousands of rounds with a
-near-complete armed set, tens of seconds per call.
+near-complete armed set, seconds per call.
 
-The sparse BIPS stream differs from the batch engine's (it draws for
-the armed set only), so these goldens, not an engine-vs-engine test,
-are what pin its bits.  The CI ``spawn`` job runs this file too, so
-they also hold in workers that receive the graph by pickle or shared
-memory.
+Both sparse kernels return the batch engines' bits
+(``tests/core/test_sparse.py``); these goldens pin the shared streams
+themselves.  The BIPS keys were re-captured once, when both BIPS round
+kernels moved to infected-neighbour counts (one uniform per armed
+vertex); the COBRA keys are unchanged since their capture.  The CI
+``spawn`` job runs this file too, so they also hold in workers that
+receive the graph by pickle or shared memory.
 """
 
 from __future__ import annotations

@@ -20,13 +20,14 @@ at the pinned seeds the outcome is deterministic.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from scipy import stats
 
 from repro.exact.cover_exact import ExactCobraCover
 from repro.experiments.sweep import measure_random_walk_cover
 from repro.graphs import generators
+
+from tests.exact_law import exact_law_pvalue
 
 ALPHA = 1e-3
 SAMPLES = 4000
@@ -42,37 +43,13 @@ CASES = {
 }
 
 
-def _pooled(expected: np.ndarray, observed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge adjacent bins left to right until each expects >= 5 samples."""
-    pooled_expected: list[float] = []
-    pooled_observed: list[int] = []
-    mass, count = 0.0, 0
-    for bin_expected, bin_observed in zip(expected, observed):
-        mass += bin_expected
-        count += int(bin_observed)
-        if mass >= 5.0:
-            pooled_expected.append(mass)
-            pooled_observed.append(count)
-            mass, count = 0.0, 0
-    pooled_expected[-1] += mass
-    pooled_observed[-1] += count
-    return np.array(pooled_expected), np.array(pooled_observed)
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_walk_cover_times_follow_the_exact_law(name):
     graph, horizon = CASES[name]
     exact = ExactCobraCover(graph, branching=1.0, include_start_in_cover=True)
     pmf, tail = exact.cover_time_distribution(0, t_max=horizon, tolerance=0.0)
     times = measure_random_walk_cover(graph, n_samples=SAMPLES, seed=0).times
-
-    # Bins: rounds 0..horizon, then everything past the horizon.
-    observed = np.bincount(np.minimum(times, horizon + 1), minlength=horizon + 2)
-    probabilities = np.append(pmf, tail)
-    assert not observed[probabilities == 0.0].any(), "a sample outside the law's support"
-    expected, observed = _pooled(SAMPLES * probabilities, observed)
-    expected *= SAMPLES / expected.sum()
-    assert stats.chisquare(observed, expected).pvalue > ALPHA
+    assert exact_law_pvalue(times, pmf, tail) > ALPHA
 
 
 @pytest.mark.parametrize(
