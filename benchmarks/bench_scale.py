@@ -3,7 +3,7 @@
 The sparse-frontier engine's contract is that per-round cost tracks the
 active frontier while the dense batch engine pays O(R·n) per round, and
 the implicit graph backends make the substrate itself O(1) memory.
-Four cells frame the claim:
+Five cells frame the claim:
 
 * **Cover ladder** (the scale deliverable): full COBRA cover on
   implicit 3-D tori from ~3·10^4 up to ~10^6 vertices, reporting
@@ -13,7 +13,14 @@ Four cells frame the claim:
 * **Sparse-walk cell** (the asserted bar): a single COBRA token
   (``branching = 1.0``) exploring a 512x512 torus for a fixed horizon.
   The frontier is one vertex, so the sparse engine must beat the dense
-  batch engine by ``>= 5x`` (≈47x in the committed ``BENCH_scale.json``).
+  batch engine by ``>= 5x`` (≈340x in the committed ``BENCH_scale.json``
+  with the block walk kernel, ≈40x on the per-round kernel before it).
+* **Walk-shard cell** (reported only): full ``k = 1`` cover of a
+  512-vertex 8-regular expander with 16, 64 and 256 replicas in one
+  shard.  More replicas mean more finishes, each of which cuts a walk
+  block short, so this is where the block walk kernel gains least.
+  Full-scale runs also report ``PER_ROUND_KERNEL``, this cell, the
+  sparse-walk cell and the ladder measured on the per-round kernel.
 * **Dense-cover cell** (the honest control): COBRA ``k = 2`` full
   cover on a 1024-vertex expander, where the frontier reaches Theta(n)
   within a few rounds — the benchmark *asserts that dense batch stays
@@ -69,6 +76,25 @@ SPARSE_HORIZON = 500 if BENCH_QUICK else 2000
 SPARSE_REPLICAS = 2 if BENCH_QUICK else 4
 SPARSE_BAR = 5.0
 
+# Walk-shard cell: full k = 1 cover, every replica in one shard,
+# reported only.
+WALK_SHARD_N = 512
+WALK_SHARD_REPLICAS = (16, 64, 256)
+
+#: The full-size cells measured with this code on the per-round sparse
+#: COBRA kernel, the reference point of the block walk kernel that now
+#: runs ``branching = 1``: the median of three runs on a 2-core Xeon.
+#: The ladder runs k = 2, whose kernel did not change.
+PER_ROUND_KERNEL = {
+    "sparse_walk": {"batch_seconds": 2.44869, "sparse_seconds": 0.06218},
+    "walk_shards": {
+        "seconds_16_replicas": 0.1533,
+        "seconds_64_replicas": 0.18925,
+        "seconds_256_replicas": 0.27452,
+    },
+    "cover_ladder_seconds": [0.198, 1.155, 13.466],
+}
+
 # Dense-cover cell: the regime where dense batch must stay ahead.
 DENSE_N = 256 if BENCH_QUICK else 1024
 DENSE_REPLICAS = 8 if BENCH_QUICK else 32
@@ -102,6 +128,11 @@ def walk_cell():
 
 
 @pytest.fixture(scope="module")
+def walk_shard_cell():
+    return random_regular(WALK_SHARD_N, DEGREE, seed=6)
+
+
+@pytest.fixture(scope="module")
 def dense_cell():
     return random_regular(DENSE_N, DEGREE, seed=4)
 
@@ -119,7 +150,7 @@ def bench_scale_million_vertex_cover(benchmark):
     )
 
 
-def bench_scale_matrix_and_bars(benchmark, walk_cell, dense_cell):
+def bench_scale_matrix_and_bars(benchmark, walk_cell, walk_shard_cell, dense_cell):
     """The scale matrix: ladder, speed bars, memmap cell, determinism.
 
     Asserts (real scale only):
@@ -191,6 +222,26 @@ def bench_scale_matrix_and_bars(benchmark, walk_cell, dense_cell):
             "speedup": round(batch_walk / sparse_walk, 2),
             "bar": SPARSE_BAR,
         }
+
+        # -- walk shards: full k = 1 cover, reported only ------------
+        walk_shards = {"n": WALK_SHARD_N}
+        for replicas in WALK_SHARD_REPLICAS:
+            seconds = _best_of(
+                lambda: sparse_cobra_cover_times(
+                    walk_shard_cell,
+                    0,
+                    branching=1.0,
+                    n_replicas=replicas,
+                    seed=0,
+                    jobs=1,
+                    shard_size=replicas,
+                ),
+                3,
+            )
+            walk_shards[f"seconds_{replicas}_replicas"] = round(seconds, 5)
+        matrix["walk_shards"] = walk_shards
+        if not BENCH_QUICK:
+            matrix["per_round_kernel"] = PER_ROUND_KERNEL
 
         # -- dense cover: the honest control -------------------------
         batch_dense = _best_of(
@@ -280,15 +331,15 @@ def bench_scale_matrix_and_bars(benchmark, walk_cell, dense_cell):
     matrix = benchmark.pedantic(measure, rounds=1, iterations=1)
     OUT_PATH.parent.mkdir(parents=True, exist_ok=True)
     OUT_PATH.write_text(json.dumps(matrix, indent=2, sort_keys=True) + "\n")
-    write_root_summary(
-        "scale",
-        {
-            "quick": matrix["quick"],
-            "cover_ladder": matrix["cover_ladder"],
-            "sparse_walk": matrix["sparse_walk"],
-            "dense_cover": matrix["dense_cover"],
-            "determinism": matrix["determinism"],
-        },
+    summary_keys = (
+        "quick",
+        "cover_ladder",
+        "sparse_walk",
+        "walk_shards",
+        "per_round_kernel",
+        "dense_cover",
+        "determinism",
     )
+    write_root_summary("scale", {key: matrix[key] for key in summary_keys if key in matrix})
     for key, value in matrix.items():
         benchmark.extra_info[key] = value

@@ -631,6 +631,37 @@ def _check_timeouts(
         )
 
 
+def _round_cap(graph: Graph, max_rounds: int | None) -> int:
+    """``max_rounds``, or the graph's default cap when it is ``None``.
+
+    The round engines step whole rounds, so the cap must be an integer
+    (a NumPy integer too, but not a ``bool``) of at least 1.
+    """
+    if max_rounds is None:
+        return default_max_rounds(graph)
+    if (
+        isinstance(max_rounds, bool)
+        or not isinstance(max_rounds, (int, np.integer))
+        or max_rounds < 1
+    ):
+        raise ValueError(f"max_rounds must be None or an integer >= 1, got {max_rounds!r}")
+    return int(max_rounds)
+
+
+def _cobra_arguments(
+    graph: Graph, start: int, branching: float, n_replicas: int, max_rounds: int | None
+) -> tuple[int, int, float, int]:
+    """Validated ``(start, mandatory, rho, max_rounds)`` of a COBRA ensemble.
+
+    Shared by the batch and sparse entry points.
+    """
+    mandatory, rho = validate_branching(branching)
+    start = resolve_vertex(graph, start, role="start")
+    if n_replicas < 1:
+        raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
+    return start, mandatory, rho, _round_cap(graph, max_rounds)
+
+
 def batch_cobra_cover_times(
     graph: Graph,
     start: int,
@@ -658,12 +689,9 @@ def batch_cobra_cover_times(
     :class:`~repro.errors.CoverTimeoutError` (default) or are reported
     as ``-1``.
     """
-    mandatory, rho = validate_branching(branching)
-    start = resolve_vertex(graph, start, role="start")
-    if n_replicas < 1:
-        raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-    if max_rounds is None:
-        max_rounds = default_max_rounds(graph)
+    start, mandatory, rho, max_rounds = _cobra_arguments(
+        graph, start, branching, n_replicas, max_rounds
+    )
     check_dense_state_budget(
         graph,
         process="cobra",
@@ -705,12 +733,9 @@ def batch_cobra_traces(
     rows stay in the returned matrices — see the
     :class:`BatchTraces` timeout contract.
     """
-    mandatory, rho = validate_branching(branching)
-    start = resolve_vertex(graph, start, role="start")
-    if n_replicas < 1:
-        raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-    if max_rounds is None:
-        max_rounds = default_max_rounds(graph)
+    start, mandatory, rho, max_rounds = _cobra_arguments(
+        graph, start, branching, n_replicas, max_rounds
+    )
     check_dense_state_budget(
         graph,
         process="cobra",
@@ -753,9 +778,7 @@ def _bips_arguments(
         raise GraphPropertyError(
             f"BIPS cannot infect isolated vertex {isolated} of {graph.name}"
         )
-    if max_rounds is None:
-        max_rounds = default_max_rounds(graph)
-    return source, mandatory, rho, max_rounds
+    return source, mandatory, rho, _round_cap(graph, max_rounds)
 
 
 def batch_bips_infection_times(

@@ -275,8 +275,10 @@ def measure_random_walk_cover(
     A COBRA token with ``k = 1`` moves to one uniform neighbour per
     round, so the walk runs as single-token COBRA on the sparse engine
     (:func:`~repro.core.sparse.sparse_cobra_cover_times` with
-    ``include_start_in_cover=True``), whose per-round cost is one token
-    per replica; ``jobs`` shards the replicas with seed-stable results.
+    ``include_start_in_cover=True``).  Its walk kernel steps every
+    replica's token a block of rounds at a time, with one draw call per
+    block and one gather per round; ``jobs`` shards the replicas with
+    seed-stable results.
     """
     times = sparse_cobra_cover_times(
         graph,

@@ -447,6 +447,47 @@ class Graph:
         positions = offsets[:, None] + (draws * degrees[:, None]).astype(np.int64)
         return self._indices[positions].astype(np.int64, copy=False)
 
+    def walk(
+        self, vertices: np.ndarray, rounds: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Advance one simple random walk per listed vertex ``rounds`` steps.
+
+        Returns the ``(rounds, m)`` int64 trajectory: row ``t`` holds the
+        walkers' positions after ``t + 1`` steps.  The trajectory, and
+        the state ``rng`` is left in, equal those of ``rounds`` chained
+        ``sample_neighbors(current, 1, rng)[:, 0]`` calls.
+
+        On a degree-regular CSR graph whose degree is a power of two, one
+        :func:`uniform_draws` call draws every round's picks: each row is
+        padded to whole 64-bit words, so every round starts on a fresh
+        word as a separate request would, and a step is one multiply-add
+        and one gather of ``indices``.  Every other graph chains
+        :meth:`sample_neighbors`.
+        """
+        vertices = np.asarray(vertices, dtype=np.int64)
+        r = self._regular_degree
+        if r is None or r < 2 or r & (r - 1):
+            return self._chained_walk(vertices, rounds, rng)
+        per_word = 64 // (r.bit_length() - 1)
+        width = -(-vertices.size // per_word) * per_word
+        steps = uniform_draws(rng, r, rounds, width)[:, : vertices.size]
+        indices = self._indices
+        trajectory = np.empty((rounds, vertices.size), dtype=np.int64)
+        for step, row in zip(steps, trajectory):
+            row[...] = indices.take(vertices * r + step)
+            vertices = row
+        return trajectory
+
+    def _chained_walk(
+        self, vertices: np.ndarray, rounds: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """:meth:`walk` by one :meth:`sample_neighbors` call per round."""
+        trajectory = np.empty((rounds, vertices.size), dtype=np.int64)
+        for row in trajectory:
+            row[...] = self.sample_neighbors(vertices, 1, rng)[:, 0]
+            vertices = row
+        return trajectory
+
     def sample_distinct_neighbors(
         self, vertices: np.ndarray, samples_per_vertex: int, rng: np.random.Generator
     ) -> np.ndarray:

@@ -177,6 +177,12 @@ class ImplicitGraph(Graph):
         rows = self.neighbor_rows(vertices)
         return np.take_along_axis(rows, positions, axis=1)
 
+    def walk(
+        self, vertices: np.ndarray, rounds: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        # No ``indices`` to gather from: every round computes its rows.
+        return self._chained_walk(np.asarray(vertices, dtype=np.int64), rounds, rng)
+
     def sample_distinct_neighbors(
         self, vertices: np.ndarray, samples_per_vertex: int, rng: np.random.Generator
     ) -> np.ndarray:

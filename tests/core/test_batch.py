@@ -14,10 +14,12 @@ from repro.core.batch import (
     batch_bips_infection_times,
     batch_bips_traces,
     batch_cobra_cover_times,
+    batch_cobra_traces,
 )
 from repro.core.bips import BipsProcess
 from repro.core.cobra import CobraProcess
 from repro.core.runner import sample_completion_times
+from repro.core.sparse import sparse_bips_infection_times, sparse_cobra_cover_times
 from repro.errors import (
     CoverTimeoutError,
     GraphPropertyError,
@@ -200,3 +202,34 @@ class TestBatchBips:
             batch_cobra_cover_times(
                 small_expander, 0, n_replicas=5, seed=6, max_rounds=1
             )
+
+
+#: Every round-engine entry point, by engine and process.
+ROUND_ENGINES = {
+    "batch-cobra": batch_cobra_cover_times,
+    "batch-cobra-traces": batch_cobra_traces,
+    "sparse-cobra": sparse_cobra_cover_times,
+    "batch-bips": batch_bips_infection_times,
+    "batch-bips-traces": batch_bips_traces,
+    "sparse-bips": sparse_bips_infection_times,
+}
+
+
+@pytest.mark.parametrize("entry", list(ROUND_ENGINES))
+class TestRoundCap:
+    """``max_rounds`` is ``None`` or an integer of at least 1, in every engine."""
+
+    @pytest.mark.parametrize("max_rounds", [0, -3, 2.5, True, "7"])
+    def test_rejects_non_positive_or_non_integer_caps(self, entry, max_rounds, small_expander):
+        with pytest.raises(ValueError, match="max_rounds"):
+            ROUND_ENGINES[entry](small_expander, 0, n_replicas=3, seed=1, max_rounds=max_rounds)
+
+    def test_accepts_numpy_integers(self, entry, small_expander):
+        run = ROUND_ENGINES[entry]
+        kwargs = dict(n_replicas=3, seed=1, raise_on_timeout=False)
+        plain = run(small_expander, 0, max_rounds=6, **kwargs)
+        numpy_cap = run(small_expander, 0, max_rounds=np.int32(6), **kwargs)
+        if isinstance(plain, np.ndarray):
+            assert np.array_equal(plain, numpy_cap)
+        else:
+            assert np.array_equal(plain.completion_times, numpy_cap.completion_times)

@@ -10,12 +10,22 @@ both.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.core.batch import batch_bips_infection_times, batch_cobra_cover_times
+from repro.core.batch import (
+    _cobra_shard,
+    batch_bips_infection_times,
+    batch_cobra_cover_times,
+)
 from repro.core.sparse import (
     KeyDeduper,
+    _sparse_cobra_shard,
     sorted_unique,
     sparse_bips_infection_times,
     sparse_cobra_cover_times,
@@ -80,6 +90,114 @@ def test_sparse_cobra_equals_batch_on_larger_graphs(factory, branching):
     kwargs = dict(branching=branching, n_replicas=16, seed=41)
     sparse = sparse_cobra_cover_times(graph, 0, **kwargs)
     assert np.array_equal(sparse, batch_cobra_cover_times(graph, 0, **kwargs))
+
+
+#: Graphs for the walk kernel: power-of-two degree (one draw call per
+#: block, ``int64`` and ``int32`` indices), odd degree, irregular, and
+#: implicit.
+WALK_GRAPHS = {
+    "petersen": generators.petersen,
+    "rr32-4": lambda: generators.random_regular(32, 4, seed=3),
+    "q4-int32": lambda: generators.hypercube(4, index_dtype="int32"),
+    "grid3x4": lambda: generators.grid((3, 4)),
+    "implicit-torus3x5": lambda: ImplicitTorus((3, 5)),
+}
+
+
+class TestWalkKernel:
+    """Single-token COBRA steps in blocks of rounds with the per-round bits.
+
+    The dense batch kernel steps one round at a time, so it is the
+    reference: a block cut short by a finishing replica must keep only
+    the rounds up to that finish and rewind the generator, and no block
+    may step past ``max_rounds``.
+    """
+
+    @staticmethod
+    def _both(graph, **kwargs):
+        kwargs = dict(branching=1.0, raise_on_timeout=False, **kwargs)
+        return (
+            sparse_cobra_cover_times(graph, 0, **kwargs),
+            batch_cobra_cover_times(graph, 0, **kwargs),
+        )
+
+    @pytest.mark.parametrize("include_start", [False, True], ids=["paper", "with-start"])
+    @pytest.mark.parametrize("graph_name", list(WALK_GRAPHS))
+    def test_caps_at_each_replicas_cover_time(self, graph_name, include_start):
+        # A cap at a replica's own cover time makes it finish exactly at
+        # the cap; one round less times it out.
+        graph = WALK_GRAPHS[graph_name]()
+        kwargs = dict(n_replicas=12, seed=17, shard_size=6, include_start_in_cover=include_start)
+        sparse, uncapped = self._both(graph, **kwargs)
+        assert np.array_equal(sparse, uncapped)
+        caps = sorted({int(t) + delta for t in uncapped for delta in (-1, 0, 1)} - {0})
+        mixed = 0
+        for cap in caps:
+            sparse, batch = self._both(graph, max_rounds=cap, **kwargs)
+            assert np.array_equal(sparse, batch), cap
+            mixed += bool((batch == cap).any() and (batch == -1).any())
+        assert mixed
+
+    @pytest.mark.parametrize("include_start", [False, True], ids=["paper", "with-start"])
+    def test_one_replica(self, include_start):
+        graph = generators.random_regular(64, 8, seed=2)
+        sparse, batch = self._both(
+            graph, n_replicas=1, seed=4, include_start_in_cover=include_start
+        )
+        assert np.array_equal(sparse, batch)
+
+    def test_two_replicas_finish_in_the_same_round(self):
+        graph = generators.cycle(5)
+        sparse, batch = self._both(graph, n_replicas=16, seed=3, shard_size=16)
+        assert np.unique(batch).size < batch.size
+        assert np.array_equal(sparse, batch)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_pooled_shards(self, jobs):
+        # In spawn workers the graph arrives through a SharedGraph.
+        graph = generators.random_regular(128, 8, seed=5)
+        sparse, batch = self._both(graph, n_replicas=12, seed=8, shard_size=4, jobs=jobs)
+        assert np.array_equal(sparse, batch)
+
+    @pytest.mark.parametrize("include_start", [False, True], ids=["paper", "with-start"])
+    def test_mt19937_takes_the_chained_draws(self, include_start):
+        # MT19937's raw output is 32-bit, so on this power-of-two graph
+        # the block's words must come from ``integers``, not ``random_raw``.
+        graph = generators.hypercube(4)
+        max_rounds = 5_000
+
+        def generator():
+            return np.random.Generator(np.random.MT19937(11))
+
+        sparse = _sparse_cobra_shard(
+            (graph, 0, 1, 0.0, max_rounds, include_start), 0, 12, generator()
+        )
+        batch = _cobra_shard(
+            (graph, 0, 1, 0.0, max_rounds, include_start, False, None), 0, 12, generator()
+        )
+        assert np.all(batch > 0)
+        assert np.array_equal(sparse, batch)
+
+    def test_never_imports_scipy(self):
+        script = (
+            "import sys\n"
+            "from repro.core.sparse import sparse_cobra_cover_times\n"
+            "from repro.graphs.generators import random_regular\n"
+            "graph = random_regular(256, 8, seed=1)\n"
+            "sparse_cobra_cover_times(graph, 0, branching=1.0, n_replicas=4, seed=1)\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        assert completed.stdout.strip() == "False"
 
 
 #: Graphs for the BIPS bit-identity check: regular CSR with ``int64``

@@ -7,7 +7,9 @@ import pytest
 
 from repro.errors import GraphConstructionError, GraphPropertyError
 from repro.graphs.base import Graph, uniform_draws
+from repro.graphs import generators
 from repro.graphs.build import from_edges
+from repro.graphs.implicit import ImplicitTorus
 
 
 def triangle() -> Graph:
@@ -210,3 +212,52 @@ class TestUniformDraws:
             assert np.array_equal(drawn, expected)
         assert _same_state(fast.bit_generator.state, reference.bit_generator.state)
         assert fast.random() == reference.random()
+
+
+def _chained_walk(graph, vertices, rounds, rng):
+    """The reference walk: one ``sample_neighbors`` call per round."""
+    rows = []
+    for _ in range(rounds):
+        vertices = graph.sample_neighbors(vertices, 1, rng)[:, 0]
+        rows.append(vertices)
+    return np.array(rows, dtype=np.int64).reshape(rounds, len(vertices))
+
+
+class TestWalk:
+    """``Graph.walk`` is chained ``sample_neighbors``, draw for draw.
+
+    The raw-word path (power-of-two degree on CSR, with PCG64,
+    PCG64DXSM, Philox or SFC64) draws every round's words in one call;
+    the trajectory and the generator state afterwards must still equal
+    the chained calls', for every graph and bit generator.
+    """
+
+    GRAPHS = {
+        "rr64-8": lambda: generators.random_regular(64, 8, seed=1),
+        "q4-int32": lambda: generators.hypercube(4, index_dtype="int32"),
+        "rr60-5": lambda: generators.random_regular(60, 5, seed=2),
+        "irregular": lambda: generators.barabasi_albert(50, 2, seed=3),
+        "implicit": lambda: ImplicitTorus((4, 5)),
+    }
+
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
+         np.random.MT19937],
+    )
+    @pytest.mark.parametrize("graph_name", list(GRAPHS))
+    def test_equals_chained_sample_neighbors(self, graph_name, bit_generator):
+        graph = self.GRAPHS[graph_name]()
+        walked = np.random.Generator(bit_generator(2016))
+        reference = np.random.Generator(bit_generator(2016))
+        # Walker counts below, at and above one word of draws, and
+        # zero-length requests; other draws interleave.
+        for walkers, rounds in [(1, 9), (16, 7), (21, 3), (70, 2), (0, 4), (5, 0)]:
+            assert walked.random() == reference.random()
+            vertices = np.arange(walkers) % graph.n_vertices
+            trajectory = graph.walk(vertices, rounds, walked)
+            assert trajectory.dtype == np.int64
+            assert trajectory.shape == (rounds, walkers)
+            assert np.array_equal(trajectory, _chained_walk(graph, vertices, rounds, reference))
+        assert _same_state(walked.bit_generator.state, reference.bit_generator.state)
+        assert walked.random() == reference.random()
