@@ -8,8 +8,9 @@ two neighbour samplers.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from repro.graphs.generators import circulant, complete, random_regular, torus
+from repro.graphs.generators import circulant, complete, cycle, random_regular, torus
 from repro.graphs.spectral import lambda_second
 
 
@@ -57,10 +58,24 @@ def bench_circulant_n513_j8(benchmark):
     )
 
 
-def bench_lambda_dense_n512(benchmark):
-    graph = random_regular(512, 8, seed=0)
+@pytest.mark.parametrize("n", [512, 1024])
+@pytest.mark.parametrize("method", ["auto", "dense"])
+def bench_lambda_random_regular_r8(benchmark, method, n):
+    # The paper experiments' λ sizes: "auto" runs one seeded Lanczos
+    # run above DENSE_LIMIT (256 vertices), "dense" is eigvalsh.
+    graph = random_regular(n, 8, seed=0)
     benchmark.pedantic(
-        lambda: lambda_second(graph, method="dense"), rounds=3, iterations=1
+        lambda: lambda_second(graph, method=method), rounds=3, iterations=1
+    )
+
+
+@pytest.mark.parametrize("method", ["auto", "dense"])
+def bench_lambda_cycle_n1001(benchmark, method):
+    # Records Lanczos's slow case: a ring's eigenvalues crowd the ends
+    # of the spectrum, so "auto" (Lanczos here) loses to "dense".
+    graph = cycle(1001)
+    benchmark.pedantic(
+        lambda: lambda_second(graph, method=method), rounds=3, iterations=1
     )
 
 

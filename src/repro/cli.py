@@ -607,7 +607,7 @@ def _graph_info(family: str, params: list[str], seed: int) -> None:
     from repro import graphs
     from repro.errors import ReproError
     from repro.graphs.properties import degree_histogram, diameter, is_bipartite, is_connected
-    from repro.graphs.spectral import lambda_second, spectral_gap
+    from repro.graphs.spectral import lambda_second
 
     generator = getattr(graphs, family, None)
     if generator is None or not callable(generator):
@@ -623,14 +623,15 @@ def _graph_info(family: str, params: list[str], seed: int) -> None:
     except TypeError as error:
         raise ReproError(f"bad arguments for {family}: {error}") from None
 
+    connected = is_connected(graph)
     print(graph)
-    print(f"  connected : {is_connected(graph)}")
+    print(f"  connected : {connected}")
     print(f"  bipartite : {is_bipartite(graph)}")
     print(f"  degrees   : {degree_histogram(graph)}")
-    if graph.n_vertices <= 4096 and is_connected(graph):
+    if graph.n_vertices <= 4096 and connected:
         lam = lambda_second(graph)
-        print(f"  lambda    : {lam:.6f}   spectral gap: {spectral_gap(graph):.6f}")
-    if graph.n_vertices <= 512 and is_connected(graph):
+        print(f"  lambda    : {lam:.6f}   spectral gap: {1.0 - lam:.6f}")
+    if graph.n_vertices <= 512 and connected:
         print(f"  diameter  : {diameter(graph)}")
 
 

@@ -6,6 +6,13 @@ factor sweep (including the fractional regime of Theorem 3) and the
 classical push and push–pull baselines on a common axis: rounds to
 cover vs total messages and peak per-round messages.
 
+The COBRA rows' message counts come from
+:func:`~repro.core.batch.batch_cobra_traces`.  The ``k = 1`` row's
+single token sends one message per round, so its totals are its cover
+times: that row reads them from the sparse engine's walk kernel
+(:func:`~repro.core.sparse.sparse_cobra_cover_times`), which returns
+the dense kernel's times for the same seed.
+
 Expected shape: ``k = 1`` is catastrophically slow (E7's walk); any
 ``k >= 1 + ρ`` is logarithmic, with diminishing speed returns and
 linearly growing message cost as `k` rises; push/push–pull match the
@@ -27,6 +34,7 @@ from repro.core.push import PushProcess
 from repro.core.pushpull import PushPullProcess
 from repro.core.process import SpreadingProcess
 from repro.core.runner import default_max_rounds, run_process
+from repro.core.sparse import sparse_cobra_cover_times
 from repro.experiments.results import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.sweep import expander_with_gap
@@ -103,8 +111,19 @@ def _measure_cobra_traces(
     One :func:`~repro.core.batch.batch_cobra_traces` call replaces
     ``n_samples`` stepped replicas: the per-round transmission counts
     come back as an ``(R, T)`` matrix whose row sums/maxima are the
-    per-replica message totals and peaks.
+    per-replica message totals and peaks.  At ``k = 1`` the totals are
+    the cover times and every peak is 1 (see the module docstring).
     """
+    if branching == 1.0:
+        times = sparse_cobra_cover_times(
+            graph,
+            0,
+            branching=branching,
+            n_replicas=n_samples,
+            seed=seed,
+            max_rounds=max_rounds,
+        )
+        return times, times, np.ones_like(times)
     traces = batch_cobra_traces(
         graph,
         0,

@@ -34,6 +34,17 @@ arrays once through ``multiprocessing.shared_memory`` and reattaches
 them zero-copy in every worker, so shipping a large graph costs one
 copy total instead of one per worker per task.
 
+While a pool is open, every loaded OpenBLAS copy (numpy's and scipy's
+wheels each bundle one) runs one thread, in the parent and in the
+workers, so ``jobs`` workers never run ``jobs`` times as many BLAS
+threads as there are cores; each copy's previous count is restored
+when the pool closes.  The parent sets the count before the pool
+starts, and forked workers inherit it; spawn-started workers set it in
+the pool initializer.  A copy first loaded inside a worker keeps its
+own default, and where no OpenBLAS is found (another BLAS, or no
+``/proc/self/maps``) nothing changes.  Results do not depend on the
+BLAS thread count.
+
 Two entry points share one executor: :func:`map_shards` returns every
 result in task order, and :func:`imap_shards` streams them, optionally
 in completion order and with a fresh worker per task — the form
@@ -42,6 +53,7 @@ campaigns run their entries on.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 import pickle
@@ -154,12 +166,80 @@ def shard_bounds(n_items: int, shard_size: int | None = None) -> list[tuple[int,
     ]
 
 
-def _initialize_worker(kernel: Callable[..., Any], context: Any) -> None:
-    """Install the kernel and its shared context in a pool worker."""
+#: ``(setter, getter)`` names of OpenBLAS's thread count, tried in this
+#: order in each loaded copy: numpy's 64-bit-integer build, scipy's
+#: build, then an unprefixed system OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _openblas_thread_controls() -> list[tuple[Any, Any]]:
+    """``(set_num_threads, get_num_threads)`` of every OpenBLAS copy loaded here.
+
+    The copies are the ``*openblas*`` shared objects mapped into this
+    process (``/proc/self/maps``); their functions resolve through
+    ctypes.  Empty where that file does not exist or no OpenBLAS is
+    loaded.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            lines = maps.read().splitlines()
+    except OSError:
+        return []
+    paths = {line.split(None, 5)[-1] for line in lines if "openblas" in line}
+    controls = []
+    for path in sorted(paths):
+        if "openblas" not in os.path.basename(path):
+            continue
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(library, set_name) and hasattr(library, get_name):
+                set_threads, get_threads = getattr(library, set_name), getattr(library, get_name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                controls.append((set_threads, get_threads))
+                break
+    return controls
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the block with every loaded OpenBLAS copy on one thread.
+
+    Each copy's count is read first and restored on exit.
+    """
+    controls = _openblas_thread_controls()
+    saved = [get_threads() for _, get_threads in controls]
+    for set_threads, _ in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (set_threads, _), count in zip(controls, saved):
+            set_threads(count)
+
+
+def _initialize_worker(kernel: Callable[..., Any], context: Any, forked: bool) -> None:
+    """Install the kernel and its shared context in a pool worker.
+
+    A forked worker inherits the parent's one-thread BLAS setting.  A
+    setter call there would start an OpenBLAS helper thread (the fork
+    stopped them), so only a worker that imported its BLAS afresh sets
+    one thread here.
+    """
     # repro: ignore[spawn-safety] -- this IS the initializer seam: each worker installs its own copy; the parent never reads these
     global _worker_kernel, _worker_context
     _worker_kernel = kernel
     _worker_context = context
+    if not forked:
+        for set_threads, _ in _openblas_thread_controls():
+            set_threads(1)
 
 
 def _run_task(task: Sequence[Any]) -> Any:
@@ -545,7 +625,8 @@ def imap_shards(
     n_workers = min(resolve_jobs(jobs), len(tasks))
     inline = not will_pool(jobs, len(tasks))
     pool_context = _pool_context()
-    if not inline and pool_context.get_start_method() != "fork":
+    forked = pool_context.get_start_method() == "fork"
+    if not inline and not forked:
         # Without fork the initializer arguments travel by pickle;
         # closure kernels/contexts (e.g. process factories) cannot, so
         # degrade to inline execution rather than crash — same results,
@@ -558,10 +639,10 @@ def imap_shards(
         for index, task in enumerate(tasks):
             yield index, kernel(context, *task)
         return
-    with pool_context.Pool(
+    with _one_blas_thread(), pool_context.Pool(
         processes=n_workers,
         initializer=_initialize_worker,
-        initargs=(kernel, context),
+        initargs=(kernel, context, forked),
         maxtasksperchild=1 if isolate else None,
     ) as pool:
         if ordered:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 from pathlib import Path
 
@@ -15,9 +16,12 @@ from repro.errors import ParallelError
 from repro.parallel import (
     DEFAULT_SHARD_COUNT,
     MIN_SHARD_SIZE,
+    _openblas_thread_controls,
     default_jobs,
     default_shard_size,
+    imap_shards,
     map_shards,
+    pool_start_method,
     resolve_jobs,
     set_default_jobs,
     shard_bounds,
@@ -26,6 +30,13 @@ from repro.parallel import (
 
 def _echo_kernel(context, start, stop):
     return (context, start, stop)
+
+
+def _blas_threads_kernel(context, index):
+    """This worker's OpenBLAS thread counts and its number of OS threads."""
+    counts = [get_threads() for _, get_threads in _openblas_thread_controls()]
+    tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+    return counts, tasks
 
 
 def _square_kernel(context, value):
@@ -136,6 +147,51 @@ class TestMapShards:
             map_shards(_fail_first_kernel, str(tmp_path), tasks, jobs=2)
         done = sorted(path.name for path in tmp_path.iterdir())
         assert done == [f"{i}.done" for i in range(1, 6)]
+
+
+class TestPoolBlasThreads:
+    """While a pool runs, every OpenBLAS copy runs one thread."""
+
+    @pytest.fixture
+    def two_parent_threads(self):
+        # Start the parent at two threads so a pooled count of 1 is the
+        # pool's doing, not the machine's default.
+        controls = _openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS copy is loaded")
+        saved = [get_threads() for _, get_threads in controls]
+        for set_threads, _ in controls:
+            set_threads(2)
+        yield controls
+        for (set_threads, _), count in zip(controls, saved):
+            set_threads(count)
+
+    def test_pooled_tasks_run_one_blas_thread(self, two_parent_threads):
+        results = map_shards(_blas_threads_kernel, None, [(i,) for i in range(4)], jobs=2)
+        for counts, _ in results:
+            assert counts and set(counts) == {1}
+        if pool_start_method() == "fork":
+            # The count is inherited; a setter call in the child would
+            # have started an OpenBLAS helper thread.
+            assert all(tasks in (1, None) for _, tasks in results)
+
+    def test_parent_runs_one_thread_while_the_pool_is_open(self, two_parent_threads):
+        for _ in imap_shards(_blas_threads_kernel, None, [(0,), (1,)], jobs=2):
+            assert [get_threads() for _, get_threads in two_parent_threads] == [1] * len(
+                two_parent_threads
+            )
+
+    def test_parent_count_restored_after_the_pool(self, two_parent_threads):
+        before = [get_threads() for _, get_threads in two_parent_threads]
+        assert before == [2] * len(before)
+        map_shards(_blas_threads_kernel, None, [(0,), (1,)], jobs=2)
+        assert [get_threads() for _, get_threads in two_parent_threads] == before
+
+    def test_parent_count_restored_after_a_failed_pool(self, two_parent_threads, tmp_path):
+        before = [get_threads() for _, get_threads in two_parent_threads]
+        with pytest.raises(ValueError, match="task 0 failed"):
+            map_shards(_fail_first_kernel, str(tmp_path), [(0,), (1,)], jobs=2)
+        assert [get_threads() for _, get_threads in two_parent_threads] == before
 
 
 class TestBatchJobsInvariance:

@@ -11,6 +11,7 @@ from repro.errors import GraphPropertyError
 from repro.graphs import generators
 from repro.graphs.build import from_edges
 from repro.graphs.spectral import (
+    DENSE_LIMIT,
     adjacency_matrix,
     analytic_lambda,
     cheeger_bounds,
@@ -110,13 +111,58 @@ class TestLambdaSecond:
         sparse = lambda_second(graph, method="sparse")
         assert sparse == pytest.approx(dense, rel=1e-12)
 
+    # Graphs whose λ the one Lanczos run must match.  Bipartite
+    # hypercube(9) and torus((16, 16)) have λ = 1 only through
+    # λ_n = -1, so a sparse path that dropped λ_n would fail them.
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            generators.random_regular(300, 3, seed=1),
+            generators.random_regular(512, 8, seed=2),
+            generators.random_regular(1024, 32, seed=3),
+            generators.hypercube(9),
+            generators.torus((17, 17)),
+            generators.torus((16, 16)),
+            generators.watts_strogatz(512, 8, 0.2, seed=4),
+            generators.barabasi_albert(512, 4, seed=5),
+            generators.star(300),
+            generators.complete(300),
+        ],
+        ids=lambda graph: graph.name,
+    )
+    def test_sparse_matches_dense_across_families(self, graph):
+        dense = lambda_second(graph, method="dense")
+        sparse = lambda_second(graph, method="sparse")
+        assert sparse == pytest.approx(dense, rel=1e-12)
+
+    def test_auto_solves_densely_up_to_the_limit(self):
+        assert DENSE_LIMIT == 256
+        at_limit = generators.random_regular(256, 8, seed=6)
+        assert lambda_second(at_limit) == lambda_second(at_limit, method="dense")
+        above = generators.random_regular(257, 8, seed=6)
+        assert lambda_second(above) == lambda_second(above, method="sparse")
+
+    @pytest.mark.parametrize(
+        "graph", [generators.complete(2), generators.path(2), generators.complete(3)]
+    )
+    def test_sparse_rejects_graphs_below_four_vertices(self, graph):
+        with pytest.raises(ValueError, match="at least 4 vertices"):
+            lambda_second(graph, method="sparse")
+
+    def test_sparse_handles_four_vertices(self):
+        graph = generators.complete(4)
+        assert lambda_second(graph, method="sparse") == pytest.approx(1 / 3, abs=1e-12)
+
     def test_sparse_solver_is_deterministic(self):
-        # Above DENSE_LIMIT "auto" runs eigsh; its fixed start vector
-        # makes repeated calls return the very same floats.
-        graph = generators.random_regular(2048, 8, seed=3)
-        first = lambda_second(graph)
-        assert all(lambda_second(graph) == first for _ in range(3))
-        assert cheeger_bounds(graph, method="sparse") == cheeger_bounds(graph, method="sparse")
+        # Above DENSE_LIMIT (256 vertices) "auto" runs eigsh; its fixed
+        # start vector makes repeated calls return the very same floats.
+        for n in (DENSE_LIMIT + 1, 2048):
+            graph = generators.random_regular(n, 8, seed=3)
+            first = lambda_second(graph)
+            assert all(lambda_second(graph) == first for _ in range(3))
+            assert cheeger_bounds(graph, method="sparse") == cheeger_bounds(
+                graph, method="sparse"
+            )
 
     def test_power_matches_dense(self):
         graph = generators.random_regular(60, 4, seed=5)

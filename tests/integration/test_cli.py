@@ -73,6 +73,36 @@ class TestCommands:
         assert "lambda" in out
         assert "0.666667" in out
 
+    @pytest.mark.parametrize(
+        ("arguments", "line"),
+        [
+            (["petersen"], "  lambda    : 0.666667   spectral gap: 0.333333"),
+            (
+                ["random_regular", "300", "8"],
+                "  lambda    : 0.649348   spectral gap: 0.350652",
+            ),
+        ],
+    )
+    def test_graph_info_solves_lambda_once(self, capsys, monkeypatch, arguments, line):
+        from repro.graphs import properties, spectral
+
+        calls = {"lambda": 0, "connected": 0}
+        solve, connected = spectral.lambda_second, properties.is_connected
+
+        def counted_solve(graph, **kwargs):
+            calls["lambda"] += 1
+            return solve(graph, **kwargs)
+
+        def counted_connected(graph):
+            calls["connected"] += 1
+            return connected(graph)
+
+        monkeypatch.setattr(spectral, "lambda_second", counted_solve)
+        monkeypatch.setattr(properties, "is_connected", counted_connected)
+        assert main(["graph-info", *arguments]) == 0
+        assert line in capsys.readouterr().out.splitlines()
+        assert calls == {"lambda": 1, "connected": 1}
+
     def test_graph_info_tuple_parameter(self, capsys):
         assert main(["graph-info", "torus", "3,5"]) == 0
         assert "n=15" in capsys.readouterr().out
