@@ -2,7 +2,7 @@
 
 Documents the cost of the pieces every experiment pays for: generator
 construction, spectral-gap computation on each numeric path, and the
-two neighbour samplers.
+neighbour sampler.
 """
 
 from __future__ import annotations
@@ -86,22 +86,8 @@ def bench_lambda_sparse_n4096(benchmark):
     )
 
 
-def bench_lambda_power_n512(benchmark):
-    graph = random_regular(512, 8, seed=0)
-    benchmark.pedantic(
-        lambda: lambda_second(graph, method="power"), rounds=3, iterations=1
-    )
-
-
 def bench_sample_with_replacement(benchmark):
     graph = random_regular(4096, 8, seed=0)
     rng = np.random.default_rng(0)
     vertices = np.arange(4096, dtype=np.int64)
     benchmark(graph.sample_neighbors, vertices, 2, rng)
-
-
-def bench_sample_without_replacement(benchmark):
-    graph = random_regular(4096, 8, seed=0)
-    rng = np.random.default_rng(0)
-    vertices = np.arange(4096, dtype=np.int64)
-    benchmark(graph.sample_distinct_neighbors, vertices, 2, rng)

@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     graph_info.add_argument(
         "family",
         help=(
-            "generator name from repro.graphs "
+            "generator name from repro.graphs.generators "
             "(e.g. petersen, complete, cycle, random_regular, torus)"
         ),
     )
@@ -595,28 +595,37 @@ def _duality(graph_name: str, branching: float, t_max: int) -> None:
 
 
 def _parse_graph_param(token: str):
-    if "," in token:
-        return tuple(int(part) for part in token.split(",") if part)
+    from repro.errors import ReproError
+
     try:
-        return int(token)
+        if "," in token:
+            return tuple(int(part) for part in token.split(",") if part)
+        try:
+            return int(token)
+        except ValueError:
+            return float(token)
     except ValueError:
-        return float(token)
+        raise ReproError(
+            f"bad graph parameter {token!r}: expected a number or a comma-tuple of integers"
+        ) from None
 
 
 def _graph_info(family: str, params: list[str], seed: int) -> None:
-    from repro import graphs
+    import inspect
+
     from repro.errors import ReproError
+    from repro.graphs import generators
     from repro.graphs.properties import degree_histogram, diameter, is_bipartite, is_connected
     from repro.graphs.spectral import lambda_second
 
-    generator = getattr(graphs, family, None)
-    if generator is None or not callable(generator):
+    if family not in generators.__all__:
         raise ReproError(
-            f"unknown graph family {family!r}; see repro.graphs for available generators"
+            f"unknown graph family {family!r}; choose from {', '.join(generators.__all__)}"
         )
+    generator = getattr(generators, family)
     arguments = [_parse_graph_param(token) for token in params]
     try:
-        if family in ("random_regular", "erdos_renyi"):
+        if "seed" in inspect.signature(generator).parameters:
             graph = generator(*arguments, seed=seed)
         else:
             graph = generator(*arguments)

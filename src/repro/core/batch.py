@@ -77,11 +77,12 @@ import numpy as np
 from repro._rng import SeedLike, ensure_generator, spawn_seed_sequences
 from repro.core.memory import check_dense_state_budget
 from repro.core.process import (
+    reject_isolated_vertices,
     resolve_vertex,
     validate_branching,
 )
 from repro.core.runner import default_max_rounds
-from repro.errors import CoverTimeoutError, GraphPropertyError, InfectionTimeoutError
+from repro.errors import CoverTimeoutError, InfectionTimeoutError
 from repro.graphs.base import Graph
 from repro.parallel import (
     acquire_shared_graph,
@@ -773,11 +774,7 @@ def _bips_arguments(
     source = resolve_vertex(graph, source, role="source")
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-    if graph.min_degree == 0:
-        isolated = int(np.argmin(graph.degrees))
-        raise GraphPropertyError(
-            f"BIPS cannot infect isolated vertex {isolated} of {graph.name}"
-        )
+    reject_isolated_vertices(graph, "BIPS")
     return source, mandatory, rho, _round_cap(graph, max_rounds)
 
 

@@ -28,7 +28,6 @@ from repro.core.process import (
     resolve_vertex,
     validate_branching,
     validate_loss,
-    validate_replacement,
 )
 from repro.graphs.base import Graph
 
@@ -50,10 +49,6 @@ class BipsProcess(SpreadingProcess):
         setting is ``2``).
     seed:
         Randomness source.
-    replacement:
-        The paper's process samples *with* replacement (default).
-        ``False`` contacts distinct neighbours instead — the dual of
-        without-replacement COBRA (Theorem 4 carries over).
     loss_probability:
         Independent per-contact loss (extension): each contact fails to
         observe its target with this probability, i.e. an infected
@@ -70,14 +65,11 @@ class BipsProcess(SpreadingProcess):
         *,
         branching: float = 2.0,
         seed: SeedLike = None,
-        replacement: bool = True,
         loss_probability: float = 0.0,
     ) -> None:
         super().__init__(graph, seed=seed)
         self._mandatory, self._rho = validate_branching(branching)
-        validate_replacement(graph, self._mandatory, self._rho, replacement)
-        self._replacement = bool(replacement)
-        self._loss = validate_loss(loss_probability, replacement)
+        self._loss = validate_loss(loss_probability)
         self._branching = float(branching)
         self._source = resolve_vertex(graph, source, role="source")
         n = graph.n_vertices
@@ -100,11 +92,6 @@ class BipsProcess(SpreadingProcess):
     def branching(self) -> float:
         """The sampling factor ``k`` (possibly fractional)."""
         return self._branching
-
-    @property
-    def replacement(self) -> bool:
-        """Whether neighbour contacts are with replacement (paper semantics)."""
-        return self._replacement
 
     @property
     def loss_probability(self) -> float:
@@ -153,11 +140,6 @@ class BipsProcess(SpreadingProcess):
     # Evolution
     # ------------------------------------------------------------------
 
-    def _sample(self, vertices: np.ndarray, count: int) -> np.ndarray:
-        if self._replacement:
-            return self._graph.sample_neighbors(vertices, count, self._rng)
-        return self._graph.sample_distinct_neighbors(vertices, count, self._rng)
-
     def _observed_infected(self, infected: np.ndarray, picks: np.ndarray) -> np.ndarray:
         """Per-row: did at least one *surviving* contact hit an infected vertex?"""
         hits = infected[picks]
@@ -179,17 +161,17 @@ class BipsProcess(SpreadingProcess):
             extra_vertices = self._all_vertices[extra_mask]
             transmissions = 0
             if base_vertices.size:
-                picks = self._sample(base_vertices, self._mandatory)
+                picks = graph.sample_neighbors(base_vertices, self._mandatory, rng)
                 next_infected[base_vertices] = self._observed_infected(infected, picks)
                 transmissions += picks.size
             if extra_vertices.size:
-                picks = self._sample(extra_vertices, self._mandatory + 1)
+                picks = graph.sample_neighbors(extra_vertices, self._mandatory + 1, rng)
                 next_infected[extra_vertices] = self._observed_infected(infected, picks)
                 transmissions += picks.size
             # Exclude the persistent source's contacts from the count.
             transmissions -= self._mandatory + (1 if extra_mask[self._source] else 0)
         else:
-            picks = self._sample(self._all_vertices, self._mandatory)
+            picks = graph.sample_neighbors(self._all_vertices, self._mandatory, rng)
             next_infected = self._observed_infected(infected, picks)
             # The persistent source does not sample; its row is drawn
             # for vectorisation convenience but overridden below and

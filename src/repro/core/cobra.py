@@ -29,7 +29,6 @@ from repro.core.process import (
     resolve_vertex_set,
     validate_branching,
     validate_loss,
-    validate_replacement,
 )
 from repro.graphs.base import Graph
 
@@ -56,11 +55,6 @@ class CobraProcess(SpreadingProcess):
         Record the round each vertex is first covered, enabling
         :meth:`first_hit_times` (see there for how start vertices
         report).
-    replacement:
-        The paper's processes sample *with* replacement (default).
-        ``False`` draws distinct neighbours instead — an extension;
-        the duality with without-replacement BIPS still holds (the
-        proof of Theorem 4 only needs the choice-set laws to match).
     loss_probability:
         Independent per-message loss (extension): each push is dropped
         with this probability.  A round in which every message of
@@ -77,14 +71,11 @@ class CobraProcess(SpreadingProcess):
         seed: SeedLike = None,
         include_start_in_cover: bool = False,
         track_first_hits: bool = True,
-        replacement: bool = True,
         loss_probability: float = 0.0,
     ) -> None:
         super().__init__(graph, seed=seed)
         self._mandatory, self._rho = validate_branching(branching)
-        validate_replacement(graph, self._mandatory, self._rho, replacement)
-        self._replacement = bool(replacement)
-        self._loss = validate_loss(loss_probability, replacement)
+        self._loss = validate_loss(loss_probability)
         self._branching = float(branching)
         start_vertices = resolve_vertex_set(graph, start, role="start")
         n = graph.n_vertices
@@ -110,11 +101,6 @@ class CobraProcess(SpreadingProcess):
     def branching(self) -> float:
         """The branching factor ``k`` (possibly fractional)."""
         return self._branching
-
-    @property
-    def replacement(self) -> bool:
-        """Whether neighbour draws are with replacement (paper semantics)."""
-        return self._replacement
 
     @property
     def loss_probability(self) -> float:
@@ -182,13 +168,7 @@ class CobraProcess(SpreadingProcess):
         graph = self._graph
         rng = self._rng
         if self._rho <= 0.0:
-            if self._replacement:
-                picks = graph.sample_neighbors(active_vertices, self._mandatory, rng)
-            else:
-                picks = graph.sample_distinct_neighbors(
-                    active_vertices, self._mandatory, rng
-                )
-            chosen = picks.ravel()
+            chosen = graph.sample_neighbors(active_vertices, self._mandatory, rng).ravel()
             return chosen, chosen.size
         # Fractional branching: a coin per active vertex decides whether
         # it pushes k or k+1 times this round.
@@ -196,24 +176,10 @@ class CobraProcess(SpreadingProcess):
         base_sources = active_vertices[~extra_mask]
         extra_sources = active_vertices[extra_mask]
         parts: list[np.ndarray] = []
-        if self._replacement:
-            if base_sources.size:
-                parts.append(graph.sample_neighbors(base_sources, self._mandatory, rng).ravel())
-            if extra_sources.size:
-                parts.append(
-                    graph.sample_neighbors(extra_sources, self._mandatory + 1, rng).ravel()
-                )
-        else:
-            if base_sources.size:
-                parts.append(
-                    graph.sample_distinct_neighbors(base_sources, self._mandatory, rng).ravel()
-                )
-            if extra_sources.size:
-                parts.append(
-                    graph.sample_distinct_neighbors(
-                        extra_sources, self._mandatory + 1, rng
-                    ).ravel()
-                )
+        if base_sources.size:
+            parts.append(graph.sample_neighbors(base_sources, self._mandatory, rng).ravel())
+        if extra_sources.size:
+            parts.append(graph.sample_neighbors(extra_sources, self._mandatory + 1, rng).ravel())
         chosen = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
         return chosen, chosen.size
 

@@ -18,8 +18,7 @@ vertex set.  Providers must be deterministic per round index (calling
 them twice with the same index must return the same snapshot); sources
 of randomness belong inside the provider, seeded independently of the
 process, so one graph trajectory can be replayed against many process
-seeds.  Only with-replacement sampling is supported (the paper's
-setting).  Experiment E12 measures the cover-time scaling across
+seeds.  Experiment E12 measures the cover-time scaling across
 re-sampling periods.
 """
 
@@ -139,7 +138,7 @@ class DynamicCobraProcess(_DynamicProcessBase):
     start:
         Initial active set (validated against snapshot 1's vertex set).
     branching:
-        Branching factor (real ``>= 1``); with-replacement sampling.
+        Branching factor (real ``>= 1``).
     seed:
         Randomness source for the process's own draws.
     include_start_in_cover:

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro._rng import SeedLike, ensure_generator
-from repro.errors import CoverTimeoutError, ProcessError
+from repro.errors import CoverTimeoutError, GraphPropertyError, ProcessError
 from repro.graphs.base import Graph
 
 
@@ -115,43 +115,29 @@ def validate_branching(branching: float) -> tuple[int, float]:
     return mandatory, rho
 
 
-def validate_loss(loss_probability: float, replacement: bool) -> float:
+def validate_loss(loss_probability: float) -> float:
     """Check a per-message loss probability.
 
-    Loss is modelled as independent thinning of each neighbour draw and
-    is supported for with-replacement sampling (the paper's setting);
-    combining it with distinct draws is rejected to keep the exact
-    engines and the simulators in lockstep.
+    Loss is modelled as independent thinning of each neighbour draw.
     """
     loss_probability = float(loss_probability)
     if not 0.0 <= loss_probability < 1.0:
         raise ProcessError(
             f"loss_probability must be in [0, 1), got {loss_probability}"
         )
-    if loss_probability > 0.0 and not replacement:
-        raise ProcessError(
-            "message loss is only supported with replacement sampling"
-        )
     return loss_probability
 
 
-def validate_replacement(
-    graph: Graph, mandatory: int, rho: float, replacement: bool
-) -> None:
-    """Check degree feasibility of without-replacement sampling.
+def reject_isolated_vertices(graph: Graph, engine: str) -> None:
+    """Raise :class:`~repro.errors.GraphPropertyError` if a vertex has no neighbour.
 
-    Sampling ``k`` distinct neighbours (plus a possible extra draw for
-    fractional branching) requires every sampling vertex to have at
-    least that many neighbours.
+    Engines that draw neighbours for every vertex (BIPS's contacts, the
+    exact engines' per-vertex draw laws) have nothing to draw there.
     """
-    if replacement:
-        return
-    required = mandatory + (1 if rho > 0.0 else 0)
-    if graph.min_degree < required:
-        raise ProcessError(
-            f"without-replacement sampling with branching {mandatory + rho} needs "
-            f"minimum degree >= {required}, but graph {graph.name!r} has a vertex "
-            f"of degree {graph.min_degree}"
+    if graph.min_degree == 0:
+        isolated = int(np.argmin(graph.degrees))
+        raise GraphPropertyError(
+            f"{engine} cannot draw a neighbour of isolated vertex {isolated} of {graph.name}"
         )
 
 

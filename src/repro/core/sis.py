@@ -24,7 +24,6 @@ from repro.core.process import (
     SpreadingProcess,
     resolve_vertex_set,
     validate_branching,
-    validate_replacement,
 )
 from repro.graphs.base import Graph
 
@@ -42,9 +41,6 @@ class SisProcess(SpreadingProcess):
         Sampling factor ``k`` (real, ``>= 1``).
     seed:
         Randomness source.
-    replacement:
-        Contact neighbours with replacement (default, paper semantics)
-        or distinct neighbours.
     """
 
     timeout_error = InfectionTimeoutError
@@ -56,12 +52,9 @@ class SisProcess(SpreadingProcess):
         *,
         branching: float = 2.0,
         seed: SeedLike = None,
-        replacement: bool = True,
     ) -> None:
         super().__init__(graph, seed=seed)
         self._mandatory, self._rho = validate_branching(branching)
-        validate_replacement(graph, self._mandatory, self._rho, replacement)
-        self._replacement = bool(replacement)
         self._branching = float(branching)
         initial_vertices = resolve_vertex_set(graph, initial, role="initial")
         n = graph.n_vertices
@@ -128,11 +121,6 @@ class SisProcess(SpreadingProcess):
                 newly_reached=0,
                 transmissions=0,
             )
-        def sample(vertices: np.ndarray, count: int) -> np.ndarray:
-            if self._replacement:
-                return graph.sample_neighbors(vertices, count, rng)
-            return graph.sample_distinct_neighbors(vertices, count, rng)
-
         if self._rho > 0.0:
             extra_mask = rng.random(graph.n_vertices) < self._rho
             base_vertices = self._all_vertices[~extra_mask]
@@ -140,15 +128,15 @@ class SisProcess(SpreadingProcess):
             next_infected = np.zeros(graph.n_vertices, dtype=bool)
             transmissions = 0
             if base_vertices.size:
-                picks = sample(base_vertices, self._mandatory)
+                picks = graph.sample_neighbors(base_vertices, self._mandatory, rng)
                 next_infected[base_vertices] = infected[picks].any(axis=1)
                 transmissions += picks.size
             if extra_vertices.size:
-                picks = sample(extra_vertices, self._mandatory + 1)
+                picks = graph.sample_neighbors(extra_vertices, self._mandatory + 1, rng)
                 next_infected[extra_vertices] = infected[picks].any(axis=1)
                 transmissions += picks.size
         else:
-            picks = sample(self._all_vertices, self._mandatory)
+            picks = graph.sample_neighbors(self._all_vertices, self._mandatory, rng)
             next_infected = infected[picks].any(axis=1)
             transmissions = picks.size
         self._infected = next_infected

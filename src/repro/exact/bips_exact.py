@@ -2,11 +2,11 @@
 
 Given ``A_t = A``, the next infected set is a product of independent
 per-vertex Bernoullis: vertex ``u ≠ v`` is infected with probability
-``p_u(A) = 1 - (1 - d_A(u)/d(u))^k`` (adjusted for fractional ``k``,
-distinct contacts and loss), and the source bit is always set.  Each
-step-matrix row is therefore a product measure:
-:meth:`ExactBips.infection_probabilities` vectorised over masks, expanded
-bit by bit by :func:`~repro.exact.subsets.product_measure`.
+``p_u(A) = 1 - (1 - d_A(u)/d(u))^k`` (adjusted for fractional ``k`` and
+loss), and the source bit is always set.  Each step-matrix row is
+therefore a product measure: :meth:`ExactBips.infection_probabilities`
+vectorised over masks, expanded bit by bit by
+:func:`~repro.exact.subsets.product_measure`.
 
 Up to :data:`~repro.exact.subsets.MATRIX_LIMIT` vertices the matrix is
 built once per engine and reused across steps; above it the rows of the
@@ -18,10 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.process import (
+    reject_isolated_vertices,
     resolve_vertex,
     validate_branching,
     validate_loss,
-    validate_replacement,
 )
 from repro.exact.subsets import SubsetChain, masks_disjoint_from, product_measure
 from repro.graphs.base import Graph
@@ -34,15 +34,12 @@ class ExactBips(SubsetChain):
     ----------
     graph:
         A graph with at most
-        :data:`~repro.exact.subsets.MAX_EXACT_VERTICES` vertices.
+        :data:`~repro.exact.subsets.MAX_EXACT_VERTICES` vertices, none
+        of them isolated.
     source:
         The persistent source vertex ``v``.
     branching:
         Sampling factor ``k`` (real, ``>= 1``).
-    replacement:
-        With replacement (default, paper semantics) or distinct
-        contacts; the without-replacement miss probability is the
-        hypergeometric ``C(d - d_A, k) / C(d, k)``.
     loss_probability:
         Independent per-contact loss (extension): each contact is
         thinned with this probability, scaling the per-draw hit
@@ -55,16 +52,14 @@ class ExactBips(SubsetChain):
         source: int,
         *,
         branching: float = 2.0,
-        replacement: bool = True,
         loss_probability: float = 0.0,
     ) -> None:
         super().__init__(graph.n_vertices)
         self._graph = graph
         self._source = resolve_vertex(graph, source, role="source")
         self._mandatory, self._rho = validate_branching(branching)
-        validate_replacement(graph, self._mandatory, self._rho, replacement)
-        self._replacement = bool(replacement)
-        self._loss = validate_loss(loss_probability, replacement)
+        self._loss = validate_loss(loss_probability)
+        reject_isolated_vertices(graph, "ExactBips")
         self._neighbor_masks = np.array(
             [sum(1 << int(v) for v in graph.neighbors(u)) for u in range(self._n)],
             dtype=np.int64,
@@ -88,24 +83,10 @@ class ExactBips(SubsetChain):
     def _infection_probabilities(self, masks: np.ndarray) -> np.ndarray:
         """``(len(masks), n)`` next-round infection probabilities."""
         overlap = self._popcount[self._neighbor_masks & masks[:, None]].astype(np.float64)
-        degrees = self._degrees
-        if self._replacement:
-            hit_fraction = (1.0 - self._loss) * overlap / degrees
-            miss = (1.0 - hit_fraction) ** self._mandatory
-            if self._rho > 0.0:
-                miss = miss * (1.0 - self._rho * hit_fraction)
-        else:
-            # Hypergeometric miss: C(d - a, k) / C(d, k) as a product of
-            # per-draw factors; an extra distinct draw (probability rho)
-            # multiplies in (d - a - k) / (d - k).
-            uninfected = degrees - overlap
-            miss = np.ones_like(overlap)
-            for draw in range(self._mandatory):
-                miss *= np.clip(uninfected - draw, 0.0, None) / (degrees - draw)
-            if self._rho > 0.0:
-                k = self._mandatory
-                extra_miss = np.clip(uninfected - k, 0.0, None) / (degrees - k)
-                miss *= (1.0 - self._rho) + self._rho * extra_miss
+        hit_fraction = (1.0 - self._loss) * overlap / self._degrees
+        miss = (1.0 - hit_fraction) ** self._mandatory
+        if self._rho > 0.0:
+            miss = miss * (1.0 - self._rho * hit_fraction)
         probabilities = 1.0 - miss
         probabilities[:, self._source] = 1.0
         return probabilities

@@ -7,12 +7,9 @@ random choice sets, one per vertex ``u ∈ S``.  The union's zeta
 ``P(C_{t+1} ⊆ T | C_t = S) = Π_{u ∈ S} h_u(T)``
 
 where ``h_u(T)`` is the probability that ``u``'s choice set lies in
-``T``.  It depends only on ``a = |N(u) ∩ T|``:
-
-* with replacement, ``h_u = q^k (1 - ρ + ρ q)`` with
-  ``q = loss + (1 - loss)·a/d(u)`` (``k`` mandatory draws, one extra
-  with probability ``ρ``, each draw lost with probability ``loss``);
-* without replacement, ``h_u = (1 - ρ)·C(a, k)/C(d, k) + ρ·C(a, k+1)/C(d, k+1)``.
+``T``.  It depends only on ``a = |N(u) ∩ T|``: ``h_u = q^k (1 - ρ + ρ q)``
+with ``q = loss + (1 - loss)·a/d(u)`` (``k`` mandatory draws, one extra
+with probability ``ρ``, each draw lost with probability ``loss``).
 
 The transformed rows are built by doubling over the lowest bit,
 ``Z[S] = Z[S \\ {u}]·h_u``, and one Möbius pass along ``T`` recovers
@@ -29,17 +26,16 @@ steps is ``P(Hit_C(v) > t)``.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 import numpy as np
 
 from repro.core.process import (
+    reject_isolated_vertices,
     resolve_vertex,
     resolve_vertex_set,
     validate_branching,
     validate_loss,
-    validate_replacement,
 )
 from repro.exact.subsets import (
     SubsetChain,
@@ -51,16 +47,6 @@ from repro.exact.subsets import (
 from repro.graphs.base import Graph
 
 
-def _inside_fraction(size: int, degree: int) -> np.ndarray:
-    """``C(a, size) / C(degree, size)`` for ``a = 0 .. degree``.
-
-    The chance that a uniform ``size``-subset of a ``degree``-vertex
-    neighbourhood lies inside a given ``a`` of its vertices.
-    """
-    inside = np.array([math.comb(a, size) for a in range(degree + 1)], dtype=np.float64)
-    return inside / math.comb(degree, size)
-
-
 class ExactCobra(SubsetChain):
     """Exact subset-distribution evolution of COBRA on a small graph.
 
@@ -68,13 +54,10 @@ class ExactCobra(SubsetChain):
     ----------
     graph:
         A graph with at most
-        :data:`~repro.exact.subsets.MAX_EXACT_VERTICES` vertices.
+        :data:`~repro.exact.subsets.MAX_EXACT_VERTICES` vertices, none
+        of them isolated.
     branching:
         Branching factor ``k`` (real, ``>= 1``).
-    replacement:
-        With replacement (default, paper semantics) or distinct picks,
-        i.e. each active vertex's choice set is a uniform ``k``-subset
-        (``k+1``-subset with probability ``rho``) of its neighbourhood.
     loss_probability:
         Independent per-push loss (extension): each draw contributes
         its singleton with probability ``1 - loss`` and nothing
@@ -87,14 +70,13 @@ class ExactCobra(SubsetChain):
         graph: Graph,
         *,
         branching: float = 2.0,
-        replacement: bool = True,
         loss_probability: float = 0.0,
     ) -> None:
         super().__init__(graph.n_vertices)
         self._graph = graph
         mandatory, rho = validate_branching(branching)
-        validate_replacement(graph, mandatory, rho, replacement)
-        loss = validate_loss(loss_probability, replacement)
+        loss = validate_loss(loss_probability)
+        reject_isolated_vertices(graph, "ExactCobra")
         #: Most vertices one active vertex can choose in a round.
         self._draws = mandatory + (1 if rho > 0.0 else 0)
         #: ``h_u(T)`` for every vertex ``u`` (rows) and mask ``T``.
@@ -102,14 +84,8 @@ class ExactCobra(SubsetChain):
         all_masks = np.arange(self._size, dtype=np.int64)
         for u in range(self._n):
             neighbors = graph.neighbors(u)
-            degree = neighbors.size
-            if replacement:
-                q = loss + (1.0 - loss) * np.arange(degree + 1) / degree
-                by_overlap = q**mandatory * (1.0 - rho + rho * q)
-            else:
-                by_overlap = (1.0 - rho) * _inside_fraction(mandatory, degree)
-                if rho > 0.0:
-                    by_overlap += rho * _inside_fraction(mandatory + 1, degree)
+            q = loss + (1.0 - loss) * np.arange(neighbors.size + 1) / neighbors.size
+            by_overlap = q**mandatory * (1.0 - rho + rho * q)
             overlap = self._popcount[all_masks & mask_from_vertices(neighbors.tolist())]
             self._factors[u] = by_overlap[overlap]
 

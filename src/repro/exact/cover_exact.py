@@ -46,8 +46,6 @@ class ExactCobraCover:
     include_start_in_cover:
         Paper semantics (default false): the start set does not count
         as covered at round 0.
-    replacement:
-        Neighbour sampling with (default) or without replacement.
     """
 
     def __init__(
@@ -56,7 +54,6 @@ class ExactCobraCover:
         *,
         branching: float = 2.0,
         include_start_in_cover: bool = False,
-        replacement: bool = True,
     ) -> None:
         if graph.n_vertices > MAX_COVER_EXACT_VERTICES:
             raise ExactEngineError(
@@ -69,7 +66,7 @@ class ExactCobraCover:
         self._n = graph.n_vertices
         self._full = (1 << self._n) - 1
         self._include_start = include_start_in_cover
-        self._engine = ExactCobra(graph, branching=branching, replacement=replacement)
+        self._engine = ExactCobra(graph, branching=branching)
 
     def _cover_law(
         self, start: int | Iterable[int], t_max: int, tolerance: float

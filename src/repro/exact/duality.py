@@ -12,9 +12,10 @@ The paper states the theorem for regular graphs (the setting of its
 main results), but the proof uses only that each vertex's random
 ``k``-set of neighbours has the same law in both processes and is
 independent across vertices — properties that hold for arbitrary
-graphs.  The verification functions below therefore accept any graph,
-and the test suite confirms the identity on irregular graphs too
-(documented as an observation, not a claim of the paper).
+graphs.  The verification functions below therefore accept any graph
+without isolated vertices, and the test suite confirms the identity on
+irregular graphs too (documented as an observation, not a claim of the
+paper).
 """
 
 from __future__ import annotations
@@ -41,37 +42,24 @@ def duality_series(
     t_max: int,
     *,
     branching: float = 2.0,
-    replacement: bool = True,
     loss_probability: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the duality identity for ``t = 0 .. t_max``.
 
     Returns ``(cobra_side, bips_side)``: the COBRA hitting tails
     ``P̂(Hit_C(v) > t)`` and the BIPS disjointness probabilities
-    ``P(C ∩ A_t = ∅)``.  The identity holds for with- and
-    without-replacement sampling alike, and with independent
-    per-message loss — the proof only needs the per-vertex choice-set
+    ``P(C ∩ A_t = ∅)``.  The identity also holds with independent
+    per-message loss: the proof only needs the per-vertex choice-set
     laws of the two processes to coincide.
     """
     source = resolve_vertex(graph, source, role="source")
     start_vertices = resolve_vertex_set(graph, start, role="start")
     start_mask = mask_from_vertices(start_vertices.tolist())
 
-    cobra = ExactCobra(
-        graph,
-        branching=branching,
-        replacement=replacement,
-        loss_probability=loss_probability,
-    )
+    cobra = ExactCobra(graph, branching=branching, loss_probability=loss_probability)
     cobra_side = cobra.hitting_survival_series(start_vertices.tolist(), source, t_max)
 
-    bips = ExactBips(
-        graph,
-        source,
-        branching=branching,
-        replacement=replacement,
-        loss_probability=loss_probability,
-    )
+    bips = ExactBips(graph, source, branching=branching, loss_probability=loss_probability)
     selector = masks_disjoint_from(start_mask, graph.n_vertices)
     bips_side = np.empty(t_max + 1, dtype=np.float64)
     current = bips.initial_distribution()
@@ -89,7 +77,6 @@ def duality_gap(
     t_max: int,
     *,
     branching: float = 2.0,
-    replacement: bool = True,
     loss_probability: float = 0.0,
 ) -> float:
     """Largest absolute deviation between the two sides over ``t <= t_max``.
@@ -99,13 +86,7 @@ def duality_gap(
     duality check.
     """
     cobra_side, bips_side = duality_series(
-        graph,
-        start,
-        source,
-        t_max,
-        branching=branching,
-        replacement=replacement,
-        loss_probability=loss_probability,
+        graph, start, source, t_max, branching=branching, loss_probability=loss_probability
     )
     return float(np.max(np.abs(cobra_side - bips_side)))
 

@@ -18,9 +18,6 @@ from repro._rng import SeedLike, derive_seed_sequence
 from repro.analysis.stats import SummaryStats, summarize
 from repro.core.batch import batch_bips_infection_times, batch_cobra_cover_times
 from repro.core.event import event_bips_infection_times, event_cobra_cover_times
-from repro.core.push import PushProcess
-from repro.core.pushpull import PushPullProcess
-from repro.core.runner import sample_completion_times
 from repro.core.sparse import sparse_bips_infection_times, sparse_cobra_cover_times
 from repro.errors import ExperimentError
 from repro.graphs.base import Graph
@@ -40,24 +37,6 @@ class EnsembleMeasurement:
     def mean(self) -> float:
         """Mean completion time."""
         return self.stats.mean
-
-
-def _measure(
-    factory,
-    n_samples: int,
-    seed: SeedLike,
-    max_rounds: int | None,
-    jobs: int | None = None,
-) -> EnsembleMeasurement:
-    times = sample_completion_times(
-        factory,
-        n_samples,
-        seed=seed,
-        max_rounds=max_rounds,
-        raise_on_timeout=True,
-        jobs=jobs,
-    )
-    return EnsembleMeasurement(times=times, stats=summarize(times))
 
 
 def _validate_engine(engine: str, rate_options=None) -> None:
@@ -227,36 +206,6 @@ def measure_bips_infection(
         jobs=jobs,
     )
     return EnsembleMeasurement(times=times, stats=summarize(times))
-
-
-def measure_push_broadcast(
-    graph: Graph,
-    *,
-    start: int = 0,
-    n_samples: int = 10,
-    seed: SeedLike = None,
-    max_rounds: int | None = None,
-    jobs: int | None = None,
-) -> EnsembleMeasurement:
-    """Ensemble of push-protocol broadcast times on ``graph``."""
-    return _measure(
-        lambda rng: PushProcess(graph, start, seed=rng), n_samples, seed, max_rounds, jobs
-    )
-
-
-def measure_pushpull_broadcast(
-    graph: Graph,
-    *,
-    start: int = 0,
-    n_samples: int = 10,
-    seed: SeedLike = None,
-    max_rounds: int | None = None,
-    jobs: int | None = None,
-) -> EnsembleMeasurement:
-    """Ensemble of push–pull broadcast times on ``graph``."""
-    return _measure(
-        lambda rng: PushPullProcess(graph, start, seed=rng), n_samples, seed, max_rounds, jobs
-    )
 
 
 def measure_random_walk_cover(

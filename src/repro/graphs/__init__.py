@@ -15,20 +15,14 @@ from repro.graphs.build import (
 )
 from repro.graphs.generators import (
     barabasi_albert,
-    barbell,
     binary_tree,
     circulant,
     complete,
     complete_bipartite,
-    complete_multipartite,
     cycle,
     erdos_renyi,
-    gabber_galil,
     grid,
     hypercube,
-    johnson,
-    kneser,
-    lollipop,
     path,
     petersen,
     random_regular,
@@ -54,20 +48,6 @@ from repro.graphs.io import (
     save_graph_memmap,
     to_edge_list_text,
 )
-from repro.graphs.operations import (
-    cartesian_product,
-    complement,
-    disjoint_union,
-    line_graph,
-    tensor_product,
-)
-from repro.graphs.distances import (
-    all_pairs_distances,
-    average_distance,
-    bfs_distances,
-    distance_histogram,
-    eccentricities,
-)
 from repro.graphs.properties import (
     connected_components,
     degree_histogram,
@@ -78,10 +58,8 @@ from repro.graphs.properties import (
 from repro.graphs.spectral import (
     adjacency_matrix,
     analytic_lambda,
-    cheeger_bounds,
     eigenvalues,
     lambda_second,
-    mixing_time_bound,
     spectral_gap,
     transition_matrix,
 )
@@ -97,7 +75,6 @@ __all__ = [
     "path",
     "star",
     "complete_bipartite",
-    "complete_multipartite",
     "petersen",
     "hypercube",
     "torus",
@@ -107,18 +84,8 @@ __all__ = [
     "watts_strogatz",
     "barabasi_albert",
     "ring_of_cliques",
-    "barbell",
     "binary_tree",
     "erdos_renyi",
-    "kneser",
-    "johnson",
-    "lollipop",
-    "gabber_galil",
-    "cartesian_product",
-    "tensor_product",
-    "disjoint_union",
-    "complement",
-    "line_graph",
     "ImplicitGraph",
     "ImplicitHypercube",
     "ImplicitTorus",
@@ -137,17 +104,10 @@ __all__ = [
     "is_bipartite",
     "diameter",
     "degree_histogram",
-    "bfs_distances",
-    "all_pairs_distances",
-    "distance_histogram",
-    "average_distance",
-    "eccentricities",
     "transition_matrix",
     "adjacency_matrix",
     "eigenvalues",
     "lambda_second",
     "spectral_gap",
-    "mixing_time_bound",
-    "cheeger_bounds",
     "analytic_lambda",
 ]

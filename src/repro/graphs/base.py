@@ -488,48 +488,6 @@ class Graph:
             vertices = row
         return trajectory
 
-    def sample_distinct_neighbors(
-        self, vertices: np.ndarray, samples_per_vertex: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Draw uniform random neighbours *without* replacement, per vertex.
-
-        Each listed vertex receives a uniformly random ``k``-subset of
-        its neighbourhood (as ``k`` columns in arbitrary order).  All
-        queried vertices must have degree at least ``k``.
-
-        Implementation: random keys per (vertex, neighbour-slot) with
-        out-of-degree slots masked to +inf, then ``argpartition`` keeps
-        the ``k`` smallest keys — a uniformly random ``k``-subset — in
-        O(m · max_degree) time.
-
-        Returns
-        -------
-        numpy.ndarray
-            Shape ``(m, k)`` of distinct neighbours per row.
-        """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        k = samples_per_vertex
-        if k < 1:
-            raise ValueError(f"samples_per_vertex must be >= 1, got {k}")
-        if vertices.size == 0:
-            return np.empty((0, k), dtype=np.int64)
-        degrees = self._degrees[vertices]
-        if np.any(degrees < k):
-            bad = int(vertices[np.argmax(degrees < k)])
-            raise GraphPropertyError(
-                f"vertex {bad} has degree {self.degree(bad)} < k={k}; "
-                "cannot sample that many distinct neighbours"
-            )
-        if k == 1:
-            return self.sample_neighbors(vertices, 1, rng)
-        width = int(degrees.max())
-        keys = rng.random((vertices.size, width))
-        slot_index = np.arange(width)[None, :]
-        keys[slot_index >= degrees[:, None]] = np.inf
-        chosen_slots = np.argpartition(keys, k - 1, axis=1)[:, :k]
-        positions = self._indptr[vertices][:, None] + chosen_slots
-        return self._indices[positions].astype(np.int64, copy=False)
-
     def neighborhoods(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Concatenated neighbour rows of ``vertices`` (vectorised).
 

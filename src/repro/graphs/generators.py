@@ -20,8 +20,8 @@ Regular families (the paper's setting):
   expander handy for exact computations.
 
 Irregular families (for generality tests and baselines): :func:`path`,
-:func:`star`, :func:`grid`, :func:`binary_tree`, :func:`barbell`,
-:func:`ring_of_cliques`, :func:`erdos_renyi`, :func:`complete_bipartite`.
+:func:`star`, :func:`grid`, :func:`binary_tree`, :func:`ring_of_cliques`,
+:func:`erdos_renyi`, :func:`complete_bipartite`.
 
 Only :func:`watts_strogatz` and :func:`barabasi_albert` still call
 networkx; it is imported when one of them runs.
@@ -39,6 +39,27 @@ from repro.errors import GraphConstructionError
 from repro.graphs.base import Graph, resolve_index_dtype
 from repro.graphs.build import from_edges
 from repro.graphs.properties import is_connected
+
+#: The public generators: the names ``cobra-repro graph-info`` and
+#: scenario graph cases accept.
+__all__ = [
+    "complete",
+    "cycle",
+    "path",
+    "star",
+    "complete_bipartite",
+    "petersen",
+    "hypercube",
+    "torus",
+    "grid",
+    "circulant",
+    "random_regular",
+    "watts_strogatz",
+    "barabasi_albert",
+    "ring_of_cliques",
+    "binary_tree",
+    "erdos_renyi",
+]
 
 
 def _adopt_regular_rows(rows: np.ndarray, name: str, index_dtype: str) -> Graph:
@@ -415,29 +436,6 @@ def ring_of_cliques(n_cliques: int, clique_size: int) -> Graph:
     return from_edges(n, edges, name=f"ring_of_cliques(cliques={n_cliques}, size={clique_size})")
 
 
-def barbell(clique_size: int, path_length: int) -> Graph:
-    """Two `K_s` cliques joined by a path of `path_length` extra vertices."""
-    if clique_size < 3:
-        raise GraphConstructionError(f"barbell clique size must be >= 3, got {clique_size}")
-    if path_length < 0:
-        raise GraphConstructionError(f"path_length must be >= 0, got {path_length}")
-    edges: list[tuple[int, int]] = []
-    for base in (0, clique_size):
-        for u in range(clique_size):
-            for v in range(u + 1, clique_size):
-                edges.append((base + u, base + v))
-    left_anchor = 0
-    right_anchor = clique_size
-    previous = left_anchor
-    for i in range(path_length):
-        bridge_vertex = 2 * clique_size + i
-        edges.append((previous, bridge_vertex))
-        previous = bridge_vertex
-    edges.append((previous, right_anchor))
-    n = 2 * clique_size + path_length
-    return from_edges(n, edges, name=f"barbell(clique={clique_size}, path={path_length})")
-
-
 def binary_tree(height: int) -> Graph:
     """Complete binary tree of the given height (`2^(h+1) - 1` vertices)."""
     if height < 1:
@@ -445,133 +443,6 @@ def binary_tree(height: int) -> Graph:
     n = (1 << (height + 1)) - 1
     edges = [(child, (child - 1) // 2) for child in range(1, n)]
     return from_edges(n, edges, name=f"binary_tree(height={height})")
-
-
-def kneser(n: int, k: int) -> Graph:
-    """Kneser graph ``K(n, k)``: `k`-subsets of `[n]`, adjacent iff disjoint.
-
-    ``C(n, k)`` vertices, ``C(n-k, k)``-regular; ``kneser(5, 2)`` is the
-    Petersen graph.  Requires ``n >= 2k`` (else edgeless).
-    """
-    if k < 1 or n < 2 * k:
-        raise GraphConstructionError(f"kneser needs n >= 2k >= 2, got n={n}, k={k}")
-    subsets = list(itertools.combinations(range(n), k))
-    index_of = {subset: i for i, subset in enumerate(subsets)}
-    edges = []
-    for i, a in enumerate(subsets):
-        a_set = set(a)
-        for b in itertools.combinations([x for x in range(n) if x not in a_set], k):
-            j = index_of[b]
-            if i < j:
-                edges.append((i, j))
-    return from_edges(len(subsets), edges, name=f"kneser(n={n}, k={k})")
-
-
-def johnson(n: int, k: int) -> Graph:
-    """Johnson graph ``J(n, k)``: `k`-subsets of `[n]`, adjacent iff they
-    share ``k - 1`` elements.
-
-    ``C(n, k)`` vertices, ``k (n - k)``-regular, distance-transitive;
-    ``J(n, 2)`` is the triangular graph ``T(n)``.
-    """
-    if k < 1 or k > n - 1:
-        raise GraphConstructionError(f"johnson needs 1 <= k <= n-1, got n={n}, k={k}")
-    subsets = list(itertools.combinations(range(n), k))
-    index_of = {subset: i for i, subset in enumerate(subsets)}
-    edges = []
-    for i, a in enumerate(subsets):
-        a_set = set(a)
-        for removed in a:
-            remaining = a_set - {removed}
-            for added in range(n):
-                if added in a_set:
-                    continue
-                b = tuple(sorted(remaining | {added}))
-                j = index_of[b]
-                if i < j:
-                    edges.append((i, j))
-    return from_edges(len(subsets), edges, name=f"johnson(n={n}, k={k})")
-
-
-def lollipop(clique_size: int, path_length: int) -> Graph:
-    """Lollipop graph: a `K_s` clique with a path of ``path_length``
-    extra vertices hanging off vertex 0.
-
-    The classic worst case for random-walk cover time (``Θ(n³)``),
-    included as a baseline stressor.
-    """
-    if clique_size < 3:
-        raise GraphConstructionError(f"lollipop clique size must be >= 3, got {clique_size}")
-    if path_length < 1:
-        raise GraphConstructionError(f"lollipop path_length must be >= 1, got {path_length}")
-    edges = [
-        (u, v) for u in range(clique_size) for v in range(u + 1, clique_size)
-    ]
-    previous = 0
-    for i in range(path_length):
-        tail_vertex = clique_size + i
-        edges.append((previous, tail_vertex))
-        previous = tail_vertex
-    n = clique_size + path_length
-    return from_edges(n, edges, name=f"lollipop(clique={clique_size}, path={path_length})")
-
-
-def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
-    """Complete multipartite graph: parts are independent sets, all
-    cross-part pairs are edges.
-
-    Regular iff all parts have equal size; `K_{s,s,...,s}` with `p`
-    parts is ``(p-1)s``-regular and non-bipartite for ``p >= 3``.
-    """
-    sizes = [int(s) for s in part_sizes]
-    if len(sizes) < 2 or any(s < 1 for s in sizes):
-        raise GraphConstructionError(
-            f"complete_multipartite needs >= 2 parts of size >= 1, got {sizes}"
-        )
-    boundaries = np.concatenate([[0], np.cumsum(sizes)])
-    edges = []
-    for part_a in range(len(sizes)):
-        for part_b in range(part_a + 1, len(sizes)):
-            for u in range(boundaries[part_a], boundaries[part_a + 1]):
-                for v in range(boundaries[part_b], boundaries[part_b + 1]):
-                    edges.append((int(u), int(v)))
-    n = int(boundaries[-1])
-    return from_edges(n, edges, name=f"complete_multipartite(sizes={tuple(sizes)})")
-
-
-def gabber_galil(m: int) -> Graph:
-    """Gabber–Galil expander on the grid ``Z_m × Z_m`` (simplified).
-
-    Vertex ``(x, y)`` connects to ``(x ± 2y, y)``, ``(x ± (2y+1), y)``,
-    ``(x, y ± 2x)``, ``(x, y ± (2x+1))`` (arithmetic mod `m`) — a
-    deterministic constant-gap expander family.  Self-loops and
-    parallel edges of the underlying multigraph are dropped, so the
-    simple version is *nearly* 8-regular (degrees can dip at special
-    points); the spectral gap remains bounded away from zero.
-    """
-    if m < 3:
-        raise GraphConstructionError(f"gabber_galil needs m >= 3, got {m}")
-    edges: set[tuple[int, int]] = set()
-
-    def vertex(x: int, y: int) -> int:
-        return (x % m) * m + (y % m)
-
-    for x in range(m):
-        for y in range(m):
-            u = vertex(x, y)
-            for v in (
-                vertex(x + 2 * y, y),
-                vertex(x - 2 * y, y),
-                vertex(x + 2 * y + 1, y),
-                vertex(x - 2 * y - 1, y),
-                vertex(x, y + 2 * x),
-                vertex(x, y - 2 * x),
-                vertex(x, y + 2 * x + 1),
-                vertex(x, y - 2 * x - 1),
-            ):
-                if u != v:
-                    edges.add((min(u, v), max(u, v)))
-    return from_edges(m * m, sorted(edges), name=f"gabber_galil(m={m})")
 
 
 def erdos_renyi(n: int, p: float, seed: SeedLike = None, *, connected: bool = False,

@@ -183,31 +183,6 @@ class ImplicitGraph(Graph):
         # No ``indices`` to gather from: every round computes its rows.
         return self._chained_walk(np.asarray(vertices, dtype=np.int64), rounds, rng)
 
-    def sample_distinct_neighbors(
-        self, vertices: np.ndarray, samples_per_vertex: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        vertices = np.asarray(vertices, dtype=np.int64)
-        k = samples_per_vertex
-        if k < 1:
-            raise ValueError(f"samples_per_vertex must be >= 1, got {k}")
-        r = self._regular_degree
-        if r < k and vertices.size:
-            bad = int(vertices[0])
-            raise GraphPropertyError(
-                f"vertex {bad} has degree {r} < k={k}; "
-                "cannot sample that many distinct neighbours"
-            )
-        if vertices.size == 0:
-            return np.empty((0, k), dtype=np.int64)
-        if k == 1:
-            return self.sample_neighbors(vertices, 1, rng)
-        # Identical stream to the CSR path: on a regular graph its key
-        # matrix is (m, r) with no masked slots.
-        keys = rng.random((vertices.size, r))
-        chosen_slots = np.argpartition(keys, k - 1, axis=1)[:, :k]
-        rows = self.neighbor_rows(vertices)
-        return np.take_along_axis(rows, chosen_slots, axis=1)
-
     def neighborhoods(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vertices = np.asarray(vertices, dtype=np.int64)
         counts = np.full(vertices.size, self._regular_degree, dtype=np.int64)

@@ -1,4 +1,4 @@
-"""Spectral tools: `λ`, spectral gap, mixing/conductance bounds.
+"""Spectral tools: `λ`, the spectral gap and random-walk hitting times.
 
 The paper's bounds are stated in terms of
 ``λ = max_{i >= 2} |λ_i(P)}`` where ``P = A/r`` is the random-walk
@@ -7,7 +7,7 @@ routines here use the symmetric normalisation
 ``N = D^{-1/2} A D^{-1/2}``, which shares its spectrum with
 ``P = D^{-1} A`` and keeps everything real-symmetric.
 
-Three computation paths are provided:
+Two computation paths are provided:
 
 * dense (``numpy.linalg.eigvalsh``) — the whole spectrum.  ``auto``
   uses it up to :data:`DENSE_LIMIT` = 256 vertices, where it costs a
@@ -21,8 +21,6 @@ Three computation paths are provided:
   eigenvalues crowd the ends: ``cycle(1001)`` takes about 0.5 s against
   0.08 s dense, ``path(1000)`` about 1.9 s against 0.09 s.  Pass
   ``method="dense"`` for such graphs.
-* power iteration with deflation — a dependency-light estimate used as
-  a cross-check in tests.
 
 Closed-form spectra for the structured families
 (:func:`analytic_lambda`) let the tests validate the numeric paths to
@@ -111,7 +109,7 @@ def lambda_second(graph: Graph, *, method: str = "auto") -> float:
         A connected graph (disconnected graphs have a repeated
         eigenvalue 1, which this routine reports as ``λ = 1``).
     method:
-        ``"dense"``, ``"sparse"``, ``"power"`` or ``"auto"``.  ``auto``
+        ``"dense"``, ``"sparse"`` or ``"auto"``.  ``auto``
         returns an implicit graph's closed form, and otherwise solves
         densely up to :data:`DENSE_LIMIT` (256) vertices and runs one
         seeded Lanczos run (``"sparse"``) above.  Lanczos is slow on
@@ -132,9 +130,7 @@ def lambda_second(graph: Graph, *, method: str = "auto") -> float:
     if method == "sparse":
         second, smallest = _extreme_eigenvalues(graph)
         return max(abs(second), abs(smallest))
-    if method == "power":
-        return _lambda_second_power(graph)
-    raise ValueError(f"unknown method {method!r}; expected auto/dense/sparse/power")
+    raise ValueError(f"unknown method {method!r}; expected auto/dense/sparse")
 
 
 def _extreme_eigenvalues(graph: Graph) -> tuple[float, float]:
@@ -162,90 +158,9 @@ def _extreme_eigenvalues(graph: Graph) -> tuple[float, float]:
     return float(values[1]), float(values[0])
 
 
-def _lambda_second_power(
-    graph: Graph, *, iterations: int = 2000, tolerance: float = 1e-10, seed: int = 0
-) -> float:
-    """Power iteration with the stationary eigenvector deflated.
-
-    The principal eigenvector of ``N = D^{-1/2} A D^{-1/2}`` is
-    ``D^{1/2} 1`` normalised; projecting it out and power-iterating
-    ``N`` converges to the second-largest *absolute* eigenvalue.
-    """
-    matrix = _normalized_adjacency(graph, sparse=graph.n_vertices > DENSE_LIMIT)
-    principal = np.sqrt(graph.degrees.astype(np.float64))
-    principal /= np.linalg.norm(principal)
-    rng = np.random.default_rng(seed)
-    vector = rng.standard_normal(graph.n_vertices)
-    vector -= principal * (principal @ vector)
-    vector /= np.linalg.norm(vector)
-    estimate = 0.0
-    for _ in range(iterations):
-        vector = matrix @ vector
-        vector -= principal * (principal @ vector)
-        norm = float(np.linalg.norm(vector))
-        if norm == 0.0:
-            return 0.0
-        vector /= norm
-        if abs(norm - estimate) < tolerance:
-            return norm
-        estimate = norm
-    return estimate
-
-
 def spectral_gap(graph: Graph, *, method: str = "auto") -> float:
     """``1 - λ``; positive exactly when the graph mixes (non-bipartite, connected)."""
     return 1.0 - lambda_second(graph, method=method)
-
-
-def mixing_time_bound(graph: Graph, epsilon: float = 0.25, *, method: str = "auto") -> float:
-    """Standard upper bound ``log(n / ε) / (1 - λ)`` on the mixing time."""
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    gap = spectral_gap(graph, method=method)
-    if gap <= 0:
-        raise GraphPropertyError("mixing time is infinite: spectral gap is zero")
-    return math.log(graph.n_vertices / epsilon) / gap
-
-
-def cheeger_bounds(graph: Graph, *, method: str = "auto") -> tuple[float, float]:
-    """Cheeger inequalities: conductance ``Φ`` obeys ``gap/2 <= Φ <= sqrt(2 gap)``.
-
-    The gap here is the *algebraic* one, ``1 - λ_2`` (not ``1 - λ``),
-    as in the standard statement of the inequality.
-    """
-    if method == "auto":
-        method = "dense" if graph.n_vertices <= DENSE_LIMIT else "sparse"
-    if method == "dense":
-        second = float(eigenvalues(graph)[1])
-    else:
-        second = _extreme_eigenvalues(graph)[0]
-    gap = 1.0 - second
-    return (gap / 2.0, math.sqrt(max(2.0 * gap, 0.0)))
-
-
-def conductance(graph: Graph) -> float:
-    """Exact conductance by subset enumeration (tiny graphs only, `n <= 20`).
-
-    ``Φ(G) = min over cuts S with vol(S) <= vol(V)/2 of cut(S)/vol(S)``.
-    """
-    n = graph.n_vertices
-    if n > 20:
-        raise GraphPropertyError(f"exact conductance enumerates 2^n subsets; n={n} > 20")
-    degrees = graph.degrees.astype(np.int64)
-    total_volume = int(degrees.sum())
-    best = math.inf
-    for mask in range(1, (1 << n) - 1):
-        members = [u for u in range(n) if mask >> u & 1]
-        volume = int(degrees[members].sum())
-        if volume == 0 or volume > total_volume // 2:
-            continue
-        cut = 0
-        for u in members:
-            for v in graph.neighbors(u):
-                if not (mask >> int(v)) & 1:
-                    cut += 1
-        best = min(best, cut / volume)
-    return float(best)
 
 
 def random_walk_hitting_times(graph: Graph) -> np.ndarray:

@@ -274,11 +274,10 @@ class GraphCase:
     def __post_init__(self) -> None:
         if not self.label or not isinstance(self.label, str):
             raise ScenarioError(f"graph case needs a non-empty label, got {self.label!r}")
-        builder = getattr(generators, str(self.generator), None)
-        if builder is None or not callable(builder):
+        if self.generator not in generators.__all__:
             raise ScenarioError(
                 f"graph case {self.label!r}: unknown generator {self.generator!r} "
-                f"(see repro.graphs.generators)"
+                f"(choose from {', '.join(generators.__all__)})"
             )
         object.__setattr__(self, "args", _normalise_args(self.args))
         if self.seed_offset is not None:

@@ -41,7 +41,6 @@ def expected_next_infected_size(
     source: int,
     *,
     branching: float = 2.0,
-    replacement: bool = True,
 ) -> float:
     """Exact ``E(|A_{t+1}| | A_t)`` for BIPS (paper Eq. (3), generalised).
 
@@ -57,10 +56,6 @@ def expected_next_infected_size(
     branching:
         Sampling factor ``k`` (real ``>= 1``; fractional parts follow
         Corollary 1's one-plus-coin-flip semantics).
-    replacement:
-        With replacement (paper semantics) or distinct contacts; the
-        without-replacement miss probability is hypergeometric,
-        ``C(d - d_A, k) / C(d, k)``.
     """
     source = resolve_vertex(graph, source, role="source")
     mask = _as_mask(graph, infected)
@@ -69,22 +64,10 @@ def expected_next_infected_size(
     mandatory, rho = validate_branching(branching)
     counts = infected_neighbor_counts(graph, mask).astype(np.float64)
     degrees = graph.degrees.astype(np.float64)
-    if replacement:
-        hit_fraction = counts / degrees
-        miss = (1.0 - hit_fraction) ** mandatory
-        if rho > 0.0:
-            miss = miss * (1.0 - rho * hit_fraction)
-    else:
-        from repro.core.process import validate_replacement
-
-        validate_replacement(graph, mandatory, rho, replacement)
-        uninfected = degrees - counts
-        miss = np.ones(graph.n_vertices, dtype=np.float64)
-        for draw in range(mandatory):
-            miss *= np.clip(uninfected - draw, 0.0, None) / (degrees - draw)
-        if rho > 0.0:
-            extra_miss = np.clip(uninfected - mandatory, 0.0, None) / (degrees - mandatory)
-            miss *= (1.0 - rho) + rho * extra_miss
+    hit_fraction = counts / degrees
+    miss = (1.0 - hit_fraction) ** mandatory
+    if rho > 0.0:
+        miss = miss * (1.0 - rho * hit_fraction)
     probabilities = 1.0 - miss
     probabilities[source] = 1.0
     return float(probabilities.sum())

@@ -37,7 +37,6 @@ FACTORIES = {
     ),
     "cobra": lambda seed: CobraProcess(GRAPH, 0, seed=seed),
     "cobra-fractional": lambda seed: CobraProcess(GRAPH, 0, branching=1.5, seed=seed),
-    "cobra-distinct": lambda seed: CobraProcess(GRAPH, 0, replacement=False, seed=seed),
     "cobra-lossy": lambda seed: CobraProcess(GRAPH, 0, loss_probability=0.2, seed=seed),
     "bips": lambda seed: BipsProcess(GRAPH, 0, seed=seed),
     "bips-lossy": lambda seed: BipsProcess(GRAPH, 0, loss_probability=0.2, seed=seed),

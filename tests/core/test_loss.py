@@ -22,10 +22,6 @@ class TestValidation:
         with pytest.raises(ProcessError, match="loss_probability"):
             BipsProcess(petersen, 0, loss_probability=-0.1)
 
-    def test_loss_incompatible_with_distinct_draws(self, petersen):
-        with pytest.raises(ProcessError, match="replacement"):
-            CobraProcess(petersen, 0, replacement=False, loss_probability=0.2)
-
     def test_zero_loss_is_default(self, petersen):
         assert CobraProcess(petersen, 0).loss_probability == 0.0
         assert BipsProcess(petersen, 0).loss_probability == 0.0

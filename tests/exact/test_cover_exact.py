@@ -41,16 +41,6 @@ class TestCoverLaw:
         assert tail == pytest.approx(0.0)
         assert np.array_equal(engine.survival_series([0, 1, 2], 5), np.zeros(6))
 
-    def test_cycle_without_replacement_is_deterministic(self):
-        # k=2 distinct picks on a cycle flood deterministically: C7 from
-        # one vertex covers the other 6 vertices in exactly 3 rounds,
-        # and the start vertex is re-chosen at round 2.
-        engine = ExactCobraCover(
-            generators.cycle(7), branching=2.0, replacement=False
-        )
-        pmf, tail = engine.cover_time_distribution(0, t_max=10)
-        assert pmf[3] == pytest.approx(1.0)
-
     def test_impossible_early_rounds_have_zero_mass(self):
         # With branching 2 the union after t rounds has at most
         # 2 + 4 + ... + 2^t vertices, so P(cov <= 1) = 0 on K5 from a

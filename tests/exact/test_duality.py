@@ -5,8 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import GraphPropertyError
+from repro.exact.bips_exact import ExactBips
+from repro.exact.cobra_exact import ExactCobra
+from repro.exact.cover_exact import ExactCobraCover
 from repro.exact.duality import duality_gap, duality_gaps, duality_series
-from repro.graphs import generators
+from repro.graphs import from_edges, generators
 
 
 class TestDualityExact:
@@ -42,44 +46,6 @@ class TestDualityExact:
         cobra_side, bips_side = duality_series(petersen, [0, 4], 4, 6)
         assert np.allclose(cobra_side, 0.0)
         assert np.allclose(bips_side, 0.0)
-
-
-class TestWithoutReplacement:
-    """The duality carries over to without-replacement sampling.
-
-    The proof of Theorem 4 uses only (a) that a vertex's random choice
-    set has the same law in COBRA and BIPS and (b) independence across
-    vertices — both true for uniform distinct draws as well.
-    """
-
-    @pytest.mark.parametrize("branching", [1.0, 1.5, 2.0])
-    def test_petersen(self, petersen, branching):
-        gap = duality_gap(
-            petersen, [0], 7, 10, branching=branching, replacement=False
-        )
-        assert gap < 1e-10
-
-    def test_complete_graph(self):
-        gap = duality_gap(
-            generators.complete(6), [1, 2], 4, 10, branching=2.0, replacement=False
-        )
-        assert gap < 1e-10
-
-    def test_cycle_flooding_case(self):
-        # k=2 without replacement on a cycle floods deterministically;
-        # the duality must hold in this degenerate regime too.
-        gap = duality_gap(
-            generators.cycle(9), [0], 4, 10, branching=2.0, replacement=False
-        )
-        assert gap < 1e-10
-
-    def test_differs_from_with_replacement(self, petersen):
-        # Sanity: the two samplings genuinely give different processes.
-        with_replacement, _ = duality_series(petersen, [0], 7, 6, branching=2.0)
-        without_replacement, _ = duality_series(
-            petersen, [0], 7, 6, branching=2.0, replacement=False
-        )
-        assert not np.allclose(with_replacement, without_replacement)
 
 
 class TestWithLoss:
@@ -152,3 +118,30 @@ class TestDualityGaps:
             for graph, start, source, k, loss in self.CASES
         ]
         assert duality_gaps(self.CASES, 6, jobs=jobs) == expected
+
+
+class TestIsolatedVertex:
+    """A vertex with no neighbour has no draw law: the exact engines refuse it."""
+
+    ENTRY_POINTS = {
+        "ExactCobra": lambda graph: ExactCobra(graph),
+        "ExactBips": lambda graph: ExactBips(graph, 0),
+        "ExactCobraCover": lambda graph: ExactCobraCover(graph),
+        "duality_series": lambda graph: duality_series(graph, [0], 2, 3),
+        "duality_gap": lambda graph: duality_gap(graph, [0], 2, 3),
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_rejected_naming_the_vertex(self, entry):
+        # The path 0-1-2 plus vertex 3 on its own.
+        graph = from_edges(4, [(0, 1), (1, 2)])
+        with pytest.raises(GraphPropertyError, match="isolated vertex 3"):
+            self.ENTRY_POINTS[entry](graph)
+
+    def test_smallest_graph_still_solves(self):
+        graph = generators.complete(2)
+        cobra_side, bips_side = duality_series(graph, [0], 1, 3)
+        assert np.allclose(cobra_side, [1.0, 0.0, 0.0, 0.0], rtol=0.0, atol=1e-15)
+        assert np.allclose(bips_side, cobra_side, rtol=0.0, atol=1e-15)
+        pmf, tail = ExactCobraCover(graph).cover_time_distribution(0, t_max=3)
+        assert pmf[1] == pytest.approx(0.0) and pmf[2] == pytest.approx(1.0)

@@ -97,19 +97,16 @@ class TestTransforms:
                 assert column[mask] == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize(
-        ("branching", "loss", "replacement"),
-        [(1.0, 0.0, True), (1.5, 0.0, True), (2.0, 0.3, True), (3.0, 0.0, True),
-         (1.5, 0.0, False), (2.0, 0.0, False)],
+        ("branching", "loss"),
+        [(1.0, 0.0), (1.5, 0.0), (2.0, 0.3), (3.0, 0.0)],
+        # The "True" names sampling with replacement.
+        ids=["1.0-0.0-True", "1.5-0.0-True", "2.0-0.3-True", "3.0-0.0-True"],
     )
-    def test_cobra_zeta_row_is_product_of_vertex_factors(
-        self, petersen, branching, loss, replacement
-    ):
+    def test_cobra_zeta_row_is_product_of_vertex_factors(self, petersen, branching, loss):
         # A COBRA step is a union of independent per-vertex choice sets:
         # the subset sums of the row of S are the product over u in S of
         # the subset sums of the row of {u}.
-        engine = ExactCobra(
-            petersen, branching=branching, replacement=replacement, loss_probability=loss
-        )
+        engine = ExactCobra(petersen, branching=branching, loss_probability=loss)
         factors = {u: _subset_sums(engine.step_distribution(1 << u)) for u in range(10)}
         for mask in range(1, 1 << 10, 37):
             expected = np.prod([factors[u] for u in vertices_from_mask(mask)], axis=0)
@@ -129,9 +126,9 @@ class TestTransforms:
             rtol=0.0, atol=1e-15,
         )
 
-    @pytest.mark.parametrize(("branching", "replacement"), [(2.0, True), (1.5, False)])
-    def test_bips_row_is_product_measure(self, petersen, branching, replacement):
-        engine = ExactBips(petersen, 3, branching=branching, replacement=replacement)
+    @pytest.mark.parametrize("branching", [2.0, 1.5], ids=["2.0-True", "1.5-True"])
+    def test_bips_row_is_product_measure(self, petersen, branching):
+        engine = ExactBips(petersen, 3, branching=branching)
         masks = np.arange(1 << 10)
         for mask in range(1 << 3, 1 << 10, 41):
             probabilities = engine.infection_probabilities(mask)

@@ -10,8 +10,6 @@ from repro.experiments.sweep import (
     expander_with_gap,
     measure_bips_infection,
     measure_cobra_cover,
-    measure_push_broadcast,
-    measure_pushpull_broadcast,
     measure_random_walk_cover,
 )
 from repro.graphs import generators
@@ -27,12 +25,6 @@ class TestMeasurementHelpers:
     def test_bips_infection(self, small_expander):
         measurement = measure_bips_infection(small_expander, n_samples=6, seed=0)
         assert np.all(measurement.times > 0)
-
-    def test_push_and_pushpull(self, small_expander):
-        push = measure_push_broadcast(small_expander, n_samples=6, seed=0)
-        pushpull = measure_pushpull_broadcast(small_expander, n_samples=6, seed=0)
-        assert np.all(push.times > 0)
-        assert np.all(pushpull.times > 0)
 
     def test_random_walk(self):
         graph = generators.cycle(12)

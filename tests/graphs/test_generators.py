@@ -240,19 +240,6 @@ class TestRingOfCliques:
             generators.ring_of_cliques(2, 3)
 
 
-class TestBarbell:
-    def test_structure(self):
-        graph = generators.barbell(4, 2)
-        assert graph.n_vertices == 10
-        assert is_connected(graph)
-        assert graph.n_edges == 2 * 6 + 3
-
-    def test_no_path(self):
-        graph = generators.barbell(3, 0)
-        assert graph.n_vertices == 6
-        assert graph.has_edge(0, 3)
-
-
 class TestBinaryTree:
     def test_structure(self):
         graph = generators.binary_tree(3)

@@ -112,18 +112,6 @@ class TestStreamForStreamAgreement:
         # The RNG must end in the same state: follow-up draws agree too.
         assert np.array_equal(rng_i.integers(0, 1 << 30, 8), rng_c.integers(0, 1 << 30, 8))
 
-    def test_sample_distinct_neighbors_bit_identical(self, pair):
-        implicit, concrete = pair
-        vertices = np.array([0, 1, 2, 0], dtype=np.int64)
-        k = min(2, implicit.degree(0))
-        rng_i = np.random.default_rng(7)
-        rng_c = np.random.default_rng(7)
-        picks_i = implicit.sample_distinct_neighbors(vertices, k, rng_i)
-        picks_c = concrete.sample_distinct_neighbors(vertices, k, rng_c)
-        assert np.array_equal(np.sort(picks_i, axis=1), np.sort(picks_c, axis=1))
-        assert np.array_equal(picks_i, picks_c)
-        assert np.array_equal(rng_i.random(4), rng_c.random(4))
-
 
 @settings(max_examples=40, deadline=None)
 @given(dimension=st.integers(1, 7), seed=st.integers(0, 2**31 - 1))

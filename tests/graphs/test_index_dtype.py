@@ -55,16 +55,6 @@ class TestNarrowGraphs:
         # Identical downstream draws: the uniform_draws stream is untouched.
         assert np.array_equal(rng_a.random(4), rng_b.random(4))
 
-    def test_distinct_sampling_stream_identical_too(self):
-        wide = generators.random_regular(60, 6, seed=3)
-        narrow = Graph(wide.indptr, wide.indices, name=wide.name, index_dtype="int32")
-        vertices = np.array([0, 5, 9], dtype=np.int64)
-        rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
-        assert np.array_equal(
-            wide.sample_distinct_neighbors(vertices, 2, rng_a),
-            narrow.sample_distinct_neighbors(vertices, 2, rng_b),
-        )
-
     def test_generators_accept_index_dtype(self):
         narrow = generators.hypercube(4, index_dtype="int32")
         assert narrow.indices.dtype == np.dtype(np.int32)

@@ -1,129 +1,12 @@
-"""Tests for the extended generator families (Kneser, Johnson, etc.)."""
+"""Tests for the Watts–Strogatz and Barabási–Albert generators."""
 
 from __future__ import annotations
-
-import math
 
 import pytest
 
 from repro.errors import GraphConstructionError
 from repro.graphs import generators
 from repro.graphs.properties import is_connected
-from repro.graphs.spectral import lambda_second, spectral_gap
-
-
-class TestKneser:
-    def test_kneser_5_2_is_petersen(self):
-        kneser = generators.kneser(5, 2)
-        petersen = generators.petersen()
-        assert kneser.n_vertices == 10
-        assert kneser.n_edges == 15
-        assert kneser.regular_degree == 3
-        assert lambda_second(kneser) == pytest.approx(lambda_second(petersen))
-
-    def test_degree_formula(self):
-        graph = generators.kneser(7, 2)
-        assert graph.n_vertices == math.comb(7, 2)
-        assert graph.regular_degree == math.comb(5, 2)
-
-    def test_boundary_n_equals_2k_is_perfect_matching(self):
-        graph = generators.kneser(6, 3)
-        assert graph.regular_degree == 1
-
-    def test_validation(self):
-        with pytest.raises(GraphConstructionError):
-            generators.kneser(3, 2)
-
-
-class TestJohnson:
-    def test_counts(self):
-        graph = generators.johnson(5, 2)
-        assert graph.n_vertices == 10
-        assert graph.regular_degree == 2 * 3
-
-    def test_johnson_n_1_is_complete(self):
-        graph = generators.johnson(5, 1)
-        assert graph == generators.complete(5)
-
-    def test_connected(self):
-        assert is_connected(generators.johnson(6, 3))
-
-    def test_known_spectrum_j52(self):
-        # J(5,2) adjacency eigenvalues: (2-j)(3-j) - j for j = 0..2,
-        # i.e. 6, 2, -2; transition spectrum second value 2/6 = 1/3.
-        assert lambda_second(generators.johnson(5, 2)) == pytest.approx(1 / 3)
-
-    def test_validation(self):
-        with pytest.raises(GraphConstructionError):
-            generators.johnson(4, 4)
-
-
-class TestLollipop:
-    def test_structure(self):
-        graph = generators.lollipop(5, 3)
-        assert graph.n_vertices == 8
-        assert graph.n_edges == 10 + 3
-        assert is_connected(graph)
-        assert graph.degree(7) == 1  # tail end
-
-    def test_validation(self):
-        with pytest.raises(GraphConstructionError):
-            generators.lollipop(2, 3)
-        with pytest.raises(GraphConstructionError):
-            generators.lollipop(4, 0)
-
-
-class TestCompleteMultipartite:
-    def test_turan_counts(self):
-        graph = generators.complete_multipartite((2, 2, 2))
-        assert graph.n_vertices == 6
-        assert graph.n_edges == 12
-        assert graph.regular_degree == 4
-
-    def test_two_parts_is_complete_bipartite(self):
-        graph = generators.complete_multipartite((3, 4))
-        other = generators.complete_bipartite(3, 4)
-        assert graph.n_edges == other.n_edges
-        assert graph.n_vertices == other.n_vertices
-
-    def test_unbalanced_is_irregular(self):
-        graph = generators.complete_multipartite((1, 2, 3))
-        assert not graph.is_regular
-        assert graph.degree(0) == 5
-
-    def test_balanced_three_parts_not_bipartite(self):
-        from repro.graphs.properties import is_bipartite
-
-        assert not is_bipartite(generators.complete_multipartite((2, 2, 2)))
-
-    def test_validation(self):
-        with pytest.raises(GraphConstructionError):
-            generators.complete_multipartite((3,))
-        with pytest.raises(GraphConstructionError):
-            generators.complete_multipartite((0, 2))
-
-
-class TestGabberGalil:
-    def test_structure(self):
-        graph = generators.gabber_galil(7)
-        assert graph.n_vertices == 49
-        assert is_connected(graph)
-        assert graph.max_degree <= 8
-
-    def test_expansion_does_not_degrade_with_size(self):
-        # The construction is a constant-gap expander family: the gap
-        # must not collapse as m grows (contrast with the torus, whose
-        # gap decays like 1/m^2).
-        small_gap = spectral_gap(generators.gabber_galil(7))
-        large_gap = spectral_gap(generators.gabber_galil(17))
-        torus_gap = spectral_gap(generators.torus((17, 17)))
-        assert large_gap > 0.05
-        assert large_gap > torus_gap * 3
-        assert large_gap > small_gap * 0.5  # no collapse
-
-    def test_validation(self):
-        with pytest.raises(GraphConstructionError):
-            generators.gabber_galil(2)
 
 
 class TestWattsStrogatz:

@@ -14,11 +14,8 @@ from repro.graphs.spectral import (
     DENSE_LIMIT,
     adjacency_matrix,
     analytic_lambda,
-    cheeger_bounds,
-    conductance,
     eigenvalues,
     lambda_second,
-    mixing_time_bound,
     spectral_gap,
     transition_matrix,
 )
@@ -160,15 +157,6 @@ class TestLambdaSecond:
             graph = generators.random_regular(n, 8, seed=3)
             first = lambda_second(graph)
             assert all(lambda_second(graph) == first for _ in range(3))
-            assert cheeger_bounds(graph, method="sparse") == cheeger_bounds(
-                graph, method="sparse"
-            )
-
-    def test_power_matches_dense(self):
-        graph = generators.random_regular(60, 4, seed=5)
-        dense = lambda_second(graph, method="dense")
-        power = lambda_second(graph, method="power")
-        assert power == pytest.approx(dense, abs=1e-5)
 
     def test_irregular_graph_supported(self):
         value = lambda_second(generators.star(8))
@@ -182,31 +170,6 @@ class TestLambdaSecond:
 class TestDerivedQuantities:
     def test_spectral_gap_complete(self):
         assert spectral_gap(generators.complete(11)) == pytest.approx(0.9, abs=1e-10)
-
-    def test_mixing_time_bound_positive(self):
-        assert mixing_time_bound(generators.petersen()) > 0
-
-    def test_mixing_time_rejects_bipartite(self):
-        with pytest.raises(GraphPropertyError, match="gap is zero"):
-            mixing_time_bound(generators.hypercube(3))
-
-    def test_mixing_time_epsilon_validation(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            mixing_time_bound(generators.petersen(), epsilon=2.0)
-
-    def test_cheeger_sandwich_on_small_graphs(self):
-        for graph in (generators.petersen(), generators.cycle(9), generators.complete(6)):
-            low, high = cheeger_bounds(graph)
-            phi = conductance(graph)
-            assert low - 1e-12 <= phi <= high + 1e-12
-
-    def test_conductance_complete(self):
-        # K4: best cut is 2 vertices, cut=4, vol=6 -> 2/3.
-        assert conductance(generators.complete(4)) == pytest.approx(2 / 3)
-
-    def test_conductance_size_limit(self):
-        with pytest.raises(GraphPropertyError, match="2\\^n"):
-            conductance(generators.cycle(25))
 
 
 class TestAnalyticLambda:

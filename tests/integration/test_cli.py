@@ -119,6 +119,35 @@ class TestCommands:
         assert main(["graph-info", "complete"]) == 1
         assert "bad arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "arguments",
+        [
+            ["barabasi_albert", "200", "2"],
+            ["watts_strogatz", "64", "4", "0.3"],
+            ["erdos_renyi", "40", "0.2"],
+            ["random_regular", "32", "4"],
+        ],
+        ids=lambda arguments: arguments[0],
+    )
+    def test_graph_info_seed_reaches_every_seeded_generator(self, capsys, arguments):
+        outputs = []
+        for seed in ("5", "5", "6"):
+            assert main(["graph-info", *arguments, "--seed", seed]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0] != outputs[2]
+
+    @pytest.mark.parametrize(
+        "family", ["is_connected", "lambda_second", "from_edges", "ImplicitTorus", "barbell"]
+    )
+    def test_graph_info_accepts_only_generators(self, capsys, family):
+        assert main(["graph-info", family, "5"]) == 1
+        assert "unknown graph family" in capsys.readouterr().err
+
+    def test_graph_info_bad_parameter(self, capsys):
+        assert main(["graph-info", "petersen", "abc"]) == 1
+        assert "error: bad graph parameter 'abc'" in capsys.readouterr().err
+
     def test_cover_command(self, capsys):
         assert main(["cover", "-n", "64", "-r", "4", "--seed", "2"]) == 0
         out = capsys.readouterr().out

@@ -93,7 +93,6 @@ def test_batch_cover_times_positive_and_bounded(graph, seed):
     # Coverage cannot beat the doubling limit: need at least
     # ceil(log2(n)) rounds of growth... conservatively >= 1 checked
     # above; the sharp bound holds for the farthest vertex:
-    from repro.graphs.distances import bfs_distances
+    from repro.graphs.properties import eccentricity
 
-    eccentricity = int(bfs_distances(graph, 0).max())
-    assert np.all(times >= eccentricity)
+    assert np.all(times >= eccentricity(graph, 0))

@@ -1,72 +1,12 @@
-"""Property-based tests for graph operations and persistence."""
+"""Property-based tests for graph persistence."""
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import given, settings
 
 from repro.graphs.io import from_edge_list_text, to_edge_list_text
-from repro.graphs.operations import (
-    cartesian_product,
-    complement,
-    disjoint_union,
-    tensor_product,
-)
-from repro.graphs.properties import is_connected
 
 from tests.properties.strategies import connected_small_graphs
-
-
-@settings(max_examples=30, deadline=None)
-@given(first=connected_small_graphs(max_vertices=5), second=connected_small_graphs(max_vertices=5))
-def test_cartesian_product_counts(first, second):
-    product = cartesian_product(first, second)
-    assert product.n_vertices == first.n_vertices * second.n_vertices
-    assert (
-        product.n_edges
-        == first.n_vertices * second.n_edges + second.n_vertices * first.n_edges
-    )
-    # Cartesian products of connected graphs are connected.
-    assert is_connected(product)
-
-
-@settings(max_examples=30, deadline=None)
-@given(first=connected_small_graphs(max_vertices=5), second=connected_small_graphs(max_vertices=5))
-def test_cartesian_product_degree_law(first, second):
-    product = cartesian_product(first, second)
-    n_second = second.n_vertices
-    for u in range(first.n_vertices):
-        for x in range(n_second):
-            expected = first.degree(u) + second.degree(x)
-            assert product.degree(u * n_second + x) == expected
-
-
-@settings(max_examples=30, deadline=None)
-@given(first=connected_small_graphs(max_vertices=5), second=connected_small_graphs(max_vertices=5))
-def test_tensor_product_degree_law(first, second):
-    product = tensor_product(first, second)
-    n_second = second.n_vertices
-    for u in range(first.n_vertices):
-        for x in range(n_second):
-            expected = first.degree(u) * second.degree(x)
-            assert product.degree(u * n_second + x) == expected
-
-
-@settings(max_examples=40, deadline=None)
-@given(graph=connected_small_graphs())
-def test_complement_involution_and_counts(graph):
-    co = complement(graph)
-    n = graph.n_vertices
-    assert graph.n_edges + co.n_edges == n * (n - 1) // 2
-    assert complement(co) == graph
-
-
-@settings(max_examples=30, deadline=None)
-@given(first=connected_small_graphs(max_vertices=5), second=connected_small_graphs(max_vertices=5))
-def test_disjoint_union_degrees(first, second):
-    union = disjoint_union(first, second)
-    degrees = np.concatenate([first.degrees, second.degrees])
-    assert np.array_equal(union.degrees, degrees)
 
 
 @settings(max_examples=50, deadline=None)

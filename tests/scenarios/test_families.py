@@ -96,3 +96,24 @@ class TestGraphCase:
     def test_unknown_generator_rejected(self):
         with pytest.raises(ScenarioError, match="unknown generator"):
             GraphCase("x", "not_a_generator")
+
+    @pytest.mark.parametrize("name", ["is_connected", "from_edges", "ensure_generator", "np"])
+    def test_module_names_that_are_not_generators_rejected(self, name):
+        with pytest.raises(ScenarioError, match="unknown generator"):
+            GraphCase.from_value({"label": "x", "generator": name})
+
+    def test_every_public_generator_accepted(self):
+        import inspect
+
+        from repro.graphs import generators
+
+        defined = {
+            name
+            for name, value in vars(generators).items()
+            if inspect.isfunction(value)
+            and value.__module__ == generators.__name__
+            and not name.startswith("_")
+        }
+        assert set(generators.__all__) == defined
+        for name in generators.__all__:
+            assert GraphCase("x", name).generator == name
