@@ -20,13 +20,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def write_root_summary(name: str, summary: dict) -> Path:
+def write_root_summary(name: str, summary: dict) -> Path | None:
     """Write ``BENCH_<name>.json`` at the repo root; returns the path.
 
     ``summary`` must already be timestamp-free: committed rows are
     diffed, so two runs of an unchanged benchmark should produce an
-    unchanged file (modulo the measured timings themselves).
+    unchanged file (modulo the measured timings themselves).  A quick
+    run (``summary["quick"]`` true, under ``REPRO_BENCH_QUICK=1``)
+    measures micro-scale cells, not the committed ones, so it writes
+    nothing and returns ``None``.
     """
+    if summary["quick"]:
+        return None
     path = ROOT / f"BENCH_{name}.json"
     path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return path

@@ -1,10 +1,15 @@
 """Process engines: COBRA, BIPS, and the comparison baselines.
 
-All engines share the :class:`~repro.core.process.SpreadingProcess`
-interface: construct with a graph, a starting configuration, a
-branching factor and a seed; call :meth:`step` (or use the runners in
+The process classes share :class:`~repro.core.process.SpreadingProcess`:
+construct one with a graph, a starting configuration, a branching
+factor and a seed; call :meth:`step` (or use the runners in
 :mod:`repro.core.runner`) and read round records off the returned
-:class:`~repro.core.process.RoundRecord` objects.
+:class:`~repro.core.process.RoundRecord` objects.  The base keeps the
+state every process reports (active and cumulative sets, their sizes,
+first hits and the completion round); each class supplies only its
+round rule.  The dynamic classes are the static COBRA and BIPS classes
+with a per-round graph snapshot.  The ``batch``, ``sparse`` and
+``event`` functions evolve whole ensembles instead.
 """
 
 from repro.core.batch import (

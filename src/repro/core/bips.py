@@ -67,21 +67,11 @@ class BipsProcess(SpreadingProcess):
         seed: SeedLike = None,
         loss_probability: float = 0.0,
     ) -> None:
-        super().__init__(graph, seed=seed)
         self._mandatory, self._rho = validate_branching(branching)
         self._loss = validate_loss(loss_probability)
         self._branching = float(branching)
         self._source = resolve_vertex(graph, source, role="source")
-        n = graph.n_vertices
-        self._infected = np.zeros(n, dtype=bool)
-        self._infected[self._source] = True
-        self._ever_infected = self._infected.copy()
-        self._infection_time: int | None = 0 if n == 1 else None
-        self._all_vertices = np.arange(n, dtype=np.int64)
-
-    # ------------------------------------------------------------------
-    # State accessors
-    # ------------------------------------------------------------------
+        super().__init__(graph, np.array([self._source]), seed=seed)
 
     @property
     def source(self) -> int:
@@ -99,99 +89,57 @@ class BipsProcess(SpreadingProcess):
         return self._loss
 
     @property
-    def active_mask(self) -> np.ndarray:
-        """Mask of currently infected vertices ``A_t`` (a copy)."""
-        return self._infected.copy()
-
-    @property
-    def active_count(self) -> int:
-        """``|A_t|``."""
-        return int(self._infected.sum())
-
-    @property
-    def cumulative_mask(self) -> np.ndarray:
-        """Mask of ever-infected vertices (a copy)."""
-        return self._ever_infected.copy()
-
-    @property
-    def cumulative_count(self) -> int:
-        return int(self._ever_infected.sum())
-
-    @property
-    def is_complete(self) -> bool:
-        """Whether the *current* infected set is the whole graph."""
-        return self.active_count == self._graph.n_vertices
-
-    @property
-    def completion_time(self) -> int | None:
-        """The infection time ``infec(v)`` once reached, else ``None``."""
-        return self._infection_time
-
-    @property
     def infection_time(self) -> int | None:
         """Alias for :attr:`completion_time` using the paper's name."""
-        return self._infection_time
+        return self._completion_time
 
     def is_infected(self, vertex: int) -> bool:
         """Whether ``vertex`` belongs to the current infected set."""
-        return bool(self._infected[vertex])
-
-    # ------------------------------------------------------------------
-    # Evolution
-    # ------------------------------------------------------------------
-
-    def _observed_infected(self, infected: np.ndarray, picks: np.ndarray) -> np.ndarray:
-        """Per-row: did at least one *surviving* contact hit an infected vertex?"""
-        hits = infected[picks]
-        if self._loss > 0.0:
-            hits &= self._rng.random(picks.shape) >= self._loss
-        return hits.any(axis=1)
+        return bool(self._active[vertex])
 
     def step(self) -> RoundRecord:
         """Advance ``A_t -> A_{t+1}``: every non-source vertex re-samples."""
-        graph = self._graph
-        rng = self._rng
-        infected = self._infected
-        next_infected = np.zeros(graph.n_vertices, dtype=bool)
-        if self._rho > 0.0:
-            # A coin per vertex decides whether it contacts k or k+1
-            # neighbours this round (the fractional-branching law).
-            extra_mask = rng.random(graph.n_vertices) < self._rho
-            base_vertices = self._all_vertices[~extra_mask]
-            extra_vertices = self._all_vertices[extra_mask]
-            transmissions = 0
-            if base_vertices.size:
-                picks = graph.sample_neighbors(base_vertices, self._mandatory, rng)
-                next_infected[base_vertices] = self._observed_infected(infected, picks)
-                transmissions += picks.size
-            if extra_vertices.size:
-                picks = graph.sample_neighbors(extra_vertices, self._mandatory + 1, rng)
-                next_infected[extra_vertices] = self._observed_infected(infected, picks)
-                transmissions += picks.size
-            # Exclude the persistent source's contacts from the count.
-            transmissions -= self._mandatory + (1 if extra_mask[self._source] else 0)
-        else:
-            picks = graph.sample_neighbors(self._all_vertices, self._mandatory, rng)
-            next_infected = self._observed_infected(infected, picks)
-            # The persistent source does not sample; its row is drawn
-            # for vectorisation convenience but overridden below and
-            # excluded from the contact count.
-            transmissions = picks.size - self._mandatory
-        next_infected[self._source] = True
-        self._infected = next_infected
-        self._round_index += 1
-
-        newly = next_infected & ~self._ever_infected
-        newly_count = int(newly.sum())
-        if newly_count:
-            self._ever_infected |= next_infected
-        current = int(next_infected.sum())
-        if self._infection_time is None and current == graph.n_vertices:
-            self._infection_time = self._round_index
-        return RoundRecord(
-            round_index=self._round_index,
-            active_count=current,
-            cumulative_count=int(self._ever_infected.sum()),
-            newly_reached=newly_count,
-            transmissions=transmissions,
+        next_infected, extra = refresh_round(
+            self._graph, self._active, self._mandatory, self._rho, self._loss, self._rng
         )
+        next_infected[self._source] = True
+        # The persistent source draws contacts too (for vectorisation);
+        # its state is overridden and its contacts are not counted.
+        contacts = next_infected.size * self._mandatory + np.count_nonzero(extra)
+        source_contacts = self._mandatory + extra[self._source]
+        return self._close_round(next_infected, int(contacts - source_contacts))
+
+
+def refresh_round(
+    graph: Graph,
+    infected: np.ndarray,
+    mandatory: int,
+    rho: float,
+    loss: float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One round of refresh contacts by every vertex (BIPS and SIS).
+
+    Every vertex contacts ``mandatory`` uniform neighbours, plus one
+    more on a ``rho`` coin (all coins are drawn first), and is infected
+    next round iff a contact that survives ``loss`` hits ``infected``.
+    Returns the next infected mask and the mask of the vertices that
+    made the extra contact.
+    """
+    n = graph.n_vertices
+    groups: tuple[tuple[np.ndarray, int], ...]
+    if rho > 0.0:
+        extra = rng.random(n) < rho
+        groups = ((np.flatnonzero(~extra), mandatory), (np.flatnonzero(extra), mandatory + 1))
+    else:
+        extra = np.zeros(n, dtype=bool)
+        groups = ((np.arange(n), mandatory),)
+    next_infected = np.empty(n, dtype=bool)
+    for vertices, draws in groups:
+        if vertices.size:
+            picks = graph.sample_neighbors(vertices, draws, rng)
+            hits = infected[picks]
+            if loss > 0.0:
+                hits &= rng.random(picks.shape) >= loss
+            next_infected[vertices] = hits.any(axis=1)
+    return next_infected, extra

@@ -9,9 +9,13 @@ graph is re-drawn while the process runs.  This module provides:
   connected random `r`-regular graph every ``period`` rounds (period 1
   = a fresh graph each round; larger periods interpolate towards the
   static case);
-* :class:`DynamicCobraProcess` / :class:`DynamicBipsProcess` — the two
-  processes with the underlying graph queried from a provider at every
-  round.
+* :class:`DynamicCobraProcess` / :class:`DynamicBipsProcess` — the
+  static :class:`~repro.core.cobra.CobraProcess` and
+  :class:`~repro.core.bips.BipsProcess` with a per-round snapshot: each
+  ``step`` swaps in the provider's graph for that round and runs the
+  static class's round.  They therefore take the static constructors'
+  arguments (branching, seed, loss and, for COBRA, the cover
+  convention), with a provider in place of the graph.
 
 A **provider** is any callable ``(round_index) -> Graph`` over a fixed
 vertex set.  Providers must be deterministic per round index (calling
@@ -24,17 +28,12 @@ re-sampling periods.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
-
-import numpy as np
+from typing import Any, Callable, Iterable
 
 from repro._rng import SeedLike, ensure_generator
-from repro.core.process import (
-    RoundRecord,
-    SpreadingProcess,
-    resolve_vertex_set,
-    validate_branching,
-)
+from repro.core.bips import BipsProcess
+from repro.core.cobra import CobraProcess
+from repro.core.process import RoundRecord, SpreadingProcess
 from repro.errors import ProcessError
 from repro.graphs.base import Graph
 from repro.graphs.generators import random_regular
@@ -103,207 +102,51 @@ def static_provider(graph: Graph) -> GraphProvider:
     return lambda round_index: graph
 
 
-class _DynamicProcessBase(SpreadingProcess):
-    """Shared plumbing: fetch and validate the per-round snapshot."""
-
-    def __init__(self, provider: GraphProvider, *, seed: SeedLike = None) -> None:
-        first = provider(1)
-        super().__init__(first, seed=seed)
-        self._provider = provider
-        self._n = first.n_vertices
-
-    @property
-    def graph(self) -> Graph:
-        """The most recently used snapshot."""
-        return self._graph
-
-    def _graph_for_round(self, round_index: int) -> Graph:
-        graph = self._provider(round_index)
-        if graph.n_vertices != self._n:
-            raise ProcessError(
-                f"provider changed the vertex set at round {round_index}: "
-                f"got {graph.n_vertices}, expected {self._n}"
-            )
-        self._graph = graph
-        return graph
+def _snapshot(provider: GraphProvider, process: SpreadingProcess) -> Graph:
+    """The provider's graph for the process's next round, on the same vertex set."""
+    round_index = process.round_index + 1
+    graph = provider(round_index)
+    if graph.n_vertices != process.graph.n_vertices:
+        raise ProcessError(
+            f"provider changed the vertex set at round {round_index}: "
+            f"got {graph.n_vertices}, expected {process.graph.n_vertices}"
+        )
+    return graph
 
 
-class DynamicCobraProcess(_DynamicProcessBase):
+class DynamicCobraProcess(CobraProcess):
     """COBRA where each round's pushes use that round's graph snapshot.
 
-    Parameters
-    ----------
-    provider:
-        Graph provider ``(round_index) -> Graph``.
-    start:
-        Initial active set (validated against snapshot 1's vertex set).
-    branching:
-        Branching factor (real ``>= 1``).
-    seed:
-        Randomness source for the process's own draws.
-    include_start_in_cover:
-        As in :class:`~repro.core.cobra.CobraProcess`.
+    Takes :class:`~repro.core.cobra.CobraProcess`'s arguments with a
+    provider in place of the graph; ``start`` is checked against
+    snapshot 1.  :attr:`graph` is the most recently used snapshot.
     """
 
     def __init__(
-        self,
-        provider: GraphProvider,
-        start: int | Iterable[int],
-        *,
-        branching: float = 2.0,
-        seed: SeedLike = None,
-        include_start_in_cover: bool = False,
+        self, provider: GraphProvider, start: int | Iterable[int], **options: Any
     ) -> None:
-        super().__init__(provider, seed=seed)
-        self._mandatory, self._rho = validate_branching(branching)
-        start_vertices = resolve_vertex_set(self._graph, start, role="start")
-        self._active = np.zeros(self._n, dtype=bool)
-        self._active[start_vertices] = True
-        self._covered = np.zeros(self._n, dtype=bool)
-        if include_start_in_cover:
-            self._covered[start_vertices] = True
-        self._cover_time: int | None = (
-            0 if int(self._covered.sum()) == self._n else None
-        )
-
-    @property
-    def active_mask(self) -> np.ndarray:
-        return self._active.copy()
-
-    @property
-    def active_count(self) -> int:
-        return int(self._active.sum())
-
-    @property
-    def cumulative_mask(self) -> np.ndarray:
-        return self._covered.copy()
-
-    @property
-    def cumulative_count(self) -> int:
-        return int(self._covered.sum())
-
-    @property
-    def is_complete(self) -> bool:
-        return self.cumulative_count == self._n
-
-    @property
-    def completion_time(self) -> int | None:
-        return self._cover_time
+        super().__init__(provider(1), start, **options)
+        self._provider = provider
 
     def step(self) -> RoundRecord:
         """One COBRA round on the current snapshot."""
-        graph = self._graph_for_round(self._round_index + 1)
-        active_vertices = np.flatnonzero(self._active)
-        if active_vertices.size == 0:
-            raise RuntimeError("COBRA active set is empty; process state is invalid")
-        picks = graph.sample_neighbors(active_vertices, self._mandatory, self._rng)
-        chosen = picks.ravel()
-        transmissions = chosen.size
-        if self._rho > 0.0:
-            branch = self._rng.random(active_vertices.size) < self._rho
-            sources = active_vertices[branch]
-            if sources.size:
-                extra = graph.sample_neighbors(sources, 1, self._rng).ravel()
-                chosen = np.concatenate([chosen, extra])
-                transmissions += extra.size
-        next_active = np.zeros(self._n, dtype=bool)
-        next_active[chosen] = True
-        self._active = next_active
-        self._round_index += 1
-        newly = next_active & ~self._covered
-        newly_count = int(newly.sum())
-        if newly_count:
-            self._covered |= next_active
-        if self._cover_time is None and self.cumulative_count == self._n:
-            self._cover_time = self._round_index
-        return RoundRecord(
-            round_index=self._round_index,
-            active_count=int(next_active.sum()),
-            cumulative_count=self.cumulative_count,
-            newly_reached=newly_count,
-            transmissions=transmissions,
-        )
+        self._graph = _snapshot(self._provider, self)
+        return super().step()
 
 
-class DynamicBipsProcess(_DynamicProcessBase):
-    """BIPS where each round's contacts use that round's graph snapshot."""
+class DynamicBipsProcess(BipsProcess):
+    """BIPS where each round's contacts use that round's graph snapshot.
 
-    def __init__(
-        self,
-        provider: GraphProvider,
-        source: int,
-        *,
-        branching: float = 2.0,
-        seed: SeedLike = None,
-    ) -> None:
-        super().__init__(provider, seed=seed)
-        self._mandatory, self._rho = validate_branching(branching)
-        source = int(source)
-        if not 0 <= source < self._n:
-            raise ProcessError(f"source {source} outside the dynamic vertex set")
-        self._source = source
-        self._infected = np.zeros(self._n, dtype=bool)
-        self._infected[source] = True
-        self._ever = self._infected.copy()
-        self._infection_time: int | None = None
-        self._all_vertices = np.arange(self._n, dtype=np.int64)
+    Takes :class:`~repro.core.bips.BipsProcess`'s arguments with a
+    provider in place of the graph; ``source`` is checked against
+    snapshot 1.  :attr:`graph` is the most recently used snapshot.
+    """
 
-    @property
-    def source(self) -> int:
-        """The persistent source vertex."""
-        return self._source
-
-    @property
-    def active_mask(self) -> np.ndarray:
-        return self._infected.copy()
-
-    @property
-    def active_count(self) -> int:
-        return int(self._infected.sum())
-
-    @property
-    def cumulative_mask(self) -> np.ndarray:
-        return self._ever.copy()
-
-    @property
-    def cumulative_count(self) -> int:
-        return int(self._ever.sum())
-
-    @property
-    def is_complete(self) -> bool:
-        return self.active_count == self._n
-
-    @property
-    def completion_time(self) -> int | None:
-        return self._infection_time
+    def __init__(self, provider: GraphProvider, source: int, **options: Any) -> None:
+        super().__init__(provider(1), source, **options)
+        self._provider = provider
 
     def step(self) -> RoundRecord:
         """One BIPS round on the current snapshot."""
-        graph = self._graph_for_round(self._round_index + 1)
-        picks = graph.sample_neighbors(self._all_vertices, self._mandatory, self._rng)
-        next_infected = self._infected[picks].any(axis=1)
-        transmissions = picks.size - self._mandatory
-        if self._rho > 0.0:
-            coin = self._rng.random(self._n) < self._rho
-            coin[self._source] = False
-            sources = self._all_vertices[coin]
-            if sources.size:
-                extra = graph.sample_neighbors(sources, 1, self._rng).ravel()
-                next_infected[sources] |= self._infected[extra]
-                transmissions += extra.size
-        next_infected[self._source] = True
-        self._infected = next_infected
-        self._round_index += 1
-        newly = next_infected & ~self._ever
-        newly_count = int(newly.sum())
-        if newly_count:
-            self._ever |= next_infected
-        if self._infection_time is None and self.active_count == self._n:
-            self._infection_time = self._round_index
-        return RoundRecord(
-            round_index=self._round_index,
-            active_count=self.active_count,
-            cumulative_count=self.cumulative_count,
-            newly_reached=newly_count,
-            transmissions=transmissions,
-        )
+        self._graph = _snapshot(self._provider, self)
+        return super().step()

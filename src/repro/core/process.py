@@ -12,6 +12,13 @@ framework fixes the common vocabulary:
 * **completion** is the process-specific goal: full coverage for
   COBRA/push/random-walk, full *simultaneous* infection for BIPS.
 
+:class:`SpreadingProcess` keeps that state for every process: both
+sets and their sizes, the round counter, the round each vertex first
+entered the cumulative set, and the completion round.  A process class
+supplies only its round rule: its ``step`` draws the next active set
+and hands it to :meth:`SpreadingProcess._close_round`, which updates
+the state and returns the round's record.
+
 Branching factors are real numbers ``b >= 1``: each acting vertex makes
 ``floor(b)`` mandatory neighbour draws plus one extra draw with
 probability ``b - floor(b)``.  ``b = 2`` is the paper's main setting;
@@ -28,7 +35,13 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro._rng import SeedLike, ensure_generator
-from repro.errors import CoverTimeoutError, GraphPropertyError, ProcessError
+from repro.errors import (
+    CoverTimeoutError,
+    GraphPropertyError,
+    InfectionTimeoutError,
+    ProcessError,
+    ProcessTimeoutError,
+)
 from repro.graphs.base import Graph
 
 
@@ -167,18 +180,53 @@ def resolve_vertex_set(graph: Graph, vertices: int | Iterable[int], *, role: str
 
 
 class SpreadingProcess(ABC):
-    """Abstract base for synchronous-round spreading processes."""
+    """Abstract base for synchronous-round spreading processes.
 
-    #: The :class:`~repro.errors.ProcessTimeoutError` subclass runners
-    #: raise when this process misses its goal within the round cap.
-    #: Coverage processes (the default) raise the cover flavour;
-    #: infection processes (BIPS, SIS) override with the infection one.
-    timeout_error: type = CoverTimeoutError
+    The base owns the state every process reports.  A subclass's
+    ``step`` draws the next active set by the subclass's own rule and
+    ends with ``return self._close_round(next_active, transmissions)``.
 
-    def __init__(self, graph: Graph, *, seed: SeedLike = None) -> None:
+    Parameters
+    ----------
+    graph:
+        The underlying graph.
+    initial:
+        Indices of the initial active set (repeats allowed).
+    seed:
+        Randomness source (int, ``SeedSequence``, ``Generator`` or
+        ``None``).
+    initial_covered:
+        Whether the initial set counts as covered at round 0.
+    """
+
+    #: The goal, named by the :class:`~repro.errors.ProcessTimeoutError`
+    #: subclass runners raise when the process misses it within the
+    #: round cap.  :class:`~repro.errors.CoverTimeoutError` (the default)
+    #: means the cumulative set reaches ``V``;
+    #: :class:`~repro.errors.InfectionTimeoutError` (BIPS, SIS) means the
+    #: active set is ``V`` in one round.
+    timeout_error: type[ProcessTimeoutError] = CoverTimeoutError
+
+    def __init__(
+        self,
+        graph: Graph,
+        initial: np.ndarray,
+        *,
+        seed: SeedLike = None,
+        initial_covered: bool = True,
+    ) -> None:
         self._graph = graph
         self._rng = ensure_generator(seed)
         self._round_index = 0
+        n = graph.n_vertices
+        self._active = np.zeros(n, dtype=bool)
+        self._active[initial] = True
+        self._active_count = int(np.count_nonzero(self._active))
+        self._cumulative = self._active.copy() if initial_covered else np.zeros(n, dtype=bool)
+        self._cumulative_count = int(np.count_nonzero(self._cumulative))
+        self._first_hit = np.full(n, -1, dtype=np.int64)
+        self._first_hit[initial] = 0
+        self._completion_time: int | None = 0 if self.is_complete else None
 
     # -- common read-only state ---------------------------------------
 
@@ -198,40 +246,75 @@ class SpreadingProcess(ABC):
         return self._round_index
 
     @property
-    @abstractmethod
     def active_mask(self) -> np.ndarray:
         """Boolean mask of the current active set (a defensive copy)."""
+        return self._active.copy()
 
     @property
-    @abstractmethod
     def active_count(self) -> int:
         """Size of the current active set."""
+        return self._active_count
 
     @property
-    @abstractmethod
     def cumulative_mask(self) -> np.ndarray:
         """Boolean mask of the cumulative (covered) set (a copy)."""
+        return self._cumulative.copy()
 
     @property
-    @abstractmethod
     def cumulative_count(self) -> int:
         """Size of the cumulative set."""
+        return self._cumulative_count
 
     @property
-    @abstractmethod
     def is_complete(self) -> bool:
-        """Whether the process reached its goal state."""
+        """Whether the process is at its goal (see :attr:`timeout_error`)."""
+        if issubclass(self.timeout_error, InfectionTimeoutError):
+            return self._active_count == self._graph.n_vertices
+        return self._cumulative_count == self._graph.n_vertices
 
     @property
-    @abstractmethod
     def completion_time(self) -> int | None:
         """Round at which the goal was first reached, or ``None``."""
+        return self._completion_time
+
+    def first_hit_times(self) -> np.ndarray:
+        """Per-vertex round of first entry into the cumulative set (-1 if none yet).
+
+        For a vertex outside the initial set this is its first
+        activation round (for COBRA, the paper's hitting time
+        ``Hit_{C_0}(v)`` in this run).  An initial vertex reports 0.
+        When the initial set does not count as covered (COBRA's
+        default, or a walk with ``include_start_in_cover=False``), the
+        first revisit covers it and its round replaces the 0.
+        """
+        return self._first_hit.copy()
 
     # -- evolution ------------------------------------------------------
 
     @abstractmethod
     def step(self) -> RoundRecord:
         """Execute one synchronous round and return its record."""
+
+    def _close_round(self, active: np.ndarray, transmissions: int) -> RoundRecord:
+        """End the round: ``active`` becomes the active set; return the record."""
+        self._round_index += 1
+        self._active = active
+        self._active_count = int(np.count_nonzero(active))
+        newly = active & ~self._cumulative
+        newly_count = int(np.count_nonzero(newly))
+        if newly_count:
+            self._cumulative |= newly
+            self._cumulative_count += newly_count
+            self._first_hit[newly] = self._round_index
+        if self._completion_time is None and self.is_complete:
+            self._completion_time = self._round_index
+        return RoundRecord(
+            round_index=self._round_index,
+            active_count=self._active_count,
+            cumulative_count=self._cumulative_count,
+            newly_reached=newly_count,
+            transmissions=transmissions,
+        )
 
     def run(self, rounds: int) -> Trace:
         """Execute ``rounds`` rounds unconditionally, returning a trace."""
@@ -244,7 +327,7 @@ class SpreadingProcess(ABC):
 
     def active_vertices(self) -> np.ndarray:
         """Indices of currently active vertices, sorted."""
-        return np.flatnonzero(self.active_mask)
+        return np.flatnonzero(self._active)
 
     def __repr__(self) -> str:
         return (

@@ -39,57 +39,13 @@ class PullProcess(SpreadingProcess):
         *,
         seed: SeedLike = None,
     ) -> None:
-        super().__init__(graph, seed=seed)
-        start_vertices = resolve_vertex_set(graph, start, role="start")
-        n = graph.n_vertices
-        self._informed = np.zeros(n, dtype=bool)
-        self._informed[start_vertices] = True
-        self._completion_time: int | None = (
-            0 if int(self._informed.sum()) == n else None
-        )
-
-    @property
-    def active_mask(self) -> np.ndarray:
-        return self._informed.copy()
-
-    @property
-    def active_count(self) -> int:
-        return int(self._informed.sum())
-
-    @property
-    def cumulative_mask(self) -> np.ndarray:
-        return self._informed.copy()
-
-    @property
-    def cumulative_count(self) -> int:
-        return int(self._informed.sum())
-
-    @property
-    def is_complete(self) -> bool:
-        """Whether every vertex is informed."""
-        return self.active_count == self._graph.n_vertices
-
-    @property
-    def completion_time(self) -> int | None:
-        return self._completion_time
+        super().__init__(graph, resolve_vertex_set(graph, start, role="start"), seed=seed)
 
     def step(self) -> RoundRecord:
         """Every uninformed vertex asks one uniform neighbour."""
-        graph = self._graph
-        asking = np.flatnonzero(~self._informed)
-        before = int(self._informed.sum())
+        asking = np.flatnonzero(~self._active)
+        informed = self._active.copy()
         if asking.size:
-            contacts = graph.sample_neighbors(asking, 1, self._rng).ravel()
-            learned = self._informed[contacts]
-            self._informed[asking[learned]] = True
-        self._round_index += 1
-        after = int(self._informed.sum())
-        if self._completion_time is None and after == graph.n_vertices:
-            self._completion_time = self._round_index
-        return RoundRecord(
-            round_index=self._round_index,
-            active_count=after,
-            cumulative_count=after,
-            newly_reached=after - before,
-            transmissions=int(asking.size),
-        )
+            contacts = self._graph.sample_neighbors(asking, 1, self._rng).ravel()
+            informed[asking[self._active[contacts]]] = True
+        return self._close_round(informed, asking.size)

@@ -40,57 +40,12 @@ class PushProcess(SpreadingProcess):
         *,
         seed: SeedLike = None,
     ) -> None:
-        super().__init__(graph, seed=seed)
-        start_vertices = resolve_vertex_set(graph, start, role="start")
-        n = graph.n_vertices
-        self._informed = np.zeros(n, dtype=bool)
-        self._informed[start_vertices] = True
-        self._completion_time: int | None = (
-            0 if int(self._informed.sum()) == n else None
-        )
-
-    @property
-    def active_mask(self) -> np.ndarray:
-        """Mask of informed vertices (informed == active for push)."""
-        return self._informed.copy()
-
-    @property
-    def active_count(self) -> int:
-        return int(self._informed.sum())
-
-    @property
-    def cumulative_mask(self) -> np.ndarray:
-        return self._informed.copy()
-
-    @property
-    def cumulative_count(self) -> int:
-        return int(self._informed.sum())
-
-    @property
-    def is_complete(self) -> bool:
-        """Whether every vertex is informed."""
-        return self.active_count == self._graph.n_vertices
-
-    @property
-    def completion_time(self) -> int | None:
-        """Broadcast time once every vertex is informed, else ``None``."""
-        return self._completion_time
+        super().__init__(graph, resolve_vertex_set(graph, start, role="start"), seed=seed)
 
     def step(self) -> RoundRecord:
         """Every informed vertex pushes to one uniform neighbour."""
-        graph = self._graph
-        informed_vertices = np.flatnonzero(self._informed)
-        targets = graph.sample_neighbors(informed_vertices, 1, self._rng).ravel()
-        before = int(self._informed.sum())
-        self._informed[targets] = True
-        self._round_index += 1
-        after = int(self._informed.sum())
-        if self._completion_time is None and after == graph.n_vertices:
-            self._completion_time = self._round_index
-        return RoundRecord(
-            round_index=self._round_index,
-            active_count=after,
-            cumulative_count=after,
-            newly_reached=after - before,
-            transmissions=int(informed_vertices.size),
-        )
+        informed_vertices = np.flatnonzero(self._active)
+        targets = self._graph.sample_neighbors(informed_vertices, 1, self._rng).ravel()
+        informed = self._active.copy()
+        informed[targets] = True
+        return self._close_round(informed, informed_vertices.size)

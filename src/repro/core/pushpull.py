@@ -40,61 +40,15 @@ class PushPullProcess(SpreadingProcess):
         *,
         seed: SeedLike = None,
     ) -> None:
-        super().__init__(graph, seed=seed)
-        start_vertices = resolve_vertex_set(graph, start, role="start")
-        n = graph.n_vertices
-        self._informed = np.zeros(n, dtype=bool)
-        self._informed[start_vertices] = True
-        self._completion_time: int | None = (
-            0 if int(self._informed.sum()) == n else None
-        )
-        self._all_vertices = np.arange(n, dtype=np.int64)
-
-    @property
-    def active_mask(self) -> np.ndarray:
-        return self._informed.copy()
-
-    @property
-    def active_count(self) -> int:
-        return int(self._informed.sum())
-
-    @property
-    def cumulative_mask(self) -> np.ndarray:
-        return self._informed.copy()
-
-    @property
-    def cumulative_count(self) -> int:
-        return int(self._informed.sum())
-
-    @property
-    def is_complete(self) -> bool:
-        """Whether every vertex is informed."""
-        return self.active_count == self._graph.n_vertices
-
-    @property
-    def completion_time(self) -> int | None:
-        return self._completion_time
+        super().__init__(graph, resolve_vertex_set(graph, start, role="start"), seed=seed)
 
     def step(self) -> RoundRecord:
         """Every vertex contacts one uniform neighbour; rumour crosses both ways."""
         graph = self._graph
-        informed = self._informed
-        contacts = graph.sample_neighbors(self._all_vertices, 1, self._rng).ravel()
-        before = int(informed.sum())
-        next_informed = informed.copy()
+        informed = self._active
+        contacts = graph.sample_neighbors(np.arange(graph.n_vertices), 1, self._rng).ravel()
         # Pull: a caller learns from an informed callee.
-        next_informed |= informed[contacts]
+        next_informed = informed | informed[contacts]
         # Push: an informed caller informs its callee.
         next_informed[contacts[informed]] = True
-        self._informed = next_informed
-        self._round_index += 1
-        after = int(next_informed.sum())
-        if self._completion_time is None and after == graph.n_vertices:
-            self._completion_time = self._round_index
-        return RoundRecord(
-            round_index=self._round_index,
-            active_count=after,
-            cumulative_count=after,
-            newly_reached=after - before,
-            transmissions=graph.n_vertices,
-        )
+        return self._close_round(next_informed, graph.n_vertices)

@@ -22,13 +22,14 @@ import numpy as np
 
 from repro._rng import SeedLike
 from repro.core.process import RoundRecord, SpreadingProcess, resolve_vertex_set
-from repro.core.sparse import sorted_unique
 from repro.errors import ProcessError
 from repro.graphs.base import Graph
 
 
 class RandomWalkProcess(SpreadingProcess):
     """One or more independent simple random walks covering a graph.
+
+    The active set is the set of vertices holding at least one walker.
 
     Parameters
     ----------
@@ -56,7 +57,6 @@ class RandomWalkProcess(SpreadingProcess):
         seed: SeedLike = None,
         include_start_in_cover: bool = True,
     ) -> None:
-        super().__init__(graph, seed=seed)
         if isinstance(start, (int, np.integer)):
             if n_walkers < 1:
                 raise ProcessError(f"n_walkers must be >= 1, got {n_walkers}")
@@ -68,12 +68,7 @@ class RandomWalkProcess(SpreadingProcess):
                 raise ProcessError("start iterable must be non-empty")
             resolve_vertex_set(graph, starts.tolist(), role="start")
         self._positions = starts
-        n = graph.n_vertices
-        self._visited = np.zeros(n, dtype=bool)
-        if include_start_in_cover:
-            self._visited[starts] = True
-        self._visited_count = int(self._visited.sum())
-        self._cover_time: int | None = 0 if self._visited_count == n else None
+        super().__init__(graph, starts, seed=seed, initial_covered=include_start_in_cover)
 
     @property
     def n_walkers(self) -> int:
@@ -85,49 +80,9 @@ class RandomWalkProcess(SpreadingProcess):
         """Current walker positions (a copy)."""
         return self._positions.copy()
 
-    @property
-    def active_mask(self) -> np.ndarray:
-        """Mask of vertices currently occupied by at least one walker."""
-        mask = np.zeros(self._graph.n_vertices, dtype=bool)
-        mask[self._positions] = True
-        return mask
-
-    @property
-    def active_count(self) -> int:
-        return int(sorted_unique(self._positions.copy()).size)
-
-    @property
-    def cumulative_mask(self) -> np.ndarray:
-        return self._visited.copy()
-
-    @property
-    def cumulative_count(self) -> int:
-        return self._visited_count
-
-    @property
-    def is_complete(self) -> bool:
-        """Whether every vertex has been visited."""
-        return self._visited_count == self._graph.n_vertices
-
-    @property
-    def completion_time(self) -> int | None:
-        """The cover time once every vertex is visited, else ``None``."""
-        return self._cover_time
-
     def step(self) -> RoundRecord:
         """Move every walker to a uniform random neighbour."""
-        graph = self._graph
-        self._positions = graph.sample_neighbors(self._positions, 1, self._rng).ravel()
-        self._round_index += 1
-        before = self._visited_count
-        self._visited[self._positions] = True
-        self._visited_count = int(self._visited.sum())
-        if self._cover_time is None and self._visited_count == graph.n_vertices:
-            self._cover_time = self._round_index
-        return RoundRecord(
-            round_index=self._round_index,
-            active_count=self.active_count,
-            cumulative_count=self._visited_count,
-            newly_reached=self._visited_count - before,
-            transmissions=self.n_walkers,
-        )
+        self._positions = self._graph.sample_neighbors(self._positions, 1, self._rng).ravel()
+        occupied = np.zeros(self._graph.n_vertices, dtype=bool)
+        occupied[self._positions] = True
+        return self._close_round(occupied, self.n_walkers)

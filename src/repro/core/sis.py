@@ -18,6 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from repro._rng import SeedLike
+from repro.core.bips import refresh_round
 from repro.errors import InfectionTimeoutError
 from repro.core.process import (
     RoundRecord,
@@ -53,19 +54,10 @@ class SisProcess(SpreadingProcess):
         branching: float = 2.0,
         seed: SeedLike = None,
     ) -> None:
-        super().__init__(graph, seed=seed)
         self._mandatory, self._rho = validate_branching(branching)
         self._branching = float(branching)
-        initial_vertices = resolve_vertex_set(graph, initial, role="initial")
-        n = graph.n_vertices
-        self._infected = np.zeros(n, dtype=bool)
-        self._infected[initial_vertices] = True
-        self._ever_infected = self._infected.copy()
-        self._infection_time: int | None = (
-            0 if int(self._infected.sum()) == n else None
-        )
         self._extinction_time: int | None = None
-        self._all_vertices = np.arange(n, dtype=np.int64)
+        super().__init__(graph, resolve_vertex_set(graph, initial, role="initial"), seed=seed)
 
     @property
     def branching(self) -> float:
@@ -73,34 +65,9 @@ class SisProcess(SpreadingProcess):
         return self._branching
 
     @property
-    def active_mask(self) -> np.ndarray:
-        return self._infected.copy()
-
-    @property
-    def active_count(self) -> int:
-        return int(self._infected.sum())
-
-    @property
-    def cumulative_mask(self) -> np.ndarray:
-        return self._ever_infected.copy()
-
-    @property
-    def cumulative_count(self) -> int:
-        return int(self._ever_infected.sum())
-
-    @property
-    def is_complete(self) -> bool:
-        """Whether every vertex is simultaneously infected."""
-        return self.active_count == self._graph.n_vertices
-
-    @property
-    def completion_time(self) -> int | None:
-        return self._infection_time
-
-    @property
     def is_extinct(self) -> bool:
         """Whether the infection has died out (absorbing)."""
-        return self.active_count == 0
+        return self._active_count == 0
 
     @property
     def extinction_time(self) -> int | None:
@@ -109,52 +76,13 @@ class SisProcess(SpreadingProcess):
 
     def step(self) -> RoundRecord:
         """Advance one round; the empty state is absorbing."""
-        graph = self._graph
-        rng = self._rng
-        infected = self._infected
-        if not infected.any():
-            self._round_index += 1
-            return RoundRecord(
-                round_index=self._round_index,
-                active_count=0,
-                cumulative_count=self.cumulative_count,
-                newly_reached=0,
-                transmissions=0,
-            )
-        if self._rho > 0.0:
-            extra_mask = rng.random(graph.n_vertices) < self._rho
-            base_vertices = self._all_vertices[~extra_mask]
-            extra_vertices = self._all_vertices[extra_mask]
-            next_infected = np.zeros(graph.n_vertices, dtype=bool)
-            transmissions = 0
-            if base_vertices.size:
-                picks = graph.sample_neighbors(base_vertices, self._mandatory, rng)
-                next_infected[base_vertices] = infected[picks].any(axis=1)
-                transmissions += picks.size
-            if extra_vertices.size:
-                picks = graph.sample_neighbors(extra_vertices, self._mandatory + 1, rng)
-                next_infected[extra_vertices] = infected[picks].any(axis=1)
-                transmissions += picks.size
-        else:
-            picks = graph.sample_neighbors(self._all_vertices, self._mandatory, rng)
-            next_infected = infected[picks].any(axis=1)
-            transmissions = picks.size
-        self._infected = next_infected
-        self._round_index += 1
-
-        newly = next_infected & ~self._ever_infected
-        newly_count = int(newly.sum())
-        if newly_count:
-            self._ever_infected |= next_infected
-        current = int(next_infected.sum())
-        if self._infection_time is None and current == graph.n_vertices:
-            self._infection_time = self._round_index
-        if self._extinction_time is None and current == 0:
-            self._extinction_time = self._round_index
-        return RoundRecord(
-            round_index=self._round_index,
-            active_count=current,
-            cumulative_count=int(self._ever_infected.sum()),
-            newly_reached=newly_count,
-            transmissions=transmissions,
+        if self._active_count == 0:
+            return self._close_round(self._active, 0)
+        next_infected, extra = refresh_round(
+            self._graph, self._active, self._mandatory, self._rho, 0.0, self._rng
         )
+        contacts = next_infected.size * self._mandatory + np.count_nonzero(extra)
+        record = self._close_round(next_infected, int(contacts))
+        if record.active_count == 0:
+            self._extinction_time = record.round_index
+        return record

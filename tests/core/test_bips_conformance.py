@@ -15,8 +15,14 @@ every live round each of the ``n − 1`` non-source vertices contacts
 ``m`` neighbours plus one more with probability ``ρ``, so the extra
 contacts over all live rounds are ``Binomial(rounds·(n − 1), ρ)``.
 
-The false-positive budget is ``α = 1e-3`` per test, nine tests in all;
-at the pinned seeds the outcome is deterministic.
+Lossy BIPS runs only on the process classes.  2,000 infection times of
+``BipsProcess(graph, 0, branching=2, loss_probability=0.2)``, one
+spawned seed each, are compared with the lossy exact law on Petersen,
+C9 and the 3×3 grid by the same chi-square test.  Loss slows infection,
+so the horizon is 400 rounds.
+
+The false-positive budget is ``α = 1e-3`` per test, twelve tests in
+all; at the pinned seeds the outcome is deterministic.
 """
 
 from __future__ import annotations
@@ -25,7 +31,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from repro._rng import spawn_generators
 from repro.core.batch import batch_bips_infection_times, batch_bips_traces
+from repro.core.bips import BipsProcess
+from repro.core.runner import run_process
 from repro.exact.bips_exact import ExactBips
 from repro.graphs import generators
 
@@ -35,6 +44,10 @@ ALPHA = 1e-3
 SAMPLES = 4000
 #: Past this round every case's law has mass below 1e-4.
 HORIZON = 80
+LOSS = 0.2
+LOSSY_SAMPLES = 2000
+#: Past this round the lossy laws have a small tail bin.
+LOSSY_HORIZON = 400
 
 GRAPHS = {
     "petersen": generators.petersen,
@@ -69,3 +82,20 @@ def test_fractional_transmissions_follow_their_law():
     # Every live round records between m and m + 1 contacts per vertex.
     per_round = traces.transmissions[live]
     assert np.all((per_round >= (n - 1) * mandatory) & (per_round <= (n - 1) * (mandatory + 1)))
+
+
+@pytest.mark.parametrize("name", ["petersen", "C9", "grid3x3"])
+def test_lossy_process_infection_times_follow_the_exact_law(name):
+    graph = GRAPHS[name]()
+    exact = ExactBips(graph, 0, branching=2.0, loss_probability=LOSS)
+    pmf, tail = exact.infection_time_distribution(LOSSY_HORIZON)
+    times = np.array(
+        [
+            run_process(
+                BipsProcess(graph, 0, branching=2.0, loss_probability=LOSS, seed=rng),
+                raise_on_timeout=True,
+            ).completion_time
+            for rng in spawn_generators(0, LOSSY_SAMPLES)
+        ]
+    )
+    assert exact_law_pvalue(times, pmf, tail) > ALPHA

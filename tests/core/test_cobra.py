@@ -158,6 +158,10 @@ class TestCoverTracking:
             assert record.cumulative_count >= previous
             previous = record.cumulative_count
 
+    def test_first_hits_are_always_recorded(self, petersen):
+        with pytest.raises(TypeError, match="track_first_hits"):
+            CobraProcess(petersen, 0, seed=12, track_first_hits=False)
+
     def test_first_hits_match_cover(self, small_expander):
         process = CobraProcess(small_expander, 0, seed=11)
         while not process.is_complete:
@@ -166,12 +170,6 @@ class TestCoverTracking:
         assert hits.max() == process.cover_time
         # Every vertex was eventually hit.
         assert hits.min() >= 0
-
-    def test_first_hits_disabled(self, petersen):
-        process = CobraProcess(petersen, 0, seed=12, track_first_hits=False)
-        process.step()
-        with pytest.raises(RuntimeError, match="disabled"):
-            process.first_hit_times()
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.bips import BipsProcess
 from repro.core.cobra import CobraProcess
 from repro.core.dynamic import (
     DynamicBipsProcess,
@@ -57,6 +58,34 @@ class TestEvolvingRegularGraph:
     def test_invalid_period(self):
         with pytest.raises(ProcessError, match="period"):
             EvolvingRegularGraph(32, 4, period=0)
+
+
+@pytest.mark.parametrize(
+    "dynamic, static",
+    [(DynamicCobraProcess, CobraProcess), (DynamicBipsProcess, BipsProcess)],
+    ids=["cobra", "bips"],
+)
+@pytest.mark.parametrize("graph_name", ["petersen", "small_expander"])
+@pytest.mark.parametrize(
+    "options",
+    [{"branching": 2.0}, {"branching": 1.5}, {"branching": 2.0, "loss_probability": 0.2}],
+    ids=["k2", "k1.5", "k2-loss"],
+)
+def test_static_provider_returns_the_static_records(
+    request, dynamic, static, graph_name, options
+):
+    graph = request.getfixturevalue(graph_name)
+    for seed in range(8):
+        runs = [
+            run_process(
+                process_class(source, 0, seed=seed, **options),
+                max_rounds=64,
+                record_trace=True,
+            )
+            for process_class, source in ((dynamic, static_provider(graph)), (static, graph))
+        ]
+        assert runs[0].trace.records == runs[1].trace.records
+        assert runs[0].completion_time == runs[1].completion_time
 
 
 class TestDynamicCobra:

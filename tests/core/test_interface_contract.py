@@ -134,3 +134,15 @@ class TestContract:
         assert np.all(np.diff(vertices) > 0) or vertices.size <= 1
         mask = process.active_mask
         assert np.array_equal(np.flatnonzero(mask), vertices)
+
+    def test_first_hits_record_entry_into_the_cumulative_set(self, factory):
+        process = factory(10)
+        # The initial set reports 0 until a later round covers it.
+        expected = np.where(process.active_mask, 0, -1)
+        covered = process.cumulative_mask
+        for _ in range(6):
+            process.step()
+            now = process.cumulative_mask
+            expected[now & ~covered] = process.round_index
+            covered = now
+        assert np.array_equal(process.first_hit_times(), expected)

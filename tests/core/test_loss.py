@@ -94,7 +94,7 @@ class TestLossyBips:
         # full, then check that under loss vertices drop out.
         graph = generators.complete(6)
         process = BipsProcess(graph, 0, loss_probability=0.5, seed=1)
-        process._infected[:] = True  # controlled state injection
+        process._active[:] = True  # controlled state injection
         dropped = False
         for _ in range(20):
             record = process.step()

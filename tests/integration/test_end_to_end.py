@@ -56,8 +56,8 @@ class TestSimulatorVsExactEngine:
         total = 0
         for rng in spawn_generators(13, trials):
             process = BipsProcess(small_expander, 0, seed=rng)
-            process._infected[:] = False            # controlled state injection
-            process._infected[infected] = True
+            process._active[:] = False            # controlled state injection
+            process._active[infected] = True
             record = process.step()
             total += record.active_count
         mean = total / trials
