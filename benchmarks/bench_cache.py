@@ -11,24 +11,24 @@ that constant JSON/process overheads dominate both runs).
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
-from repro.experiments.campaign import Campaign, CampaignEntry, run_campaign
-from repro.experiments.microscale import MICRO_OVERRIDES
 from repro.experiments import get_experiment
+from repro.experiments.campaign import Campaign, CampaignEntry, run_campaign
+from repro.experiments.microscale import MICRO_OVERRIDES, micro_workload
 
 BENCH_QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
 #: The reference campaign: E4's exact duality check plus three seeds of
 #: E5's growth-bound verification — representative quick-mode entries
-#: that recompute in seconds but load from cache in milliseconds.
+#: that recompute in seconds but load from cache in milliseconds.  Under
+#: REPRO_BENCH_QUICK=1 E4 runs its micro workload (E5's is its preset).
 CAMPAIGN = Campaign(
     name="bench-cache",
     entries=[
-        CampaignEntry("E4", seed=0),
+        CampaignEntry("E4", seed=0, overrides=MICRO_OVERRIDES["E4"] if BENCH_QUICK else None),
         CampaignEntry("E5", seed=0),
         CampaignEntry("E5", seed=1),
         CampaignEntry("E5", seed=2),
@@ -50,24 +50,9 @@ def _run_twice(tmp_path: Path) -> tuple[float, float, dict, dict]:
 
 def bench_cache_cold_vs_warm(benchmark, tmp_path):
     """Cold-vs-warm campaign timing plus the cache-correctness contract."""
-    overrides = {
-        eid: MICRO_OVERRIDES[eid] for eid in ("E4", "E5")
-    } if BENCH_QUICK else {}
-    saved = {
-        eid: {name: getattr(get_experiment(eid), name) for name in names}
-        for eid, names in overrides.items()
-    }
-    for eid, names in overrides.items():
-        for name, value in names.items():
-            setattr(get_experiment(eid), name, value)
-    try:
-        cold_seconds, warm_seconds, cold, warm = benchmark.pedantic(
-            lambda: _run_twice(tmp_path), rounds=1, iterations=1
-        )
-    finally:
-        for eid, names in saved.items():
-            for name, value in names.items():
-                setattr(get_experiment(eid), name, value)
+    cold_seconds, warm_seconds, cold, warm = benchmark.pedantic(
+        lambda: _run_twice(tmp_path), rounds=1, iterations=1
+    )
 
     # Correctness contract, asserted at every scale.
     assert [entry["cached"] for entry in cold["entries"]] == [False] * 4
@@ -97,21 +82,15 @@ def bench_cache_lookup_overhead(benchmark, tmp_path):
     """Per-hit latency of a warm cache lookup through run_experiment_cached."""
     from repro.experiments import run_experiment_cached
 
-    overrides = MICRO_OVERRIDES["E5"] if BENCH_QUICK else {}
-    module = get_experiment("E5")
-    saved = {name: getattr(module, name) for name in overrides}
-    for name, value in overrides.items():
-        setattr(module, name, value)
-    try:
-        cache_dir = tmp_path / "cache"
-        run_experiment_cached("E5", seed=0, cache_dir=cache_dir)
+    workload = micro_workload("E5") if BENCH_QUICK else get_experiment("E5").preset("quick")
+    cache_dir = tmp_path / "cache"
+    run_experiment_cached("E5", workload=workload, seed=0, cache_dir=cache_dir)
 
-        def lookup():
-            result, cached = run_experiment_cached("E5", seed=0, cache_dir=cache_dir)
-            assert cached
-            return result
+    def lookup():
+        result, cached = run_experiment_cached(
+            "E5", workload=workload, seed=0, cache_dir=cache_dir
+        )
+        assert cached
+        return result
 
-        benchmark.pedantic(lookup, rounds=5, iterations=1)
-    finally:
-        for name, value in saved.items():
-            setattr(module, name, value)
+    benchmark.pedantic(lookup, rounds=5, iterations=1)

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import get_experiment, run_experiment
-from repro.experiments.microscale import MICRO_OVERRIDES
+from repro.experiments.microscale import micro_workload
 from repro.experiments.results import ExperimentResult
 
 OUT_DIR = Path(__file__).resolve().parent / "out"
@@ -33,24 +33,19 @@ BENCH_QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 def run_and_record(benchmark, experiment_id: str, *, mode: str = "quick", seed: int = 0):
     """Run one experiment under the benchmark clock and persist its report.
 
-    Under ``REPRO_BENCH_QUICK=1`` the shared micro-scale overrides
-    (:mod:`repro.experiments.microscale`) are applied for the duration
-    of the run, matching the unit-test configuration exactly.
+    Under ``REPRO_BENCH_QUICK=1`` it runs the shared micro-scale
+    workload (:func:`repro.experiments.microscale.micro_workload`)
+    instead, matching the unit-test configuration exactly.
     """
-    overrides = MICRO_OVERRIDES[experiment_id.upper()] if BENCH_QUICK else {}
-    module = get_experiment(experiment_id)
-    saved = {name: getattr(module, name) for name in overrides}
-    for name, value in overrides.items():
-        setattr(module, name, value)
-    try:
-        result: ExperimentResult = benchmark.pedantic(
-            lambda: run_experiment(experiment_id, mode=mode, seed=seed),
-            rounds=1,
-            iterations=1,
-        )
-    finally:
-        for name, value in saved.items():
-            setattr(module, name, value)
+    if BENCH_QUICK:
+        workload = micro_workload(experiment_id)
+    else:
+        workload = get_experiment(experiment_id).preset(mode)
+    result: ExperimentResult = benchmark.pedantic(
+        lambda: run_experiment(experiment_id, workload=workload, seed=seed),
+        rounds=1,
+        iterations=1,
+    )
     benchmark.extra_info["experiment"] = experiment_id
     benchmark.extra_info["mode"] = mode
     benchmark.extra_info["quick_env"] = BENCH_QUICK

@@ -1,6 +1,6 @@
 """Statistics, curve fitting, phase decomposition, and rendering."""
 
-from repro.analysis.ascii_plot import ascii_histogram, ascii_plot
+from repro.analysis.ascii_plot import ascii_plot
 from repro.analysis.comparison import (
     ComparisonResult,
     compare_completion_times,
@@ -16,7 +16,6 @@ from repro.analysis.fitting import (
 from repro.analysis.phases import PhaseBreakdown, split_phases
 from repro.analysis.stats import (
     SummaryStats,
-    bootstrap_ci,
     proportion_ci,
     summarize,
 )
@@ -32,7 +31,6 @@ from repro.analysis.trace_view import render_coverage_bars
 __all__ = [
     "SummaryStats",
     "summarize",
-    "bootstrap_ci",
     "proportion_ci",
     "LinearFit",
     "fit_linear",
@@ -42,7 +40,6 @@ __all__ = [
     "split_phases",
     "Table",
     "ascii_plot",
-    "ascii_histogram",
     "GeometricTailFit",
     "empirical_survival",
     "fit_geometric_tail",

@@ -15,38 +15,6 @@ from typing import Mapping, Sequence
 _SERIES_GLYPHS = "ox+*#@%&"
 
 
-def ascii_histogram(
-    values,
-    *,
-    bins: int = 12,
-    width: int = 50,
-    title: str = "",
-) -> str:
-    """Render a horizontal-bar histogram of a numeric sample.
-
-    Each line shows a bin range, its count, and a bar scaled so the
-    fullest bin spans ``width`` characters.
-    """
-    import numpy as np
-
-    array = np.asarray(values, dtype=np.float64)
-    if array.ndim != 1 or array.size == 0:
-        raise ValueError(f"expected a non-empty 1-D sample, got shape {array.shape}")
-    if bins < 1 or width < 1:
-        raise ValueError(f"bins and width must be positive, got {bins}, {width}")
-    counts, edges = np.histogram(array, bins=bins)
-    peak = max(int(counts.max()), 1)
-    label_width = max(
-        len(f"{edges[i]:.4g}..{edges[i + 1]:.4g}") for i in range(len(counts))
-    )
-    lines = [title] if title else []
-    for i, count in enumerate(counts):
-        label = f"{edges[i]:.4g}..{edges[i + 1]:.4g}".ljust(label_width)
-        bar = "#" * int(round(width * count / peak))
-        lines.append(f"{label} | {str(count).rjust(6)} {bar}")
-    return "\n".join(lines)
-
-
 def ascii_plot(
     series: Mapping[str, tuple[Sequence[float], Sequence[float]]],
     *,

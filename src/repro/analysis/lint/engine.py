@@ -27,7 +27,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, ClassVar, Iterable, Iterator, Mapping, Sequence
+from typing import Any, ClassVar, Iterator, Mapping, Sequence
 
 #: Directories never descended into when expanding path arguments.
 _SKIPPED_DIRS = frozenset(

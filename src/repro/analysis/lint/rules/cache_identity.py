@@ -7,7 +7,7 @@ statically:
 * **Workload field coverage.**  Every field declared on a ``Workload``
   dataclass must have a ``FieldSpec`` in its ``FIELDS`` mapping —
   that mapping drives coercion *and* the ``to_dict`` serialisation
-  that becomes the cache identity of bespoke workloads.  A field
+  that becomes every run's cache identity.  A field
   missing from ``FIELDS`` would crash at construction, but only when
   that workload is first built; the rule reports it at definition
   time.  (``Workload.to_dict`` iterates dataclass fields, so FIELDS

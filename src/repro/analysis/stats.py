@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from repro._rng import SeedLike, ensure_generator
 
 
 @dataclass(frozen=True)
@@ -16,8 +14,7 @@ class SummaryStats:
     """Five-number-plus summary of a sample.
 
     ``ci_low``/``ci_high`` bracket the mean with a normal-approximation
-    95% interval (``mean ± 1.96 sem``); use :func:`bootstrap_ci` for
-    small or skewed samples.
+    95% interval (``mean ± 1.96 sem``).
     """
 
     count: int
@@ -63,28 +60,6 @@ def summarize(values: Sequence[float] | np.ndarray) -> SummaryStats:
         q75=q75,
         maximum=float(array.max()),
     )
-
-
-def bootstrap_ci(
-    values: Sequence[float] | np.ndarray,
-    statistic: Callable[[np.ndarray], float] = np.mean,
-    *,
-    n_resamples: int = 2000,
-    confidence: float = 0.95,
-    seed: SeedLike = None,
-) -> tuple[float, float]:
-    """Percentile-bootstrap confidence interval for an arbitrary statistic."""
-    array = np.asarray(values, dtype=np.float64)
-    if array.ndim != 1 or array.size == 0:
-        raise ValueError(f"expected a non-empty 1-D sample, got shape {array.shape}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    rng = ensure_generator(seed)
-    resample_indices = rng.integers(0, array.size, size=(n_resamples, array.size))
-    estimates = np.array([statistic(array[row]) for row in resample_indices])
-    tail = (1.0 - confidence) / 2.0
-    low, high = np.percentile(estimates, [100 * tail, 100 * (1 - tail)])
-    return float(low), float(high)
 
 
 def proportion_ci(successes: int, trials: int, *, z: float = 1.96) -> tuple[float, float]:

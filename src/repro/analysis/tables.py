@@ -93,15 +93,6 @@ class Table:
             lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
         return "\n".join(lines)
 
-    def render_markdown(self) -> str:
-        """GitHub-flavoured markdown rendering."""
-        formatted = [[self._format_cell(cell) for cell in row] for row in self._rows]
-        lines = ["| " + " | ".join(self._headers) + " |"]
-        lines.append("|" + "|".join("---" for _ in self._headers) + "|")
-        for row in formatted:
-            lines.append("| " + " | ".join(row) + " |")
-        return "\n".join(lines)
-
     def to_records(self) -> list[dict[str, Any]]:
         """Rows as dictionaries keyed by header (for JSON storage)."""
         return [dict(zip(self._headers, row)) for row in self._rows]

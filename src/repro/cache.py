@@ -3,12 +3,11 @@
 Campaigns recompute identical ``(experiment, mode, seed, parameters)``
 runs from scratch today; this module makes the second computation a
 JSON load.  Results are keyed by a SHA-256 digest of the canonical-JSON
-form of the run's identity — experiment id, mode, seed, and the
-*resolved parameters* of the run (the experiment spec plus every
-workload constant the run reads, see
-:func:`repro.experiments.resolved_parameters`) — so any change to what
-would be computed changes the key, and two runs that would compute the
-same thing share one entry.
+form of the run's identity — experiment id, mode label, seed, and the
+*resolved parameters* of the run (the experiment spec and the run's
+canonical workload, see :func:`repro.experiments.resolved_parameters`)
+— so any change to what would be computed changes the key, and two
+runs that would compute the same thing share one entry.
 
 Design rules:
 
@@ -52,7 +51,9 @@ from repro.experiments.results import ExperimentResult
 #: 2: the batch-engine v2 rewrite (and the degree-regular sampling fast
 #: path) changed every same-seed simulation stream, so v1-era results
 #: must never be served next to v2 outputs.
-CACHE_SCHEMA_VERSION = 2
+#: 3: every run is keyed by (spec, workload, seed) and reports its
+#: workload as ``parameters``; ``prune()`` collects the older entries.
+CACHE_SCHEMA_VERSION = 3
 
 #: Default store location used by the CLI ``cache`` subcommand when no
 #: ``--cache-dir`` is given.

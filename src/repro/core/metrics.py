@@ -1,4 +1,4 @@
-"""Trace-level metrics: transmission budgets and coverage curves.
+"""Trace-level metrics: transmission budgets.
 
 COBRA's design goal (paper §1) is to propagate fast *while limiting
 the number of transmissions per vertex per step*.  The helpers here
@@ -9,8 +9,6 @@ put COBRA, push, and push–pull on a common rounds-vs-messages axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.core.process import Trace
 
@@ -57,30 +55,3 @@ def summarize_trace(trace: Trace) -> TraceSummary:
         peak_active=int(active.max()),
         final_cumulative=int(trace.cumulative_counts()[-1]),
     )
-
-
-def time_to_fraction(trace: Trace, n_vertices: int, fraction: float) -> int | None:
-    """First round at which cumulative coverage reaches ``fraction`` of `n`.
-
-    Returns ``None`` if the trace never reaches the target.
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    target = int(np.ceil(fraction * n_vertices))
-    cumulative = trace.cumulative_counts()
-    reached = np.flatnonzero(cumulative >= target)
-    if reached.size == 0:
-        return None
-    return int(trace[int(reached[0])].round_index)
-
-
-def coverage_curve(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
-    """``(rounds, cumulative_counts)`` arrays for plotting coverage growth."""
-    rounds = np.array([record.round_index for record in trace], dtype=np.int64)
-    return rounds, trace.cumulative_counts()
-
-
-def active_set_curve(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
-    """``(rounds, active_counts)`` arrays for plotting active-set dynamics."""
-    rounds = np.array([record.round_index for record in trace], dtype=np.int64)
-    return rounds, trace.active_counts()

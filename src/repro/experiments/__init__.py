@@ -1,12 +1,12 @@
 """Experiment registry: one module per paper claim, keyed ``E1`` .. ``E13``.
 
 Each module exposes ``SPEC`` (an
-:class:`~repro.experiments.spec.ExperimentSpec`), a ``WORKLOAD``
-dataclass type with a ``preset(mode)`` factory, and
-``run(workload=None, seed=0, *, mode=None) -> ExperimentResult`` —
-``run()`` alone is the quick preset, ``run(mode="full")`` the legacy
-shim, and ``run(workload)`` any bespoke
-:class:`~repro.scenarios.base.Workload`.  Use :func:`get_experiment` /
+:class:`~repro.experiments.spec.ExperimentSpec`), its ``WORKLOAD``
+dataclass type, ``PRESETS`` (the ``quick`` and ``full`` workloads, read
+through ``preset(mode)``) and ``run(workload, seed=0) ->
+ExperimentResult``.  A run is identified by (spec, workload, seed): that
+triple is its cache key, and ``result.parameters`` reports the workload
+plus the values the run derives.  Use :func:`get_experiment` /
 :func:`run_experiment` for access by id, or the CLI
 (``python -m repro``).
 """
@@ -37,6 +37,7 @@ from repro.experiments import (
 )
 from repro.experiments.results import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
+from repro.scenarios.base import Workload, workload_label
 
 #: Registry of experiment modules in presentation order.
 REGISTRY: dict[str, ModuleType] = {
@@ -79,84 +80,18 @@ def get_spec(experiment_id: str) -> ExperimentSpec:
     return get_experiment(experiment_id).SPEC
 
 
-#: Sentinel distinguishing "not a cacheable constant" from a cacheable None.
-_NOT_A_PARAMETER = object()
+def resolved_parameters(experiment_id: str, workload: Workload) -> dict[str, Any]:
+    """The run-identity parameters of an experiment run, computable *before* it.
 
-
-def _parameter_value(value: Any) -> Any:
-    """A module constant normalised for hashing, or the reject sentinel.
-
-    Only plain JSON-shaped data (scalars, strings, nested lists/tuples
-    and string-keyed dicts) counts as a workload parameter; functions,
-    classes, arrays, and other machinery are not part of a run's
-    identity.
+    The experiment's spec (version included) and the workload's
+    canonical form.  Together with ``seed`` they determine what a run
+    computes, which is exactly what the result cache must key on: any
+    change to a workload field or a spec version changes the key.
     """
-    if isinstance(value, float):
-        # Non-finite floats cannot appear in a canonical cache key
-        # (repro.cache rejects them), so they are not parameters.
-        if value != value or value in (float("inf"), float("-inf")):
-            return _NOT_A_PARAMETER
-        return value
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        items = [_parameter_value(item) for item in value]
-        if any(item is _NOT_A_PARAMETER for item in items):
-            return _NOT_A_PARAMETER
-        return items
-    if isinstance(value, dict):
-        normalised = {}
-        for key, item in value.items():
-            item = _parameter_value(item)
-            if not isinstance(key, str) or item is _NOT_A_PARAMETER:
-                return _NOT_A_PARAMETER
-            normalised[key] = item
-        return normalised
-    return _NOT_A_PARAMETER
-
-
-def resolved_parameters(
-    experiment_id: str, mode: str = "quick", workload: Any = None
-) -> dict[str, Any]:
-    """The run-identity parameters of an experiment, computable *before* a run.
-
-    For preset runs (``mode=``, or a workload exactly equal to the
-    quick/full preset) this is the legacy format: the experiment's spec
-    (version included) plus every UPPER_CASE module-level workload
-    constant with JSON-shaped data — the values the presets are built
-    from (and the values the micro-scale test overrides patch).
-    Keeping the legacy format means the workload refactor changed no
-    preset cache keys (golden-tested), and patching ``QUICK_TRIALS``
-    (or editing a constant in source) still changes the key, so stale
-    cache entries can never shadow a differently-parameterised run.
-
-    A bespoke ``workload`` is keyed by its canonical serialisation
-    instead: ``{"spec": ..., "mode": "scenario", "workload": ...}``.
-    Together with ``seed`` the returned dict determines what a run
-    would compute, which is exactly what the result cache must key on.
-    """
-    from repro.scenarios.base import workload_label  # deferred: import cycle
-
-    module = get_experiment(experiment_id)
-    if workload is not None and not isinstance(workload, str):
-        label = workload_label(module.preset, workload)
-        if label == "scenario":
-            return {
-                "spec": module.SPEC.to_dict(),
-                "mode": "scenario",
-                "workload": workload.to_dict(),
-            }
-        mode = label
-    elif isinstance(workload, str):
-        mode = workload
-    constants = {}
-    for name in sorted(vars(module)):
-        if not name.isupper() or name.startswith("_") or name == "SPEC":
-            continue
-        value = _parameter_value(getattr(module, name))
-        if value is not _NOT_A_PARAMETER:
-            constants[name] = value
-    return {"spec": module.SPEC.to_dict(), "mode": mode, "constants": constants}
+    return {
+        "spec": get_experiment(experiment_id).SPEC.to_dict(),
+        "workload": workload.to_dict(),
+    }
 
 
 def _resolve_cache(
@@ -177,50 +112,42 @@ def run_experiment_cached(
     *,
     mode: str | None = None,
     seed: int = 0,
-    workload: Any = None,
+    workload: Workload | None = None,
     cache: "ResultCache | None" = None,
     cache_dir: Any | None = None,
 ) -> tuple[ExperimentResult, bool]:
     """Run one experiment, consulting a result cache when one is given.
 
     ``workload`` (a :class:`~repro.scenarios.base.Workload` of the
-    experiment's type) runs a bespoke configuration; ``mode`` the
+    experiment's type) runs that configuration; ``mode`` selects the
     quick/full preset (the default is quick).  Passing both is an
     error.  Returns ``(result, cached)`` where ``cached`` is True when
     the result came from the cache instead of being recomputed.  A
     fresh computation is stored back, so the next identical call is a
-    hit.  Preset runs (including a workload exactly equal to a preset)
-    keep their pre-scenario cache keys; bespoke workloads are keyed by
-    their canonical JSON under the ``"scenario"`` mode label.
+    hit.  The entry is keyed by (spec, workload, seed), so a mode run
+    and a run of the equal workload share one entry.
     """
     from repro.parallel import shared_graph_scope
-    from repro.scenarios.base import workload_label
 
     module = get_experiment(experiment_id)
+    if workload is None:
+        workload = module.preset("quick" if mode is None else mode)
+    elif mode is not None:
+        raise ExperimentError(
+            f"pass either workload= or mode=, not both "
+            f"(got mode={mode!r} and a workload)"
+        )
     store = _resolve_cache(cache, cache_dir)
     if store is None:
         with shared_graph_scope():
-            return module.run(workload, seed=seed, mode=mode), False
-    if workload is None:
-        label = mode if mode is not None else "quick"
-        parameters = resolved_parameters(experiment_id, label)
-    else:
-        if mode is not None:
-            raise ExperimentError(
-                f"pass either workload= or mode=, not both "
-                f"(got mode={mode!r} and a workload)"
-            )
-        label = (
-            workload
-            if isinstance(workload, str)
-            else workload_label(module.preset, workload)
-        )
-        parameters = resolved_parameters(experiment_id, workload=workload)
+            return module.run(workload, seed), False
+    label = workload_label(module.PRESETS, workload)  # raises on a wrong type
+    parameters = resolved_parameters(experiment_id, workload)
     hit = store.get(module.SPEC.experiment_id, label, seed, parameters)
     if hit is not None:
         return hit, True
     with shared_graph_scope():
-        result = module.run(workload, seed=seed, mode=mode)
+        result = module.run(workload, seed)
     store.put(module.SPEC.experiment_id, label, seed, parameters, result)
     return result, False
 
@@ -230,7 +157,7 @@ def run_experiment(
     *,
     mode: str | None = None,
     seed: int = 0,
-    workload: Any = None,
+    workload: Workload | None = None,
     cache: "ResultCache | None" = None,
     cache_dir: Any | None = None,
 ) -> ExperimentResult:

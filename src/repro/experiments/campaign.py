@@ -91,7 +91,7 @@ class CampaignEntry:
             data["overrides"] = dict(self.overrides)
         return data
 
-    def resolve_workload(self):
+    def workload(self):
         """The entry's workload, or ``None`` for a plain preset entry.
 
         Scenario names resolve against the built-in registry (or a JSON
@@ -210,7 +210,7 @@ class Campaign:
                     f"campaign entry {entry.experiment_id}: mode must be "
                     f"'quick' or 'full', got {entry.mode!r}"
                 )
-            entry.resolve_workload()  # raises on bad scenarios/overrides
+            entry.workload()  # raises on bad scenarios/overrides
 
     @classmethod
     def from_json(cls, text: str) -> "Campaign":
@@ -299,7 +299,7 @@ def _execute_entry(
     runs and worker counts once the cache is warm.
     """
     started = time.perf_counter()
-    workload = entry.resolve_workload()
+    workload = entry.workload()
     result, cached = run_experiment_cached(
         entry.experiment_id,
         mode=None if workload is not None else entry.mode,

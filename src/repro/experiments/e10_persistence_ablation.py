@@ -27,7 +27,7 @@ from repro.core.sis import SisProcess
 from repro.experiments.results import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.sweep import expander_with_gap
-from repro.scenarios.base import resolve_workload, result_parameters, workload_label
+from repro.scenarios.base import preset_workload, workload_label
 from repro.scenarios.workloads import E10Workload
 
 SPEC = ExperimentSpec(
@@ -41,52 +41,28 @@ SPEC = ExperimentSpec(
     version="2",
 )
 
-GRAPH_N = 256
-GRAPH_R = 6
-QUICK_SIS_TRIALS = 300
-FULL_SIS_TRIALS = 2000
-QUICK_BIPS_TRIALS = 50
-FULL_BIPS_TRIALS = 200
-ROUND_CAP = 2000
-
 #: Workload type this experiment runs from.
 WORKLOAD = E10Workload
 
+#: The quick and full workloads.
+PRESETS = {
+    "quick": E10Workload(n=256, r=6, sis_trials=300, bips_trials=50),
+    "full": E10Workload(n=256, r=6, sis_trials=2000, bips_trials=200),
+}
+
 
 def preset(mode: str) -> E10Workload:
-    """The quick/full workload, built from the live module constants."""
-    if mode == "quick":
-        return E10Workload(
-            n=GRAPH_N,
-            r=GRAPH_R,
-            sis_trials=QUICK_SIS_TRIALS,
-            bips_trials=QUICK_BIPS_TRIALS,
-            round_cap=ROUND_CAP,
-        )
-    if mode == "full":
-        return E10Workload(
-            n=GRAPH_N,
-            r=GRAPH_R,
-            sis_trials=FULL_SIS_TRIALS,
-            bips_trials=FULL_BIPS_TRIALS,
-            round_cap=ROUND_CAP,
-        )
-    raise ValueError(f"mode must be 'quick' or 'full', got {mode!r}")
+    """The quick or full workload."""
+    return preset_workload(PRESETS, mode)
 
 
-def run(
-    workload: "E10Workload | str | None" = None,
-    seed: int = 0,
-    *,
-    mode: str | None = None,
-) -> ExperimentResult:
+def run(workload: E10Workload, seed: int = 0) -> ExperimentResult:
     """Run E10 and return its tables and findings."""
-    wl = resolve_workload(E10Workload, preset, workload, mode)
-    label = workload_label(preset, wl)
-    sis_trials, bips_trials = wl.sis_trials, wl.bips_trials
-    round_cap = wl.round_cap
+    label = workload_label(PRESETS, workload)
+    sis_trials, bips_trials = workload.sis_trials, workload.bips_trials
+    round_cap = workload.round_cap
 
-    graph, lam = expander_with_gap(wl.n, wl.r, seed=seed)
+    graph, lam = expander_with_gap(workload.n, workload.r, seed=seed)
 
     outcomes = Table(
         ["process", "branching", "trials", "extinct", "full infection", "timeout"]
@@ -151,18 +127,7 @@ def run(
         spec=SPEC,
         mode=label,
         seed=seed,
-        parameters=result_parameters(
-            label,
-            wl,
-            {
-                "n": wl.n,
-                "r": wl.r,
-                "lambda": lam,
-                "sis_trials": sis_trials,
-                "bips_trials": bips_trials,
-                "round_cap": round_cap,
-            },
-        ),
+        parameters={"workload": workload.to_dict(), "lambda": lam},
         tables={"outcomes": outcomes, "details": details},
         findings=findings,
     )

@@ -45,7 +45,7 @@ from repro.experiments.sweep import (
     measure_cobra_cover,
 )
 from repro.graphs.generators import complete
-from repro.scenarios.base import resolve_workload, result_parameters, workload_label
+from repro.scenarios.base import preset_workload, workload_label
 from repro.scenarios.workloads import E11Workload
 
 SPEC = ExperimentSpec(
@@ -60,51 +60,39 @@ SPEC = ExperimentSpec(
     version="5",
 )
 
-TAIL_GRAPH_N = 1024
-TAIL_GRAPH_R = 8
-QUICK_TAIL_SAMPLES = 2000
-FULL_TAIL_SAMPLES = 10000
-QUICK_LADDER = (256, 512, 1024, 2048)
-FULL_LADDER = (256, 512, 1024, 2048, 4096)
-QUICK_LADDER_SAMPLES = 200
-FULL_LADDER_SAMPLES = 500
-
 #: Workload type this experiment runs from.
 WORKLOAD = E11Workload
 
+#: The quick and full workloads.
+PRESETS = {
+    "quick": E11Workload(
+        tail_n=1024,
+        tail_r=8,
+        tail_samples=2000,
+        ladder=(256, 512, 1024, 2048),
+        ladder_samples=200,
+    ),
+    "full": E11Workload(
+        tail_n=1024,
+        tail_r=8,
+        tail_samples=10000,
+        ladder=(256, 512, 1024, 2048, 4096),
+        ladder_samples=500,
+    ),
+}
+
 
 def preset(mode: str) -> E11Workload:
-    """The quick/full workload, built from the live module constants."""
-    if mode == "quick":
-        return E11Workload(
-            tail_n=TAIL_GRAPH_N,
-            tail_r=TAIL_GRAPH_R,
-            tail_samples=QUICK_TAIL_SAMPLES,
-            ladder=QUICK_LADDER,
-            ladder_samples=QUICK_LADDER_SAMPLES,
-        )
-    if mode == "full":
-        return E11Workload(
-            tail_n=TAIL_GRAPH_N,
-            tail_r=TAIL_GRAPH_R,
-            tail_samples=FULL_TAIL_SAMPLES,
-            ladder=FULL_LADDER,
-            ladder_samples=FULL_LADDER_SAMPLES,
-        )
-    raise ValueError(f"mode must be 'quick' or 'full', got {mode!r}")
+    """The quick or full workload."""
+    return preset_workload(PRESETS, mode)
 
 
-def run(
-    workload: "E11Workload | str | None" = None,
-    seed: int = 0,
-    *,
-    mode: str | None = None,
-) -> ExperimentResult:
+def run(workload: E11Workload, seed: int = 0) -> ExperimentResult:
     """Run E11 and return its tables and findings."""
-    wl = resolve_workload(E11Workload, preset, workload, mode)
-    run_label = workload_label(preset, wl)
-    tail_samples, ladder, ladder_samples = wl.tail_samples, wl.ladder, wl.ladder_samples
-    tail_n, tail_r = wl.tail_n, wl.tail_r
+    run_label = workload_label(PRESETS, workload)
+    tail_samples, ladder = workload.tail_samples, workload.ladder
+    ladder_samples = workload.ladder_samples
+    tail_n, tail_r = workload.tail_n, workload.tail_r
 
     # --- geometric tails on a fixed expander ---------------------------
     graph, lam = expander_with_gap(tail_n, tail_r, seed=seed)
@@ -199,16 +187,7 @@ def run(
         spec=SPEC,
         mode=run_label,
         seed=seed,
-        parameters=result_parameters(
-            run_label,
-            wl,
-            {
-                "tail_graph": {"n": tail_n, "r": tail_r, "lambda": lam},
-                "tail_samples": tail_samples,
-                "ladder": list(ladder),
-                "ladder_samples": ladder_samples,
-            },
-        ),
+        parameters={"workload": workload.to_dict(), "lambda": lam},
         tables={
             "geometric tail fits": tails,
             "concentration across n": concentration,

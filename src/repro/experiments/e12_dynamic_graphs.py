@@ -35,7 +35,7 @@ from repro.core.runner import run_process
 from repro.experiments.results import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
 from repro.parallel import map_shards
-from repro.scenarios.base import resolve_workload, result_parameters, workload_label
+from repro.scenarios.base import preset_workload, workload_label
 from repro.scenarios.workloads import E12Workload
 
 SPEC = ExperimentSpec(
@@ -49,28 +49,20 @@ SPEC = ExperimentSpec(
     version="2",
 )
 
-QUICK_SIZES = (128, 256, 512, 1024)
-QUICK_SAMPLES = 8
-FULL_SIZES = (256, 512, 1024, 2048)
-FULL_SAMPLES = 15
-DEGREE = 8
-PERIODS = (1, 4, 10_000_000)  # fresh every round / every 4 / effectively static
-
 #: Workload type this experiment runs from.
 WORKLOAD = E12Workload
 
+#: The quick and full workloads.  Both keep the default periods: a fresh
+#: graph every round, every 4 rounds, and effectively static.
+PRESETS = {
+    "quick": E12Workload(sizes=(128, 256, 512, 1024), samples=8, degree=8),
+    "full": E12Workload(sizes=(256, 512, 1024, 2048), samples=15, degree=8),
+}
+
 
 def preset(mode: str) -> E12Workload:
-    """The quick/full workload, built from the live module constants."""
-    if mode == "quick":
-        return E12Workload(
-            sizes=QUICK_SIZES, samples=QUICK_SAMPLES, degree=DEGREE, periods=PERIODS
-        )
-    if mode == "full":
-        return E12Workload(
-            sizes=FULL_SIZES, samples=FULL_SAMPLES, degree=DEGREE, periods=PERIODS
-        )
-    raise ValueError(f"mode must be 'quick' or 'full', got {mode!r}")
+    """The quick or full workload."""
+    return preset_workload(PRESETS, mode)
 
 
 def _period_label(period: int) -> str:
@@ -105,17 +97,11 @@ def _replica_times(
     return cover.completion_time, infection.completion_time
 
 
-def run(
-    workload: "E12Workload | str | None" = None,
-    seed: int = 0,
-    *,
-    mode: str | None = None,
-) -> ExperimentResult:
+def run(workload: E12Workload, seed: int = 0) -> ExperimentResult:
     """Run E12 and return its tables and findings."""
-    wl = resolve_workload(E12Workload, preset, workload, mode)
-    run_mode = workload_label(preset, wl)
-    sizes, samples = wl.sizes, wl.samples
-    periods = wl.periods
+    run_mode = workload_label(PRESETS, workload)
+    sizes, samples = workload.sizes, workload.samples
+    periods = workload.periods
 
     tasks = [
         (period, n, replica, seed_sequence)
@@ -125,7 +111,7 @@ def run(
             spawn_seed_sequences((seed, n, period % 1000, 12), samples)
         )
     ]
-    replica_times = iter(map_shards(_replica_times, (seed, wl.degree), tasks))
+    replica_times = iter(map_shards(_replica_times, (seed, workload.degree), tasks))
 
     table = Table(["regime", "n", "mean cov", "mean infec"])
     fits = Table(["regime", "process", "slope b", "R^2"])
@@ -173,16 +159,7 @@ def run(
         spec=SPEC,
         mode=run_mode,
         seed=seed,
-        parameters=result_parameters(
-            run_mode,
-            wl,
-            {
-                "sizes": list(sizes),
-                "degree": wl.degree,
-                "samples": samples,
-                "periods": [_period_label(p) for p in periods],
-            },
-        ),
+        parameters={"workload": workload.to_dict()},
         tables={"cover/infection times": table, "log-n fits": fits},
         findings=findings,
     )

@@ -29,7 +29,7 @@ from repro.experiments.results import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.sweep import expander_with_gap
 from repro.graphs.generators import complete, cycle, petersen
-from repro.scenarios.base import resolve_workload, result_parameters, workload_label
+from repro.scenarios.base import preset_workload, workload_label
 from repro.scenarios.workloads import E13Workload
 
 SPEC = ExperimentSpec(
@@ -44,51 +44,40 @@ SPEC = ExperimentSpec(
     version="3",
 )
 
-GRAPH_N = 1024
-GRAPH_R = 8
-#: Supercritical loss rates: effective branching (1-p)k stays above 1.
-LOSS_RATES = (0.0, 0.1, 0.25, 0.4)
-#: The (1-p)k = 1 threshold for k = 2 sits at p = 1/2; sweep across it.
-CRITICAL_SWEEP = (0.40, 0.45, 0.50, 0.55, 0.60)
-QUICK_SAMPLES = 200
-FULL_SAMPLES = 1000
-ROUND_CAP = 3000
-EXACT_T_MAX = 10
-
 #: Workload type this experiment runs from.
 WORKLOAD = E13Workload
 
+#: The quick and full workloads.  The loss rates are supercritical:
+#: the effective branching (1-p)k stays above 1.  The (1-p)k = 1
+#: threshold for k = 2 sits at p = 1/2, and the critical sweep crosses it.
+PRESETS = {
+    "quick": E13Workload(
+        n=1024,
+        r=8,
+        loss_rates=(0.0, 0.1, 0.25, 0.4),
+        critical_sweep=(0.40, 0.45, 0.50, 0.55, 0.60),
+        samples=200,
+    ),
+    "full": E13Workload(
+        n=1024,
+        r=8,
+        loss_rates=(0.0, 0.1, 0.25, 0.4),
+        critical_sweep=(0.40, 0.45, 0.50, 0.55, 0.60),
+        samples=1000,
+    ),
+}
+
 
 def preset(mode: str) -> E13Workload:
-    """The quick/full workload, built from the live module constants."""
-    if mode == "quick":
-        samples = QUICK_SAMPLES
-    elif mode == "full":
-        samples = FULL_SAMPLES
-    else:
-        raise ValueError(f"mode must be 'quick' or 'full', got {mode!r}")
-    return E13Workload(
-        n=GRAPH_N,
-        r=GRAPH_R,
-        loss_rates=LOSS_RATES,
-        critical_sweep=CRITICAL_SWEEP,
-        samples=samples,
-        round_cap=ROUND_CAP,
-        exact_t_max=EXACT_T_MAX,
-    )
+    """The quick or full workload."""
+    return preset_workload(PRESETS, mode)
 
 
-def run(
-    workload: "E13Workload | str | None" = None,
-    seed: int = 0,
-    *,
-    mode: str | None = None,
-) -> ExperimentResult:
+def run(workload: E13Workload, seed: int = 0) -> ExperimentResult:
     """Run E13 and return its tables and findings."""
-    wl = resolve_workload(E13Workload, preset, workload, mode)
-    run_mode = workload_label(preset, wl)
-    samples = wl.samples
-    graph_n, round_cap = wl.n, wl.round_cap
+    run_mode = workload_label(PRESETS, workload)
+    samples = workload.samples
+    graph_n, round_cap = workload.n, workload.round_cap
 
     # --- exact lossy duality --------------------------------------------
     exact = Table(
@@ -104,13 +93,13 @@ def run(
             for loss in (0.1, 0.3, 0.6):
                 rows.append([label, branching, loss])
                 cases.append((graph, start, source, branching, loss))
-    gaps = duality_gaps(cases, wl.exact_t_max)
+    gaps = duality_gaps(cases, workload.exact_t_max)
     for row, gap in zip(rows, gaps):
         exact.add_row([*row, gap])
     worst_gap = max(gaps)
 
     # --- cost of loss on an expander -------------------------------------
-    graph, lam = expander_with_gap(graph_n, wl.r, seed=seed)
+    graph, lam = expander_with_gap(graph_n, workload.r, seed=seed)
     cost = Table(
         [
             "loss p",
@@ -122,7 +111,7 @@ def run(
         ]
     )
     cobra_means: dict[float, float] = {}
-    for loss in wl.loss_rates:
+    for loss in workload.loss_rates:
         cover_times: list[int] = []
         deaths = 0
         for rng in spawn_generators((seed, int(loss * 100), 131), samples):
@@ -164,7 +153,7 @@ def run(
     transition = Table(
         ["loss p", "effective k", "covered", "died", "P(cover)"]
     )
-    for loss in wl.critical_sweep:
+    for loss in workload.critical_sweep:
         covered = 0
         died = 0
         for rng in spawn_generators((seed, int(loss * 1000), 133), samples):
@@ -178,7 +167,7 @@ def run(
             [loss, 2.0 * (1.0 - loss), covered, died, covered / samples]
         )
 
-    slowdown = cobra_means[wl.loss_rates[-1]] / cobra_means[0.0]
+    slowdown = cobra_means[workload.loss_rates[-1]] / cobra_means[0.0]
     cover_probabilities = dict(
         zip(transition.column("loss p"), transition.column("P(cover)"))
     )
@@ -186,16 +175,16 @@ def run(
         f"the duality holds exactly under loss: worst gap {worst_gap:.2e} "
         "across graphs, branchings and loss rates (float noise)",
         (
-            f"loss is an effective branching reduction: at p = {wl.loss_rates[-1]} "
-            f"(effective k = {2 * (1 - wl.loss_rates[-1]):.1f}) mean cover is "
+            f"loss is an effective branching reduction: at p = {workload.loss_rates[-1]} "
+            f"(effective k = {2 * (1 - workload.loss_rates[-1]):.1f}) mean cover is "
             f"x{slowdown:.1f} the lossless time, mirroring Theorem 3's 1/rho slope"
         ),
         (
             f"a phase transition sits at (1-p)k = 1 (p = 0.5 for k = 2): cover "
-            f"probability drops from {cover_probabilities[wl.critical_sweep[0]]:.2f} "
-            f"at p = {wl.critical_sweep[0]:.2f} to "
-            f"{cover_probabilities[wl.critical_sweep[-1]]:.2f} at "
-            f"p = {wl.critical_sweep[-1]:.2f} — below threshold the token "
+            f"probability drops from {cover_probabilities[workload.critical_sweep[0]]:.2f} "
+            f"at p = {workload.critical_sweep[0]:.2f} to "
+            f"{cover_probabilities[workload.critical_sweep[-1]]:.2f} at "
+            f"p = {workload.critical_sweep[-1]:.2f} — below threshold the token "
             "population dies before covering, Theorem 3's rho > 0 condition seen "
             "from the other side"
         ),
@@ -207,17 +196,7 @@ def run(
         spec=SPEC,
         mode=run_mode,
         seed=seed,
-        parameters=result_parameters(
-            run_mode,
-            wl,
-            {
-                "n": graph_n,
-                "r": wl.r,
-                "lambda": lam,
-                "loss_rates": list(wl.loss_rates),
-                "samples": samples,
-            },
-        ),
+        parameters={"workload": workload.to_dict(), "lambda": lam},
         tables={
             "exact lossy duality": exact,
             "cost of loss": cost,

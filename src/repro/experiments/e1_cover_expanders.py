@@ -19,7 +19,7 @@ from repro.experiments.results import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.sweep import expander_with_gap, measure_cobra_cover
 from repro.graphs.generators import complete
-from repro.scenarios.base import resolve_workload, result_parameters, workload_label
+from repro.scenarios.base import preset_workload, workload_label
 from repro.scenarios.workloads import E1Workload
 from repro.theory.bounds import cover_time_bound, spectral_condition_holds
 
@@ -36,37 +36,27 @@ SPEC = ExperimentSpec(
     version="3",
 )
 
-QUICK_SIZES = (256, 512, 1024, 2048)
-QUICK_DEGREES = (3, 8, 32)
-QUICK_SAMPLES = 12
-
-FULL_SIZES = (256, 512, 1024, 2048, 4096, 8192)
-FULL_DEGREES = (3, 8, 32, 64)
-FULL_SAMPLES = 30
-
 #: Workload type this experiment runs from.
 WORKLOAD = E1Workload
 
+#: The quick and full workloads.
+PRESETS = {
+    "quick": E1Workload(sizes=(256, 512, 1024, 2048), degrees=(3, 8, 32), samples=12),
+    "full": E1Workload(
+        sizes=(256, 512, 1024, 2048, 4096, 8192), degrees=(3, 8, 32, 64), samples=30
+    ),
+}
+
 
 def preset(mode: str) -> E1Workload:
-    """The quick/full workload, built from the live module constants."""
-    if mode == "quick":
-        return E1Workload(sizes=QUICK_SIZES, degrees=QUICK_DEGREES, samples=QUICK_SAMPLES)
-    if mode == "full":
-        return E1Workload(sizes=FULL_SIZES, degrees=FULL_DEGREES, samples=FULL_SAMPLES)
-    raise ValueError(f"mode must be 'quick' or 'full', got {mode!r}")
+    """The quick or full workload."""
+    return preset_workload(PRESETS, mode)
 
 
-def run(
-    workload: "E1Workload | str | None" = None,
-    seed: int = 0,
-    *,
-    mode: str | None = None,
-) -> ExperimentResult:
+def run(workload: E1Workload, seed: int = 0) -> ExperimentResult:
     """Run E1 and return its tables, figure, and findings."""
-    wl = resolve_workload(E1Workload, preset, workload, mode)
-    label = workload_label(preset, wl)
-    sizes, degrees, samples = wl.sizes, wl.degrees, wl.samples
+    label = workload_label(PRESETS, workload)
+    sizes, degrees, samples = workload.sizes, workload.degrees, workload.samples
 
     measurements = Table(
         ["n", "r", "lambda", "condition", "mean cov", "median", "max", "T = log n/(1-l)^3"]
@@ -86,9 +76,9 @@ def run(
                 graph,
                 n_samples=samples,
                 seed=(seed, n, r),
-                branching=wl.branching,
-                engine=wl.engine,
-                transmission_rate=wl.transmission_rate,
+                branching=workload.branching,
+                engine=workload.engine,
+                transmission_rate=workload.transmission_rate,
             )
             measurements.add_row(
                 [
@@ -119,9 +109,9 @@ def run(
             graph,
             n_samples=samples,
             seed=(seed, n, 999_983),
-            branching=wl.branching,
-            engine=wl.engine,
-            transmission_rate=wl.transmission_rate,
+            branching=workload.branching,
+            engine=workload.engine,
+            transmission_rate=workload.transmission_rate,
         )
         complete_rows.add_row(
             [n, 1.0 / (n - 1), result.stats.mean, result.stats.mean / math.log2(n)]
@@ -150,17 +140,7 @@ def run(
         spec=SPEC,
         mode=label,
         seed=seed,
-        parameters=result_parameters(
-            label,
-            wl,
-            {
-                "sizes": list(sizes),
-                "degrees": list(degrees),
-                "samples": samples,
-                "branching": wl.branching,
-                "engine": wl.engine,
-            },
-        ),
+        parameters={"workload": workload.to_dict()},
         tables={
             "cover times": measurements,
             "log-n fits per degree": fits,

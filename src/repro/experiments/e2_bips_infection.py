@@ -20,7 +20,7 @@ from repro.experiments.sweep import (
     measure_bips_infection,
     measure_cobra_cover,
 )
-from repro.scenarios.base import resolve_workload, result_parameters, workload_label
+from repro.scenarios.base import preset_workload, workload_label
 from repro.scenarios.families import GraphFamily
 from repro.scenarios.workloads import E2Workload
 from repro.theory.bounds import cover_time_bound
@@ -38,36 +38,33 @@ SPEC = ExperimentSpec(
     version="4",
 )
 
-QUICK_SIZES = (256, 512, 1024, 2048)
-QUICK_SAMPLES = 12
-FULL_SIZES = (256, 512, 1024, 2048, 4096, 8192)
-FULL_SAMPLES = 30
-DEGREE = 8
-
 #: Workload type this experiment runs from.
 WORKLOAD = E2Workload
 
+#: The quick and full workloads.
+PRESETS = {
+    "quick": E2Workload(
+        sizes=(256, 512, 1024, 2048),
+        samples=12,
+        family=GraphFamily("random_regular", {"degree": 8}),
+    ),
+    "full": E2Workload(
+        sizes=(256, 512, 1024, 2048, 4096, 8192),
+        samples=30,
+        family=GraphFamily("random_regular", {"degree": 8}),
+    ),
+}
+
 
 def preset(mode: str) -> E2Workload:
-    """The quick/full workload, built from the live module constants."""
-    family = GraphFamily("random_regular", {"degree": DEGREE})
-    if mode == "quick":
-        return E2Workload(sizes=QUICK_SIZES, samples=QUICK_SAMPLES, family=family)
-    if mode == "full":
-        return E2Workload(sizes=FULL_SIZES, samples=FULL_SAMPLES, family=family)
-    raise ValueError(f"mode must be 'quick' or 'full', got {mode!r}")
+    """The quick or full workload."""
+    return preset_workload(PRESETS, mode)
 
 
-def run(
-    workload: "E2Workload | str | None" = None,
-    seed: int = 0,
-    *,
-    mode: str | None = None,
-) -> ExperimentResult:
+def run(workload: E2Workload, seed: int = 0) -> ExperimentResult:
     """Run E2 and return its tables, figure, and findings."""
-    wl = resolve_workload(E2Workload, preset, workload, mode)
-    label = workload_label(preset, wl)
-    sizes, samples = wl.sizes, wl.samples
+    label = workload_label(PRESETS, workload)
+    sizes, samples = workload.sizes, workload.samples
 
     table = Table(
         ["n", "lambda", "mean infec", "mean cov", "infec/cov", "T bound"]
@@ -77,23 +74,23 @@ def run(
     cover_means: list[float] = []
     ratios: list[float] = []
     for offset, n in enumerate(sizes):
-        graph, lam = family_with_gap(wl.family, n, seed=seed + offset)
+        graph, lam = family_with_gap(workload.family, n, seed=seed + offset)
         bips = measure_bips_infection(
             graph,
             n_samples=samples,
             seed=(seed, n, 1),
-            engine=wl.engine,
-            transmission_rate=wl.transmission_rate,
-            recovery_rate=wl.recovery_rate,
-            edge_rate_overrides=wl.edge_rate_overrides,
+            engine=workload.engine,
+            transmission_rate=workload.transmission_rate,
+            recovery_rate=workload.recovery_rate,
+            edge_rate_overrides=workload.edge_rate_overrides,
         )
         cobra = measure_cobra_cover(
             graph,
             n_samples=samples,
             seed=(seed, n, 2),
-            engine=wl.engine,
-            transmission_rate=wl.transmission_rate,
-            edge_rate_overrides=wl.edge_rate_overrides,
+            engine=workload.engine,
+            transmission_rate=workload.transmission_rate,
+            edge_rate_overrides=workload.edge_rate_overrides,
         )
         ratio = bips.stats.mean / cobra.stats.mean
         # Bipartite family members (e.g. hypercubes) have lambda = 1,
@@ -116,7 +113,7 @@ def run(
     figure = ascii_plot(
         {"BIPS infec": (ns, infection_means), "COBRA cov": (ns, cover_means)},
         log_x=True,
-        title=f"E2: completion time vs n (log x), {wl.family.label()} graphs",
+        title=f"E2: completion time vs n (log x), {workload.family.label()} graphs",
         x_label="n",
         y_label="rounds",
     )
@@ -132,16 +129,7 @@ def run(
         spec=SPEC,
         mode=label,
         seed=seed,
-        parameters=result_parameters(
-            label,
-            wl,
-            {
-                "sizes": list(sizes),
-                "degree": wl.family.params.get("degree", DEGREE),
-                "samples": samples,
-                "engine": wl.engine,
-            },
-        ),
+        parameters={"workload": workload.to_dict()},
         tables={"BIPS vs COBRA": table, "log-n fits": fits},
         figures={"completion vs n": figure},
         findings=findings,

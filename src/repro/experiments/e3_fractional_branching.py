@@ -18,7 +18,7 @@ from repro.analysis.tables import Table
 from repro.experiments.results import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.sweep import expander_with_gap, measure_cobra_cover
-from repro.scenarios.base import resolve_workload, result_parameters, workload_label
+from repro.scenarios.base import preset_workload, workload_label
 from repro.scenarios.workloads import E3Workload
 
 SPEC = ExperimentSpec(
@@ -34,45 +34,36 @@ SPEC = ExperimentSpec(
     version="3",
 )
 
-QUICK_SIZES = (256, 512, 1024, 2048)
-QUICK_RHOS = (0.1, 0.25, 0.5, 1.0)
-QUICK_SAMPLES = 10
-FULL_SIZES = (256, 512, 1024, 2048, 4096)
-FULL_RHOS = (0.05, 0.1, 0.25, 0.5, 1.0)
-FULL_SAMPLES = 25
-DEGREE = 8
-
 #: Workload type this experiment runs from.
 WORKLOAD = E3Workload
 
+#: The quick and full workloads.
+PRESETS = {
+    "quick": E3Workload(
+        sizes=(256, 512, 1024, 2048), rhos=(0.1, 0.25, 0.5, 1.0), samples=10, degree=8
+    ),
+    "full": E3Workload(
+        sizes=(256, 512, 1024, 2048, 4096),
+        rhos=(0.05, 0.1, 0.25, 0.5, 1.0),
+        samples=25,
+        degree=8,
+    ),
+}
+
 
 def preset(mode: str) -> E3Workload:
-    """The quick/full workload, built from the live module constants."""
-    if mode == "quick":
-        return E3Workload(
-            sizes=QUICK_SIZES, rhos=QUICK_RHOS, samples=QUICK_SAMPLES, degree=DEGREE
-        )
-    if mode == "full":
-        return E3Workload(
-            sizes=FULL_SIZES, rhos=FULL_RHOS, samples=FULL_SAMPLES, degree=DEGREE
-        )
-    raise ValueError(f"mode must be 'quick' or 'full', got {mode!r}")
+    """The quick or full workload."""
+    return preset_workload(PRESETS, mode)
 
 
-def run(
-    workload: "E3Workload | str | None" = None,
-    seed: int = 0,
-    *,
-    mode: str | None = None,
-) -> ExperimentResult:
+def run(workload: E3Workload, seed: int = 0) -> ExperimentResult:
     """Run E3 and return its tables, figure, and findings."""
-    wl = resolve_workload(E3Workload, preset, workload, mode)
-    label = workload_label(preset, wl)
-    sizes, rhos, samples = wl.sizes, wl.rhos, wl.samples
+    label = workload_label(PRESETS, workload)
+    sizes, rhos, samples = workload.sizes, workload.rhos, workload.samples
 
     graphs = []
     for offset, n in enumerate(sizes):
-        graphs.append((n,) + expander_with_gap(n, wl.degree, seed=seed + offset))
+        graphs.append((n,) + expander_with_gap(n, workload.degree, seed=seed + offset))
 
     measurements = Table(["rho", "n", "lambda", "mean cov", "median", "max"])
     fits = Table(["rho", "slope b", "intercept a", "R^2"])
@@ -109,7 +100,7 @@ def run(
     figure = ascii_plot(
         series,
         log_x=True,
-        title=f"E3: COBRA(1+rho) mean cover time vs n (log x), random {wl.degree}-regular",
+        title=f"E3: COBRA(1+rho) mean cover time vs n (log x), random {workload.degree}-regular",
         x_label="n",
         y_label="rounds",
     )
@@ -125,17 +116,7 @@ def run(
         spec=SPEC,
         mode=label,
         seed=seed,
-        parameters=result_parameters(
-            label,
-            wl,
-            {
-                "sizes": list(sizes),
-                "rhos": list(rhos),
-                "degree": wl.degree,
-                "samples": samples,
-                "engine": "batch",
-            },
-        ),
+        parameters={"workload": workload.to_dict()},
         tables={"cover times": measurements, "log-n fits per rho": fits},
         figures={"cover vs n per rho": figure},
         findings=findings,

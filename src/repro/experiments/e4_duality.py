@@ -24,7 +24,7 @@ from repro.experiments.results import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
 from repro.graphs.base import Graph
 from repro.graphs.generators import complete, cycle, path, petersen, random_regular
-from repro.scenarios.base import resolve_workload, result_parameters, workload_label
+from repro.scenarios.base import preset_workload, workload_label
 from repro.scenarios.workloads import E4Workload
 
 SPEC = ExperimentSpec(
@@ -40,21 +40,19 @@ SPEC = ExperimentSpec(
     version="5",
 )
 
-QUICK_TRIALS = 2000
-FULL_TRIALS = 20000
-EXACT_T_MAX = 12
-
 #: Workload type this experiment runs from.
 WORKLOAD = E4Workload
 
+#: The quick and full workloads.
+PRESETS = {
+    "quick": E4Workload(trials=2000, exact_t_max=12),
+    "full": E4Workload(trials=20000, exact_t_max=12),
+}
+
 
 def preset(mode: str) -> E4Workload:
-    """The quick/full workload, built from the live module constants."""
-    if mode == "quick":
-        return E4Workload(trials=QUICK_TRIALS, exact_t_max=EXACT_T_MAX)
-    if mode == "full":
-        return E4Workload(trials=FULL_TRIALS, exact_t_max=EXACT_T_MAX)
-    raise ValueError(f"mode must be 'quick' or 'full', got {mode!r}")
+    """The quick or full workload."""
+    return preset_workload(PRESETS, mode)
 
 
 def _exact_cases(seed: int) -> list[tuple[str, Graph, list[int], int]]:
@@ -69,16 +67,10 @@ def _exact_cases(seed: int) -> list[tuple[str, Graph, list[int], int]]:
     ]
 
 
-def run(
-    workload: "E4Workload | str | None" = None,
-    seed: int = 0,
-    *,
-    mode: str | None = None,
-) -> ExperimentResult:
+def run(workload: E4Workload, seed: int = 0) -> ExperimentResult:
     """Run E4 and return its tables and findings."""
-    wl = resolve_workload(E4Workload, preset, workload, mode)
-    label = workload_label(preset, wl)
-    trials, exact_t_max = wl.trials, wl.exact_t_max
+    label = workload_label(PRESETS, workload)
+    trials, exact_t_max = workload.trials, workload.exact_t_max
 
     exact = Table(["case", "branching k", "t_max", "max |LHS - RHS|"], float_format="%.2e")
     rows, cases = [], []
@@ -91,13 +83,13 @@ def run(
         exact.add_row([*row, gap])
     worst_gap = max(gaps)
 
-    mc_graph = random_regular(wl.mc_n, wl.mc_degree, seed=seed + 17)
-    start, source = 0, wl.mc_source
+    mc_graph = random_regular(workload.mc_n, workload.mc_degree, seed=seed + 17)
+    start, source = 0, workload.mc_source
     monte_carlo = Table(
         ["t", "COBRA P(Hit>t)", "BIPS P(u not in A_t)", "|diff|", "CI overlap"]
     )
     points = duality_monte_carlo(
-        mc_graph, start, source, wl.mc_checkpoints, trials=trials, seed=seed
+        mc_graph, start, source, workload.mc_checkpoints, trials=trials, seed=seed
     )
     all_overlap = True
     for point in points:
@@ -117,7 +109,8 @@ def run(
         "the identity also holds exactly on an irregular graph (path n=6) — the paper "
         "proves it for regular graphs but the argument never uses regularity",
         (
-            f"Monte-Carlo estimates on a {wl.mc_n}-vertex {wl.mc_degree}-regular expander "
+            f"Monte-Carlo estimates on a {workload.mc_n}-vertex "
+            f"{workload.mc_degree}-regular expander "
             + ("agree within 95% Wilson intervals at every t" if all_overlap else "DISAGREE")
         ),
     ]
@@ -125,11 +118,7 @@ def run(
         spec=SPEC,
         mode=label,
         seed=seed,
-        parameters=result_parameters(
-            label,
-            wl,
-            {"exact_t_max": exact_t_max, "mc_trials": trials, "mc_graph_n": wl.mc_n},
-        ),
+        parameters={"workload": workload.to_dict()},
         tables={"exact verification": exact, "monte-carlo verification": monte_carlo},
         findings=findings,
     )

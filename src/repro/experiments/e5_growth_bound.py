@@ -21,7 +21,7 @@ from repro.experiments.results import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
 from repro.graphs.base import Graph
 from repro.graphs.spectral import lambda_second
-from repro.scenarios.base import resolve_workload, result_parameters, workload_label
+from repro.scenarios.base import preset_workload, workload_label
 from repro.scenarios.families import GraphCase
 from repro.scenarios.workloads import E5Workload
 from repro.theory.growth import growth_bound_ratio, minimum_growth_ratio
@@ -37,48 +37,46 @@ SPEC = ExperimentSpec(
     version="2",
 )
 
-EXHAUSTIVE_LIMIT = 12
-
 #: Workload type this experiment runs from.
 WORKLOAD = E5Workload
 
-#: Declarative graph cases of the two presets.  Seeded generators name
-#: a ``seed_offset`` reproducing the pre-scenario ``seed + i`` pattern.
-_QUICK_CASES = (
-    GraphCase("petersen (exhaustive)", "petersen"),
-    GraphCase("cycle C9 (exhaustive)", "cycle", (9,)),
-    GraphCase("complete K8 (exhaustive)", "complete", (8,)),
-    GraphCase("random 4-regular n=64", "random_regular", (64, 4), seed_offset=0),
-    GraphCase("random 8-regular n=128", "random_regular", (128, 8), seed_offset=1),
-    GraphCase("circulant n=64 {1,2,5}", "circulant", (64, (1, 2, 5))),
-    GraphCase("torus 5x5", "torus", ((5, 5),)),
-)
-_FULL_CASES = (
-    GraphCase("petersen (exhaustive)", "petersen"),
-    GraphCase("cycle C9 (exhaustive)", "cycle", (9,)),
-    GraphCase("cycle C11 (exhaustive)", "cycle", (11,)),
-    GraphCase("complete K8 (exhaustive)", "complete", (8,)),
-    GraphCase("complete K12 (exhaustive)", "complete", (12,)),
-    GraphCase("random 4-regular n=64", "random_regular", (64, 4), seed_offset=0),
-    GraphCase("random 8-regular n=128", "random_regular", (128, 8), seed_offset=1),
-    GraphCase("random 16-regular n=256", "random_regular", (256, 16), seed_offset=2),
-    GraphCase("circulant n=64 {1,2,5}", "circulant", (64, (1, 2, 5))),
-    GraphCase("torus 5x5", "torus", ((5, 5),)),
-    GraphCase("torus 3x3x3", "torus", ((3, 3, 3),)),
-)
+#: The quick and full workloads.  Seeded generators name a
+#: ``seed_offset``: a case is built with seed ``seed + seed_offset``.
+PRESETS = {
+    "quick": E5Workload(
+        sampled_sets=200,
+        cases=(
+            GraphCase("petersen (exhaustive)", "petersen"),
+            GraphCase("cycle C9 (exhaustive)", "cycle", (9,)),
+            GraphCase("complete K8 (exhaustive)", "complete", (8,)),
+            GraphCase("random 4-regular n=64", "random_regular", (64, 4), seed_offset=0),
+            GraphCase("random 8-regular n=128", "random_regular", (128, 8), seed_offset=1),
+            GraphCase("circulant n=64 {1,2,5}", "circulant", (64, (1, 2, 5))),
+            GraphCase("torus 5x5", "torus", ((5, 5),)),
+        ),
+    ),
+    "full": E5Workload(
+        sampled_sets=1000,
+        cases=(
+            GraphCase("petersen (exhaustive)", "petersen"),
+            GraphCase("cycle C9 (exhaustive)", "cycle", (9,)),
+            GraphCase("cycle C11 (exhaustive)", "cycle", (11,)),
+            GraphCase("complete K8 (exhaustive)", "complete", (8,)),
+            GraphCase("complete K12 (exhaustive)", "complete", (12,)),
+            GraphCase("random 4-regular n=64", "random_regular", (64, 4), seed_offset=0),
+            GraphCase("random 8-regular n=128", "random_regular", (128, 8), seed_offset=1),
+            GraphCase("random 16-regular n=256", "random_regular", (256, 16), seed_offset=2),
+            GraphCase("circulant n=64 {1,2,5}", "circulant", (64, (1, 2, 5))),
+            GraphCase("torus 5x5", "torus", ((5, 5),)),
+            GraphCase("torus 3x3x3", "torus", ((3, 3, 3),)),
+        ),
+    ),
+}
 
 
 def preset(mode: str) -> E5Workload:
-    """The quick/full workload, built from the live module constants."""
-    if mode == "quick":
-        return E5Workload(
-            sampled_sets=200, cases=_QUICK_CASES, exhaustive_limit=EXHAUSTIVE_LIMIT
-        )
-    if mode == "full":
-        return E5Workload(
-            sampled_sets=1000, cases=_FULL_CASES, exhaustive_limit=EXHAUSTIVE_LIMIT
-        )
-    raise ValueError(f"mode must be 'quick' or 'full', got {mode!r}")
+    """The quick or full workload."""
+    return preset_workload(PRESETS, mode)
 
 
 def _exhaustive_minimum(graph: Graph, source: int, lam: float, branching: float) -> float:
@@ -93,27 +91,21 @@ def _exhaustive_minimum(graph: Graph, source: int, lam: float, branching: float)
     return float(worst)
 
 
-def run(
-    workload: "E5Workload | str | None" = None,
-    seed: int = 0,
-    *,
-    mode: str | None = None,
-) -> ExperimentResult:
+def run(workload: E5Workload, seed: int = 0) -> ExperimentResult:
     """Run E5 and return its table and findings."""
-    wl = resolve_workload(E5Workload, preset, workload, mode)
-    label = workload_label(preset, wl)
-    sampled_sets = wl.sampled_sets
+    label = workload_label(PRESETS, workload)
+    sampled_sets = workload.sampled_sets
     cases: list[tuple[str, Graph]] = [
-        (case.label, case.build(seed)) for case in wl.cases
+        (case.label, case.build(seed)) for case in workload.cases
     ]
 
     table = Table(["graph", "branching", "lambda", "states checked", "min exact/bound"])
     overall_worst = np.inf
-    branchings = wl.branchings
+    branchings = workload.branchings
     for case_label, graph in cases:
         lam = lambda_second(graph)
         source = 0
-        exhaustive = graph.n_vertices <= wl.exhaustive_limit
+        exhaustive = graph.n_vertices <= workload.exhaustive_limit
         for branching in branchings:
             if exhaustive:
                 states = (1 << graph.n_vertices) // 2
@@ -144,11 +136,7 @@ def run(
         spec=SPEC,
         mode=label,
         seed=seed,
-        parameters=result_parameters(
-            label,
-            wl,
-            {"branchings": list(branchings), "sampled_sets": sampled_sets},
-        ),
+        parameters={"workload": workload.to_dict()},
         tables={"growth-bound ratios": table},
         findings=findings,
     )

@@ -25,7 +25,7 @@ from repro.experiments.results import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.sweep import expander_with_gap
 from repro.analysis.phases import split_phases
-from repro.scenarios.base import resolve_workload, result_parameters, workload_label
+from repro.scenarios.base import preset_workload, workload_label
 from repro.scenarios.workloads import E6Workload
 from repro.theory.bounds import (
     lemma2_round_budget,
@@ -48,46 +48,26 @@ SPEC = ExperimentSpec(
     version="4",
 )
 
-QUICK_SIZES = (512, 1024, 2048, 4096)
-QUICK_TRAJECTORIES = 10
-FULL_SIZES = (512, 1024, 2048, 4096, 8192)
-FULL_TRAJECTORIES = 30
-DEGREE = 8
-SIMULATION_K = 1.0  # scaled-down boundary constant (paper: 4000)
-
 #: Workload type this experiment runs from.
 WORKLOAD = E6Workload
 
+#: The quick and full workloads.  Both keep the default boundary
+#: constant K = 1, scaled down from the paper's 4000.
+PRESETS = {
+    "quick": E6Workload(sizes=(512, 1024, 2048, 4096), trajectories=10, degree=8),
+    "full": E6Workload(sizes=(512, 1024, 2048, 4096, 8192), trajectories=30, degree=8),
+}
+
 
 def preset(mode: str) -> E6Workload:
-    """The quick/full workload, built from the live module constants."""
-    if mode == "quick":
-        return E6Workload(
-            sizes=QUICK_SIZES,
-            trajectories=QUICK_TRAJECTORIES,
-            degree=DEGREE,
-            boundary_constant=SIMULATION_K,
-        )
-    if mode == "full":
-        return E6Workload(
-            sizes=FULL_SIZES,
-            trajectories=FULL_TRAJECTORIES,
-            degree=DEGREE,
-            boundary_constant=SIMULATION_K,
-        )
-    raise ValueError(f"mode must be 'quick' or 'full', got {mode!r}")
+    """The quick or full workload."""
+    return preset_workload(PRESETS, mode)
 
 
-def run(
-    workload: "E6Workload | str | None" = None,
-    seed: int = 0,
-    *,
-    mode: str | None = None,
-) -> ExperimentResult:
+def run(workload: E6Workload, seed: int = 0) -> ExperimentResult:
     """Run E6 and return its tables and findings."""
-    wl = resolve_workload(E6Workload, preset, workload, mode)
-    label = workload_label(preset, wl)
-    sizes, trajectories = wl.sizes, wl.trajectories
+    label = workload_label(PRESETS, workload)
+    sizes, trajectories = workload.sizes, workload.trajectories
 
     table = Table(
         [
@@ -107,8 +87,8 @@ def run(
     end_means: list[float] = []
     within_budget = True
     for offset, n in enumerate(sizes):
-        graph, lam = expander_with_gap(n, wl.degree, seed=seed + offset)
-        boundary = phase_boundary_size(n, lam, constant=wl.boundary_constant)
+        graph, lam = expander_with_gap(n, workload.degree, seed=seed + offset)
+        boundary = phase_boundary_size(n, lam, constant=workload.boundary_constant)
         small_rounds: list[int] = []
         mid_rounds: list[int] = []
         endgame_rounds: list[int] = []
@@ -119,7 +99,7 @@ def run(
         traces = batch_bips_traces(
             graph,
             0,
-            branching=wl.branching,
+            branching=workload.branching,
             n_replicas=trajectories,
             seed=(seed, n, 6),
             max_rounds=cap,
@@ -177,7 +157,7 @@ def run(
             f"(slope {end_fit.slope:.2f}, R^2 = {end_fit.r_squared:.3f})"
         ),
         (
-            f"the boundary uses K = {wl.boundary_constant} instead of the paper's 4000 "
+            f"the boundary uses K = {workload.boundary_constant} instead of the paper's 4000 "
             "(with K = 4000 the boundary exceeds n at simulation scale)"
         ),
     ]
@@ -185,17 +165,7 @@ def run(
         spec=SPEC,
         mode=label,
         seed=seed,
-        parameters=result_parameters(
-            label,
-            wl,
-            {
-                "sizes": list(sizes),
-                "degree": wl.degree,
-                "trajectories": trajectories,
-                "boundary_constant": wl.boundary_constant,
-                "engine": "batch-traces",
-            },
-        ),
+        parameters={"workload": workload.to_dict()},
         tables={"phase durations vs budgets": table},
         findings=findings,
     )

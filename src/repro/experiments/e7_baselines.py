@@ -32,7 +32,7 @@ from repro.experiments.sweep import (
     measure_random_walk_cover,
 )
 from repro.graphs.generators import complete, torus
-from repro.scenarios.base import resolve_workload, result_parameters, workload_label
+from repro.scenarios.base import preset_workload, workload_label
 from repro.scenarios.workloads import E7Workload
 
 SPEC = ExperimentSpec(
@@ -49,62 +49,46 @@ SPEC = ExperimentSpec(
     version="4",
 )
 
-QUICK = {
-    "complete_sizes": (64, 256, 1024, 4096),
-    "torus2d_sides": (15, 21, 31, 45),
-    "torus3d_sides": (5, 7, 9),
-    "walk_sizes": (128, 256, 512, 1024),
-    "samples": 10,
-}
-# Complete graphs are stored as explicit edge lists, so the ladder stops
-# at 4096 (~8.4M edges); the log-n shape is already unambiguous there.
-FULL = {
-    "complete_sizes": (64, 256, 1024, 2048, 4096),
-    "torus2d_sides": (15, 21, 31, 45, 63),
-    "torus3d_sides": (5, 7, 9, 11),
-    "walk_sizes": (128, 256, 512, 1024, 2048),
-    "samples": 25,
-}
-WALK_DEGREE = 8
-
 #: Workload type this experiment runs from.
 WORKLOAD = E7Workload
 
+#: The quick and full workloads.
+PRESETS = {
+    "quick": E7Workload(
+        complete_sizes=(64, 256, 1024, 4096),
+        torus2d_sides=(15, 21, 31, 45),
+        torus3d_sides=(5, 7, 9),
+        walk_sizes=(128, 256, 512, 1024),
+        samples=10,
+    ),
+    "full": E7Workload(
+        # Complete graphs are stored as explicit edge lists, so the ladder
+        # stops at 4096 (~8.4M edges); the log-n shape is already
+        # unambiguous there.
+        complete_sizes=(64, 256, 1024, 2048, 4096),
+        torus2d_sides=(15, 21, 31, 45, 63),
+        torus3d_sides=(5, 7, 9, 11),
+        walk_sizes=(128, 256, 512, 1024, 2048),
+        samples=25,
+    ),
+}
+
 
 def preset(mode: str) -> E7Workload:
-    """The quick/full workload, built from the live module constants."""
-    if mode == "quick":
-        config = QUICK
-    elif mode == "full":
-        config = FULL
-    else:
-        raise ValueError(f"mode must be 'quick' or 'full', got {mode!r}")
-    return E7Workload(
-        complete_sizes=config["complete_sizes"],
-        torus2d_sides=config["torus2d_sides"],
-        torus3d_sides=config["torus3d_sides"],
-        walk_sizes=config["walk_sizes"],
-        samples=config["samples"],
-        walk_degree=WALK_DEGREE,
-    )
+    """The quick or full workload."""
+    return preset_workload(PRESETS, mode)
 
 
-def run(
-    workload: "E7Workload | str | None" = None,
-    seed: int = 0,
-    *,
-    mode: str | None = None,
-) -> ExperimentResult:
+def run(workload: E7Workload, seed: int = 0) -> ExperimentResult:
     """Run E7 and return its tables and findings."""
-    wl = resolve_workload(E7Workload, preset, workload, mode)
-    label = workload_label(preset, wl)
-    samples = wl.samples
+    label = workload_label(PRESETS, workload)
+    samples = workload.samples
 
     # --- complete graphs -------------------------------------------------
     complete_table = Table(["n", "mean cov", "cov / log2 n"])
     complete_ns: list[float] = []
     complete_means: list[float] = []
-    for n in wl.complete_sizes:
+    for n in workload.complete_sizes:
         result = measure_cobra_cover(complete(n), n_samples=samples, seed=(seed, n, 71))
         complete_table.add_row([n, result.stats.mean, result.stats.mean / math.log2(n)])
         complete_ns.append(float(n))
@@ -115,7 +99,7 @@ def run(
     torus_table = Table(["dim", "side", "n", "mean cov", "n^(1/d)"])
     torus_fits = Table(["dim", "power-law exponent", "R^2", "theory 1/d"])
     exponents: dict[int, float] = {}
-    for dim, sides in ((2, wl.torus2d_sides), (3, wl.torus3d_sides)):
+    for dim, sides in ((2, workload.torus2d_sides), (3, workload.torus3d_sides)):
         ns: list[float] = []
         means: list[float] = []
         for side in sides:
@@ -135,8 +119,8 @@ def run(
     )
     walk_ns: list[float] = []
     walk_means: list[float] = []
-    for offset, n in enumerate(wl.walk_sizes):
-        graph = expander(n, wl.walk_degree, seed=seed + 100 + offset)
+    for offset, n in enumerate(workload.walk_sizes):
+        graph = expander(n, workload.walk_degree, seed=seed + 100 + offset)
         walk = measure_random_walk_cover(graph, n_samples=samples, seed=(seed, n, 73))
         cobra = measure_cobra_cover(graph, n_samples=samples, seed=(seed, n, 74))
         walk_table.add_row(
@@ -167,23 +151,11 @@ def run(
             f"branching is what buys the exponential speedup"
         ),
     ]
-    config = {
-        "complete_sizes": wl.complete_sizes,
-        "torus2d_sides": wl.torus2d_sides,
-        "torus3d_sides": wl.torus3d_sides,
-        "walk_sizes": wl.walk_sizes,
-        "samples": samples,
-    }
     return ExperimentResult(
         spec=SPEC,
         mode=label,
         seed=seed,
-        parameters=result_parameters(
-            label,
-            wl,
-            {key: list(value) if isinstance(value, tuple) else value
-             for key, value in config.items()},
-        ),
+        parameters={"workload": workload.to_dict()},
         tables={
             "complete graphs": complete_table,
             "tori": torus_table,

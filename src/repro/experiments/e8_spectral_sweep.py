@@ -27,7 +27,7 @@ from repro.experiments.spec import ExperimentSpec
 from repro.experiments.sweep import expander_with_gap, measure_cobra_cover
 from repro.graphs.generators import circulant
 from repro.graphs.spectral import analytic_lambda
-from repro.scenarios.base import resolve_workload, result_parameters, workload_label
+from repro.scenarios.base import preset_workload, workload_label
 from repro.scenarios.workloads import E8Workload
 from repro.theory.bounds import cover_time_bound
 
@@ -44,51 +44,39 @@ SPEC = ExperimentSpec(
     version="3",
 )
 
-CIRCULANT_N = 513  # odd => non-bipartite for every offset set
-QUICK_CHORDS = (1, 2, 4, 8, 16)
-FULL_CHORDS = (1, 2, 3, 4, 6, 8, 12, 16, 24)
-REGULAR_N = 512
-QUICK_DEGREES = (3, 4, 6, 8, 16, 32)
-FULL_DEGREES = (3, 4, 6, 8, 12, 16, 24, 32, 64)
-QUICK_SAMPLES = 10
-FULL_SAMPLES = 25
-
 #: Workload type this experiment runs from.
 WORKLOAD = E8Workload
 
+#: The quick and full workloads.  The circulant size is odd, so the
+#: circulant is non-bipartite for every offset set.
+PRESETS = {
+    "quick": E8Workload(
+        circulant_n=513,
+        chords=(1, 2, 4, 8, 16),
+        regular_n=512,
+        degrees=(3, 4, 6, 8, 16, 32),
+        samples=10,
+    ),
+    "full": E8Workload(
+        circulant_n=513,
+        chords=(1, 2, 3, 4, 6, 8, 12, 16, 24),
+        regular_n=512,
+        degrees=(3, 4, 6, 8, 12, 16, 24, 32, 64),
+        samples=25,
+    ),
+}
+
 
 def preset(mode: str) -> E8Workload:
-    """The quick/full workload, built from the live module constants."""
-    if mode == "quick":
-        return E8Workload(
-            circulant_n=CIRCULANT_N,
-            chords=QUICK_CHORDS,
-            regular_n=REGULAR_N,
-            degrees=QUICK_DEGREES,
-            samples=QUICK_SAMPLES,
-        )
-    if mode == "full":
-        return E8Workload(
-            circulant_n=CIRCULANT_N,
-            chords=FULL_CHORDS,
-            regular_n=REGULAR_N,
-            degrees=FULL_DEGREES,
-            samples=FULL_SAMPLES,
-        )
-    raise ValueError(f"mode must be 'quick' or 'full', got {mode!r}")
+    """The quick or full workload."""
+    return preset_workload(PRESETS, mode)
 
 
-def run(
-    workload: "E8Workload | str | None" = None,
-    seed: int = 0,
-    *,
-    mode: str | None = None,
-) -> ExperimentResult:
+def run(workload: E8Workload, seed: int = 0) -> ExperimentResult:
     """Run E8 and return its tables, figure, and findings."""
-    wl = resolve_workload(E8Workload, preset, workload, mode)
-    label = workload_label(preset, wl)
-    chords, degrees, samples = wl.chords, wl.degrees, wl.samples
-    circulant_n, regular_n = wl.circulant_n, wl.regular_n
+    label = workload_label(PRESETS, workload)
+    chords, degrees, samples = workload.chords, workload.degrees, workload.samples
+    circulant_n, regular_n = workload.circulant_n, workload.regular_n
 
     table = Table(
         ["family", "param", "lambda", "1/(1-lambda)", "mean cov", "bound T"]
@@ -164,18 +152,7 @@ def run(
         spec=SPEC,
         mode=label,
         seed=seed,
-        parameters=result_parameters(
-            label,
-            wl,
-            {
-                "circulant_n": circulant_n,
-                "chords": list(chords),
-                "regular_n": regular_n,
-                "degrees": list(degrees),
-                "samples": samples,
-                "engine": "batch",
-            },
-        ),
+        parameters={"workload": workload.to_dict()},
         tables={"cover vs gap": table, "power-law fits": fits},
         figures={"cover vs inverse gap": figure},
         findings=findings,

@@ -38,7 +38,7 @@ from repro.core.sparse import sparse_cobra_cover_times
 from repro.experiments.results import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.sweep import expander_with_gap
-from repro.scenarios.base import resolve_workload, result_parameters, workload_label
+from repro.scenarios.base import preset_workload, workload_label
 from repro.scenarios.workloads import E9Workload
 
 SPEC = ExperimentSpec(
@@ -55,28 +55,23 @@ SPEC = ExperimentSpec(
     version="3",
 )
 
-GRAPH_N = 1024
-GRAPH_R = 8
-QUICK_BRANCHINGS = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 8.0)
-FULL_BRANCHINGS = (1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
-QUICK_SAMPLES = 8
-FULL_SAMPLES = 20
-
 #: Workload type this experiment runs from.
 WORKLOAD = E9Workload
 
+#: The quick and full workloads.
+PRESETS = {
+    "quick": E9Workload(
+        n=1024, r=8, branchings=(1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 8.0), samples=8
+    ),
+    "full": E9Workload(
+        n=1024, r=8, branchings=(1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0), samples=20
+    ),
+}
+
 
 def preset(mode: str) -> E9Workload:
-    """The quick/full workload, built from the live module constants."""
-    if mode == "quick":
-        return E9Workload(
-            n=GRAPH_N, r=GRAPH_R, branchings=QUICK_BRANCHINGS, samples=QUICK_SAMPLES
-        )
-    if mode == "full":
-        return E9Workload(
-            n=GRAPH_N, r=GRAPH_R, branchings=FULL_BRANCHINGS, samples=FULL_SAMPLES
-        )
-    raise ValueError(f"mode must be 'quick' or 'full', got {mode!r}")
+    """The quick or full workload."""
+    return preset_workload(PRESETS, mode)
 
 
 def _measure_with_traces(
@@ -139,19 +134,13 @@ def _measure_cobra_traces(
     )
 
 
-def run(
-    workload: "E9Workload | str | None" = None,
-    seed: int = 0,
-    *,
-    mode: str | None = None,
-) -> ExperimentResult:
+def run(workload: E9Workload, seed: int = 0) -> ExperimentResult:
     """Run E9 and return its table and findings."""
-    wl = resolve_workload(E9Workload, preset, workload, mode)
-    label = workload_label(preset, wl)
-    branchings, samples = wl.branchings, wl.samples
-    graph_n = wl.n
+    label = workload_label(PRESETS, workload)
+    branchings, samples = workload.branchings, workload.samples
+    graph_n = workload.n
 
-    graph, lam = expander_with_gap(graph_n, wl.r, seed=seed)
+    graph, lam = expander_with_gap(graph_n, workload.r, seed=seed)
     cap = default_max_rounds(graph)
     table = Table(
         [
@@ -237,18 +226,7 @@ def run(
         spec=SPEC,
         mode=label,
         seed=seed,
-        parameters=result_parameters(
-            label,
-            wl,
-            {
-                "n": graph_n,
-                "r": wl.r,
-                "lambda": lam,
-                "branchings": list(branchings),
-                "samples": samples,
-                "engine": "batch-traces",
-            },
-        ),
+        parameters={"workload": workload.to_dict(), "lambda": lam},
         tables={"protocol comparison": table},
         findings=findings,
     )

@@ -1,66 +1,59 @@
-"""Micro-scale parameter overrides shared by smoke harnesses.
+"""Micro-scale workloads shared by smoke harnesses.
 
-One table mapping each experiment id to the module-constant overrides
-that shrink its *quick* configuration to toy scale, so the full code
-path (graph building, measurement, fitting, rendering) executes in
-seconds.  Both the unit tests (`tests/experiments/test_experiment_runs.py`)
-and the benchmark harness's ``REPRO_BENCH_QUICK=1`` mode consume this
+One table mapping each experiment id to the workload-field overrides
+that shrink its *quick* preset to toy scale, so the full code path
+(graph building, measurement, fitting, rendering) executes in seconds.
+Both the unit tests (`tests/experiments/test_experiment_runs.py`) and
+the benchmark harness's ``REPRO_BENCH_QUICK=1`` mode consume this
 table — keeping them in one place means CI smoke always exercises
-exactly the parameters the tests validate.
+exactly the parameters the tests validate.  The overrides are plain
+data, so they also travel as a campaign entry's ``overrides`` to
+worker processes under any start method.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from repro.experiments import get_experiment
+from repro.scenarios.base import Workload
 
-#: Per-experiment module-constant overrides for micro-scale smoke runs.
+#: Per-experiment workload-field overrides for micro-scale smoke runs.
 MICRO_OVERRIDES: dict[str, dict[str, Any]] = {
-    "E1": {"QUICK_SIZES": (64, 128), "QUICK_DEGREES": (3, 8), "QUICK_SAMPLES": 3},
-    "E2": {"QUICK_SIZES": (64, 128), "QUICK_SAMPLES": 3},
-    "E3": {"QUICK_SIZES": (64, 128), "QUICK_RHOS": (0.5, 1.0), "QUICK_SAMPLES": 3},
-    "E4": {"QUICK_TRIALS": 200, "EXACT_T_MAX": 4},
+    "E1": {"sizes": (64, 128), "degrees": (3, 8), "samples": 3},
+    "E2": {"sizes": (64, 128), "samples": 3},
+    "E3": {"sizes": (64, 128), "rhos": (0.5, 1.0), "samples": 3},
+    "E4": {"trials": 200, "exact_t_max": 4},
     "E5": {},  # already sub-second at quick scale
-    "E6": {"QUICK_SIZES": (128, 256), "QUICK_TRAJECTORIES": 3},
+    "E6": {"sizes": (128, 256), "trajectories": 3},
     "E7": {
-        "QUICK": {
-            "complete_sizes": (32, 64, 128),
-            "torus2d_sides": (5, 9, 13),
-            "torus3d_sides": (3, 5),
-            "walk_sizes": (32, 64),
-            "samples": 3,
-        }
+        "complete_sizes": (32, 64, 128),
+        "torus2d_sides": (5, 9, 13),
+        "torus3d_sides": (3, 5),
+        "walk_sizes": (32, 64),
+        "samples": 3,
     },
     "E8": {
-        "CIRCULANT_N": 65,
-        "QUICK_CHORDS": (1, 4),
-        "REGULAR_N": 64,
-        "QUICK_DEGREES": (3, 8),
-        "QUICK_SAMPLES": 3,
+        "circulant_n": 65,
+        "chords": (1, 4),
+        "regular_n": 64,
+        "degrees": (3, 8),
+        "samples": 3,
     },
-    "E9": {"GRAPH_N": 128, "QUICK_BRANCHINGS": (1.0, 2.0), "QUICK_SAMPLES": 3},
-    "E10": {"GRAPH_N": 64, "QUICK_SIS_TRIALS": 40, "QUICK_BIPS_TRIALS": 10},
+    "E9": {"n": 128, "branchings": (1.0, 2.0), "samples": 3},
+    "E10": {"n": 64, "sis_trials": 40, "bips_trials": 10},
     "E11": {
-        "TAIL_GRAPH_N": 256,
-        "QUICK_TAIL_SAMPLES": 400,
-        "QUICK_LADDER": (128, 256),
-        "QUICK_LADDER_SAMPLES": 60,
+        "tail_n": 256,
+        "tail_samples": 400,
+        "ladder": (128, 256),
+        "ladder_samples": 60,
     },
-    "E12": {"QUICK_SIZES": (64, 128), "QUICK_SAMPLES": 3},
-    "E13": {"GRAPH_N": 128, "QUICK_SAMPLES": 30, "EXACT_T_MAX": 4},
+    "E12": {"sizes": (64, 128), "samples": 3},
+    "E13": {"n": 128, "samples": 30, "exact_t_max": 4},
 }
 
 
-def apply_micro_overrides(
-    experiment_id: str, setter: Callable[[object, str, Any], None]
-) -> None:
-    """Apply an experiment's micro overrides through ``setter``.
-
-    ``setter`` is called as ``setter(module, name, value)``; pass
-    ``monkeypatch.setattr`` from a test, or plain ``setattr`` from a
-    harness that restores values itself.
-    """
-    module = get_experiment(experiment_id)
-    for name, value in MICRO_OVERRIDES[experiment_id.upper()].items():
-        setter(module, name, value)
+def micro_workload(experiment_id: str) -> Workload:
+    """The experiment's quick preset with its micro overrides applied."""
+    preset = get_experiment(experiment_id).preset("quick")
+    return preset.with_overrides(MICRO_OVERRIDES[experiment_id.upper()])

@@ -21,11 +21,13 @@ class ExperimentResult:
     spec:
         The experiment's identity card.
     mode:
-        ``"quick"`` (CI-scale) or ``"full"`` (EXPERIMENTS.md-scale).
+        ``"quick"`` (CI-scale) or ``"full"`` (EXPERIMENTS.md-scale) when
+        the workload equals that preset, else ``"scenario"``.
     seed:
         Master seed of the run.
     parameters:
-        The concrete workload parameters used (JSON-serialisable).
+        ``{"workload": ...}``, the run's workload as plain data, plus
+        the values the run derives (such as ``"lambda"``).
     tables:
         Named result tables.
     figures:

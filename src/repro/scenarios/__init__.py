@@ -1,9 +1,9 @@
 """Declarative scenario layer: parameterized workloads for every experiment.
 
 Every experiment ``E1`` .. ``E13`` runs from a typed :class:`Workload`
-dataclass instead of hard-coded module constants.  The ``quick`` /
-``full`` presets reproduce the paper defaults exactly (bit-identical
-results, unchanged cache keys — golden-tested), and named
+dataclass, and the workload is the run's identity: every run is keyed
+by (spec, workload, seed).  Each experiment writes its ``quick`` /
+``full`` paper defaults once as two workload values, and named
 :class:`Scenario`\\ s layer sparse field overrides on top, opening new
 size grids, degree sets, graph families, churn and loss regimes
 without touching experiment code.
@@ -23,8 +23,6 @@ from repro.scenarios.base import (
     PRESET_MODES,
     FieldSpec,
     Workload,
-    resolve_workload,
-    result_parameters,
     workload_label,
 )
 from repro.scenarios.families import GraphCase, GraphFamily
@@ -59,8 +57,6 @@ __all__ = [
     "PRESET_MODES",
     "FieldSpec",
     "Workload",
-    "resolve_workload",
-    "result_parameters",
     "workload_label",
     "GraphCase",
     "GraphFamily",

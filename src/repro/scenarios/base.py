@@ -2,11 +2,11 @@
 
 A *workload* is the complete declarative description of what one
 experiment run computes — the size grid, degree set, sample counts,
-branching grids, loss rates, … that used to live only in module-level
-``UPPER_CASE`` constants.  Each experiment module defines a frozen
-dataclass deriving from :class:`Workload` (see
-:mod:`repro.scenarios.workloads`) plus a ``preset(mode)`` factory that
-reproduces today's ``quick`` / ``full`` constants exactly.
+branching grids, loss rates, …  Each experiment module defines a
+frozen dataclass deriving from :class:`Workload` (see
+:mod:`repro.scenarios.workloads`), writes its ``quick`` and ``full``
+presets once as two such values (``PRESETS``), and looks them up with
+``preset(mode)``.
 
 The machinery here gives every workload class uniform behaviour:
 
@@ -16,30 +16,28 @@ The machinery here gives every workload class uniform behaviour:
   :class:`~repro.errors.ScenarioError` naming the field.
 * **Canonical serialisation.**  :meth:`Workload.to_dict` emits plain
   JSON-shaped data; passed through
-  :func:`repro.cache.canonical_json`, it is the workload's identity
-  and becomes part of the result-cache key for scenario runs.
+  :func:`repro.cache.canonical_json`, it is the workload's identity.
+  Every run is keyed by (spec, workload, seed) — see
+  :func:`repro.experiments.resolved_parameters` — and reports the
+  workload as ``result.parameters["workload"]``.
 * **Overrides.**  :meth:`Workload.with_overrides` applies a sparse
   ``{field: value}`` mapping (the CLI's ``--set``, a campaign entry's
   ``"overrides"``, a scenario file) on top of a base workload,
   rejecting unknown field names.
-
-Preset workloads deliberately keep the *legacy* cache-key format (the
-spec + ``UPPER_CASE`` constant scrape of
-:func:`repro.experiments.resolved_parameters`), so refactoring the
-experiments onto workloads invalidated no cached results — golden
-tests pin those keys.  Only bespoke workloads are keyed by their
-canonical JSON.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields, replace
-from typing import Any, Callable, ClassVar, Mapping
+from typing import Any, Callable, ClassVar, Mapping, TypeVar
 
 from repro.errors import ScenarioError
 
 #: The reserved preset names every experiment ships.
 PRESET_MODES = ("quick", "full")
+
+#: A concrete workload class, for helpers that return their argument's type.
+W = TypeVar("W", bound="Workload")
 
 
 def _reject(field_name: str, message: str) -> ScenarioError:
@@ -374,65 +372,34 @@ def overrides_digest(overrides: Mapping[str, Any]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Workload resolution shared by every experiment's ``run``.
+# Presets and run labels shared by every experiment module.
 # ---------------------------------------------------------------------------
 
 
-def resolve_workload(
-    workload_type: type,
-    preset: Callable[[str], Workload],
-    workload: Any = None,
-    mode: str | None = None,
-) -> Workload:
-    """Normalise a ``run(workload, mode=...)`` call to one workload.
+def preset_workload(presets: Mapping[str, W], mode: str) -> W:
+    """The ``mode`` preset of an experiment's ``PRESETS`` mapping.
 
-    Accepts the workload positionally (an instance, or a preset name
-    string) or the legacy ``mode=`` keyword; passing both is an error.
-    ``None``/``None`` means the ``quick`` preset, preserving the old
-    ``run()`` default.  Bad preset names raise the same ``ValueError``
-    the old ``run(mode=...)`` signature raised.
+    Bad preset names raise ``ValueError`` naming ``mode``.
     """
-    if workload is not None and mode is not None:
+    if mode not in PRESET_MODES:
+        raise ValueError(f"mode must be 'quick' or 'full', got {mode!r}")
+    return presets[mode]
+
+
+def workload_label(presets: Mapping[str, Workload], workload: Workload) -> str:
+    """``"quick"``, ``"full"``, or ``"scenario"`` for a workload.
+
+    The label is a preset's name when the workload equals that preset,
+    and ``"scenario"`` otherwise; it stamps ``ExperimentResult.mode``.
+    A workload of another experiment's class raises
+    :class:`ScenarioError` naming the expected class.
+    """
+    expected = type(presets["quick"])
+    if not isinstance(workload, expected):
         raise ScenarioError(
-            f"pass either a workload or mode=, not both "
-            f"(got workload={workload!r} and mode={mode!r})"
+            f"expected a {expected.__name__}, got {type(workload).__name__}"
         )
-    if workload is None:
-        workload = mode if mode is not None else "quick"
-    if isinstance(workload, str):
-        if workload not in PRESET_MODES:
-            raise ValueError(f"mode must be 'quick' or 'full', got {workload!r}")
-        return preset(workload)
-    if isinstance(workload, workload_type):
-        return workload
-    raise ScenarioError(
-        f"expected a {workload_type.__name__} (or 'quick'/'full'), "
-        f"got {type(workload).__name__}"
-    )
-
-
-def result_parameters(
-    label: str, workload: Workload, legacy: dict[str, Any]
-) -> dict[str, Any]:
-    """The ``parameters`` dict an experiment result reports.
-
-    Preset runs keep the exact legacy dict (bit-identical reports);
-    scenario runs report the full workload, which is self-describing.
-    """
-    if label != "scenario":
-        return legacy
-    return {"workload": workload.to_dict()}
-
-
-def workload_label(preset: Callable[[str], Workload], workload: Workload) -> str:
-    """``"quick"``, ``"full"``, or ``"scenario"`` for a resolved workload.
-
-    Preset-equality is what routes a run onto the legacy cache-key
-    format (see the module docstring), and what stamps
-    ``ExperimentResult.mode``; any workload not exactly equal to a
-    preset is a ``"scenario"``.
-    """
     for mode in PRESET_MODES:
-        if workload == preset(mode):
+        if workload == presets[mode]:
             return mode
     return "scenario"

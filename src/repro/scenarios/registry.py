@@ -3,8 +3,7 @@
 A :class:`Scenario` binds an experiment to a declarative workload
 description — a ``base`` preset (``quick``/``full``) plus sparse field
 ``overrides``.  Scenarios stay declarative until :meth:`Scenario.
-workload` resolves them against the live experiment module, so
-monkeypatched constants and lazy imports both behave.
+workload` resolves them against the experiment's presets.
 
 The built-in registry ships:
 
@@ -60,7 +59,7 @@ class Scenario:
         object.__setattr__(self, "overrides", dict(self.overrides))
 
     def workload(self) -> Workload:
-        """Resolve to a concrete workload against the live experiment module.
+        """Resolve to a concrete workload: the base preset plus the overrides.
 
         Raises :class:`ScenarioError` (with the scenario name) if the
         experiment id is unknown or an override does not fit the

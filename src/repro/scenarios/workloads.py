@@ -1,12 +1,10 @@
 """The thirteen experiment workload dataclasses, E1 through E13.
 
-Each class mirrors one experiment module's parameter surface: every
-``UPPER_CASE`` constant the old ``run(mode=...)`` read is now a
-validated field.  The ``quick``/``full`` presets are built *by the
-experiment modules themselves* (``preset(mode)`` there reads the live
-module constants, so micro-scale monkeypatching keeps working); these
-classes only define the shape, coercion rules, and cross-field
-validation.
+Each class is one experiment's parameter surface: every value its
+``run`` reads is a validated field.  The ``quick``/``full`` presets
+are written *in the experiment modules themselves* (their ``PRESETS``
+mapping); these classes only define the shape, defaults, coercion
+rules, and cross-field validation.
 
 Field values accept scenario-friendly spellings — ``"256,512"`` from
 the CLI's ``--set``, plain JSON lists from scenario files, family

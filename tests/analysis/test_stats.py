@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.stats import bootstrap_ci, proportion_ci, summarize
+from repro.analysis.stats import proportion_ci, summarize
 
 
 class TestSummarize:
@@ -50,29 +50,6 @@ class TestSummarize:
 
     def test_str_contains_mean(self):
         assert "mean=3.000" in str(summarize([3.0, 3.0]))
-
-
-class TestBootstrapCi:
-    def test_contains_true_mean_usually(self):
-        rng = np.random.default_rng(2)
-        data = rng.normal(loc=5.0, size=300)
-        low, high = bootstrap_ci(data, seed=0)
-        assert low < 5.0 < high
-
-    def test_respects_statistic(self):
-        data = [1.0, 2.0, 100.0]
-        low_median, high_median = bootstrap_ci(data, np.median, seed=1)
-        assert high_median <= 100.0
-
-    def test_deterministic_given_seed(self):
-        data = list(range(30))
-        assert bootstrap_ci(data, seed=3) == bootstrap_ci(data, seed=3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            bootstrap_ci([])
-        with pytest.raises(ValueError, match="confidence"):
-            bootstrap_ci([1.0, 2.0], confidence=1.5)
 
 
 class TestProportionCi:

@@ -62,13 +62,6 @@ class TestRendering:
         assert "yes" in rendered
         assert "no" in rendered
 
-    def test_markdown(self):
-        table = Table(["a", "b"], rows=[(1, 2)])
-        markdown = table.render_markdown()
-        assert markdown.splitlines()[0] == "| a | b |"
-        assert markdown.splitlines()[1] == "|---|---|"
-        assert markdown.splitlines()[2] == "| 1 | 2 |"
-
     def test_str_is_render(self):
         table = Table(["a"], rows=[(1,)])
         assert str(table) == table.render()

@@ -2,16 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.cobra import CobraProcess
-from repro.core.metrics import (
-    active_set_curve,
-    coverage_curve,
-    summarize_trace,
-    time_to_fraction,
-)
+from repro.core.metrics import summarize_trace
 from repro.core.process import RoundRecord, Trace
 from repro.core.runner import run_process
 
@@ -51,36 +45,3 @@ class TestSummarizeTrace:
         assert summary.rounds == result.rounds_run
         assert summary.final_cumulative == small_expander.n_vertices
         assert summary.total_transmissions >= summary.rounds  # >= 1 msg/round
-
-
-class TestTimeToFraction:
-    def test_first_crossing(self):
-        trace = make_trace([(1, 1, 2, 2, 2), (2, 2, 5, 3, 4), (3, 2, 10, 5, 4)])
-        assert time_to_fraction(trace, 10, 0.2) == 1
-        assert time_to_fraction(trace, 10, 0.5) == 2
-        assert time_to_fraction(trace, 10, 1.0) == 3
-
-    def test_unreached_returns_none(self):
-        trace = make_trace([(1, 1, 2, 2, 2)])
-        assert time_to_fraction(trace, 10, 0.9) is None
-
-    def test_fraction_validation(self):
-        trace = make_trace([(1, 1, 2, 2, 2)])
-        with pytest.raises(ValueError, match="fraction"):
-            time_to_fraction(trace, 10, 0.0)
-        with pytest.raises(ValueError, match="fraction"):
-            time_to_fraction(trace, 10, 1.5)
-
-
-class TestCurves:
-    def test_coverage_curve(self):
-        trace = make_trace([(1, 1, 2, 2, 2), (2, 2, 5, 3, 4)])
-        rounds, coverage = coverage_curve(trace)
-        assert np.array_equal(rounds, [1, 2])
-        assert np.array_equal(coverage, [2, 5])
-
-    def test_active_curve(self):
-        trace = make_trace([(1, 1, 2, 2, 2), (2, 7, 9, 3, 4)])
-        rounds, active = active_set_curve(trace)
-        assert np.array_equal(rounds, [1, 2])
-        assert np.array_equal(active, [1, 7])

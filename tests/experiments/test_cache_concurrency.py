@@ -111,10 +111,10 @@ class TestCorruption:
         assert cache.get("E0", "quick", 0, PARAMS) is None
 
 
-def _exploding_run(workload=None, seed: int = 0, *, mode: str | None = None):
+def _exploding_run(workload, seed: int = 0):
     if seed == 1:
         raise RuntimeError(f"worker died on seed {seed}")
-    return _REAL_E5_RUN(workload, seed=seed, mode=mode)
+    return _REAL_E5_RUN(workload, seed)
 
 
 _REAL_E5_RUN = e5_growth_bound.run

@@ -11,8 +11,7 @@ from repro.experiments.campaign import Campaign, CampaignEntry, run_campaign
 from repro.scenarios.base import overrides_digest
 
 #: A shrunken E4 workload.  Entry overrides travel with the entry, so
-#: spawned pool workers see them too (a patched module constant would
-#: only reach forked ones).
+#: spawned pool workers see them too.
 SMALL_E4 = {"trials": 50, "exact_t_max": 3}
 
 

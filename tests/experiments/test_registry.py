@@ -35,4 +35,4 @@ class TestRegistry:
     def test_run_rejects_bad_mode(self):
         for experiment_id in experiment_ids():
             with pytest.raises(ValueError, match="mode"):
-                get_experiment(experiment_id).run(mode="gigantic")
+                get_experiment(experiment_id).preset("gigantic")

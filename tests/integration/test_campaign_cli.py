@@ -22,10 +22,10 @@ SRC_ROOT = Path(repro.__file__).resolve().parents[1]
 _REAL_E5_RUN = e5_growth_bound.run
 
 
-def _failing_run(workload=None, seed: int = 0, *, mode: str | None = None):
+def _failing_run(workload, seed: int = 0):
     if seed == 1:
         raise RuntimeError(f"entry broke on seed {seed}")
-    return _REAL_E5_RUN(workload, seed=seed, mode=mode)
+    return _REAL_E5_RUN(workload, seed)
 
 
 def _campaign_file(tmp_path: Path, n: int = 2, name: str = "clidrill") -> Path:

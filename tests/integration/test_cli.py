@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments import e4_duality
 
 
 class TestParser:
@@ -163,25 +162,21 @@ class TestCommands:
         gap_line = [line for line in out.splitlines() if "max |difference|" in line][0]
         assert "e-1" in gap_line or "0.000e+00" in gap_line
 
-    def test_run_executes_and_saves(self, capsys, tmp_path, monkeypatch):
-        # Shrink E4 so the CLI round trip is fast.
-        monkeypatch.setattr(e4_duality, "QUICK_TRIALS", 50)
-        monkeypatch.setattr(e4_duality, "EXACT_T_MAX", 3)
-        assert main(["run", "E4", "--out", str(tmp_path)]) == 0
+    def test_run_executes_and_saves(self, capsys, tmp_path):
+        # E5's quick preset is sub-second, so the CLI round trip is fast.
+        assert main(["run", "E5", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "[E4]" in out
+        assert "[E5]" in out
         assert "finished in" in out
-        saved = tmp_path / "e4_quick.json"
+        saved = tmp_path / "e5_quick.json"
         assert saved.exists()
         payload = json.loads(saved.read_text())
-        assert payload["spec"]["experiment_id"] == "E4"
+        assert payload["spec"]["experiment_id"] == "E5"
 
-    def test_campaign_command(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(e4_duality, "QUICK_TRIALS", 50)
-        monkeypatch.setattr(e4_duality, "EXACT_T_MAX", 3)
+    def test_campaign_command(self, capsys, tmp_path):
         description = tmp_path / "campaign.json"
         description.write_text(
-            '{"name": "cli-mini", "entries": [{"experiment_id": "E4"}]}'
+            '{"name": "cli-mini", "entries": [{"experiment_id": "E5"}]}'
         )
         assert main(["campaign", str(description), "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
@@ -194,12 +189,10 @@ class TestCommands:
         assert main(["campaign", str(bad)]) == 1
         assert "malformed" in capsys.readouterr().err
 
-    def test_run_with_jobs(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(e4_duality, "QUICK_TRIALS", 50)
-        monkeypatch.setattr(e4_duality, "EXACT_T_MAX", 3)
-        assert main(["run", "E4", "--jobs", "2", "--out", str(tmp_path)]) == 0
-        assert "[E4]" in capsys.readouterr().out
-        assert (tmp_path / "e4_quick.json").exists()
+    def test_run_with_jobs(self, capsys, tmp_path):
+        assert main(["run", "E5", "--jobs", "2", "--out", str(tmp_path)]) == 0
+        assert "[E5]" in capsys.readouterr().out
+        assert (tmp_path / "e5_quick.json").exists()
 
     def test_run_with_engine_flag(self, capsys, tmp_path):
         assert (
@@ -246,31 +239,26 @@ class TestCommands:
 
 
 class TestCacheCommands:
-    def _shrink_e4(self, monkeypatch):
-        monkeypatch.setattr(e4_duality, "QUICK_TRIALS", 50)
-        monkeypatch.setattr(e4_duality, "EXACT_T_MAX", 3)
+    """Cache round trips on E5, whose quick preset is sub-second."""
 
-    def test_run_with_cache_dir_hits_on_second_run(self, capsys, tmp_path, monkeypatch):
-        self._shrink_e4(monkeypatch)
+    def test_run_with_cache_dir_hits_on_second_run(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        assert main(["run", "E4", "--cache-dir", cache_dir]) == 0
+        assert main(["run", "E5", "--cache-dir", cache_dir]) == 0
         assert "(cached)" not in capsys.readouterr().out
-        assert main(["run", "E4", "--cache-dir", cache_dir]) == 0
+        assert main(["run", "E5", "--cache-dir", cache_dir]) == 0
         assert "(cached)" in capsys.readouterr().out
 
-    def test_no_cache_disables_cache_dir(self, capsys, tmp_path, monkeypatch):
-        self._shrink_e4(monkeypatch)
+    def test_no_cache_disables_cache_dir(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        assert main(["run", "E4", "--cache-dir", cache_dir]) == 0
+        assert main(["run", "E5", "--cache-dir", cache_dir]) == 0
         capsys.readouterr()
-        assert main(["run", "E4", "--cache-dir", cache_dir, "--no-cache"]) == 0
+        assert main(["run", "E5", "--cache-dir", cache_dir, "--no-cache"]) == 0
         assert "(cached)" not in capsys.readouterr().out
 
-    def test_campaign_with_cache_reports_cached_runs(self, capsys, tmp_path, monkeypatch):
-        self._shrink_e4(monkeypatch)
+    def test_campaign_with_cache_reports_cached_runs(self, capsys, tmp_path):
         description = tmp_path / "campaign.json"
         description.write_text(
-            '{"name": "cached-mini", "entries": [{"experiment_id": "E4"}]}'
+            '{"name": "cached-mini", "entries": [{"experiment_id": "E5"}]}'
         )
         cache_dir = str(tmp_path / "cache")
         arguments = [
@@ -286,23 +274,21 @@ class TestCacheCommands:
         )
         assert manifest["entries"][0]["cached"] is True
 
-    def test_campaign_stream_prints_per_entry_lines(self, capsys, tmp_path, monkeypatch):
-        self._shrink_e4(monkeypatch)
+    def test_campaign_stream_prints_per_entry_lines(self, capsys, tmp_path):
         description = tmp_path / "campaign.json"
         description.write_text(
             '{"name": "streamed", "entries": ['
-            '{"experiment_id": "E4", "seed": 0}, {"experiment_id": "E4", "seed": 1}]}'
+            '{"experiment_id": "E5", "seed": 0}, {"experiment_id": "E5", "seed": 1}]}'
         )
         assert main(["campaign", str(description), "--out", str(tmp_path), "--stream"]) == 0
         out = capsys.readouterr().out
-        assert "[1/2] E4" in out
-        assert "[2/2] E4" in out
+        assert "[1/2] E5" in out
+        assert "[2/2] E5" in out
         assert (tmp_path / "streamed" / "manifest.json").exists()
 
-    def test_cache_stats_clear_prune(self, capsys, tmp_path, monkeypatch):
-        self._shrink_e4(monkeypatch)
+    def test_cache_stats_clear_prune(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        assert main(["run", "E4", "--cache-dir", cache_dir]) == 0
+        assert main(["run", "E5", "--cache-dir", cache_dir]) == 0
         capsys.readouterr()
 
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0

@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cache import canonical_json, result_key
-from repro.experiments import resolved_parameters
+from repro.experiments import experiment_ids, get_experiment, resolved_parameters
 
 json_scalars = (
     st.none()
@@ -125,23 +125,56 @@ class TestCrossProcessStability:
         assert completed.stdout.strip() == result_key("E1", "quick", 0, self.FIXED)
 
     def test_resolved_parameters_deterministic(self):
-        assert resolved_parameters("E4", "quick") == resolved_parameters("E4", "quick")
-        assert resolved_parameters("E4", "quick") != resolved_parameters("E4", "full")
+        e4 = get_experiment("E4")
+        quick, full = e4.preset("quick"), e4.preset("full")
+        assert resolved_parameters("E4", quick) == resolved_parameters("E4", quick)
+        assert resolved_parameters("E4", quick) != resolved_parameters("E4", full)
 
-    def test_resolved_parameters_track_constant_overrides(self, monkeypatch):
-        from repro.experiments import e4_duality
 
-        before = result_key("E4", "quick", 0, resolved_parameters("E4", "quick"))
-        monkeypatch.setattr(e4_duality, "QUICK_TRIALS", 7)
-        after = result_key("E4", "quick", 0, resolved_parameters("E4", "quick"))
-        assert before != after
+def _key(experiment_id, workload):
+    return result_key(experiment_id, "quick", 0, resolved_parameters(experiment_id, workload))
 
-    def test_non_finite_constants_are_not_parameters(self, monkeypatch):
-        # A NaN/inf module constant can never enter a canonical key, so
-        # it must be excluded instead of crashing every cached run.
-        from repro.experiments import e4_duality
 
-        monkeypatch.setattr(e4_duality, "BROKEN_THRESHOLD", float("inf"), raising=False)
-        parameters = resolved_parameters("E4", "quick")
-        assert "BROKEN_THRESHOLD" not in parameters["constants"]
-        result_key("E4", "quick", 0, parameters)  # must not raise
+def _cli_string(value):
+    """A scalar or tuple of numbers spelled the way ``--set`` takes it."""
+    if isinstance(value, tuple):
+        return ",".join(str(item) for item in value)
+    return str(value)
+
+
+class TestWorkloadIdentity:
+    """The cache key follows every workload field, and only its value."""
+
+    def test_every_field_the_presets_vary_changes_the_key(self):
+        for experiment_id in experiment_ids():
+            module = get_experiment(experiment_id)
+            quick, full = module.preset("quick"), module.preset("full")
+            base = _key(experiment_id, quick)
+            varied = [
+                field
+                for field in full.to_dict()
+                if getattr(quick, field) != getattr(full, field)
+            ]
+            assert varied, f"{experiment_id}'s presets differ in no field"
+            for field in varied:
+                moved = quick.with_overrides({field: getattr(full, field)})
+                assert _key(experiment_id, moved) != base, (experiment_id, field)
+
+    def test_equal_workloads_share_a_key_however_written(self):
+        for experiment_id in experiment_ids():
+            quick = get_experiment(experiment_id).preset("quick")
+            base = _key(experiment_id, quick)
+            rebuilt = type(quick).from_dict(quick.to_dict())
+            assert _key(experiment_id, rebuilt) == base, experiment_id
+            spelled = {
+                field: _cli_string(value)
+                for field, value in vars(quick).items()
+                if isinstance(value, (int, float))
+                or (
+                    isinstance(value, tuple)
+                    and value
+                    and all(isinstance(item, (int, float)) for item in value)
+                )
+            }
+            assert spelled, experiment_id
+            assert _key(experiment_id, quick.with_overrides(spelled)) == base, experiment_id

@@ -22,7 +22,7 @@ class TestEntryDescriptions:
         entry = CampaignEntry("E4", mode="quick", overrides={"trials": 150})
         rebuilt = CampaignEntry.from_dict(entry.to_dict())
         assert rebuilt == entry
-        assert rebuilt.resolve_workload().trials == 150
+        assert rebuilt.workload().trials == 150
 
     def test_scenario_implies_experiment_id(self):
         entry = CampaignEntry.from_dict({"scenario": "e2-hypercube"})
@@ -35,7 +35,7 @@ class TestEntryDescriptions:
     def test_scenario_id_mismatch_rejected(self):
         entry = CampaignEntry("E1", scenario="e2-hypercube")
         with pytest.raises(ScenarioError, match="belongs to E2"):
-            entry.resolve_workload()
+            entry.workload()
 
     def test_unknown_scenario_rejected_at_validation(self):
         campaign = Campaign(
@@ -54,7 +54,7 @@ class TestEntryDescriptions:
     def test_plain_entries_keep_the_legacy_shape(self):
         entry = CampaignEntry("E5", mode="full", seed=2)
         assert entry.to_dict() == {"experiment_id": "E5", "mode": "full", "seed": 2}
-        assert entry.resolve_workload() is None
+        assert entry.workload() is None
 
     def test_campaign_json_roundtrip_with_scenarios(self):
         campaign = Campaign(
@@ -154,7 +154,7 @@ class TestScenarioCaching:
         module = get_experiment("E4")
         run_experiment_cached("E4", mode="quick", cache=cache)
         preset_copy = module.preset("quick").with_overrides(
-            {"trials": module.QUICK_TRIALS}
+            {"trials": module.preset("quick").trials}
         )
         result, hit = run_experiment_cached("E4", workload=preset_copy, cache=cache)
         assert hit  # same cache entry as the mode= run

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 
 from repro.cli import build_parser, main
-from repro.experiments import e4_duality
 
 
 class TestParser:
@@ -107,21 +106,18 @@ class TestRunOverrides:
         assert main(["run", "E4", "--set", "sizzle=3"]) == 1
         assert "no field" in capsys.readouterr().err
 
-    def test_set_equal_to_preset_is_still_the_preset(self, monkeypatch, capsys):
-        monkeypatch.setattr(e4_duality, "QUICK_TRIALS", 60)
-        monkeypatch.setattr(e4_duality, "EXACT_T_MAX", 3)
-        assert main(["run", "E4", "--set", "trials=60"]) == 0
+    def test_set_equal_to_preset_is_still_the_preset(self, capsys):
+        # E5's quick preset checks 200 sampled sets and runs in well under a second.
+        assert main(["run", "E5", "--set", "sampled_sets=200"]) == 0
         assert "mode  : quick" in capsys.readouterr().out
 
 
 class TestAllFilters:
-    def test_only_runs_the_selection(self, monkeypatch, capsys):
-        monkeypatch.setattr(e4_duality, "QUICK_TRIALS", 60)
-        monkeypatch.setattr(e4_duality, "EXACT_T_MAX", 3)
-        assert main(["all", "--only", "e4"]) == 0
+    def test_only_runs_the_selection(self, capsys):
+        assert main(["all", "--only", "e5"]) == 0
         out = capsys.readouterr().out
-        assert "[E4]" in out
-        assert "[E5]" not in out
+        assert "[E5]" in out
+        assert "[E4]" not in out
 
     def test_unknown_ids_fail_with_known_list(self, capsys):
         assert main(["all", "--only", "E99"]) == 1

@@ -1,24 +1,21 @@
-"""Cache-key and result back-compat goldens for the workload refactor.
+"""Cache-key and result goldens of the preset and micro workloads.
 
-``tests/data/scenario_goldens.json`` was captured from the pre-scenario
-code (module constants + ``run(mode=...)`` only):
+``tests/data/scenario_goldens.json`` pins:
 
-* ``cache_keys`` — ``result_key(eid, mode, 0, resolved_parameters())``
-  for all 13 experiments × quick/full;
+* ``cache_keys`` — ``result_key(eid, mode, 0, resolved_parameters(eid,
+  preset(mode)))`` for all 13 experiments × quick/full;
 * ``micro_result_digests`` — SHA-256 of the canonical result JSON of a
-  micro-scale quick run (seed 1) per experiment;
-* ``quick_result_digests`` — the same digest at *unpatched* quick scale
-  for E8 (its micro run is excluded: the old code hard-coded
-  ``circulant(513...)`` labels that ignored patched constants, a
-  stale-label bug the workload refactor fixes).
+  micro-scale run (:func:`~repro.experiments.microscale.micro_workload`,
+  seed 1) per experiment;
+* ``quick_result_digests`` — the same digest of E8's quick preset run
+  (seed 1), in place of its micro run.
 
-These tests pin the acceptance criteria: preset workloads produce the
-same cache keys and the same results as the old ``mode=`` path.
-
-All three were re-captured once when ``random_regular`` moved from
-networkx to the in-repo NumPy pairing: every experiment draws random
-regular graphs, so every result changed and every spec version was
-bumped.
+The goldens were re-captured when ``random_regular`` moved from
+networkx to the in-repo NumPy pairing (every result changed and every
+spec version was bumped), and again when the workload became the only
+run identity: the cache keys became (spec, workload, seed) and
+``parameters`` became the workload, with every table, figure and
+finding unchanged.
 
 **Rounding rule.**  Report tables mix sampled integers with floats from
 eigensolvers and least-squares fits, whose last bits drift across
@@ -47,7 +44,7 @@ from repro.experiments import (
     get_experiment,
     resolved_parameters,
 )
-from repro.experiments.microscale import MICRO_OVERRIDES, apply_micro_overrides
+from repro.experiments.microscale import MICRO_OVERRIDES, micro_workload
 from repro.experiments.results import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
 
@@ -95,28 +92,18 @@ class TestCacheKeyGoldens:
     @pytest.mark.parametrize("mode", ["quick", "full"])
     def test_preset_keys_unchanged(self, experiment_id, mode):
         golden = GOLDENS["cache_keys"][f"{experiment_id}:{mode}:0"]
-        # The legacy mode path ...
-        via_mode = result_key(
-            experiment_id, mode, 0, resolved_parameters(experiment_id, mode)
-        )
-        # ... and the preset-workload path must both produce the
-        # pre-refactor key.
         workload = get_experiment(experiment_id).preset(mode)
-        via_workload = result_key(
-            experiment_id,
-            mode,
-            0,
-            resolved_parameters(experiment_id, workload=workload),
-        )
-        assert via_mode == golden
-        assert via_workload == golden
+        key = result_key(experiment_id, mode, 0, resolved_parameters(experiment_id, workload))
+        assert key == golden
 
     @pytest.mark.parametrize("experiment_id", experiment_ids())
     def test_results_from_before_the_numpy_sampler_miss(self, experiment_id, tmp_path):
         # Every experiment draws random regular graphs, so the switch from
         # networkx to the NumPy pairing bumped every spec version: a
         # result cached under the previous version must not be served.
-        current = resolved_parameters(experiment_id, "quick")
+        current = resolved_parameters(
+            experiment_id, get_experiment(experiment_id).preset("quick")
+        )
         stale = copy.deepcopy(current)
         stale["spec"]["version"] = PRE_NUMPY_SAMPLER_VERSIONS[experiment_id]
         assert current["spec"]["version"] != stale["spec"]["version"]
@@ -137,47 +124,29 @@ class TestCacheKeyGoldens:
     def test_scenario_workloads_get_their_own_keys(self):
         module = get_experiment("E4")
         bespoke = module.preset("quick").with_overrides({"trials": 999})
-        parameters = resolved_parameters("E4", workload=bespoke)
-        assert parameters["mode"] == "scenario"
+        parameters = resolved_parameters("E4", bespoke)
+        assert set(parameters) == {"spec", "workload"}
         assert parameters["workload"]["trials"] == 999
         key = result_key("E4", "scenario", 0, parameters)
         assert key != GOLDENS["cache_keys"]["E4:quick:0"]
-
-    def test_patched_constants_still_change_preset_keys(self, monkeypatch):
-        # The legacy scrape survives: micro-overriding a constant must
-        # move the key (stale cache entries can never be served).
-        module = get_experiment("E4")
-        before = result_key("E4", "quick", 0, resolved_parameters("E4", "quick"))
-        monkeypatch.setattr(module, "QUICK_TRIALS", 123)
-        after = result_key("E4", "quick", 0, resolved_parameters("E4", "quick"))
-        assert before != after
 
 
 class TestResultGoldens:
     @pytest.mark.parametrize(
         "experiment_id", sorted(GOLDENS["micro_result_digests"], key=lambda e: int(e[1:]))
     )
-    def test_micro_results_bit_identical(self, experiment_id, monkeypatch):
-        """Preset workloads reproduce the captured results."""
-        apply_micro_overrides(experiment_id, monkeypatch.setattr)
-        module = get_experiment(experiment_id)
-        result = module.run(module.preset("quick"), seed=1)
-        assert result.mode == "quick"
+    def test_micro_results_bit_identical(self, experiment_id):
+        """Micro workloads reproduce the captured results."""
+        result = get_experiment(experiment_id).run(micro_workload(experiment_id), seed=1)
+        # E5's micro overrides are empty, so its micro run is the quick preset.
+        assert result.mode == ("scenario" if MICRO_OVERRIDES[experiment_id] else "quick")
         assert result_digest(result) == GOLDENS["micro_result_digests"][experiment_id]
 
     def test_e8_quick_result_bit_identical(self):
         """E8's golden is pinned at true quick scale (see module docstring)."""
         module = get_experiment("E8")
-        result = module.run(mode="quick", seed=1)
+        result = module.run(module.preset("quick"), seed=1)
         assert result_digest(result) == GOLDENS["quick_result_digests"]["E8"]
-
-    def test_mode_shim_equals_workload_path(self, monkeypatch):
-        """run(mode=...) and run(preset workload) are the same run."""
-        apply_micro_overrides("E4", monkeypatch.setattr)
-        module = get_experiment("E4")
-        via_mode = module.run(mode="quick", seed=3)
-        via_workload = module.run(module.preset("quick"), seed=3)
-        assert via_mode.to_json_dict() == via_workload.to_json_dict()
 
     def test_goldens_cover_every_experiment(self):
         covered = set(GOLDENS["micro_result_digests"]) | set(

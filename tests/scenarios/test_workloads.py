@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ScenarioError
-from repro.experiments import experiment_ids, get_experiment
+from repro.errors import ExperimentError, ScenarioError
+from repro.experiments import experiment_ids, get_experiment, run_experiment
 from repro.scenarios import (
     WORKLOAD_TYPES,
     E1Workload,
@@ -14,7 +14,7 @@ from repro.scenarios import (
     E13Workload,
     GraphFamily,
 )
-from repro.scenarios.base import resolve_workload, workload_label
+from repro.scenarios.base import workload_label
 
 
 class TestPresets:
@@ -25,7 +25,7 @@ class TestPresets:
         workload = module.preset(mode)
         assert isinstance(workload, WORKLOAD_TYPES[experiment_id])
         assert workload == module.preset(mode)  # deterministic
-        assert workload_label(module.preset, workload) == mode
+        assert workload_label(module.PRESETS, workload) == mode
 
     @pytest.mark.parametrize("experiment_id", experiment_ids())
     def test_presets_differ(self, experiment_id):
@@ -33,15 +33,10 @@ class TestPresets:
         assert module.preset("quick") != module.preset("full")
 
     def test_bad_preset_mode_raises_valueerror(self):
-        # The legacy run(mode=...) contract: ValueError mentioning mode.
+        # preset(mode) and run_experiment(mode=...) raise ValueError naming mode.
         module = get_experiment("E1")
         with pytest.raises(ValueError, match="mode"):
             module.preset("gigantic")
-
-    def test_presets_track_patched_constants(self, monkeypatch):
-        module = get_experiment("E1")
-        monkeypatch.setattr(module, "QUICK_SAMPLES", 5)
-        assert module.preset("quick").samples == 5
 
 
 class TestRoundTrip:
@@ -145,34 +140,35 @@ class TestValidation:
 
 
 class TestResolveWorkload:
+    """How ``run_experiment`` and ``run`` resolve and label a workload."""
+
     def test_default_is_quick(self):
-        module = get_experiment("E4")
-        assert resolve_workload(module.WORKLOAD, module.preset) == module.preset("quick")
+        # E5's quick preset runs in well under a second.
+        result = run_experiment("E5")
+        assert result.mode == "quick"
+        assert result.parameters["workload"] == get_experiment("E5").preset("quick").to_dict()
 
     def test_mode_and_workload_conflict(self):
         module = get_experiment("E4")
-        with pytest.raises(ScenarioError, match="not both"):
-            resolve_workload(
-                module.WORKLOAD, module.preset, module.preset("quick"), "quick"
-            )
-
-    def test_wrong_workload_type_rejected(self):
-        e4 = get_experiment("E4")
-        e1_workload = get_experiment("E1").preset("quick")
-        with pytest.raises(ScenarioError, match="E4Workload"):
-            resolve_workload(e4.WORKLOAD, e4.preset, e1_workload)
+        with pytest.raises(ExperimentError, match="not both"):
+            run_experiment("E4", mode="quick", workload=module.preset("quick"))
 
     def test_run_rejects_wrong_workload_type(self):
+        e1_workload = get_experiment("E1").preset("quick")
         with pytest.raises(ScenarioError, match="E4Workload"):
-            get_experiment("E4").run(get_experiment("E1").preset("quick"))
+            get_experiment("E4").run(e1_workload)
+        with pytest.raises(ScenarioError, match="E4Workload"):
+            run_experiment("E4", workload=e1_workload)
+        with pytest.raises(ScenarioError, match="E4Workload"):
+            run_experiment("E4", workload="quick")
 
     def test_overrides_equal_to_preset_label_as_preset(self):
         module = get_experiment("E4")
         workload = module.preset("quick").with_overrides(
-            {"trials": module.QUICK_TRIALS}
+            {"trials": str(module.preset("quick").trials)}
         )
-        assert workload_label(module.preset, workload) == "quick"
+        assert workload_label(module.PRESETS, workload) == "quick"
         assert (
-            workload_label(module.preset, workload.with_overrides({"trials": 7777}))
+            workload_label(module.PRESETS, workload.with_overrides({"trials": 7777}))
             == "scenario"
         )
