@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.graphs.generators import circulant, complete, cycle, random_regular, torus
+from repro.graphs.implicit import ImplicitComplete
 from repro.graphs.spectral import lambda_second
 
 
@@ -46,6 +47,20 @@ def bench_random_regular_n4096_r8(benchmark):
 
 def bench_complete_n1024(benchmark):
     benchmark.pedantic(lambda: complete(1024), rounds=5, iterations=1)
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+@pytest.mark.parametrize("build", [complete, ImplicitComplete], ids=["csr", "implicit"])
+def bench_complete_build_and_sample(benchmark, build, n):
+    # E1's and E7's K_n: the CSR graph stores n(n - 1) indices, the
+    # implicit one reads the same draws in closed form.  One all-vertex
+    # draw of two neighbours, as a COBRA round with every vertex active.
+    vertices = np.arange(n, dtype=np.int64)
+
+    def build_and_sample():
+        return build(n).sample_neighbors(vertices, 2, np.random.default_rng(0))
+
+    benchmark.pedantic(build_and_sample, rounds=5, iterations=1)
 
 
 def bench_torus_31x31(benchmark):

@@ -616,7 +616,7 @@ def _graph_info(family: str, params: list[str], seed: int) -> None:
     from repro.errors import ReproError
     from repro.graphs import generators
     from repro.graphs.properties import degree_histogram, diameter, is_bipartite, is_connected
-    from repro.graphs.spectral import lambda_second
+    from repro.graphs.spectral import ANALYTIC_FAMILIES, analytic_lambda, lambda_second
 
     if family not in generators.__all__:
         raise ReproError(
@@ -633,12 +633,21 @@ def _graph_info(family: str, params: list[str], seed: int) -> None:
         raise ReproError(f"bad arguments for {family}: {error}") from None
 
     connected = is_connected(graph)
+    bipartite = is_bipartite(graph)
     print(graph)
     print(f"  connected : {connected}")
-    print(f"  bipartite : {is_bipartite(graph)}")
+    print(f"  bipartite : {bipartite}")
     print(f"  degrees   : {degree_histogram(graph)}")
     if graph.n_vertices <= 4096 and connected:
-        lam = lambda_second(graph)
+        # Eigensolve only where no closed form applies: Lanczos takes
+        # tens of seconds on ring-like graphs of a few thousand vertices.
+        if bipartite:
+            lam = 1.0  # -1 is an eigenvalue of P
+        elif family in ANALYTIC_FAMILIES:
+            named = inspect.signature(generator).bind(*arguments).arguments
+            lam = analytic_lambda(family, **named)
+        else:
+            lam = lambda_second(graph)
         print(f"  lambda    : {lam:.6f}   spectral gap: {1.0 - lam:.6f}")
     if graph.n_vertices <= 512 and connected:
         print(f"  diameter  : {diameter(graph)}")

@@ -148,31 +148,35 @@ def _weight_prefix(indptr: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
 class _Contacts:
     """Per-shard neighbour-contact sampler, uniform or edge-weighted.
 
-    Weighted draws use one global prefix-sum over the CSR weight array:
-    position ``j`` is selected iff ``cum0[j] <= base(v) + r < cum0[j+1]``
-    for ``r`` uniform on ``[0, row_total(v))`` — zero-weight positions
-    span an empty interval and are never selected.
+    A uniform contact of ``v`` is entry ``rng.integers(0, degree(v))``
+    of its sorted row, read through :meth:`~repro.graphs.base.Graph.neighbor_at`,
+    and a flip walks ``graph.neighbors(v)``: both work on implicit
+    graphs, and on a CSR graph they read the values the CSR arrays
+    hold.  Weighted draws need the CSR arrays: one global prefix-sum
+    over the CSR weight array, where position ``j`` is selected iff
+    ``cum0[j] <= base(v) + r < cum0[j+1]`` for ``r`` uniform on ``[0,
+    row_total(v))`` — zero-weight positions span an empty interval and
+    are never selected.
     """
 
-    __slots__ = ("indptr", "indices", "degrees", "weights", "cum0", "row_tot")
+    __slots__ = ("graph", "degrees", "indptr", "indices", "weights", "cum0", "row_tot")
 
     def __init__(self, graph: Graph, weights: np.ndarray | None) -> None:
-        self.indptr = graph.indptr
-        self.indices = graph.indices
+        self.graph = graph
         self.degrees = graph.degrees
         self.weights = weights
         if weights is None:
-            self.cum0 = None
-            self.row_tot = None
+            self.indptr = self.indices = self.cum0 = self.row_tot = None
         else:
+            self.indptr = graph.indptr
+            self.indices = graph.indices
             self.cum0, self.row_tot = _weight_prefix(self.indptr, weights)
 
     def draw_one(self, v: int, k: int, rng: np.random.Generator) -> np.ndarray:
         """``k`` contact draws (with replacement) for one firing vertex."""
-        lo, hi = self.indptr[v], self.indptr[v + 1]
         if self.weights is None:
-            return self.indices[lo + rng.integers(0, hi - lo, size=k)]
-        x = self.cum0[lo] + rng.random(k) * self.row_tot[v]
+            return self.graph.neighbor_at(v, rng.integers(0, self.degrees[v], size=k))
+        x = self.cum0[self.indptr[v]] + rng.random(k) * self.row_tot[v]
         return self.indices[np.searchsorted(self.cum0, x, side="right") - 1]
 
     def infected_fraction(self, v: int, n_inf: np.ndarray, w_inf) -> float:
@@ -189,16 +193,17 @@ class _Contacts:
         Symmetric weights make ``weight(v -> x) == weight(x -> v)``, so
         one pass over ``v``'s row updates every neighbour exactly.
         """
-        row = slice(self.indptr[v], self.indptr[v + 1])
-        neighbours = self.indices[row]
+        neighbours = self.graph.neighbors(v)
+        if w_inf is not None:
+            weights = self.weights[self.indptr[v] : self.indptr[v + 1]]
         if sign > 0:
             n_inf[neighbours] += 1
             if w_inf is not None:
-                w_inf[neighbours] += self.weights[row]
+                w_inf[neighbours] += weights
         else:
             n_inf[neighbours] -= 1
             if w_inf is not None:
-                w_inf[neighbours] -= self.weights[row]
+                w_inf[neighbours] -= weights
                 # Clear float drift exactly where the armed set changes.
                 w_inf[neighbours[n_inf[neighbours] == 0]] = 0.0
         return neighbours

@@ -31,7 +31,8 @@ from repro.experiments.sweep import (
     measure_cobra_cover,
     measure_random_walk_cover,
 )
-from repro.graphs.generators import complete, torus
+from repro.graphs.generators import torus
+from repro.graphs.implicit import ImplicitComplete
 from repro.scenarios.base import preset_workload, workload_label
 from repro.scenarios.workloads import E7Workload
 
@@ -62,9 +63,8 @@ PRESETS = {
         samples=10,
     ),
     "full": E7Workload(
-        # Complete graphs are stored as explicit edge lists, so the ladder
-        # stops at 4096 (~8.4M edges); the log-n shape is already
-        # unambiguous there.
+        # The complete-graph ladder stops at 4096: the log-n shape is
+        # already unambiguous there.
         complete_sizes=(64, 256, 1024, 2048, 4096),
         torus2d_sides=(15, 21, 31, 45, 63),
         torus3d_sides=(5, 7, 9, 11),
@@ -89,7 +89,7 @@ def run(workload: E7Workload, seed: int = 0) -> ExperimentResult:
     complete_ns: list[float] = []
     complete_means: list[float] = []
     for n in workload.complete_sizes:
-        result = measure_cobra_cover(complete(n), n_samples=samples, seed=(seed, n, 71))
+        result = measure_cobra_cover(ImplicitComplete(n), n_samples=samples, seed=(seed, n, 71))
         complete_table.add_row([n, result.stats.mean, result.stats.mean / math.log2(n)])
         complete_ns.append(float(n))
         complete_means.append(result.stats.mean)

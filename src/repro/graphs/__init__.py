@@ -33,6 +33,7 @@ from repro.graphs.generators import (
 )
 from repro.graphs.implicit import (
     ImplicitCirculant,
+    ImplicitComplete,
     ImplicitGraph,
     ImplicitHypercube,
     ImplicitTorus,
@@ -90,6 +91,7 @@ __all__ = [
     "ImplicitHypercube",
     "ImplicitTorus",
     "ImplicitCirculant",
+    "ImplicitComplete",
     "save_graph",
     "load_graph",
     "save_graph_memmap",

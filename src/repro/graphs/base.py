@@ -364,6 +364,21 @@ class Graph:
         """Sorted neighbours of ``u`` as a read-only array view."""
         return self._indices[self._indptr[u] : self._indptr[u + 1]]
 
+    def neighbor_at(self, vertices, positions) -> np.ndarray:
+        """Entry ``positions`` of each vertex's sorted neighbour row, as int64.
+
+        ``vertices`` and ``positions`` broadcast against each other: one
+        vertex against a vector of positions, or ``vertices[:, None]``
+        against an ``(m, k)`` block.  Every position must lie in ``[0,
+        degree)``.  Drawing a uniform position and reading it here is
+        the neighbour draw of every engine: the event engine's contacts
+        call it, the CSR sampling paths inline the same gather, and
+        implicit graphs compute it (:class:`~repro.graphs.implicit.ImplicitComplete`
+        in closed form).
+        """
+        starts = self._indptr[vertices]
+        return self._indices[starts + positions].astype(np.int64, copy=False)
+
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the undirected edge ``{u, v}`` is present."""
         row = self.neighbors(u)

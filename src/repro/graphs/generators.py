@@ -80,7 +80,12 @@ def _adopt_regular_rows(rows: np.ndarray, name: str, index_dtype: str) -> Graph:
 
 
 def complete(n: int) -> Graph:
-    """Complete graph `K_n` (`(n-1)`-regular, `λ = 1/(n-1)`)."""
+    """Complete graph `K_n` (`(n-1)`-regular, `λ = 1/(n-1)`).
+
+    Stores all ``n(n - 1)`` row entries, which the exact engines and
+    ``theory.growth`` read; :class:`~repro.graphs.implicit.ImplicitComplete`
+    samples the same streams without storing them.
+    """
     if n < 2:
         raise GraphConstructionError(f"complete graph needs n >= 2, got {n}")
     # Row u is every other vertex, (u + d) % n for d = 1 .. n-1.
@@ -307,9 +312,9 @@ def random_regular(n: int, r: int, seed: SeedLike = None, *, max_tries: int = 10
     valid pair among the leftovers.  The sample is then checked
     connected by BFS, and the draw repeats (up to ``max_tries`` times)
     until it is; for ``r >= 3`` a sample is connected w.h.p., so retries
-    are rare.  Rows are built straight from the sorted edge keys and
-    validated by :class:`Graph` (bounds, loops, duplicates, symmetry).
-    Requires ``n * r`` even and ``r < n``.
+    are rare.  Rows are built straight from the sorted edge keys, which
+    makes them simple, sorted and symmetric, so the graph adopts them
+    without re-validation.  Requires ``n * r`` even and ``r < n``.
 
     **Law.**  For ``2r <= n - 1`` it is networkx's law conditioned on
     connectivity: the pairing replays networkx's loop pair for pair,
@@ -343,12 +348,14 @@ def random_regular(n: int, r: int, seed: SeedLike = None, *, max_tries: int = 10
         if dense:
             adjacent = np.eye(n, dtype=bool)
             adjacent[lo, hi] = adjacent[hi, lo] = True
-            indices = np.nonzero(~adjacent)[1]
+            indices = np.flatnonzero(~adjacent) % n
         else:
             directed = np.concatenate((keys, hi * n + lo))
             directed.sort()
             indices = directed % n
-        graph = Graph(indptr, indices, name=f"random_regular(n={n}, r={r})")
+        graph = Graph.adopt_validated_csr(
+            indptr, indices, name=f"random_regular(n={n}, r={r})"
+        )
         if is_connected(graph):
             return graph
     raise GraphConstructionError(

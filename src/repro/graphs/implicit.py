@@ -1,28 +1,35 @@
 """Implicit (materialisation-free) backends for structured graph families.
 
 The structured families the scenarios sweep — hypercube, torus,
-circulant — have neighbourhoods that are *computable*: the sorted
-neighbour row of any vertex follows from arithmetic on its id, so there
-is no reason to hold a ``2m``-entry CSR array in memory to sample from
-them.  The classes here subclass :class:`~repro.graphs.base.Graph` but
-store **no adjacency arrays at all**; memory is O(1) in ``n``, which is
-what lets the scenario layer run these families at n = 10^6–10^7.
+circulant — and the complete graph `K_n` have neighbourhoods that are
+*computable*: the sorted neighbour row of any vertex follows from
+arithmetic on its id, so there is no reason to hold a ``2m``-entry CSR
+array in memory to sample from them.  The classes here subclass
+:class:`~repro.graphs.base.Graph` but store **no adjacency arrays at
+all**; memory is O(1) in ``n``, which is what lets the scenario layer
+run these families at n = 10^6–10^7, and what keeps E1's and E7's
+complete graphs (``K_n`` up to n = 8192, where the CSR holds 537 MB of
+indices) at the size of their ensemble state.
 
 The one contract that matters: for the same seed, an implicit graph and
 its materialised CSR twin produce **bit-identical sampling streams**.
 :meth:`ImplicitGraph.sample_neighbors` performs the exact
-``uniform_draws`` call of the CSR regular-degree fast path and gathers
-from analytically computed sorted rows — the same values the CSR gather
-would have read.  The property tests in ``tests/graphs/test_implicit.py``
-pin this edge-for-edge and draw-for-draw.
+``uniform_draws`` call of the CSR regular-degree fast path and reads the
+drawn positions through :meth:`ImplicitGraph.neighbor_at` — the same
+values the CSR gather would have read.  :class:`ImplicitComplete` reads
+them in closed form, so no engine builds one of its ``n − 1``-entry
+rows to sample from.  The property tests in
+``tests/graphs/test_implicit.py`` pin this edge-for-edge and
+draw-for-draw, and ``tests/core/test_implicit_engines.py`` engine by
+engine.
 
 Implicit graphs work with every engine that samples through the public
 ``Graph`` interface (process, batch, sparse, event).  They pickle to a
 few bytes (the constructor arguments), so spawn pools never need a
 :class:`~repro.parallel.SharedGraph` segment for them.  Operations that
 inherently need the CSR arrays (``indptr`` / ``indices`` /
-``neighbor_matrix``) raise
-:class:`~repro.errors.GraphPropertyError` pointing at
+``neighbor_matrix``, and with them the event engine's per-edge rates)
+raise :class:`~repro.errors.GraphPropertyError` pointing at
 :meth:`ImplicitGraph.materialize`.
 """
 
@@ -35,10 +42,11 @@ import numpy as np
 from repro.errors import GraphConstructionError, GraphPropertyError
 from repro.graphs.base import Graph, uniform_draws
 
-#: Vertex-chunk size for whole-graph walks (``edges``, ``materialize``):
-#: large enough to amortise per-call overhead, small enough that the
-#: per-chunk ``(chunk, r)`` row block stays cache-friendly.
-_CHUNK = 1 << 16
+#: Row entries per chunk of a whole-graph walk (``edges``,
+#: ``materialize``): large enough to amortise per-call overhead, small
+#: enough that the per-chunk ``(chunk, r)`` row block stays a few MB
+#: even at ``K_n``'s ``r = n − 1``.
+_CHUNK_ENTRIES = 1 << 19
 
 
 class ImplicitGraph(Graph):
@@ -46,9 +54,10 @@ class ImplicitGraph(Graph):
 
     Subclasses implement :meth:`neighbor_rows` (the sorted ``(F, r)``
     neighbour rows of a vertex batch) plus :meth:`analytic_lambda` and
-    :meth:`_constructor_args`; everything else — sampling, degrees,
-    edge iteration, materialisation, pickling, equality — is derived
-    here.  Instances are immutable and O(1)-sized.
+    :meth:`_constructor_args`, and may override :meth:`neighbor_at`
+    with a closed form; everything else — sampling, degrees, edge
+    iteration, materialisation, pickling, equality — is derived here.
+    Instances are immutable and O(1)-sized.
     """
 
     __slots__ = ("_n",)
@@ -78,6 +87,18 @@ class ImplicitGraph(Graph):
         ascending, no duplicates.
         """
         raise NotImplementedError
+
+    def neighbor_at(self, vertices, positions) -> np.ndarray:
+        """Entry ``positions`` of each vertex's sorted neighbour row.
+
+        The contract of :meth:`repro.graphs.base.Graph.neighbor_at`.
+        This generic form computes one row per entry of ``vertices``; a
+        subclass with a closed form for single entries overrides it.
+        """
+        vertices = np.asarray(vertices, dtype=np.int64)
+        rows = self.neighbor_rows(vertices.reshape(-1))
+        slots = np.arange(vertices.size).reshape(vertices.shape)
+        return rows[slots, positions]
 
     def analytic_lambda(self) -> float:
         """Closed-form ``max(|λ_2|, |λ_n|)`` of the transition matrix.
@@ -145,9 +166,14 @@ class ImplicitGraph(Graph):
         position = int(np.searchsorted(row, v))
         return position < row.size and int(row[position]) == v
 
+    def _vertex_chunks(self) -> Iterator[np.ndarray]:
+        """Consecutive vertex blocks of about :data:`_CHUNK_ENTRIES` row entries."""
+        step = max(1, _CHUNK_ENTRIES // max(self._regular_degree, 1))
+        for base in range(0, self._n, step):
+            yield np.arange(base, min(base + step, self._n), dtype=np.int64)
+
     def edges(self) -> Iterator[tuple[int, int]]:
-        for base in range(0, self._n, _CHUNK):
-            block = np.arange(base, min(base + _CHUNK, self._n), dtype=np.int64)
+        for block in self._vertex_chunks():
             rows = self.neighbor_rows(block)
             sources = np.broadcast_to(block[:, None], rows.shape)
             keep = sources < rows
@@ -169,18 +195,17 @@ class ImplicitGraph(Graph):
         vertices = np.asarray(vertices, dtype=np.int64)
         if vertices.size == 0:
             return np.empty((0, samples_per_vertex), dtype=np.int64)
-        # The same draw the CSR fast path makes; gathering the drawn
-        # positions from the computed rows reads the same values the
-        # flat ``indices`` gather would have.
+        # The same draw the CSR fast path makes; ``neighbor_at`` reads
+        # the values the flat ``indices`` gather would have.
         r = self._regular_degree
         positions = uniform_draws(rng, r, vertices.size, samples_per_vertex)
-        rows = self.neighbor_rows(vertices)
-        return np.take_along_axis(rows, positions, axis=1)
+        return self.neighbor_at(vertices[:, None], positions)
 
     def walk(
         self, vertices: np.ndarray, rounds: int, rng: np.random.Generator
     ) -> np.ndarray:
-        # No ``indices`` to gather from: every round computes its rows.
+        # No ``indices`` to gather from: every round reads its steps
+        # through ``neighbor_at``.
         return self._chained_walk(np.asarray(vertices, dtype=np.int64), rounds, rng)
 
     def neighborhoods(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,8 +228,8 @@ class ImplicitGraph(Graph):
         r = self._regular_degree
         storage = resolve_index_dtype(index_dtype, self._n)
         indices = np.empty(self._n * r, dtype=storage)
-        for base in range(0, self._n, _CHUNK):
-            block = np.arange(base, min(base + _CHUNK, self._n), dtype=np.int64)
+        for block in self._vertex_chunks():
+            base = int(block[0])
             indices[base * r : (base + block.size) * r] = self.neighbor_rows(
                 block
             ).reshape(-1)
@@ -341,3 +366,40 @@ class ImplicitCirculant(ImplicitGraph):
 
     def _constructor_args(self) -> tuple:
         return (self._n, self._offsets)
+
+
+class ImplicitComplete(ImplicitGraph):
+    """Complete graph `K_n` with closed-form neighbourhoods.
+
+    Row ``v`` lists every other vertex in ascending order, so its
+    ``j``-th entry is ``j + (j >= v)``.  :meth:`neighbor_at` reads drawn
+    positions that way, so sampling, the single-token walk and the
+    event engine's contact draws cost O(1) per draw and never build a
+    row; :func:`~repro.graphs.generators.complete` stores the same rows
+    as ``n(n − 1)`` indices.  Whole rows (``neighbors``,
+    ``neighborhoods``, BIPS's infected-neighbour counts) cost what
+    their CSR reads cost.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, n: int) -> None:
+        if n < 2:
+            raise GraphConstructionError(f"complete graph needs n >= 2, got {n}")
+        super().__init__(n, n - 1, f"complete(n={n})")
+
+    def neighbor_rows(self, vertices: np.ndarray) -> np.ndarray:
+        positions = np.arange(self._n - 1, dtype=np.int64)
+        return self.neighbor_at(np.asarray(vertices, dtype=np.int64)[:, None], positions)
+
+    def neighbor_at(self, vertices, positions) -> np.ndarray:
+        positions = np.asarray(positions, dtype=np.int64)
+        return positions + (positions >= vertices)
+
+    def analytic_lambda(self) -> float:
+        from repro.graphs.spectral import analytic_lambda
+
+        return analytic_lambda("complete", n=self._n)
+
+    def _constructor_args(self) -> tuple:
+        return (self._n,)

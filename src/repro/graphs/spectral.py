@@ -218,6 +218,19 @@ def random_walk_cover_time_bounds(graph: Graph) -> tuple[float, float]:
 # ----------------------------------------------------------------------
 
 
+#: The generators :func:`analytic_lambda` knows in closed form; its
+#: parameter names are theirs.
+ANALYTIC_FAMILIES = (
+    "complete",
+    "cycle",
+    "circulant",
+    "hypercube",
+    "torus",
+    "petersen",
+    "complete_bipartite",
+)
+
+
 def analytic_lambda(family: str, **params) -> float:
     """Closed-form ``λ`` for a structured family.
 

@@ -226,6 +226,25 @@ class TestRandomRegular:
             assert graph.n_edges == n * r // 2
             assert is_connected(graph)
 
+    @pytest.mark.parametrize(
+        ("n", "r"),
+        [(6, 3), (8, 3), (10, 4), (12, 5), (16, 12), (17, 8), (33, 18), (64, 8)],
+    )
+    def test_adopted_rows_equal_the_validated_construction(self, n, r):
+        # The sampler adopts its rows unchecked; the validating
+        # constructor (bounds, loops, duplicates, symmetry, and a sort of
+        # every row) must accept them and rebuild the same graph.  The
+        # grid includes 2r > n - 1, where the rows are a complement.
+        from repro.graphs.base import Graph
+
+        for seed in range(6):
+            graph = generators.random_regular(n, r, seed=seed)
+            validated = Graph(graph.indptr, graph.indices, name=graph.name)
+            assert validated == graph
+            assert validated.name == graph.name == f"random_regular(n={n}, r={r})"
+            assert graph.indices.dtype == np.int64
+            assert graph.indices.flags.c_contiguous
+
 
 class TestRingOfCliques:
     def test_structure(self):

@@ -1,10 +1,13 @@
 """Implicit graph backends vs their materialised CSR counterparts.
 
-The contract is exact: an implicit hypercube/torus/circulant must agree
-with the generator-built CSR graph *edge for edge* (same sorted
-neighbour rows) and *stream for stream* (same ``sample_neighbors``
-output from the same RNG state, leaving the RNG in the same state), so
-switching a workload to an implicit substrate never changes results.
+The contract is exact: an implicit hypercube/torus/circulant/complete
+graph must agree with the generator-built CSR graph *edge for edge*
+(same sorted neighbour rows, same ``neighbor_at`` reads) and *stream
+for stream* (same ``sample_neighbors`` output from the same RNG state,
+leaving the RNG in the same state), so switching a workload to an
+implicit substrate never changes results.  ``K_9`` (degree 8) samples
+on ``uniform_draws``' bit-sliced path and ``K_16`` (degree 15) on the
+bounded-integer path.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from repro.errors import GraphConstructionError, GraphPropertyError
 from repro.graphs import generators, properties
 from repro.graphs.implicit import (
     ImplicitCirculant,
+    ImplicitComplete,
     ImplicitGraph,
     ImplicitHypercube,
     ImplicitTorus,
@@ -49,6 +53,8 @@ PAIRS = [
         lambda: ImplicitCirculant(12, (1, 6)),
         lambda: generators.circulant(12, (1, 6)),
     ),
+    ("complete-9", lambda: ImplicitComplete(9), lambda: generators.complete(9)),
+    ("complete-16", lambda: ImplicitComplete(16), lambda: generators.complete(16)),
 ]
 
 
@@ -91,6 +97,21 @@ class TestEdgeForEdgeAgreement:
         counts_c, flat_c = concrete.neighborhoods(vertices)
         assert np.array_equal(counts_i, counts_c)
         assert np.array_equal(flat_i, flat_c)
+
+    def test_neighbor_at_matches_csr_reads(self, pair):
+        implicit, concrete = pair
+        vertices = np.arange(implicit.n_vertices, dtype=np.int64)
+        positions = np.arange(implicit.degree(0), dtype=np.int64)
+        block = implicit.neighbor_at(vertices[:, None], positions)
+        assert block.dtype == np.dtype(np.int64)
+        assert np.array_equal(block, concrete.neighbor_at(vertices[:, None], positions))
+        assert np.array_equal(block, implicit.neighbor_rows(vertices))
+        # One vertex against a vector of positions, as the event engine reads.
+        last = implicit.n_vertices - 1
+        assert np.array_equal(
+            implicit.neighbor_at(last, positions[::-1]),
+            concrete.neighbors(last)[::-1],
+        )
 
     def test_materialize_equals_generator_graph(self, pair):
         implicit, concrete = pair
@@ -179,12 +200,15 @@ class TestImplicitBehaviour:
             graph.indices
 
     def test_pickles_compactly(self):
-        graph = ImplicitTorus((101, 101, 101))
-        blob = pickle.dumps(graph)
-        assert len(blob) < 256
-        clone = pickle.loads(blob)
-        assert clone == graph
-        assert clone.n_vertices == 101**3
+        for graph, n in (
+            (ImplicitTorus((101, 101, 101)), 101**3),
+            (ImplicitComplete(8192), 8192),
+        ):
+            blob = pickle.dumps(graph)
+            assert len(blob) < 256
+            clone = pickle.loads(blob)
+            assert clone == graph
+            assert clone.n_vertices == n
 
     def test_ships_compactly_flag(self):
         assert ImplicitHypercube(3).ships_compactly
@@ -195,6 +219,7 @@ class TestImplicitBehaviour:
             (ImplicitHypercube(3), generators.hypercube(3)),
             (ImplicitTorus((5, 7)), generators.torus((5, 7))),
             (ImplicitCirculant(9, (1, 2)), generators.circulant(9, (1, 2))),
+            (ImplicitComplete(9), generators.complete(9)),
         ):
             assert lambda_second(implicit) == pytest.approx(
                 lambda_second(concrete, method="dense"), abs=1e-9
@@ -209,6 +234,8 @@ class TestImplicitBehaviour:
             ImplicitCirculant(6, (0,))
         with pytest.raises(GraphConstructionError):
             ImplicitCirculant(6, (7,))
+        with pytest.raises(GraphConstructionError):
+            ImplicitComplete(1)
 
     def test_equality_against_concrete_graph_is_false_not_error(self):
         implicit = ImplicitTorus((5, 5))

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+from collections import deque
+
+import numpy as np
 import pytest
 
 from repro.errors import GraphPropertyError
 from repro.graphs import generators
 from repro.graphs.build import from_edges
+from repro.graphs.implicit import ImplicitComplete, ImplicitHypercube, ImplicitTorus
 from repro.graphs.properties import (
+    _bfs_levels,
     connected_components,
     degree_histogram,
     diameter,
@@ -98,3 +103,46 @@ class TestDegreeHistogram:
 
     def test_path(self):
         assert degree_histogram(generators.path(4)) == {1: 2, 2: 2}
+
+
+def _reference_levels(graph, source):
+    """Textbook queue BFS, one vertex at a time."""
+    levels = [-1] * graph.n_vertices
+    levels[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in graph.neighbors(u):
+            if levels[int(v)] < 0:
+                levels[int(v)] = levels[u] + 1
+                queue.append(int(v))
+    return levels
+
+
+#: Regular CSR graphs (the ``neighbor_matrix`` path), irregular and
+#: disconnected ones, and implicit ones (the ``neighborhoods`` path).
+BFS_GRAPHS = {
+    "rr64-3": lambda: generators.random_regular(64, 3, seed=4),
+    "rr128-8": lambda: generators.random_regular(128, 8, seed=5),
+    "torus5x7": lambda: generators.torus((5, 7)),
+    "cycle31": lambda: generators.cycle(31),
+    "complete9": lambda: generators.complete(9),
+    "q5-int32": lambda: generators.hypercube(5, index_dtype="int32"),
+    "two-triangles": lambda: from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+    "ring-of-cliques": lambda: generators.ring_of_cliques(4, 4),
+    "path9": lambda: generators.path(9),
+    "star7": lambda: generators.star(7),
+    "isolated": lambda: from_edges(4, [(0, 1), (1, 2)]),
+    "implicit-torus": lambda: ImplicitTorus((5, 7)),
+    "implicit-q4": lambda: ImplicitHypercube(4),
+    "implicit-k9": lambda: ImplicitComplete(9),
+}
+
+
+@pytest.mark.parametrize("name", list(BFS_GRAPHS))
+def test_bfs_levels_match_a_queue_bfs(name):
+    graph = BFS_GRAPHS[name]()
+    for source in {0, 3 % graph.n_vertices, graph.n_vertices - 1}:
+        levels = _bfs_levels(graph, source)
+        assert levels.dtype == np.int64
+        assert levels.tolist() == _reference_levels(graph, source)

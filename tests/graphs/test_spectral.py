@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from repro.errors import GraphPropertyError
 from repro.graphs import generators
 from repro.graphs.build import from_edges
 from repro.graphs.spectral import (
+    ANALYTIC_FAMILIES,
     DENSE_LIMIT,
     adjacency_matrix,
     analytic_lambda,
@@ -189,3 +191,21 @@ class TestAnalyticLambda:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="no analytic spectrum"):
             analytic_lambda("mystery")
+
+    @pytest.mark.parametrize("family", ANALYTIC_FAMILIES)
+    def test_families_take_their_generators_arguments(self, family):
+        # graph-info binds a generator's arguments by name and passes
+        # them on, so every listed family must accept them as they are.
+        arguments = {
+            "complete": (7,),
+            "cycle": (9,),
+            "circulant": (13, (1, 5)),
+            "hypercube": (3,),
+            "torus": ((3, 4),),
+            "petersen": (),
+            "complete_bipartite": (2, 3),
+        }[family]
+        generator = getattr(generators, family)
+        named = inspect.signature(generator).bind(*arguments).arguments
+        numeric = lambda_second(generator(*arguments), method="dense")
+        assert analytic_lambda(family, **named) == pytest.approx(numeric, abs=1e-10)

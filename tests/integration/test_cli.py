@@ -83,8 +83,11 @@ class TestCommands:
         ],
     )
     def test_graph_info_solves_lambda_once(self, capsys, monkeypatch, arguments, line):
+        # Petersen's λ has a closed form, so only the random graph is
+        # solved; each graph is checked for connectivity once.
         from repro.graphs import properties, spectral
 
+        solves = {"petersen": 0, "random_regular": 1}[arguments[0]]
         calls = {"lambda": 0, "connected": 0}
         solve, connected = spectral.lambda_second, properties.is_connected
 
@@ -100,7 +103,30 @@ class TestCommands:
         monkeypatch.setattr(properties, "is_connected", counted_connected)
         assert main(["graph-info", *arguments]) == 0
         assert line in capsys.readouterr().out.splitlines()
-        assert calls == {"lambda": 1, "connected": 1}
+        assert calls == {"lambda": solves, "connected": 1}
+
+    @pytest.mark.parametrize(
+        ("arguments", "line"),
+        [
+            # cos(π/4001): Lanczos took about 20 s on this ring.
+            (["cycle", "4001"], "  lambda    : 1.000000   spectral gap: 0.000000"),
+            # Bipartite, so -1 is an eigenvalue: about 56 s of Lanczos.
+            (["path", "4096"], "  lambda    : 1.000000   spectral gap: 0.000000"),
+            (["torus", "3,5"], "  lambda    : 0.654508   spectral gap: 0.345492"),
+            (["complete", "300"], "  lambda    : 0.003344   spectral gap: 0.996656"),
+            (["hypercube", "4"], "  lambda    : 1.000000   spectral gap: 0.000000"),
+        ],
+        ids=["cycle", "path", "torus", "complete", "hypercube"],
+    )
+    def test_graph_info_reads_closed_form_lambda(self, capsys, monkeypatch, arguments, line):
+        from repro.graphs import spectral
+
+        def no_eigensolve(graph, **kwargs):
+            raise AssertionError(f"graph-info solved for the λ of {graph.name}")
+
+        monkeypatch.setattr(spectral, "lambda_second", no_eigensolve)
+        assert main(["graph-info", *arguments]) == 0
+        assert line in capsys.readouterr().out.splitlines()
 
     def test_graph_info_tuple_parameter(self, capsys):
         assert main(["graph-info", "torus", "3,5"]) == 0
