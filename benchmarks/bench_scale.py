@@ -13,8 +13,10 @@ Five cells frame the claim:
 * **Sparse-walk cell** (the asserted bar): a single COBRA token
   (``branching = 1.0``) exploring a 512x512 torus for a fixed horizon.
   The frontier is one vertex, so the sparse engine must beat the dense
-  batch engine by ``>= 5x`` (≈340x in the committed ``BENCH_scale.json``
-  with the block walk kernel, ≈40x on the per-round kernel before it).
+  batch engine by ``>= 5x`` (≈590x in the committed ``BENCH_scale.json``
+  with the block walk kernel stepping a table of shifted row starts,
+  ≈340x with its earlier multiply-add step, ≈40x on the per-round
+  kernel before it).
 * **Walk-shard cell** (reported only): full ``k = 1`` cover of a
   512-vertex 8-regular expander with 16, 64 and 256 replicas in one
   shard.  More replicas mean more finishes, each of which cuts a walk

@@ -60,7 +60,7 @@ the batch sharding contract: shards depend only on ``n_replicas`` /
 When to use which engine (see also the README's Scale section): dense
 batch for small graphs, dense-cover measurements and BIPS run to full
 infection, where it leads (≈1.9× on ``benchmarks/bench_scale.py``'s
-1024-vertex k=2 cover control, ``BENCH_scale.json``; about 4× for BIPS
+1024-vertex k=2 cover control, ``BENCH_scale.json``; about 3× for BIPS
 on ``benchmarks/bench_batch.py``'s cell); ``sparse`` when n is large
 and the measured horizon keeps the frontier well below n (fixed-horizon
 growth cells, large sparse graphs, million-vertex scenarios,
@@ -87,7 +87,7 @@ _WORD_BITS = 64
 #: Bounds of the walk kernel's block length in rounds (see
 #: :func:`_walk_blocks`).
 _MIN_BLOCK = 4
-_MAX_BLOCK = 64
+_MAX_BLOCK = 256
 #: ``_BIT_MASKS[i]`` is the uint64 word with only bit ``i`` set.
 _BIT_MASKS = np.uint64(1) << np.arange(_WORD_BITS, dtype=np.uint64)
 
@@ -253,8 +253,12 @@ def _walk_blocks(
     A cut block wastes its rounds after ``t*`` and walks ``t* + 1``
     twice, and finishes cluster in the tail of the cover-time law, so
     the block length halves after a cut block and doubles after a full
-    one, within ``[_MIN_BLOCK, _MAX_BLOCK]``.  No block passes
-    ``max_rounds``.
+    one, within ``[_MIN_BLOCK, _MAX_BLOCK]`` = [4, 256] rounds.  A longer
+    cap settles blocks less often but walks more wasted rounds: over
+    eight 16-replica covers of a 2048-vertex 8-regular expander, caps
+    of 64, 256 and 1,024 rounds took about 3,500, 1,070 and 500 walk
+    calls for 216k, 238k and 296k rounds walked, and 256 took the least
+    time.  No block passes ``max_rounds``.
     """
     n = graph.n_vertices
     shift = (n - 1).bit_length()
@@ -389,9 +393,10 @@ def sparse_cobra_cover_times(
     memory is ``R·n/8`` bits plus the frontier, and each round costs
     O(frontier) instead of O(R·n).  At ``branching=1`` the single-token
     walk steps in blocks of rounds with one draw call per block and one
-    gather per round (:func:`_walk_blocks`): about 0.09 s for 16
-    replicas covering a 2048-vertex 8-regular expander (≈26k rounds),
-    against 0.5–0.8 s for the per-round kernel on the same 2-core Xeon.
+    add and one gather per round (:func:`_walk_blocks`): about 0.05 s
+    for 16 replicas covering a 2048-vertex 8-regular expander (≈24k
+    rounds), against 0.5–0.8 s for the per-round kernel on the same
+    2-core Xeon.
     Sharding, seeding, ``jobs``, and the timeout contract follow the
     batch engine exactly; ``max_rounds`` must be ``None`` or an integer
     of at least 1.
@@ -430,9 +435,9 @@ def sparse_bips_infection_times(
     and its keys fill the key space, so the dedupe tallies them with a
     ``bincount`` over ``R·2^⌈log2 n⌉`` entries instead of sorting them,
     and a round costs a few passes over ``R·n``.  Dense batch then
-    leads: ≈4× on a 1024-vertex 8-regular expander at k=2 with 32
-    replicas, and 3–8× on the 21³ torus with 2 to 32 replicas (best of
-    three, one core of a 2-core Xeon).  Sharding, seeding, ``jobs``, the
+    leads: ≈2.7× on a 1024-vertex 8-regular expander at k=2 with 32
+    replicas, and 1.5–3.3× on the 21³ torus with 2 to 32 replicas (best
+    of three, one core of a 2-core Xeon).  Sharding, seeding, ``jobs``, the
     isolated-vertex check and the timeout contract follow the batch
     engine exactly.
     """

@@ -145,6 +145,7 @@ class Graph:
         "_degrees",
         "_regular_degree",
         "_neighbor_matrix",
+        "_walk_table",
     )
 
     def __init__(
@@ -180,6 +181,7 @@ class Graph:
             int(degrees[0]) if degrees.size and np.all(degrees == degrees[0]) else None
         )
         self._neighbor_matrix: Optional[np.ndarray] = None
+        self._walk_table: Optional[np.ndarray] = None
         if validate:
             self._validate()
         self._indptr.flags.writeable = False
@@ -248,6 +250,7 @@ class Graph:
             int(degrees[0]) if degrees.size and np.all(degrees == degrees[0]) else None
         )
         graph._neighbor_matrix = None
+        graph._walk_table = None
         graph._indptr.flags.writeable = False
         graph._indices.flags.writeable = False
         graph._degrees.flags.writeable = False
@@ -470,27 +473,57 @@ class Graph:
         Returns the ``(rounds, m)`` int64 trajectory: row ``t`` holds the
         walkers' positions after ``t + 1`` steps.  The trajectory, and
         the state ``rng`` is left in, equal those of ``rounds`` chained
-        ``sample_neighbors(current, 1, rng)[:, 0]`` calls.
+        ``sample_neighbors(current, 1, rng)[:, 0]`` calls.  Every vertex
+        must lie in ``[0, n)``.
 
-        On a degree-regular CSR graph whose degree is a power of two, one
-        :func:`uniform_draws` call draws every round's picks: each row is
-        padded to whole 64-bit words, so every round starts on a fresh
-        word as a separate request would, and a step is one multiply-add
-        and one gather of ``indices``.  Every other graph chains
+        On a degree-regular CSR graph whose degree ``r`` is a power of
+        two, one :func:`uniform_draws` call draws every round's picks:
+        each row is padded to whole 64-bit words, so every round starts
+        on a fresh word as a separate request would.  The walkers then
+        move through a table whose entry ``j`` is ``indices[j] <<
+        log2(r)``, the row start of the vertex ``indices[j]`` names, so
+        a step is one add and one gather, and the trajectory is shifted
+        back to vertex ids once at the end.  The table (``n·r`` int64,
+        twice the bytes of ``int32`` storage) is built on the first such
+        walk and kept, one copy per process.  Every other graph chains
         :meth:`sample_neighbors`.
+
+        Raises
+        ------
+        IndexError
+            If a vertex lies outside ``[0, n)``.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
+        if vertices.size and (vertices.min() < 0 or vertices.max() >= self.n_vertices):
+            raise IndexError(
+                f"walk start vertices must lie in [0, {self.n_vertices}), got "
+                f"{int(vertices.min())}..{int(vertices.max())}"
+            )
         r = self._regular_degree
         if r is None or r < 2 or r & (r - 1):
             return self._chained_walk(vertices, rounds, rng)
-        per_word = 64 // (r.bit_length() - 1)
+        bits = r.bit_length() - 1
+        per_word = 64 // bits
         width = -(-vertices.size // per_word) * per_word
         steps = uniform_draws(rng, r, rounds, width)[:, : vertices.size]
-        indices = self._indices
+        if self._walk_table is None:
+            table = self._indices.astype(np.int64)
+            table <<= bits
+            table.flags.writeable = False
+            self._walk_table = table
+        table = self._walk_table
         trajectory = np.empty((rounds, vertices.size), dtype=np.int64)
+        offset = np.empty(vertices.size, dtype=np.int64)
+        position = vertices << bits
         for step, row in zip(steps, trajectory):
-            row[...] = indices.take(vertices * r + step)
-            vertices = row
+            np.add(position, step, out=offset)
+            # The starts are checked above and every later offset is a
+            # row start plus a step below r, so each lies in the table;
+            # "clip" skips the buffered copy numpy makes for ``out=``
+            # under the default bounds check.
+            table.take(offset, out=row, mode="clip")
+            position = row
+        trajectory >>= bits
         return trajectory
 
     def _chained_walk(
@@ -511,9 +544,15 @@ class Graph:
         neighbour rows in query order (``counts.sum()`` entries).  The
         sparse-frontier BIPS kernel uses this to expand the armed set
         ``frontier ∪ N(frontier)`` in time proportional to the frontier
-        volume rather than ``n``.
+        volume rather than ``n``.  On a regular graph the rows are one
+        gather of :attr:`neighbor_matrix`.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
+        r = self._regular_degree
+        if r is not None:
+            counts = np.full(vertices.size, r, dtype=np.int64)
+            flat = self.neighbor_matrix[vertices].reshape(-1)
+            return counts, flat.astype(np.int64, copy=False)
         counts = self._degrees[vertices].astype(np.int64, copy=False)
         if vertices.size == 0:
             return counts, np.empty(0, dtype=np.int64)

@@ -6,8 +6,10 @@ circulant — and the complete graph `K_n` have neighbourhoods that are
 arithmetic on its id, so there is no reason to hold a ``2m``-entry CSR
 array in memory to sample from them.  The classes here subclass
 :class:`~repro.graphs.base.Graph` but store **no adjacency arrays at
-all**; memory is O(1) in ``n``, which is what lets the scenario layer
-run these families at n = 10^6–10^7, and what keeps E1's and E7's
+all**; memory does not grow with ``n`` (O(1), except the torus's
+O(3^d·d) table of boundary-class rows, which depends only on its
+dimension ``d``), which is what lets the scenario layer run these
+families at n = 10^6–10^7, and what keeps E1's and E7's
 complete graphs (``K_n`` up to n = 8192, where the CSR holds 537 MB of
 indices) at the size of their ensemble state.
 
@@ -57,7 +59,8 @@ class ImplicitGraph(Graph):
     :meth:`_constructor_args`, and may override :meth:`neighbor_at`
     with a closed form; everything else — sampling, degrees, edge
     iteration, materialisation, pickling, equality — is derived here.
-    Instances are immutable and O(1)-sized.
+    Instances are immutable and hold nothing that grows with ``n``:
+    O(1), or O(3^d·d) for a ``d``-dimensional :class:`ImplicitTorus`.
     """
 
     __slots__ = ("_n",)
@@ -288,9 +291,19 @@ class ImplicitHypercube(ImplicitGraph):
 
 
 class ImplicitTorus(ImplicitGraph):
-    """Discrete torus `Z_{L1} x ... x Z_{Ld}` with computed neighbourhoods."""
+    """Discrete torus `Z_{L1} x ... x Z_{Ld}` with computed neighbourhoods.
 
-    __slots__ = ("_sides", "_strides")
+    A vertex's row depends on its id only through its *boundary class*:
+    whether each coordinate is 0, ``side − 1`` or in between decides
+    whether that axis's two steps wrap.  The constructor stores the
+    sorted offset row of each of the ``3^d`` classes, a ``3^d × 2d``
+    int64 table that depends on ``d`` only (at most the CSR's ``2d·n``
+    entries, reached when every side is 3), so a row is
+    ``offsets[class(u)] + u`` and a single entry one read of the same
+    table: no row is sorted after construction.
+    """
+
+    __slots__ = ("_sides", "_offsets")
 
     def __init__(self, side_lengths: Sequence[int]) -> None:
         sides = tuple(int(side) for side in side_lengths)
@@ -301,24 +314,50 @@ class ImplicitTorus(ImplicitGraph):
                 f"torus side lengths must be >= 3, got {sides}"
             )
         self._sides = sides
-        strides = np.ones(len(sides), dtype=np.int64)
-        for axis in range(len(sides) - 2, -1, -1):
-            strides[axis] = strides[axis + 1] * sides[axis + 1]
-        strides.flags.writeable = False
-        self._strides = strides
+        strides = np.cumprod((1,) + sides[:0:-1])[::-1]
+        # One vertex per boundary class (coordinate 0, 1 or side − 1 on
+        # every axis) and its row's steps, sorted.
+        grids = np.meshgrid(*([0, 1, side - 1] for side in sides), indexing="ij")
+        corners = np.stack([grid.reshape(-1) for grid in grids], axis=1).astype(np.int64)
+        steps = np.empty((corners.shape[0], 2 * len(sides)), dtype=np.int64)
+        for axis, (side, stride) in enumerate(zip(sides, strides)):
+            coord = corners[:, axis]
+            steps[:, 2 * axis] = ((coord + 1) % side - coord) * stride
+            steps[:, 2 * axis + 1] = ((coord - 1) % side - coord) * stride
+        steps.sort(axis=1)
+        offsets = np.empty_like(steps)
+        offsets[self._boundary_classes(corners @ strides)] = steps
+        offsets.flags.writeable = False
+        self._offsets = offsets
         n = int(np.prod(sides))
         super().__init__(n, 2 * len(sides), f"torus(sides={sides})")
 
+    def _boundary_classes(self, vertices: np.ndarray) -> np.ndarray:
+        """Row index into the offset table of each vertex id.
+
+        One base-3 digit per axis: 0 at coordinate 0, 1 in between and 2
+        at ``side − 1``.
+        """
+        classes = np.zeros(np.shape(vertices), dtype=np.int64)
+        rest = vertices
+        for side in reversed(self._sides):
+            rest, coord = np.divmod(rest, side)
+            classes *= 3
+            classes += coord > 0
+            classes += coord == side - 1
+        return classes
+
     def neighbor_rows(self, vertices: np.ndarray) -> np.ndarray:
         u = np.asarray(vertices, dtype=np.int64)
-        rows = np.empty((u.size, 2 * len(self._sides)), dtype=np.int64)
-        for axis, side in enumerate(self._sides):
-            stride = self._strides[axis]
-            coord = (u // stride) % side
-            rows[:, 2 * axis] = u + ((coord + 1) % side - coord) * stride
-            rows[:, 2 * axis + 1] = u + ((coord - 1) % side - coord) * stride
-        rows.sort(axis=1)
+        rows = self._offsets[self._boundary_classes(u)]
+        rows += u[:, None]
         return rows
+
+    def neighbor_at(self, vertices, positions) -> np.ndarray:
+        vertices = np.asarray(vertices, dtype=np.int64)
+        entries = self._offsets[self._boundary_classes(vertices), positions]
+        entries += vertices
+        return entries
 
     def analytic_lambda(self) -> float:
         from repro.graphs.spectral import analytic_lambda

@@ -72,11 +72,14 @@ class MemmapGraph(Graph):
     sampling streams, same dtype contract at the API surface — but the
     ``indptr``/``indices`` buffers are read-only ``np.memmap`` views, so
     construction is O(1) regardless of graph size and resident memory
-    is only the pages actually touched.  Pickling ships the directory
-    path instead of the arrays (``ships_compactly``): spawn workers
-    re-map the same files and share one physical copy of the adjacency
-    through the OS page cache.  The backing directory must therefore
-    outlive the graph and be reachable from worker processes.
+    is only the pages actually touched.  The exception is
+    :meth:`~repro.graphs.base.Graph.walk` on a graph of power-of-two
+    degree: its first call reads all of ``indices`` and keeps a private
+    ``n·r`` int64 row table in the walking process.  Pickling ships the
+    directory path instead of the arrays (``ships_compactly``): spawn
+    workers re-map the same files and share one physical copy of the
+    adjacency through the OS page cache.  The backing directory must
+    therefore outlive the graph and be reachable from worker processes.
     """
 
     __slots__ = ("_directory",)

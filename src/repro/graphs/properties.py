@@ -6,33 +6,23 @@ import numpy as np
 
 from repro.errors import GraphPropertyError
 from repro.graphs.base import Graph
-from repro.graphs.implicit import ImplicitGraph
 
 
 def _bfs_levels(graph: Graph, source: int) -> np.ndarray:
     """BFS distance from ``source`` to every vertex (-1 if unreachable).
 
-    Each level gathers the rows of the whole frontier in one pass: from
-    ``neighbor_matrix`` on a regular CSR graph, through
-    ``neighborhoods()`` otherwise (implicit graphs included).  The new
-    vertices are deduplicated against ``levels`` itself, without a sort.
+    Each level gathers the rows of the whole frontier in one
+    ``neighborhoods()`` call.  The new vertices are deduplicated against
+    ``levels`` itself, without a sort.
     """
     n = graph.n_vertices
     levels = np.full(n, -1, dtype=np.int64)
     levels[source] = 0
     frontier = np.array([source], dtype=np.int64)
-    rows = (
-        graph.neighbor_matrix
-        if graph.is_regular and not isinstance(graph, ImplicitGraph)
-        else None
-    )
     depth = 0
     while frontier.size:
         depth += 1
-        if rows is not None:
-            gather = rows[frontier].ravel()
-        else:
-            _, gather = graph.neighborhoods(frontier)
+        _, gather = graph.neighborhoods(frontier)
         fresh = gather[levels[gather] < 0]
         # A vertex reached from several frontier vertices appears once
         # per edge.  Stamping every copy with its own slot leaves one

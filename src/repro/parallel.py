@@ -336,7 +336,9 @@ class SharedGraph:
     it to spawn-started workers through a pool initializer costs
     nothing; each worker's :meth:`graph` call reattaches the segments
     and rebuilds the graph around read-only views of the shared buffers
-    (no validation, no copy).
+    (no validation, no copy).  A worker that walks a graph of
+    power-of-two degree still builds its own ``n·r`` int64 row table
+    (:meth:`~repro.graphs.base.Graph.walk`).
 
     Lifecycle: the publishing process owns the segments and must call
     :meth:`unlink` (or use the handle as a context manager) when the

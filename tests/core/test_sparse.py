@@ -104,6 +104,25 @@ WALK_GRAPHS = {
 }
 
 
+@pytest.fixture(scope="module")
+def long_walk():
+    """rr(256, 4) at k = 1, with the per-round kernel's uncapped and capped times.
+
+    Every replica needs over 1,024 rounds to cover, so a shard's run
+    spans several blocks of the longest length: blocks reach the cap,
+    are cut by finishes and grow back.  The caps fall at the first and
+    last finishes, one round before each, and inside a block.
+    """
+    graph = generators.random_regular(256, 4, seed=9)
+    kwargs = dict(branching=1.0, n_replicas=8, seed=23, shard_size=4, raise_on_timeout=False)
+    uncapped = batch_cobra_cover_times(graph, 0, **kwargs)
+    assert uncapped.min() > 1024
+    caps = {300} | {int(t) + delta for t in (uncapped.min(), uncapped.max()) for delta in (-1, 0)}
+    expected = {cap: batch_cobra_cover_times(graph, 0, max_rounds=cap, **kwargs) for cap in caps}
+    expected[None] = uncapped
+    return graph, kwargs, expected
+
+
 class TestWalkKernel:
     """Single-token COBRA steps in blocks of rounds with the per-round bits.
 
@@ -137,6 +156,19 @@ class TestWalkKernel:
             assert np.array_equal(sparse, batch), cap
             mixed += bool((batch == cap).any() and (batch == -1).any())
         assert mixed
+
+    @pytest.mark.parametrize(
+        "min_block, max_block", [(4, 4), (4, 64), (4, 256), (64, 1024)]
+    )
+    def test_block_bounds_keep_the_per_round_bits(
+        self, long_walk, monkeypatch, min_block, max_block
+    ):
+        monkeypatch.setattr("repro.core.sparse._MIN_BLOCK", min_block)
+        monkeypatch.setattr("repro.core.sparse._MAX_BLOCK", max_block)
+        graph, kwargs, expected = long_walk
+        for cap, times in expected.items():
+            sparse = sparse_cobra_cover_times(graph, 0, max_rounds=cap, **kwargs)
+            assert np.array_equal(sparse, times), cap
 
     @pytest.mark.parametrize("include_start", [False, True], ids=["paper", "with-start"])
     def test_one_replica(self, include_start):

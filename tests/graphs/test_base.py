@@ -124,6 +124,42 @@ class TestAccessors:
             graph.indptr[0] = 9
 
 
+def _expanded_rows(graph, vertices):
+    """The reference ``neighborhoods``: each vertex's ``indptr``/``indices`` slice."""
+    rows = [graph.indices[graph.indptr[v] : graph.indptr[v + 1]] for v in vertices]
+    flat = np.concatenate(rows) if rows else np.empty(0)
+    return np.diff(graph.indptr)[vertices], flat.astype(np.int64)
+
+
+class TestNeighborhoods:
+    """Regular CSR graphs gather ``neighbor_matrix`` rows; others expand slices.
+
+    Both paths must return the rows' slices of ``indices`` as int64, in
+    query order, for ``int64`` and ``int32`` storage.
+    """
+
+    GRAPHS = {
+        "rr40-6": lambda: generators.random_regular(40, 6, seed=5),
+        "q4-int32": lambda: generators.hypercube(4, index_dtype="int32"),
+        "irregular": lambda: generators.barabasi_albert(30, 2, seed=6),
+    }
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [[3, 0, 3, 7, 3], [], [5], list(range(16))],
+        ids=["repeated", "empty", "single", "all"],
+    )
+    @pytest.mark.parametrize("graph_name", list(GRAPHS))
+    def test_equals_row_expansion(self, graph_name, vertices):
+        graph = self.GRAPHS[graph_name]()
+        vertices = np.asarray(vertices, dtype=np.int64)
+        counts, flat = graph.neighborhoods(vertices)
+        expected_counts, expected_flat = _expanded_rows(graph, vertices)
+        assert counts.dtype == flat.dtype == np.dtype(np.int64)
+        assert np.array_equal(counts, expected_counts)
+        assert np.array_equal(flat, expected_flat)
+
+
 class TestSampleNeighbors:
     def test_shape(self, rng):
         graph = triangle()
@@ -234,6 +270,7 @@ class TestWalk:
 
     GRAPHS = {
         "rr64-8": lambda: generators.random_regular(64, 8, seed=1),
+        "rr64-16": lambda: generators.random_regular(64, 16, seed=4),
         "q4-int32": lambda: generators.hypercube(4, index_dtype="int32"),
         "rr60-5": lambda: generators.random_regular(60, 5, seed=2),
         "irregular": lambda: generators.barabasi_albert(50, 2, seed=3),
@@ -250,9 +287,11 @@ class TestWalk:
         graph = self.GRAPHS[graph_name]()
         walked = np.random.Generator(bit_generator(2016))
         reference = np.random.Generator(bit_generator(2016))
-        # Walker counts below, at and above one word of draws, and
+        # Walker counts below, at and above one word of draws, a long
+        # request (the walk kernel's blocks reach 256 rounds), and
         # zero-length requests; other draws interleave.
-        for walkers, rounds in [(1, 9), (16, 7), (21, 3), (70, 2), (0, 4), (5, 0)]:
+        requests = [(1, 9), (16, 7), (21, 3), (70, 2), (16, 300), (0, 4), (5, 0)]
+        for walkers, rounds in requests:
             assert walked.random() == reference.random()
             vertices = np.arange(walkers) % graph.n_vertices
             trajectory = graph.walk(vertices, rounds, walked)
@@ -261,3 +300,13 @@ class TestWalk:
             assert np.array_equal(trajectory, _chained_walk(graph, vertices, rounds, reference))
         assert _same_state(walked.bit_generator.state, reference.bit_generator.state)
         assert walked.random() == reference.random()
+
+    @pytest.mark.parametrize("graph_name", [name for name in GRAPHS if name != "implicit"])
+    def test_rejects_out_of_range_starts(self, graph_name, rng):
+        graph = self.GRAPHS[graph_name]()
+        n = graph.n_vertices
+        with pytest.raises(IndexError):
+            _chained_walk(graph, np.array([n]), 3, np.random.default_rng(0))
+        for starts in ([n], [0, n], [-1]):
+            with pytest.raises(IndexError):
+                graph.walk(np.array(starts), 3, rng)

@@ -150,14 +150,21 @@ def test_hypercube_streams_property(dimension, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    sides=st.lists(st.integers(3, 6), min_size=1, max_size=3),
+    sides=st.lists(st.integers(3, 6), min_size=1, max_size=4),
     seed=st.integers(0, 2**31 - 1),
 )
 def test_torus_streams_property(sides, seed):
+    # Up to 4 axes: 81 boundary classes (coordinate 0, side - 1 or
+    # between on each axis), every one of which some vertex falls in.
     implicit = ImplicitTorus(tuple(sides))
     concrete = generators.torus(tuple(sides))
     vertices = np.arange(implicit.n_vertices, dtype=np.int64)
     assert np.array_equal(implicit.neighbor_rows(vertices).reshape(-1), concrete.indices)
+    positions = np.random.default_rng(seed).integers(0, implicit.degree(0), (vertices.size, 3))
+    assert np.array_equal(
+        implicit.neighbor_at(vertices[:, None], positions),
+        concrete.neighbor_at(vertices[:, None], positions),
+    )
     rng_i, rng_c = np.random.default_rng(seed), np.random.default_rng(seed)
     assert np.array_equal(
         implicit.sample_neighbors(vertices, 3, rng_i),
