@@ -148,13 +148,20 @@ def _best_of(callable_, repetitions: int) -> float:
     return best
 
 
-def _median_of(callable_, repetitions: int) -> float:
-    samples = []
+def _interleaved_medians(callables, repetitions: int) -> list[float]:
+    """Median seconds of each callable, timed in turn ``repetitions`` times.
+
+    The sides of an asserted ratio run alternately (a, b, a, b, ...), so
+    a drift in machine speed between them moves both medians alike
+    instead of the ratio.
+    """
+    samples: list[list[float]] = [[] for _ in callables]
     for _ in range(repetitions):
-        started = time.perf_counter()
-        callable_()
-        samples.append(time.perf_counter() - started)
-    return sorted(samples)[len(samples) // 2]
+        for callable_, side in zip(callables, samples):
+            started = time.perf_counter()
+            callable_()
+            side.append(time.perf_counter() - started)
+    return [sorted(side)[len(side) // 2] for side in samples]
 
 
 @pytest.fixture(scope="module")
@@ -203,30 +210,32 @@ def bench_batch_speed_bars_and_determinism(benchmark, small_cell, large_cell, bi
     * ladder top: v2 batch >= 1.5x over sequential, v2 no slower than
       the preserved v1 kernel;
     * always: jobs=1 vs jobs=4 bit-identical times and trace arrays.
+
+    The sides of each asserted ratio are timed interleaved and compared
+    by their medians (:func:`_interleaved_medians`).
     """
 
     def measure() -> dict:
         matrix: dict = {"quick": BENCH_QUICK, "cpu_count": os.cpu_count(), "jobs": JOBS}
 
         # -- ladder cell: the asserted bar ---------------------------
-        sequential_small = _median_of(
-            lambda: sample_completion_times(
-                lambda rng: CobraProcess(small_cell, 0, seed=rng),
-                SMALL_REPLICAS,
-                seed=0,
-                jobs=1,
-            ),
-            3,
-        )
-        batch_small = _best_of(
-            lambda: batch_cobra_cover_times(
-                small_cell,
-                0,
-                n_replicas=SMALL_REPLICAS,
-                seed=0,
-                jobs=1,
-                shard_size=SMALL_SHARD,
-            ),
+        sequential_small, batch_small = _interleaved_medians(
+            [
+                lambda: sample_completion_times(
+                    lambda rng: CobraProcess(small_cell, 0, seed=rng),
+                    SMALL_REPLICAS,
+                    seed=0,
+                    jobs=1,
+                ),
+                lambda: batch_cobra_cover_times(
+                    small_cell,
+                    0,
+                    n_replicas=SMALL_REPLICAS,
+                    seed=0,
+                    jobs=1,
+                    shard_size=SMALL_SHARD,
+                ),
+            ],
             5,
         )
         matrix["ladder_cell"] = {
@@ -239,23 +248,20 @@ def bench_batch_speed_bars_and_determinism(benchmark, small_cell, large_cell, bi
         }
 
         # -- ladder top: reported ratios + kernel delta --------------
-        sequential_large = _median_of(
-            lambda: sample_completion_times(
-                lambda rng: CobraProcess(large_cell, 0, seed=rng),
-                LARGE_REPLICAS,
-                seed=0,
-                jobs=1,
-            ),
-            3,
-        )
-        v1_large = _best_of(
-            lambda: _v1_batch_cover_times(large_cell, LARGE_REPLICAS, 0, None), 3
-        )
-        v2_large = _best_of(
-            lambda: batch_cobra_cover_times(
-                large_cell, 0, n_replicas=LARGE_REPLICAS, seed=0, jobs=1
-            ),
-            3,
+        sequential_large, v1_large, v2_large = _interleaved_medians(
+            [
+                lambda: sample_completion_times(
+                    lambda rng: CobraProcess(large_cell, 0, seed=rng),
+                    LARGE_REPLICAS,
+                    seed=0,
+                    jobs=1,
+                ),
+                lambda: _v1_batch_cover_times(large_cell, LARGE_REPLICAS, 0, None),
+                lambda: batch_cobra_cover_times(
+                    large_cell, 0, n_replicas=LARGE_REPLICAS, seed=0, jobs=1
+                ),
+            ],
+            5,
         )
         started = time.perf_counter()
         pooled_times = batch_cobra_cover_times(

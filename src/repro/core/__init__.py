@@ -13,7 +13,10 @@ with a per-round graph snapshot.  The ``batch``, ``sparse`` and
 """
 
 from repro.core.batch import (
+    BatchOutcome,
     BatchTraces,
+    BipsLaw,
+    CobraLaw,
     batch_bips_infection_times,
     batch_bips_traces,
     batch_cobra_cover_times,
@@ -66,6 +69,9 @@ __all__ = [
     "batch_cobra_traces",
     "batch_bips_traces",
     "BatchTraces",
+    "BatchOutcome",
+    "CobraLaw",
+    "BipsLaw",
     "sparse_cobra_cover_times",
     "sparse_bips_infection_times",
     "event_cobra_cover_times",

@@ -36,6 +36,30 @@ fractional ``k = 1 + ρ`` regime of Theorem 3; the test suite checks
 distributional agreement against the sequential engines, and the BIPS
 infection-time law against :class:`~repro.exact.bips_exact.ExactBips`.
 
+**Law values.**  Each kernel also takes one law value beyond the
+branching factor, :class:`CobraLaw` or :class:`BipsLaw`; the defaults
+are the paper's processes, with the bits the kernels had before law
+values existed.  The other laws the experiments use are the same two
+round rules with one knob turned:
+
+* lossy COBRA (``CobraLaw(loss=p)``, E13) thins the pick kernel's
+  picks, one coin per pick drawn after the round's picks;
+* lossy BIPS (``BipsLaw(loss=p)``) maps ``q → (1 − p)·q`` in the count
+  kernel's threshold table, and ``reach_all=True`` (E13) reads the goal
+  from the ever-infected set;
+* plain SIS (``BipsLaw(persistent_source=False)``, E10) arms the source
+  like any vertex and forces nothing infected.
+
+The process classes stay the readable oracle these laws are tested
+against (``tests/core/test_batch_laws.py``).  Lossy COBRA and SIS can
+die out.  **An extinction is not a timeout:** ``-1`` still means only
+that a replica was running at ``max_rounds``, so ``raise_on_timeout``
+raises only for those, and a call with a ``law=`` returns a
+:class:`BatchOutcome` whose ``extinct`` mask says which runs ended in
+the empty state (SIS: at the round the set emptied).  The trace and
+watched-set modes run the paper's laws only, and the sparse engine
+(:mod:`repro.core.sparse`) takes no law value.
+
 Two output modes share one kernel per process:
 
 * the *times* engines (:func:`batch_cobra_cover_times`,
@@ -80,6 +104,7 @@ from repro.core.process import (
     reject_isolated_vertices,
     resolve_vertex,
     validate_branching,
+    validate_loss,
 )
 from repro.core.runner import default_max_rounds
 from repro.errors import CoverTimeoutError, InfectionTimeoutError
@@ -207,6 +232,101 @@ class BatchTraces:
         return np.concatenate([head, self.active_counts[replica, :stop]])
 
 
+@dataclass(frozen=True)
+class CobraLaw:
+    """The round rule of :func:`batch_cobra_cover_times` beyond its branching.
+
+    ``loss`` drops each pick independently with this probability, as
+    :class:`~repro.core.cobra.CobraProcess` does: one thinning coin per
+    pick, drawn after the round's picks and branching coins.  A replica
+    none of whose picks survives a round dies (message loss extension,
+    experiment E13).  ``CobraLaw()`` is the paper's lossless COBRA.
+    """
+
+    loss: float = 0.0
+
+    def __post_init__(self) -> None:
+        validate_loss(self.loss)
+
+
+@dataclass(frozen=True)
+class BipsLaw:
+    """The round rule of :func:`batch_bips_infection_times` beyond its branching.
+
+    * ``loss``: each contact fails with this probability, so a vertex
+      with infected-neighbour fraction ``q`` sees ``(1 − loss)·q``, the
+      law of :class:`~repro.core.bips.BipsProcess` and
+      :class:`~repro.exact.bips_exact.ExactBips`.
+    * ``persistent_source``: whether the source stays infected (BIPS).
+      Without it the source is one more vertex and the rule is plain SIS
+      refresh dynamics (:class:`~repro.core.sis.SisProcess`): the empty
+      state absorbs, and a replica that reaches it is extinct.
+    * ``reach_all``: the goal.  ``False`` is ``infec(v)``, every vertex
+      infected in one round; ``True`` is the first round by which every
+      vertex has been infected at least once (the source counts from
+      round 0), the coverage metric under loss (E13).
+
+    ``BipsLaw()`` is the paper's BIPS.
+    """
+
+    loss: float = 0.0
+    persistent_source: bool = True
+    reach_all: bool = False
+
+    def __post_init__(self) -> None:
+        validate_loss(self.loss)
+
+
+@dataclass(frozen=True)
+class BatchOutcome:
+    """How each replica of an ensemble run under an explicit law ended.
+
+    Attributes
+    ----------
+    completion_times:
+        ``(R,)`` round at which each replica's run ended: at its goal,
+        or in the empty state where ``extinct``.  ``-1`` marks a timeout
+        only: the run was still going at ``max_rounds``.
+    extinct:
+        ``(R,)`` whether the run ended in the empty state (SIS, lossy
+        COBRA); never set for a law that cannot die.
+    """
+
+    completion_times: np.ndarray
+    extinct: np.ndarray
+
+    @property
+    def goal_times(self) -> np.ndarray:
+        """Completion rounds of the replicas that reached their goal."""
+        return self.completion_times[(self.completion_times >= 0) & ~self.extinct]
+
+    @property
+    def extinction_times(self) -> np.ndarray:
+        """Rounds at which the extinct replicas emptied."""
+        return self.completion_times[self.extinct]
+
+    @property
+    def timeouts(self) -> int:
+        """Replicas still running at ``max_rounds``."""
+        return int(np.count_nonzero(self.completion_times < 0))
+
+
+#: The paper's laws, which the trace and watched-set modes always run.
+_PAPER_COBRA = CobraLaw()
+_PAPER_BIPS = BipsLaw()
+
+#: A shard reports a replica that died in round ``t`` as ``_DIED - t``,
+#: so one int64 array carries goals (``t >= 1``), timeouts (``-1``) and
+#: deaths (``<= -3``); :func:`_outcome` splits it.
+_DIED = -2
+
+
+def _outcome(times: np.ndarray) -> BatchOutcome:
+    """Split a shard-encoded times array into a :class:`BatchOutcome`."""
+    extinct = times < -1
+    return BatchOutcome(np.where(extinct, _DIED - times, times), extinct)
+
+
 class _ShardTraceRecorder:
     """Per-round values of one shard, scattered by replica id.
 
@@ -247,18 +367,24 @@ def _cobra_shard(
     Returns the cover times, or ``(times, active, newly,
     transmissions)`` matrices when tracing is requested, or ``(times,
     seen)`` when ``watch`` is a vertex array: ``seen[i, t - 1]`` says
-    whether ``C_t`` meets the watched set in replica ``i``.
+    whether ``C_t`` meets the watched set in replica ``i``.  Under a
+    lossy :class:`CobraLaw` a replica that dies in round ``t`` reads
+    ``_DIED - t``.
     """
-    graph, start, mandatory, rho, max_rounds, include_start_in_cover, record, watch = context
+    graph, start, mandatory, rho, max_rounds, include_start_in_cover, record, watch, law = (
+        context
+    )
     graph = resolve_shared_graph(graph)
     n_replicas = stop_index - start_index
     rng = ensure_generator(seed)
     n = graph.n_vertices
+    loss = law.loss
     # Rows are padded to a power-of-two pitch so the flat active
     # positions decompose into (row base, vertex) with a mask instead
     # of an integer division; padding columns are never set.
     stride = 1 << (n - 1).bit_length() if n > 1 else 1
     vertex_mask = stride - 1
+    row_shift = stride.bit_length() - 1
 
     # Row i of every buffer belongs to replica ``replica_ids[i]``; rows
     # of finished replicas are compacted away, so ``[:live]`` is always
@@ -290,15 +416,31 @@ def _cobra_shard(
         next_state = scratch[:live]
         next_state[...] = False
         flat_next = next_state.ravel()
-        # Single flat scatter for all mandatory draws of all replicas.
         picks += bases[:, None]
-        flat_next[picks] = True
-        branch = None
+        branch = extra = died = None
         if rho > 0.0:
             branch = rng.random(columns.size) < rho
             if branch.any():
                 extra = graph.sample_neighbors(columns[branch], 1, rng).ravel()
-                flat_next[bases[branch] + extra] = True
+                extra += bases[branch]
+        if loss > 0.0:
+            # One thinning coin per pick, after every pick and branching
+            # coin, as CobraProcess draws them: the mandatory picks first.
+            drawn = picks.size
+            survives = rng.random(drawn + (0 if extra is None else extra.size)) >= loss
+            picks = picks.ravel()[survives[:drawn]]
+            if extra is not None:
+                extra = extra[survives[drawn:]]
+            # A replica none of whose picks survived dies this round.
+            alive = np.zeros(live, dtype=bool)
+            alive[picks >> row_shift] = True
+            if extra is not None:
+                alive[extra >> row_shift] = True
+            died = ~alive
+        # Single flat scatter for all mandatory draws of all replicas.
+        flat_next[picks] = True
+        if extra is not None:
+            flat_next[extra] = True
         cumulative = covered[:live]
         if recorder is not None:
             fresh = np.greater(next_state, cumulative, out=newly[:live])  # next & ~covered
@@ -314,10 +456,15 @@ def _cobra_shard(
             watcher.record(replica_ids[:live], next_state[:, watch].any(axis=-1))
         cumulative |= next_state
         counts = np.sum(cumulative, axis=-1, out=covered_counts[:live])
+        ended = None
         if int(counts.max()) == n:
-            done = counts == n
-            keep = ~done
-            cover_times[replica_ids[:live][done]] = round_index
+            ended = counts == n
+            cover_times[replica_ids[:live][ended]] = round_index
+        if died is not None and died.any():
+            cover_times[replica_ids[:live][died]] = _DIED - round_index
+            ended = died if ended is None else ended | died
+        if ended is not None:
+            keep = ~ended
             live = int(keep.sum())
             active[:live] = next_state[keep]
             covered[:live] = cumulative[keep]
@@ -342,7 +489,10 @@ class _InfectionLaw:
     ``u < ρ·h₁`` or ``ρ ≤ u < ρ + (1 − ρ)·h₀``: ``u < ρ`` is its
     branching coin, and on either side of ``ρ`` the rescaled ``u`` is a
     fresh uniform.  That is probability ``1 − (1 − q)^m·(1 − ρ·q)``,
-    the law :class:`~repro.exact.bips_exact.ExactBips` uses.
+    the law :class:`~repro.exact.bips_exact.ExactBips` uses.  Under
+    per-contact ``loss`` a sample sees an infected neighbour with
+    probability ``(1 − loss)·q`` instead of ``q``, which is all the
+    table changes.
 
     Both thresholds are tabulated per ``(degree, count)``: ``index(v,
     c) = offsets[v] + c``, with ``offsets`` ``None`` on a regular graph
@@ -350,7 +500,7 @@ class _InfectionLaw:
     equal indices and uniforms give equal bits.
     """
 
-    def __init__(self, graph: Graph, mandatory: int, rho: float) -> None:
+    def __init__(self, graph: Graph, mandatory: int, rho: float, loss: float = 0.0) -> None:
         if graph.is_regular:
             distinct = np.array([graph.regular_degree], dtype=np.int64)
         else:
@@ -362,7 +512,8 @@ class _InfectionLaw:
         if not graph.is_regular:
             starts = np.cumsum(distinct + 1) - (distinct + 1)
             self.offsets = starts[inverse].astype(self.index_dtype)
-        miss = 1.0 - counts / np.repeat(distinct, distinct + 1)
+        fraction = counts / np.repeat(distinct, distinct + 1)
+        miss = 1.0 - (1.0 - loss) * fraction
         all_miss = miss**mandatory
         self.rho = rho
         self.low = rho * (1.0 - all_miss * miss)
@@ -371,10 +522,10 @@ class _InfectionLaw:
 
     def infected(self, uniforms: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Whether each armed vertex is infected, given its uniform and index."""
-        high = np.take(self.high, index)
+        high = self.high.take(index)
         if self.rho == 0.0:
             return uniforms < high
-        low = np.take(self.low, index)
+        low = self.low.take(index)
         return uniforms < np.where(uniforms < self.rho, low, high)
 
 
@@ -419,8 +570,14 @@ def _bips_shard(
     :class:`_InfectionLaw`.  The state is vertex-major, ``(n, live)``,
     so each neighbour slot is one row gather; the counts are turned
     replica-major to list the armed pairs in draw order.
+
+    ``law`` (a :class:`BipsLaw`) sets the loss in the threshold table,
+    whether the source is kept out of the armed pairs and forced
+    infected (without a persistent source a replica whose infected set
+    empties in round ``t`` reads ``_DIED - t``), and whether the goal is
+    read from the current or the ever-infected set.
     """
-    graph, source, mandatory, rho, max_rounds, record, watch = context
+    graph, source, mandatory, rho, max_rounds, record, watch, law = context
     graph = resolve_shared_graph(graph)
     n_replicas = stop_index - start_index
     rng = ensure_generator(seed)
@@ -429,9 +586,10 @@ def _bips_shard(
     # ``rng`` and the completion times stay the times engine's.
     coins = np.random.Generator(rng.bit_generator.jumped()) if record and rho > 0.0 else None
     n = graph.n_vertices
-    law = _InfectionLaw(graph, mandatory, rho)
+    table = _InfectionLaw(graph, mandatory, rho, law.loss)
+    persistent = law.persistent_source
     slots, rank = _neighbour_slots(graph)
-    index_dtype = law.index_dtype
+    index_dtype = table.index_dtype
     cells = n_replicas * n
 
     def block(buffer: np.ndarray, rows: int, columns: int) -> np.ndarray:
@@ -449,44 +607,55 @@ def _bips_shard(
     infection_times = np.full(n_replicas, -1, dtype=np.int64)
     replica_ids = np.arange(n_replicas)
     recorder = _ShardTraceRecorder(n_replicas) if record else None
-    if recorder is not None:
+    ever_infected = None
+    if recorder is not None or law.reach_all:
         ever_infected = np.zeros((n_replicas, n), dtype=np.uint8)
         ever_infected[:, source] = 1
+    if recorder is not None:
         newly = np.empty((n_replicas, n), dtype=bool)
     watcher = _ShardTraceRecorder(n_replicas, (bool,)) if watch is not None else None
 
-    live = n_replicas
-    for round_index in range(1, max_rounds + 1):
-        if live == 0:
-            break
+    def views(live: int) -> tuple:
+        # The buffers' blocks for ``live`` replicas, built again only
+        # when finished replicas are compacted away: a round on a few
+        # live replicas costs its NumPy calls, not their set-up.
         state = block(state_buffer, n, live)
         gathered = block(gathered_buffer, n, live)
         counts = block(counts_buffer, n, live)
+        sums = [(slot, gathered[: slot.size], counts[: slot.size]) for slot in slots]
+        ranked = None if rank is None else block(ranked_buffer, n, live)
+        rows = (block(buffer, live, n) for buffer in (index_buffer, armed_buffer, next_buffer))
+        return (state, counts, sums, ranked, *rows)
+
+    live = n_replicas
+    state, counts, sums, ranked, index, armed, next_state = views(live)
+    for round_index in range(1, max_rounds + 1):
+        if live == 0:
+            break
         counts.fill(0)
-        for slot in slots:
-            rows = slot.size
-            np.take(state, slot, axis=0, out=gathered[:rows], mode="clip")
-            counts[:rows] += gathered[:rows]
-        if rank is not None:
-            counts = np.take(counts, rank, axis=0, out=block(ranked_buffer, n, live), mode="clip")
-        index = block(index_buffer, live, n)
-        index[...] = counts.T
-        armed = np.greater(index, 0, out=block(armed_buffer, live, n))
-        armed[:, source] = False
-        positions = np.flatnonzero(armed)
+        for slot, gathered_rows, counts_rows in sums:
+            state.take(slot, axis=0, out=gathered_rows, mode="clip")
+            counts_rows += gathered_rows
+        if ranked is None:
+            index[...] = counts.T
+        else:
+            index[...] = counts.take(rank, axis=0, out=ranked, mode="clip").T
+        np.greater(index, 0, out=armed)
+        if persistent:
+            armed[:, source] = False
+        positions = armed.ravel().nonzero()[0]
         uniforms = rng.random(positions.size)
-        if law.offsets is not None:
-            index += law.offsets
-        hit = law.infected(uniforms, np.take(index.ravel(), positions))
-        next_state = block(next_buffer, live, n)
+        if table.offsets is not None:
+            index += table.offsets
+        hit = table.infected(uniforms, index.ravel().take(positions))
         next_state.fill(0)
         next_state.ravel()[positions] = hit
-        next_state[:, source] = 1
+        if persistent:
+            next_state[:, source] = 1
         infected_counts = np.count_nonzero(next_state, axis=-1)
         if recorder is not None:
             fresh = np.greater(next_state, ever_infected[:live], out=newly[:live])
             fresh_counts = fresh.sum(axis=-1)
-            ever_infected[:live] |= next_state
             # Contacts per replica, the persistent source's excluded:
             # ``m`` per non-source vertex, plus one per fired coin.
             transmissions = np.full(live, (n - 1) * mandatory, dtype=np.int64)
@@ -498,16 +667,30 @@ def _bips_shard(
             recorder.record(replica_ids[:live], infected_counts, fresh_counts, transmissions)
         if watcher is not None:
             watcher.record(replica_ids[:live], next_state[:, watch].any(axis=-1))
-        done = infected_counts == n
-        if done.any():
-            keep = ~done
+        if ever_infected is not None:
+            ever_infected[:live] |= next_state
+        if law.reach_all:
+            done = np.count_nonzero(ever_infected[:live], axis=-1) == n
+        else:
+            done = infected_counts == n
+        ended = done
+        if not persistent:
+            died = infected_counts == 0
+            ended = done | died
+        if ended.any():
+            keep = ~ended
             infection_times[replica_ids[:live][done]] = round_index
-            next_state = next_state[keep]
-            replica_ids[: next_state.shape[0]] = replica_ids[:live][keep]
-            if recorder is not None:
-                ever_infected[: next_state.shape[0]] = ever_infected[:live][keep]
-            live = next_state.shape[0]
-        block(state_buffer, n, live)[...] = next_state.T
+            if not persistent:
+                infection_times[replica_ids[:live][died]] = _DIED - round_index
+            kept = next_state[keep]
+            live = kept.shape[0]
+            replica_ids[:live] = replica_ids[: keep.size][keep]
+            if ever_infected is not None:
+                ever_infected[:live] = ever_infected[: keep.size][keep]
+            state, counts, sums, ranked, index, armed, next_state = views(live)
+            state[...] = kept.T
+        else:
+            state[...] = next_state.T
 
     if watcher is not None:
         return watcher.finalize(infection_times)
@@ -607,9 +790,11 @@ def _watched_ensemble(
         jobs=None,
     )
     if process == "cobra":
-        kernel, parameters = _cobra_shard, (origin, mandatory, rho, rounds, False, False, watch)
+        kernel = _cobra_shard
+        parameters = (origin, mandatory, rho, rounds, False, False, watch, _PAPER_COBRA)
     else:
-        kernel, parameters = _bips_shard, (origin, mandatory, rho, rounds, False, watch)
+        kernel = _bips_shard
+        parameters = (origin, mandatory, rho, rounds, False, watch, _PAPER_BIPS)
     return _merge_traces(
         _run_sharded(kernel, graph, parameters, n_replicas, seed, None, None), rounds
     )
@@ -624,7 +809,8 @@ def _check_timeouts(
     max_rounds: int,
     error_cls: type = CoverTimeoutError,
 ) -> None:
-    timed_out = int((times < 0).sum())
+    # Only -1 is a timeout: a shard's death code (below -1) is not.
+    timed_out = int(np.count_nonzero(times == -1))
     if timed_out and raise_on_timeout:
         raise error_cls(
             f"{timed_out}/{times.size} {process_name} replicas on {graph.name} "
@@ -675,7 +861,8 @@ def batch_cobra_cover_times(
     raise_on_timeout: bool = True,
     jobs: int | None = None,
     shard_size: int | None = None,
-) -> np.ndarray:
+    law: CobraLaw | None = None,
+) -> np.ndarray | BatchOutcome:
     """Cover times of ``n_replicas`` independent COBRA runs.
 
     Equivalent in distribution to ``n_replicas`` independent
@@ -688,7 +875,11 @@ def batch_cobra_cover_times(
 
     Returns an int64 array of length ``n_replicas``; timeouts raise
     :class:`~repro.errors.CoverTimeoutError` (default) or are reported
-    as ``-1``.
+    as ``-1``.  With a ``law`` (:class:`CobraLaw`, e.g. a per-message
+    loss) it returns a :class:`BatchOutcome` instead, whose ``extinct``
+    marks the replicas that died; a death is never a timeout, so only
+    real timeouts raise.  ``CobraLaw()`` returns the bits of the
+    default call.
     """
     start, mandatory, rho, max_rounds = _cobra_arguments(
         graph, start, branching, n_replicas, max_rounds
@@ -701,12 +892,15 @@ def batch_cobra_cover_times(
         shard_size=shard_size,
         jobs=jobs,
     )
-    parameters = (start, mandatory, rho, max_rounds, include_start_in_cover, False, None)
+    parameters = (
+        start, mandatory, rho, max_rounds, include_start_in_cover, False, None,
+        _PAPER_COBRA if law is None else law,
+    )
     times = np.concatenate(
         _run_sharded(_cobra_shard, graph, parameters, n_replicas, seed, shard_size, jobs)
     )
     _check_timeouts(times, raise_on_timeout, "COBRA", "cover", graph, max_rounds)
-    return times
+    return times if law is None else _outcome(times)
 
 
 def batch_cobra_traces(
@@ -745,7 +939,9 @@ def batch_cobra_traces(
         shard_size=shard_size,
         jobs=jobs,
     )
-    parameters = (start, mandatory, rho, max_rounds, include_start_in_cover, True, None)
+    parameters = (
+        start, mandatory, rho, max_rounds, include_start_in_cover, True, None, _PAPER_COBRA
+    )
     times, active, newly, transmissions = _merge_traces(
         _run_sharded(_cobra_shard, graph, parameters, n_replicas, seed, shard_size, jobs)
     )
@@ -789,7 +985,8 @@ def batch_bips_infection_times(
     raise_on_timeout: bool = True,
     jobs: int | None = None,
     shard_size: int | None = None,
-) -> np.ndarray:
+    law: BipsLaw | None = None,
+) -> np.ndarray | BatchOutcome:
     """Infection times of ``n_replicas`` independent BIPS runs.
 
     Each round counts every vertex's infected neighbours with one row
@@ -805,6 +1002,13 @@ def batch_bips_infection_times(
     :class:`~repro.errors.GraphPropertyError`.  Timeouts raise
     :class:`~repro.errors.InfectionTimeoutError` (default) or are
     reported as ``-1``.
+
+    With a ``law`` (:class:`BipsLaw`: per-contact loss, no persistent
+    source for plain SIS, or the reach-every-vertex goal) it returns a
+    :class:`BatchOutcome`, whose ``extinct`` marks the SIS replicas
+    whose infected set emptied; an extinction is never a timeout.
+    ``source`` is then SIS's initially infected vertex.  ``BipsLaw()``
+    returns the bits of the default call.
     """
     source, mandatory, rho, max_rounds = _bips_arguments(
         graph, source, branching, n_replicas, max_rounds
@@ -817,15 +1021,18 @@ def batch_bips_infection_times(
         shard_size=shard_size,
         jobs=jobs,
     )
-    parameters = (source, mandatory, rho, max_rounds, False, None)
+    parameters = (
+        source, mandatory, rho, max_rounds, False, None, _PAPER_BIPS if law is None else law
+    )
     times = np.concatenate(
         _run_sharded(_bips_shard, graph, parameters, n_replicas, seed, shard_size, jobs)
     )
+    goal = "reach every vertex" if law is not None and law.reach_all else "infect"
     _check_timeouts(
-        times, raise_on_timeout, "BIPS", "infect", graph, max_rounds,
+        times, raise_on_timeout, "BIPS", goal, graph, max_rounds,
         error_cls=InfectionTimeoutError,
     )
-    return times
+    return times if law is None else _outcome(times)
 
 
 def batch_bips_traces(
@@ -861,7 +1068,7 @@ def batch_bips_traces(
         shard_size=shard_size,
         jobs=jobs,
     )
-    parameters = (source, mandatory, rho, max_rounds, True, None)
+    parameters = (source, mandatory, rho, max_rounds, True, None, _PAPER_BIPS)
     times, active, newly, transmissions = _merge_traces(
         _run_sharded(_bips_shard, graph, parameters, n_replicas, seed, shard_size, jobs)
     )

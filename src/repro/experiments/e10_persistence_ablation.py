@@ -14,16 +14,21 @@ sampling:
   absorbing for SIS too;
 * BIPS — extinction is impossible, and full infection arrives in
   ``O(log n)`` rounds on the expander, every run.
+
+Both run on the batch count kernel
+(:func:`~repro.core.batch.batch_bips_infection_times`), whose law value
+is the one difference: plain SIS is ``BipsLaw(persistent_source=False)``,
+which arms the seed like any vertex, forces nothing infected, and
+reports a replica whose infected set empties as extinct (with the round
+it emptied), never as a timeout.  :class:`~repro.core.sis.SisProcess`
+is the per-replica oracle the tests compare that law with.
 """
 
 from __future__ import annotations
 
-from repro._rng import spawn_generators
 from repro.analysis.stats import proportion_ci, summarize
 from repro.analysis.tables import Table
-from repro.core.bips import BipsProcess
-from repro.core.runner import run_process
-from repro.core.sis import SisProcess
+from repro.core.batch import BipsLaw, batch_bips_infection_times
 from repro.experiments.results import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.sweep import expander_with_gap
@@ -38,7 +43,7 @@ SPEC = ExperimentSpec(
         "same dynamics die out with constant probability from a single seed"
     ),
     paper_reference="Section 1 (BIPS definition and BVDV motivation)",
-    version="2",
+    version="3",
 )
 
 #: Workload type this experiment runs from.
@@ -49,6 +54,10 @@ PRESETS = {
     "quick": E10Workload(n=256, r=6, sis_trials=300, bips_trials=50),
     "full": E10Workload(n=256, r=6, sis_trials=2000, bips_trials=200),
 }
+
+
+#: Plain SIS: BIPS's round rule without the persistent source.
+SIS = BipsLaw(persistent_source=False)
 
 
 def preset(mode: str) -> E10Workload:
@@ -72,20 +81,18 @@ def run(workload: E10Workload, seed: int = 0) -> ExperimentResult:
     )
     sis_extinction_probability: dict[float, float] = {}
     for branching in (1.0, 2.0):
-        extinction_times: list[int] = []
-        completion_times: list[int] = []
-        timeouts = 0
-        for rng in spawn_generators((seed, int(branching), 101), sis_trials):
-            process = SisProcess(graph, 0, branching=branching, seed=rng)
-            result = run_process(process, max_rounds=round_cap)
-            if result.extinct:
-                extinction_times.append(process.extinction_time)
-            elif result.completed:
-                completion_times.append(result.completion_time)
-            else:
-                timeouts += 1
-        extinct = len(extinction_times)
-        full = len(completion_times)
+        sis = batch_bips_infection_times(
+            graph,
+            0,
+            branching=branching,
+            n_replicas=sis_trials,
+            seed=(seed, int(branching), 101),
+            max_rounds=round_cap,
+            raise_on_timeout=False,
+            law=SIS,
+        )
+        extinction_times, completion_times = sis.extinction_times, sis.goal_times
+        extinct, full, timeouts = extinction_times.size, completion_times.size, sis.timeouts
         probability = extinct / sis_trials
         sis_extinction_probability[branching] = probability
         ci = proportion_ci(extinct, sis_trials)
@@ -96,16 +103,19 @@ def run(workload: E10Workload, seed: int = 0) -> ExperimentResult:
                 branching,
                 probability,
                 f"[{ci[0]:.3f}, {ci[1]:.3f}]",
-                summarize(extinction_times).mean if extinction_times else None,
-                summarize(completion_times).mean if completion_times else None,
+                summarize(extinction_times).mean if extinct else None,
+                summarize(completion_times).mean if full else None,
             ]
         )
 
-    bips_times: list[int] = []
-    for rng in spawn_generators((seed, 3, 102), bips_trials):
-        process = BipsProcess(graph, 0, branching=2.0, seed=rng)
-        result = run_process(process, max_rounds=round_cap, raise_on_timeout=True)
-        bips_times.append(result.completion_time)
+    bips_times = batch_bips_infection_times(
+        graph,
+        0,
+        branching=2.0,
+        n_replicas=bips_trials,
+        seed=(seed, 3, 102),
+        max_rounds=round_cap,
+    )
     bips_stats = summarize(bips_times)
     outcomes.add_row(["BIPS (persistent)", 2.0, bips_trials, 0, bips_trials, 0])
     details.add_row(["BIPS (persistent)", 2.0, 0.0, "[0, 0]", None, bips_stats.mean])

@@ -14,20 +14,34 @@ questions the paper's machinery answers:
   logarithmic while ``(1−p)k > 1`` — but unlike the lossless process
   it can *die* (all messages of all tokens lost in one round), which
   the experiment quantifies alongside the slowdown.
+
+The ensembles run on the batch round kernels with a law value each:
+lossy COBRA is ``CobraLaw(loss=p)`` on the pick kernel (one thinning
+coin per pick; a replica whose picks are all lost is reported as
+extinct, not as a timeout), and lossy BIPS is ``BipsLaw(loss=p,
+reach_all=True)`` on the count kernel (``q → (1 − p)·q`` in its
+threshold table, and the goal read from the ever-infected set).
+:class:`~repro.core.cobra.CobraProcess` and
+:class:`~repro.core.bips.BipsProcess` are the per-replica oracles the
+tests compare those laws with.
 """
 
 from __future__ import annotations
 
-from repro._rng import spawn_generators
 from repro.analysis.stats import proportion_ci, summarize
 from repro.analysis.tables import Table
-from repro.core.bips import BipsProcess
-from repro.core.cobra import CobraProcess
-from repro.core.runner import run_process
+from repro.core.batch import (
+    BatchOutcome,
+    BipsLaw,
+    CobraLaw,
+    batch_bips_infection_times,
+    batch_cobra_cover_times,
+)
 from repro.exact.duality import duality_gaps
 from repro.experiments.results import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.sweep import expander_with_gap
+from repro.graphs.base import Graph
 from repro.graphs.generators import complete, cycle, petersen
 from repro.scenarios.base import preset_workload, workload_label
 from repro.scenarios.workloads import E13Workload
@@ -41,7 +55,7 @@ SPEC = ExperimentSpec(
         "probability for COBRA"
     ),
     paper_reference="extension of Theorems 3 and 4 (choice-set thinning)",
-    version="3",
+    version="4",
 )
 
 #: Workload type this experiment runs from.
@@ -71,6 +85,22 @@ PRESETS = {
 def preset(mode: str) -> E13Workload:
     """The quick or full workload."""
     return preset_workload(PRESETS, mode)
+
+
+def _lossy_cobra(
+    graph: Graph, loss: float, samples: int, seed: tuple, round_cap: int
+) -> BatchOutcome:
+    """``samples`` k = 2 COBRA runs under per-message ``loss``; timeouts stay ``-1``."""
+    return batch_cobra_cover_times(
+        graph,
+        0,
+        branching=2.0,
+        n_replicas=samples,
+        seed=seed,
+        max_rounds=round_cap,
+        raise_on_timeout=False,
+        law=CobraLaw(loss=loss),
+    )
 
 
 def run(workload: E13Workload, seed: int = 0) -> ExperimentResult:
@@ -112,31 +142,27 @@ def run(workload: E13Workload, seed: int = 0) -> ExperimentResult:
     )
     cobra_means: dict[float, float] = {}
     for loss in workload.loss_rates:
-        cover_times: list[int] = []
-        deaths = 0
-        for rng in spawn_generators((seed, int(loss * 100), 131), samples):
-            process = CobraProcess(graph, 0, branching=2.0, loss_probability=loss, seed=rng)
-            result = run_process(process, max_rounds=round_cap)
-            if result.completed:
-                cover_times.append(result.completion_time)
-            elif result.extinct:
-                deaths += 1
+        cobra = _lossy_cobra(graph, loss, samples, (seed, int(loss * 100), 131), round_cap)
+        cover_times = cobra.goal_times
+        deaths = int(cobra.extinct.sum())
         # BIPS under loss: the full state is no longer absorbing (a
         # saturated vertex keeps its infection only w.p. 1 - p^k), so
         # simultaneous full infection effectively never occurs at
         # moderate p.  The meaningful coverage metric — and the dual of
         # COBRA's cover — is the first round by which every vertex has
-        # been infected at least once.
-        reach_all_times: list[int] = []
-        for rng in spawn_generators((seed, int(loss * 100), 132), max(samples // 4, 25)):
-            process = BipsProcess(graph, 0, branching=2.0, loss_probability=loss, seed=rng)
-            while process.cumulative_count < graph_n and process.round_index < round_cap:
-                process.step()
-            if process.cumulative_count < graph_n:
-                raise RuntimeError("lossy BIPS failed to reach every vertex in the cap")
-            reach_all_times.append(process.round_index)
+        # been infected at least once.  A replica still short of it at
+        # the round cap raises InfectionTimeoutError.
+        reach_all = batch_bips_infection_times(
+            graph,
+            0,
+            branching=2.0,
+            n_replicas=max(samples // 4, 25),
+            seed=(seed, int(loss * 100), 132),
+            max_rounds=round_cap,
+            law=BipsLaw(loss=loss, reach_all=True),
+        )
         ci = proportion_ci(deaths, samples)
-        cover_mean = summarize(cover_times).mean if cover_times else float("nan")
+        cover_mean = summarize(cover_times).mean if cover_times.size else float("nan")
         cobra_means[loss] = cover_mean
         cost.add_row(
             [
@@ -145,7 +171,7 @@ def run(workload: E13Workload, seed: int = 0) -> ExperimentResult:
                 cover_mean,
                 f"{deaths}/{samples}",
                 f"[{ci[0]:.3f}, {ci[1]:.3f}]",
-                summarize(reach_all_times).mean,
+                summarize(reach_all.completion_times).mean,
             ]
         )
 
@@ -154,15 +180,8 @@ def run(workload: E13Workload, seed: int = 0) -> ExperimentResult:
         ["loss p", "effective k", "covered", "died", "P(cover)"]
     )
     for loss in workload.critical_sweep:
-        covered = 0
-        died = 0
-        for rng in spawn_generators((seed, int(loss * 1000), 133), samples):
-            process = CobraProcess(graph, 0, branching=2.0, loss_probability=loss, seed=rng)
-            result = run_process(process, max_rounds=round_cap)
-            if result.completed:
-                covered += 1
-            elif result.extinct:
-                died += 1
+        cobra = _lossy_cobra(graph, loss, samples, (seed, int(loss * 1000), 133), round_cap)
+        covered, died = cobra.goal_times.size, int(cobra.extinct.sum())
         transition.add_row(
             [loss, 2.0 * (1.0 - loss), covered, died, covered / samples]
         )

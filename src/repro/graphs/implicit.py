@@ -54,11 +54,16 @@ _CHUNK_ENTRIES = 1 << 19
 class ImplicitGraph(Graph):
     """A regular graph whose neighbour rows are computed, not stored.
 
-    Subclasses implement :meth:`neighbor_rows` (the sorted ``(F, r)``
-    neighbour rows of a vertex batch) plus :meth:`analytic_lambda` and
-    :meth:`_constructor_args`, and may override :meth:`neighbor_at`
-    with a closed form; everything else — sampling, degrees, edge
-    iteration, materialisation, pickling, equality — is derived here.
+    Subclasses implement :meth:`_rows` (the sorted ``(F, r)`` neighbour
+    rows of a vertex batch) plus :meth:`analytic_lambda` and
+    :meth:`_constructor_args`, and may override :meth:`_entries` with a
+    closed form; everything else — sampling, degrees, edge iteration,
+    materialisation, pickling, equality — is derived here.  The public
+    reads (:meth:`neighbor_rows`, :meth:`neighbor_at`,
+    :meth:`sample_neighbors`, :meth:`walk`, :meth:`neighborhoods`) check
+    their vertex ids once per call and raise :class:`IndexError` for an
+    id outside ``[0, n)``, which a CSR graph's gathers would not take
+    either; the subclass hooks compute from ids already checked.
     Instances are immutable and hold nothing that grows with ``n``:
     O(1), or O(3^d·d) for a ``d``-dimensional :class:`ImplicitTorus`.
     """
@@ -82,8 +87,8 @@ class ImplicitGraph(Graph):
 
     # -- the subclass contract -----------------------------------------
 
-    def neighbor_rows(self, vertices: np.ndarray) -> np.ndarray:
-        """Sorted neighbour rows of ``vertices`` as an ``(F, r)`` array.
+    def _rows(self, vertices: np.ndarray) -> np.ndarray:
+        """Sorted neighbour rows of the int64 ids ``vertices``, ``(F, r)``.
 
         Row ``i`` must equal what ``indices[indptr[v]:indptr[v+1]]``
         would hold for ``v = vertices[i]`` in the materialised CSR —
@@ -91,17 +96,38 @@ class ImplicitGraph(Graph):
         """
         raise NotImplementedError
 
+    def _entries(self, vertices: np.ndarray, positions) -> np.ndarray:
+        """Entry ``positions`` of each row of the int64 ids ``vertices``.
+
+        This generic form computes one row per entry of ``vertices``; a
+        subclass with a closed form for single entries overrides it.
+        """
+        rows = self._rows(vertices.reshape(-1))
+        slots = np.arange(vertices.size).reshape(vertices.shape)
+        return rows[slots, positions]
+
+    # -- checked public reads --------------------------------------------
+
+    def _checked(self, vertices) -> np.ndarray:
+        """``vertices`` as int64 ids, or :class:`IndexError` if one is outside ``[0, n)``."""
+        vertices = np.asarray(vertices, dtype=np.int64)
+        if vertices.size and (vertices.min() < 0 or vertices.max() >= self._n):
+            raise IndexError(
+                f"vertex ids of {self._name} must lie in [0, {self._n}), got "
+                f"{int(vertices.min())}..{int(vertices.max())}"
+            )
+        return vertices
+
+    def neighbor_rows(self, vertices: np.ndarray) -> np.ndarray:
+        """Sorted neighbour rows of ``vertices`` as an ``(F, r)`` array."""
+        return self._rows(self._checked(vertices))
+
     def neighbor_at(self, vertices, positions) -> np.ndarray:
         """Entry ``positions`` of each vertex's sorted neighbour row.
 
         The contract of :meth:`repro.graphs.base.Graph.neighbor_at`.
-        This generic form computes one row per entry of ``vertices``; a
-        subclass with a closed form for single entries overrides it.
         """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        rows = self.neighbor_rows(vertices.reshape(-1))
-        slots = np.arange(vertices.size).reshape(vertices.shape)
-        return rows[slots, positions]
+        return self._entries(self._checked(vertices), positions)
 
     def analytic_lambda(self) -> float:
         """Closed-form ``max(|λ_2|, |λ_n|)`` of the transition matrix.
@@ -160,7 +186,7 @@ class ImplicitGraph(Graph):
         return self._regular_degree
 
     def neighbors(self, u: int) -> np.ndarray:
-        row = self.neighbor_rows(np.asarray([u], dtype=np.int64))[0]
+        row = self.neighbor_rows([u])[0]
         row.flags.writeable = False
         return row
 
@@ -177,7 +203,7 @@ class ImplicitGraph(Graph):
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for block in self._vertex_chunks():
-            rows = self.neighbor_rows(block)
+            rows = self._rows(block)
             sources = np.broadcast_to(block[:, None], rows.shape)
             keep = sources < rows
             for u, v in zip(sources[keep], rows[keep]):
@@ -195,26 +221,36 @@ class ImplicitGraph(Graph):
             raise ValueError(
                 f"samples_per_vertex must be >= 1, got {samples_per_vertex}"
             )
-        vertices = np.asarray(vertices, dtype=np.int64)
+        return self._sample(self._checked(vertices), samples_per_vertex, rng)
+
+    def _sample(
+        self, vertices: np.ndarray, samples_per_vertex: int, rng: np.random.Generator
+    ) -> np.ndarray:
         if vertices.size == 0:
             return np.empty((0, samples_per_vertex), dtype=np.int64)
-        # The same draw the CSR fast path makes; ``neighbor_at`` reads
-        # the values the flat ``indices`` gather would have.
+        # The same draw the CSR fast path makes; ``_entries`` reads the
+        # values the flat ``indices`` gather would have.
         r = self._regular_degree
         positions = uniform_draws(rng, r, vertices.size, samples_per_vertex)
-        return self.neighbor_at(vertices[:, None], positions)
+        return self._entries(vertices[:, None], positions)
 
     def walk(
         self, vertices: np.ndarray, rounds: int, rng: np.random.Generator
     ) -> np.ndarray:
-        # No ``indices`` to gather from: every round reads its steps
-        # through ``neighbor_at``.
-        return self._chained_walk(np.asarray(vertices, dtype=np.int64), rounds, rng)
+        # No ``indices`` to gather from: every round is one draw of
+        # ``sample_neighbors``, whose later rounds start from ids the
+        # graph computed itself, so only the starts are checked.
+        vertices = self._checked(vertices)
+        trajectory = np.empty((rounds, vertices.size), dtype=np.int64)
+        for row in trajectory:
+            row[...] = self._sample(vertices, 1, rng)[:, 0]
+            vertices = row
+        return trajectory
 
     def neighborhoods(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        vertices = np.asarray(vertices, dtype=np.int64)
+        vertices = self._checked(vertices)
         counts = np.full(vertices.size, self._regular_degree, dtype=np.int64)
-        flat = self.neighbor_rows(vertices).reshape(-1)
+        flat = self._rows(vertices).reshape(-1)
         return counts, flat
 
     # -- materialisation ------------------------------------------------
@@ -233,9 +269,7 @@ class ImplicitGraph(Graph):
         indices = np.empty(self._n * r, dtype=storage)
         for block in self._vertex_chunks():
             base = int(block[0])
-            indices[base * r : (base + block.size) * r] = self.neighbor_rows(
-                block
-            ).reshape(-1)
+            indices[base * r : (base + block.size) * r] = self._rows(block).reshape(-1)
         indptr = np.arange(self._n + 1, dtype=np.int64) * r
         return Graph.adopt_validated_csr(indptr, indices, name=self._name)
 
@@ -275,9 +309,9 @@ class ImplicitHypercube(ImplicitGraph):
         self._dimension = int(dimension)
         super().__init__(1 << dimension, dimension, f"hypercube(d={dimension})")
 
-    def neighbor_rows(self, vertices: np.ndarray) -> np.ndarray:
+    def _rows(self, vertices: np.ndarray) -> np.ndarray:
         bits = np.int64(1) << np.arange(self._dimension, dtype=np.int64)
-        rows = np.asarray(vertices, dtype=np.int64)[:, None] ^ bits
+        rows = vertices[:, None] ^ bits
         rows.sort(axis=1)
         return rows
 
@@ -347,14 +381,12 @@ class ImplicitTorus(ImplicitGraph):
             classes += coord == side - 1
         return classes
 
-    def neighbor_rows(self, vertices: np.ndarray) -> np.ndarray:
-        u = np.asarray(vertices, dtype=np.int64)
-        rows = self._offsets[self._boundary_classes(u)]
-        rows += u[:, None]
+    def _rows(self, vertices: np.ndarray) -> np.ndarray:
+        rows = self._offsets[self._boundary_classes(vertices)]
+        rows += vertices[:, None]
         return rows
 
-    def neighbor_at(self, vertices, positions) -> np.ndarray:
-        vertices = np.asarray(vertices, dtype=np.int64)
+    def _entries(self, vertices: np.ndarray, positions) -> np.ndarray:
         entries = self._offsets[self._boundary_classes(vertices), positions]
         entries += vertices
         return entries
@@ -393,8 +425,8 @@ class ImplicitCirculant(ImplicitGraph):
         name = f"circulant(n={n}, offsets={tuple(cleaned)})"
         super().__init__(n, deltas.size, name)
 
-    def neighbor_rows(self, vertices: np.ndarray) -> np.ndarray:
-        rows = (np.asarray(vertices, dtype=np.int64)[:, None] + self._deltas) % self._n
+    def _rows(self, vertices: np.ndarray) -> np.ndarray:
+        rows = (vertices[:, None] + self._deltas) % self._n
         rows.sort(axis=1)
         return rows
 
@@ -427,11 +459,11 @@ class ImplicitComplete(ImplicitGraph):
             raise GraphConstructionError(f"complete graph needs n >= 2, got {n}")
         super().__init__(n, n - 1, f"complete(n={n})")
 
-    def neighbor_rows(self, vertices: np.ndarray) -> np.ndarray:
+    def _rows(self, vertices: np.ndarray) -> np.ndarray:
         positions = np.arange(self._n - 1, dtype=np.int64)
-        return self.neighbor_at(np.asarray(vertices, dtype=np.int64)[:, None], positions)
+        return self._entries(vertices[:, None], positions)
 
-    def neighbor_at(self, vertices, positions) -> np.ndarray:
+    def _entries(self, vertices: np.ndarray, positions) -> np.ndarray:
         positions = np.asarray(positions, dtype=np.int64)
         return positions + (positions >= vertices)
 

@@ -15,13 +15,15 @@ every live round each of the ``n − 1`` non-source vertices contacts
 ``m`` neighbours plus one more with probability ``ρ``, so the extra
 contacts over all live rounds are ``Binomial(rounds·(n − 1), ρ)``.
 
-Lossy BIPS runs only on the process classes.  2,000 infection times of
-``BipsProcess(graph, 0, branching=2, loss_probability=0.2)``, one
-spawned seed each, are compared with the lossy exact law on Petersen,
-C9 and the 3×3 grid by the same chi-square test.  Loss slows infection,
-so the horizon is 400 rounds.
+Lossy BIPS is checked on both engines that run it against the lossy
+exact law ``ExactBips(graph, 0, branching=k, loss_probability=0.2)``, on
+Petersen, C9 and the 3×3 grid by the same chi-square test; loss slows
+infection, so the horizon is 400 rounds.  The batch kernel, under
+``BipsLaw(loss=0.2)``, gives 4,000 infection times at k = 2 and at the
+fractional k = 1.5.  The process class, the oracle, gives 2,000 at
+k = 2, one spawned seed each.
 
-The false-positive budget is ``α = 1e-3`` per test, twelve tests in
+The false-positive budget is ``α = 1e-3`` per test, eighteen tests in
 all; at the pinned seeds the outcome is deterministic.
 """
 
@@ -32,7 +34,7 @@ import pytest
 from scipy import stats
 
 from repro._rng import spawn_generators
-from repro.core.batch import batch_bips_infection_times, batch_bips_traces
+from repro.core.batch import BipsLaw, batch_bips_infection_times, batch_bips_traces
 from repro.core.bips import BipsProcess
 from repro.core.runner import run_process
 from repro.exact.bips_exact import ExactBips
@@ -82,6 +84,19 @@ def test_fractional_transmissions_follow_their_law():
     # Every live round records between m and m + 1 contacts per vertex.
     per_round = traces.transmissions[live]
     assert np.all((per_round >= (n - 1) * mandatory) & (per_round <= (n - 1) * (mandatory + 1)))
+
+
+@pytest.mark.parametrize("branching", [2.0, 1.5])
+@pytest.mark.parametrize("name", ["petersen", "C9", "grid3x3"])
+def test_lossy_infection_times_follow_the_exact_law(name, branching):
+    graph = GRAPHS[name]()
+    exact = ExactBips(graph, 0, branching=branching, loss_probability=LOSS)
+    pmf, tail = exact.infection_time_distribution(LOSSY_HORIZON)
+    outcome = batch_bips_infection_times(
+        graph, 0, branching=branching, n_replicas=SAMPLES, seed=2, law=BipsLaw(loss=LOSS)
+    )
+    assert not outcome.extinct.any()
+    assert exact_law_pvalue(outcome.completion_times, pmf, tail) > ALPHA
 
 
 @pytest.mark.parametrize("name", ["petersen", "C9", "grid3x3"])

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.batch import (
+    CobraLaw,
     _cobra_shard,
     batch_bips_infection_times,
     batch_cobra_cover_times,
@@ -205,7 +206,10 @@ class TestWalkKernel:
             (graph, 0, 1, 0.0, max_rounds, include_start), 0, 12, generator()
         )
         batch = _cobra_shard(
-            (graph, 0, 1, 0.0, max_rounds, include_start, False, None), 0, 12, generator()
+            (graph, 0, 1, 0.0, max_rounds, include_start, False, None, CobraLaw()),
+            0,
+            12,
+            generator(),
         )
         assert np.all(batch > 0)
         assert np.array_equal(sparse, batch)

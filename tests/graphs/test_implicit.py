@@ -113,6 +113,30 @@ class TestEdgeForEdgeAgreement:
             concrete.neighbors(last)[::-1],
         )
 
+    @pytest.mark.parametrize("bad", ["n", "-1"])
+    def test_out_of_range_ids_raise(self, pair, bad):
+        # The implicit rows are arithmetic on the id, so an id outside
+        # [0, n) would read a row of a vertex that does not exist.  The
+        # CSR twin's gathers reject n too (a negative id wraps there).
+        implicit, concrete = pair
+        vertices = [0, implicit.n_vertices if bad == "n" else -1]
+        reads = {
+            "walk": lambda graph: graph.walk(vertices, 3, np.random.default_rng(0)),
+            "sample_neighbors": lambda graph: graph.sample_neighbors(
+                vertices, 2, np.random.default_rng(0)
+            ),
+            "neighbor_at": lambda graph: graph.neighbor_at(vertices, [0, 0]),
+            "neighborhoods": lambda graph: graph.neighborhoods(vertices),
+        }
+        for name, read in reads.items():
+            with pytest.raises(IndexError):
+                read(implicit)
+            if bad == "n":
+                with pytest.raises(IndexError):
+                    read(concrete)
+        with pytest.raises(IndexError):
+            implicit.neighbor_rows(vertices)
+
     def test_materialize_equals_generator_graph(self, pair):
         implicit, concrete = pair
         materialized = implicit.materialize()

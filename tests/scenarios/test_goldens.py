@@ -15,7 +15,10 @@ networkx to the in-repo NumPy pairing (every result changed and every
 spec version was bumped), and again when the workload became the only
 run identity: the cache keys became (spec, workload, seed) and
 ``parameters`` became the workload, with every table, figure and
-finding unchanged.
+finding unchanged.  E10's and E13's entries (micro digests and cache
+keys) were re-captured alone when their ensembles moved from the
+process classes onto the batch kernels' law values: new draw streams
+of the same laws, under bumped spec versions.
 
 **Rounding rule.**  Report tables mix sampled integers with floats from
 eigensolvers and least-squares fits, whose last bits drift across
