@@ -15,10 +15,14 @@ expanders, COBRA ``k = 2``):
   benchmark asserts the v2 engine still beats sequential and *reports*
   the ratio (~2-3x on one core) instead of asserting 10x.
 
-A third cell times BIPS ``k = 2`` on both round engines (``n = 4096``,
-256 replicas, ``jobs=1``) and reports the seconds with no bar, beside
-the same cell measured on the pick-and-gather kernels that the
-infected-neighbour counts kernels replaced.
+A third cell times BIPS ``k = 2`` (``n = 4096``, 256 replicas,
+``jobs=1``) and reports the seconds with no bar: the round engine,
+whose shards open in sparse rounds and finish in the dense loop
+(``batch_seconds``), beside the same engine held in its sparse rounds
+(``sparse_seconds``, the sparse engine of earlier rows) and in the
+dense loop from round 1 (``dense_loop_seconds``), and beside the cell
+measured on the pick-and-gather kernels that the infected-neighbour
+counts kernels replaced.
 
 The v1 kernel (PR 1's ``_cobra_shard``: full-size ``next_active``
 allocation per round, Python loop over draws, float-multiply neighbour
@@ -44,7 +48,9 @@ import numpy as np
 import pytest
 
 from benchmarks._root_summary import write_root_summary
+from benchmarks._timing import interleaved_medians, switched
 from repro._rng import ensure_generator, spawn_seed_sequences
+from repro.core import batch as batch_module
 from repro.core.batch import (
     batch_bips_infection_times,
     batch_bips_traces,
@@ -71,7 +77,7 @@ LARGE_N = 256 if BENCH_QUICK else 2000
 LARGE_REPLICAS = 64 if BENCH_QUICK else 200
 LARGE_BAR = 1.5
 
-# BIPS cell: batch and sparse BIPS at k = 2, reported only.
+# BIPS cell: the round engine at k = 2 and its two phases alone, reported only.
 BIPS_N = 256 if BENCH_QUICK else 4096
 BIPS_REPLICAS = 64 if BENCH_QUICK else 256
 #: The full-size BIPS cell measured with this code on the pick-and-gather
@@ -139,31 +145,6 @@ def _v1_batch_cover_times(graph, n_replicas, seed, shard_size):
     )
 
 
-def _best_of(callable_, repetitions: int) -> float:
-    best = float("inf")
-    for _ in range(repetitions):
-        started = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def _interleaved_medians(callables, repetitions: int) -> list[float]:
-    """Median seconds of each callable, timed in turn ``repetitions`` times.
-
-    The sides of an asserted ratio run alternately (a, b, a, b, ...), so
-    a drift in machine speed between them moves both medians alike
-    instead of the ratio.
-    """
-    samples: list[list[float]] = [[] for _ in callables]
-    for _ in range(repetitions):
-        for callable_, side in zip(callables, samples):
-            started = time.perf_counter()
-            callable_()
-            side.append(time.perf_counter() - started)
-    return [sorted(side)[len(side) // 2] for side in samples]
-
-
 @pytest.fixture(scope="module")
 def small_cell():
     return random_regular(SMALL_N, DEGREE, seed=4)
@@ -212,14 +193,14 @@ def bench_batch_speed_bars_and_determinism(benchmark, small_cell, large_cell, bi
     * always: jobs=1 vs jobs=4 bit-identical times and trace arrays.
 
     The sides of each asserted ratio are timed interleaved and compared
-    by their medians (:func:`_interleaved_medians`).
+    by their medians (:func:`benchmarks._timing.interleaved_medians`).
     """
 
     def measure() -> dict:
         matrix: dict = {"quick": BENCH_QUICK, "cpu_count": os.cpu_count(), "jobs": JOBS}
 
         # -- ladder cell: the asserted bar ---------------------------
-        sequential_small, batch_small = _interleaved_medians(
+        sequential_small, batch_small = interleaved_medians(
             [
                 lambda: sample_completion_times(
                     lambda rng: CobraProcess(small_cell, 0, seed=rng),
@@ -248,7 +229,7 @@ def bench_batch_speed_bars_and_determinism(benchmark, small_cell, large_cell, bi
         }
 
         # -- ladder top: reported ratios + kernel delta --------------
-        sequential_large, v1_large, v2_large = _interleaved_medians(
+        sequential_large, v1_large, v2_large = interleaved_medians(
             [
                 lambda: sample_completion_times(
                     lambda rng: CobraProcess(large_cell, 0, seed=rng),
@@ -281,19 +262,25 @@ def bench_batch_speed_bars_and_determinism(benchmark, small_cell, large_cell, bi
         }
 
         # -- BIPS cell: reported, no bar -----------------------------
-        bips = {"n": BIPS_N, "replicas": BIPS_REPLICAS, "branching": 2.0}
-        for engine, infection_times in (
-            ("batch", batch_bips_infection_times),
-            ("sparse", sparse_bips_infection_times),
-        ):
-            seconds = _best_of(
-                lambda: infection_times(bips_cell, 0, n_replicas=BIPS_REPLICAS, seed=0, jobs=1),
-                3,
+        def bips(infection_times):
+            return lambda: infection_times(
+                bips_cell, 0, n_replicas=BIPS_REPLICAS, seed=0, jobs=1
             )
-            bips[f"{engine}_seconds"] = round(seconds, 5)
+
+        seconds = interleaved_medians(
+            [
+                bips(batch_bips_infection_times),
+                switched(batch_module._SPARSE, bips(sparse_bips_infection_times)),
+                switched(batch_module._DENSE, bips(batch_bips_infection_times)),
+            ],
+            3,
+        )
+        bips_row = {"n": BIPS_N, "replicas": BIPS_REPLICAS, "branching": 2.0}
+        for name, value in zip(("batch", "sparse", "dense_loop"), seconds):
+            bips_row[f"{name}_seconds"] = round(value, 5)
         if not BENCH_QUICK:
-            bips["pick_kernel_seconds"] = BIPS_PICK_KERNEL_SECONDS
-        matrix["bips_cell"] = bips
+            bips_row["pick_kernel_seconds"] = BIPS_PICK_KERNEL_SECONDS
+        matrix["bips_cell"] = bips_row
 
         # -- determinism: jobs never changes results -----------------
         inline_times = batch_cobra_cover_times(

@@ -1,11 +1,34 @@
-"""Batched ensemble simulation v2: many independent replicas, one array.
+"""The synchronous round engine: many independent replicas, one array.
 
 The experiment ensembles run hundreds of independent replicas of the
 same configuration.  Stepping them one by one pays NumPy call overhead
-per replica per round; the batch engines here evolve all replicas
-simultaneously as dense matrices.
+per replica per round; the engine here evolves all replicas of a shard
+together, in one kernel per process (:func:`_cobra_shard`,
+:func:`_bips_shard`) that works in two phases.
 
-The v2 kernels are *allocation-lean*: every per-round buffer (the
+**Sparse opening, dense finish.**  Every run the paper measures starts
+from one token or one infected source, so a shard's frontier starts
+tiny and, on an expander, fills Θ(n) within O(log n) rounds.  While
+the frontier (COBRA's active pairs, BIPS's infected pairs) holds less
+than 1/128 of the shard's live cells (unfinished replicas × n), the
+shard runs the sparse rounds of :mod:`repro.core.sparse`: pair lists
+and a packed coverage bitset, per-round cost ∝ frontier.  Before the
+first round at which it holds more (:class:`_Switch`, :data:`_SWITCH`)
+the shard converts its live replicas' state once (pairs become rows,
+the bitset bool rows, infected pairs the vertex-major BIPS state) and
+finishes in the dense loop below; the dense buffers are allocated only
+then, for the live replicas only.  Single-token COBRA (``k = 1``) runs
+the sparse walk blocks to the end.  Both phases draw in ascending
+(replica, vertex) order from the shard's stream, so every output bit
+is the same whatever round the switch lands on
+(``tests/core/test_round_switch.py`` lands it on every round).  The
+trace and watched-set modes and every law but the paper's run the
+dense loop from round 1 (:data:`_DENSE`).  The batch entry points keep
+their up-front memory guard (:mod:`repro.core.memory`); the sparse
+entry points (:mod:`repro.core.sparse`) run the same kernel and let a
+shard switch only when that estimate says its dense state fits.
+
+The dense loop is *allocation-lean*: every per-round buffer (the
 next-state matrix, the newly-covered scratch, the neighbour counts) is
 allocated once per shard and reused through ``out=`` / in-place
 operations, state updates scatter through a single flat
@@ -26,8 +49,8 @@ the unfinished population exactly.
   a non-source vertex with ``q_v > 0``, in ascending order;
   :class:`_InfectionLaw` turns the uniform into the infection.  Other
   vertices would miss with certainty and draw nothing, so the sparse
-  engine (:mod:`repro.core.sparse`), which lists the same armed pairs
-  in the same order, returns the same bits.
+  rounds (:mod:`repro.core.sparse`), which list the same armed pairs
+  in the same order, draw the same bits.
 
 Semantics are identical to :class:`~repro.core.cobra.CobraProcess` and
 :class:`~repro.core.bips.BipsProcess` with replacement sampling (the
@@ -57,8 +80,8 @@ that a replica was running at ``max_rounds``, so ``raise_on_timeout``
 raises only for those, and a call with a ``law=`` returns a
 :class:`BatchOutcome` whose ``extinct`` mask says which runs ended in
 the empty state (SIS: at the round the set emptied).  The trace and
-watched-set modes run the paper's laws only, and the sparse engine
-(:mod:`repro.core.sparse`) takes no law value.
+watched-set modes run the paper's laws only, and the sparse entry
+points (:mod:`repro.core.sparse`) take no law value.
 
 Two output modes share one kernel per process:
 
@@ -94,6 +117,7 @@ segment and reattaches zero-copy in each worker.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +131,7 @@ from repro.core.process import (
     validate_loss,
 )
 from repro.core.runner import default_max_rounds
+from repro.core.sparse import _bips_opening, _cobra_opening
 from repro.errors import CoverTimeoutError, InfectionTimeoutError
 from repro.graphs.base import Graph
 from repro.parallel import (
@@ -327,6 +352,42 @@ def _outcome(times: np.ndarray) -> BatchOutcome:
     return BatchOutcome(np.where(extinct, _DIED - times, times), extinct)
 
 
+@dataclass(frozen=True)
+class _Switch:
+    """When a shard leaves its sparse rounds for the dense loop.
+
+    Before each sparse round ``t`` the shard asks :meth:`due` with its
+    frontier (COBRA's active pairs, BIPS's infected pairs) and its live
+    cells (unfinished replicas × n), and switches once the frontier
+    holds at least ``fraction`` of the cells.  ``_Switch(0.0)`` runs the
+    dense loop from round 1 and ``_Switch(math.inf)`` never leaves the
+    sparse rounds; ``at_round`` switches before that round whatever the
+    frontier, which is how the tests land the switch on every round.
+    """
+
+    fraction: float
+    at_round: float = math.inf
+
+    def due(self, round_index: int, frontier: int, cells: int) -> bool:
+        return round_index >= self.at_round or frontier >= self.fraction * cells
+
+
+#: The switch of every times-mode call under the paper's laws: a shard
+#: runs sparse rounds until its frontier fills 1/128 of its live cells.
+#: Over 1/256 .. 1/8, 1/128 timed best or within a few per cent of the
+#: best on the 21³ and 31³ torus operations, a 32-replica rr(8192, 8)
+#: shard and the 128-vertex ladder cell (the sweep is in CHANGES.md).
+#: The entry points read it at call time and ship it in the shard
+#: context, so a patched value reaches spawned workers.
+_SWITCH = _Switch(1 / 128)
+#: The dense loop from round 1: the trace and watched-set modes and
+#: every law but the paper's run it.
+_DENSE = _Switch(0.0)
+#: Sparse rounds to the end: a sparse entry point whose dense state
+#: would not fit the memory budget (:mod:`repro.core.memory`).
+_SPARSE = _Switch(math.inf)
+
+
 class _ShardTraceRecorder:
     """Per-round values of one shard, scattered by replica id.
 
@@ -370,8 +431,14 @@ def _cobra_shard(
     whether ``C_t`` meets the watched set in replica ``i``.  Under a
     lossy :class:`CobraLaw` a replica that dies in round ``t`` reads
     ``_DIED - t``.
+
+    The shard opens in sparse rounds (:func:`~repro.core.sparse._cobra_opening`)
+    until ``switch`` is due, then converts the live replicas' pairs to
+    rows and their coverage bitset to bool rows and finishes in the
+    dense loop below.  Both phases draw in ascending (replica, vertex)
+    order, so the bits do not depend on the round of the switch.
     """
-    graph, start, mandatory, rho, max_rounds, include_start_in_cover, record, watch, law = (
+    graph, start, mandatory, rho, max_rounds, include_start_in_cover, record, watch, law, switch = (
         context
     )
     graph = resolve_shared_graph(graph)
@@ -379,6 +446,13 @@ def _cobra_shard(
     rng = ensure_generator(seed)
     n = graph.n_vertices
     loss = law.loss
+    cover_times = np.full(n_replicas, -1, dtype=np.int64)
+    opening = _cobra_opening(
+        graph, start, mandatory, rho, max_rounds, include_start_in_cover, rng, cover_times, switch
+    )
+    if opening is None:
+        return cover_times
+    first_round, rep, vtx, bits = opening
     # Rows are padded to a power-of-two pitch so the flat active
     # positions decompose into (row base, vertex) with a mask instead
     # of an integer division; padding columns are never set.
@@ -389,23 +463,26 @@ def _cobra_shard(
     # Row i of every buffer belongs to replica ``replica_ids[i]``; rows
     # of finished replicas are compacted away, so ``[:live]`` is always
     # the whole unfinished population and nothing else.
-    active = np.zeros((n_replicas, stride), dtype=bool)
-    active[:, start] = True
-    covered = np.zeros((n_replicas, stride), dtype=bool)
-    if include_start_in_cover:
-        covered[:, start] = True
+    replica_ids = np.flatnonzero(cover_times == -1)
+    live = replica_ids.size
+    active = np.zeros((live, stride), dtype=bool)
+    active.ravel()[(np.searchsorted(replica_ids, rep) << row_shift) | vtx] = True
+    covered = np.zeros((live, stride), dtype=bool)
+    covered[:, :n] = np.unpackbits(
+        bits[replica_ids].astype("<u8", copy=False).view(np.uint8),
+        axis=-1,
+        count=n,
+        bitorder="little",
+    )
     # Scratch for the per-round counts; fully recomputed from
     # ``covered`` before every read, so no initial fill is needed.
-    covered_counts = np.empty(n_replicas, dtype=np.int64)
-    cover_times = np.full(n_replicas, -1, dtype=np.int64)
-    replica_ids = np.arange(n_replicas)
-    scratch = np.zeros((n_replicas, stride), dtype=bool)
-    newly = np.empty((n_replicas, stride), dtype=bool) if record else None
+    covered_counts = np.empty(live, dtype=np.int64)
+    scratch = np.zeros((live, stride), dtype=bool)
+    newly = np.empty((live, stride), dtype=bool) if record else None
     recorder = _ShardTraceRecorder(n_replicas) if record else None
     watcher = _ShardTraceRecorder(n_replicas, (bool,)) if watch is not None else None
 
-    live = n_replicas
-    for round_index in range(1, max_rounds + 1):
+    for round_index in range(first_round, max_rounds + 1):
         if live == 0:
             break
         flat_active = active[:live].ravel()
@@ -540,12 +617,12 @@ def _neighbour_slots(graph: Graph) -> tuple[list[np.ndarray], np.ndarray | None]
     """
     n = graph.n_vertices
     degrees, flat = graph.neighborhoods(np.arange(n, dtype=np.int64))
+    if graph.is_regular:
+        return list(np.ascontiguousarray(flat.reshape(n, -1).T, dtype=np.intp)), None
     starts = np.cumsum(degrees) - degrees
     order = np.argsort(-degrees, kind="stable")
-    rank = None
-    if not graph.is_regular:
-        rank = np.empty(n, dtype=np.intp)
-        rank[order] = np.arange(n)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
     sorted_degrees = degrees[order]
     slots = []
     for slot in range(int(sorted_degrees[0])):
@@ -564,12 +641,17 @@ def _bips_shard(
     ``seen[i, t - 1]`` says whether ``A_t`` meets the watched set in
     replica ``i``.
 
-    Each round counts every vertex's infected neighbours, draws one
-    uniform per *armed* ``(replica, vertex)`` pair (a non-source vertex
-    with an infected neighbour) in ascending order, and applies
-    :class:`_InfectionLaw`.  The state is vertex-major, ``(n, live)``,
-    so each neighbour slot is one row gather; the counts are turned
-    replica-major to list the armed pairs in draw order.
+    The shard opens in sparse rounds (:func:`~repro.core.sparse._bips_opening`)
+    until ``switch`` is due, then writes the live replicas' infected
+    pairs, the persistent source among them, into the vertex-major
+    state and finishes in the dense loop.  Each dense round counts every
+    vertex's infected neighbours, draws one uniform per *armed*
+    ``(replica, vertex)`` pair (a non-source vertex with an infected
+    neighbour) in ascending order, and applies :class:`_InfectionLaw`;
+    the sparse rounds list the same armed pairs in the same order, so
+    the bits do not depend on the round of the switch.  The state is
+    ``(n, live)``, so each neighbour slot is one row gather; the counts
+    are turned replica-major to list the armed pairs in draw order.
 
     ``law`` (a :class:`BipsLaw`) sets the loss in the threshold table,
     whether the source is kept out of the armed pairs and forced
@@ -577,7 +659,7 @@ def _bips_shard(
     empties in round ``t`` reads ``_DIED - t``), and whether the goal is
     read from the current or the ever-infected set.
     """
-    graph, source, mandatory, rho, max_rounds, record, watch, law = context
+    graph, source, mandatory, rho, max_rounds, record, watch, law, switch = context
     graph = resolve_shared_graph(graph)
     n_replicas = stop_index - start_index
     rng = ensure_generator(seed)
@@ -587,10 +669,17 @@ def _bips_shard(
     coins = np.random.Generator(rng.bit_generator.jumped()) if record and rho > 0.0 else None
     n = graph.n_vertices
     table = _InfectionLaw(graph, mandatory, rho, law.loss)
+    infection_times = np.full(n_replicas, -1, dtype=np.int64)
+    opening = _bips_opening(graph, source, table, max_rounds, rng, infection_times, switch)
+    if opening is None:
+        return infection_times
+    first_round, rep, vtx = opening
     persistent = law.persistent_source
     slots, rank = _neighbour_slots(graph)
     index_dtype = table.index_dtype
-    cells = n_replicas * n
+    replica_ids = np.flatnonzero(infection_times == -1)
+    live = replica_ids.size
+    cells = live * n
 
     def block(buffer: np.ndarray, rows: int, columns: int) -> np.ndarray:
         # A contiguous (rows, columns) view at the head of a flat buffer.
@@ -603,16 +692,15 @@ def _bips_shard(
     index_buffer = np.empty(cells, dtype=index_dtype)
     armed_buffer = np.empty(cells, dtype=bool)
     next_buffer = np.empty(cells, dtype=np.uint8)
-    block(state_buffer, n, n_replicas)[source] = 1
-    infection_times = np.full(n_replicas, -1, dtype=np.int64)
-    replica_ids = np.arange(n_replicas)
+    row_of = np.empty(n_replicas, dtype=np.intp)
+    row_of[replica_ids] = np.arange(live)
+    block(state_buffer, n, live)[vtx, row_of[rep]] = 1
     recorder = _ShardTraceRecorder(n_replicas) if record else None
     ever_infected = None
     if recorder is not None or law.reach_all:
-        ever_infected = np.zeros((n_replicas, n), dtype=np.uint8)
-        ever_infected[:, source] = 1
+        ever_infected = block(state_buffer, n, live).T.copy()
     if recorder is not None:
-        newly = np.empty((n_replicas, n), dtype=bool)
+        newly = np.empty((live, n), dtype=bool)
     watcher = _ShardTraceRecorder(n_replicas, (bool,)) if watch is not None else None
 
     def views(live: int) -> tuple:
@@ -627,9 +715,8 @@ def _bips_shard(
         rows = (block(buffer, live, n) for buffer in (index_buffer, armed_buffer, next_buffer))
         return (state, counts, sums, ranked, *rows)
 
-    live = n_replicas
     state, counts, sums, ranked, index, armed, next_state = views(live)
-    for round_index in range(1, max_rounds + 1):
+    for round_index in range(first_round, max_rounds + 1):
         if live == 0:
             break
         counts.fill(0)
@@ -791,10 +878,10 @@ def _watched_ensemble(
     )
     if process == "cobra":
         kernel = _cobra_shard
-        parameters = (origin, mandatory, rho, rounds, False, False, watch, _PAPER_COBRA)
+        parameters = (origin, mandatory, rho, rounds, False, False, watch, _PAPER_COBRA, _DENSE)
     else:
         kernel = _bips_shard
-        parameters = (origin, mandatory, rho, rounds, False, watch, _PAPER_BIPS)
+        parameters = (origin, mandatory, rho, rounds, False, watch, _PAPER_BIPS, _DENSE)
     return _merge_traces(
         _run_sharded(kernel, graph, parameters, n_replicas, seed, None, None), rounds
     )
@@ -867,11 +954,15 @@ def batch_cobra_cover_times(
 
     Equivalent in distribution to ``n_replicas`` independent
     :class:`~repro.core.cobra.CobraProcess` runs from ``start`` (with
-    replacement sampling), but evolved as boolean matrices, one shard
-    of ``shard_size`` replicas at a time.  ``jobs`` distributes the
-    shards over a process pool (``None`` = the process-wide default,
-    ``0`` = one worker per CPU); for a fixed ``seed`` and
-    ``shard_size`` the result is bit-identical for every ``jobs``.
+    replacement sampling), but evolved one shard of ``shard_size``
+    replicas at a time: under the paper's law, sparse rounds while the
+    active pairs fill less than 1/128 of the shard's live cells and
+    boolean matrices after (at ``k = 1``, the walk blocks throughout);
+    under a lossy ``law``, boolean matrices from round 1.  ``jobs``
+    distributes the shards over a process pool (``None`` = the
+    process-wide default, ``0`` = one worker per CPU); for a fixed
+    ``seed`` and ``shard_size`` the result is bit-identical for every
+    ``jobs``.
 
     Returns an int64 array of length ``n_replicas``; timeouts raise
     :class:`~repro.errors.CoverTimeoutError` (default) or are reported
@@ -892,9 +983,10 @@ def batch_cobra_cover_times(
         shard_size=shard_size,
         jobs=jobs,
     )
+    law_value = _PAPER_COBRA if law is None else law
     parameters = (
-        start, mandatory, rho, max_rounds, include_start_in_cover, False, None,
-        _PAPER_COBRA if law is None else law,
+        start, mandatory, rho, max_rounds, include_start_in_cover, False, None, law_value,
+        _SWITCH if law_value == _PAPER_COBRA else _DENSE,
     )
     times = np.concatenate(
         _run_sharded(_cobra_shard, graph, parameters, n_replicas, seed, shard_size, jobs)
@@ -940,7 +1032,8 @@ def batch_cobra_traces(
         jobs=jobs,
     )
     parameters = (
-        start, mandatory, rho, max_rounds, include_start_in_cover, True, None, _PAPER_COBRA
+        start, mandatory, rho, max_rounds, include_start_in_cover, True, None, _PAPER_COBRA,
+        _DENSE,
     )
     times, active, newly, transmissions = _merge_traces(
         _run_sharded(_cobra_shard, graph, parameters, n_replicas, seed, shard_size, jobs)
@@ -989,17 +1082,21 @@ def batch_bips_infection_times(
 ) -> np.ndarray | BatchOutcome:
     """Infection times of ``n_replicas`` independent BIPS runs.
 
-    Each round counts every vertex's infected neighbours with one row
-    gather per neighbour slot over the ``(n, U)`` state of the `U`
-    unfinished replicas of a shard, then draws one uniform per armed
-    vertex (see :class:`_InfectionLaw`).  A round therefore moves
-    ``2m·U`` bytes: cheap at the bounded degrees the experiments use,
-    but on dense graphs such as ``K_n`` it costs more than sampling
-    ``k`` neighbours per vertex would.  Sharding and ``jobs`` follow
-    the same seed-stable contract as :func:`batch_cobra_cover_times`,
-    and :func:`~repro.core.sparse.sparse_bips_infection_times` returns
-    the same bits.  A graph with an isolated vertex raises
-    :class:`~repro.errors.GraphPropertyError`.  Timeouts raise
+    Under the paper's law a shard opens in sparse rounds, which cost the
+    volume of its infected set, and once that set fills 1/128 of its
+    live cells it finishes in the dense loop (any other ``law`` runs the
+    dense loop from round 1): each round counts every vertex's
+    infected neighbours with one row gather per neighbour slot over the
+    ``(n, U)`` state of the `U` unfinished replicas, then draws one
+    uniform per armed vertex (see :class:`_InfectionLaw`).  A dense
+    round therefore moves ``2m·U`` bytes: cheap at the bounded degrees
+    the experiments use, but on dense graphs such as ``K_n`` it costs
+    more than sampling ``k`` neighbours per vertex would.  Sharding and
+    ``jobs`` follow the same seed-stable contract as
+    :func:`batch_cobra_cover_times`, and
+    :func:`~repro.core.sparse.sparse_bips_infection_times` runs the same
+    kernel and returns the same bits.  A graph with an isolated vertex
+    raises :class:`~repro.errors.GraphPropertyError`.  Timeouts raise
     :class:`~repro.errors.InfectionTimeoutError` (default) or are
     reported as ``-1``.
 
@@ -1021,8 +1118,10 @@ def batch_bips_infection_times(
         shard_size=shard_size,
         jobs=jobs,
     )
+    law_value = _PAPER_BIPS if law is None else law
     parameters = (
-        source, mandatory, rho, max_rounds, False, None, _PAPER_BIPS if law is None else law
+        source, mandatory, rho, max_rounds, False, None, law_value,
+        _SWITCH if law_value == _PAPER_BIPS else _DENSE,
     )
     times = np.concatenate(
         _run_sharded(_bips_shard, graph, parameters, n_replicas, seed, shard_size, jobs)
@@ -1068,7 +1167,7 @@ def batch_bips_traces(
         shard_size=shard_size,
         jobs=jobs,
     )
-    parameters = (source, mandatory, rho, max_rounds, True, None, _PAPER_BIPS)
+    parameters = (source, mandatory, rho, max_rounds, True, None, _PAPER_BIPS, _DENSE)
     times, active, newly, transmissions = _merge_traces(
         _run_sharded(_bips_shard, graph, parameters, n_replicas, seed, shard_size, jobs)
     )

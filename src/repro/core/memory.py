@@ -9,7 +9,10 @@ guard here estimates the dense allocation up front from the same
 quantities the kernels use, compares it against the available physical
 memory, and raises a clear :class:`~repro.errors.ExperimentError`
 naming the required bytes and the sparse-engine escape hatch *before*
-any shard is seeded.
+any shard is seeded.  The sparse entry points (:mod:`repro.core.sparse`)
+ask the same estimate (:func:`dense_state_fits`) before they let a
+shard leave its sparse rounds for the dense loop; where it does not
+fit, their shards stay sparse to the end.
 
 Deliberately approximate and permissive: the estimate counts only the
 dominant ``(rows, n)``-proportional buffers (not frontier arrays, trace
@@ -76,16 +79,15 @@ def estimate_dense_shard_bytes(
     raise ValueError(f"unknown process {process!r}")
 
 
-def check_dense_state_budget(
+def _dense_state_shortfall(
     graph: Graph,
-    *,
     process: str,
     n_replicas: int,
     record: bool,
     shard_size: int | None,
     jobs: int | None,
-) -> None:
-    """Raise :class:`ExperimentError` if the dense state cannot fit.
+) -> str | None:
+    """Why the dense state of a call cannot fit, or ``None`` when it fits.
 
     Estimates the per-shard allocation times the number of shards that
     will actually run at once (1 inline, ``min(jobs, shards)`` under a
@@ -93,7 +95,7 @@ def check_dense_state_budget(
     """
     limit = dense_state_limit_bytes()
     if limit is None:
-        return
+        return None
     bounds = shard_bounds(n_replicas, shard_size)
     widest = max(stop - start for start, stop in bounds)
     per_shard = estimate_dense_shard_bytes(
@@ -104,8 +106,8 @@ def check_dense_state_budget(
     )
     required = per_shard * concurrent
     if required <= limit:
-        return
-    raise ExperimentError(
+        return None
+    return (
         f"dense {process.upper()} state needs ~{required:,} bytes "
         f"({concurrent} concurrent shard(s) × {per_shard:,} bytes for "
         f"{widest} replicas × {graph.n_vertices} vertices) but only "
@@ -113,3 +115,29 @@ def check_dense_state_budget(
         f"proportional state), shrink shard_size/jobs, or raise "
         f"{LIMIT_ENV}"
     )
+
+
+def dense_state_fits(
+    graph: Graph, *, process: str, n_replicas: int, shard_size: int | None, jobs: int | None
+) -> bool:
+    """Whether every concurrently running shard's dense state fits the budget.
+
+    The sparse entry points ask this before they let a shard leave its
+    sparse rounds for the dense loop.
+    """
+    return _dense_state_shortfall(graph, process, n_replicas, False, shard_size, jobs) is None
+
+
+def check_dense_state_budget(
+    graph: Graph,
+    *,
+    process: str,
+    n_replicas: int,
+    record: bool,
+    shard_size: int | None,
+    jobs: int | None,
+) -> None:
+    """Raise :class:`ExperimentError` if the dense state cannot fit."""
+    shortfall = _dense_state_shortfall(graph, process, n_replicas, record, shard_size, jobs)
+    if shortfall is not None:
+        raise ExperimentError(shortfall)

@@ -1,40 +1,41 @@
-"""Sparse-frontier ensemble engines: per-round cost ∝ frontier, not n.
+"""The sparse rounds of the round engine: per-round cost ∝ frontier, not n.
 
-The batch engines (:mod:`repro.core.batch`) evolve ``(R, n)`` dense
-boolean matrices — unbeatable when the active set is a constant
-fraction of the graph, but at million-vertex scale both their memory
-and their per-round work are O(R·n) even while the frontier is tiny.
-The kernels here keep the *exact same processes* in sparse state:
+Every shard of the round engine (:mod:`repro.core.batch`) opens here
+and finishes in the dense loop there, once its frontier fills the
+switch's share of its live cells (:data:`~repro.core.batch._SWITCH`,
+1/128): the dense loop pays O(R·n) per round however small the
+frontier is, and the rounds here pay for the frontier only.  They keep
+the *exact same processes* in sparse state:
 
-* **COBRA** — the active set is a ``(replica, vertex)`` pair list in
-  ascending order and coverage is a packed ``uint64`` bitset of
-  ``(R, ⌈n/64⌉)`` words (1 bit per vertex per replica, 64× smaller
-  than a bool matrix).  Each round samples neighbours *only for
-  frontier pairs*, merges tokens that land on the same site, tests
-  freshness against the bitset, and scatters the new bits with
-  ``np.bitwise_or.at`` — everything proportional to the frontier.
-  The single-token walk (``branching=1``: one token per replica, so
-  nothing merges) has its own kernel, :func:`_walk_blocks`.  A round
-  there is one gather per live token, so it steps a block of rounds at
-  a time: :meth:`~repro.graphs.base.Graph.walk` draws the whole
-  block's picks in one call, and the coverage of the block is settled
-  in a few vectorised passes.  The block is cut back to the first
-  round in which a replica covers, so the picks stay the per-round
-  kernel's.
-* **BIPS** — the infected set is a ``(replica, vertex)`` pair list.
-  Each round keys every neighbour of every infected pair through
-  :meth:`~repro.graphs.base.Graph.neighborhoods`; a key's multiplicity
-  is that vertex's infected-neighbour count.  The distinct non-source
-  keys are the *armed* pairs, the only vertices that can become
-  infected: every other vertex samples exclusively non-infected
-  neighbours and stays susceptible with certainty, so it draws nothing
-  and the process law is unchanged (the same thinning argument as the
-  event engine).  Each armed pair draws one uniform against the batch
-  kernel's infection thresholds
+* **COBRA** (:func:`_cobra_opening`) — the active set is a ``(replica,
+  vertex)`` pair list in ascending order and coverage is a packed
+  ``uint64`` bitset of ``(R, ⌈n/64⌉)`` words (1 bit per vertex per
+  replica, 64× smaller than a bool matrix).  Each round samples
+  neighbours *only for frontier pairs*, merges tokens that land on the
+  same site, tests freshness against the bitset, and scatters the new
+  bits with ``np.bitwise_or.at`` — everything proportional to the
+  frontier.  The single-token walk (``branching=1``: one token per
+  replica, so nothing merges) has its own kernel, :func:`_walk_blocks`,
+  and never switches.  A round there is one gather per live token, so
+  it steps a block of rounds at a time:
+  :meth:`~repro.graphs.base.Graph.walk` draws the whole block's picks in
+  one call, and the coverage of the block is settled in a few
+  vectorised passes.  The block is cut back to the first round in which
+  a replica covers, so the picks stay the per-round kernel's.
+* **BIPS** (:func:`_bips_opening`) — the infected set is a ``(replica,
+  vertex)`` pair list.  Each round keys every neighbour of every
+  infected pair through :meth:`~repro.graphs.base.Graph.neighborhoods`;
+  a key's multiplicity is that vertex's infected-neighbour count.  The
+  distinct non-source keys are the *armed* pairs, the only vertices
+  that can become infected: every other vertex samples exclusively
+  non-infected neighbours and stays susceptible with certainty, so it
+  draws nothing and the process law is unchanged (the same thinning
+  argument as the event engine).  Each armed pair draws one uniform
+  against the dense loop's infection thresholds
   (:class:`~repro.core.batch._InfectionLaw`), so a round costs the
   volume of the infected set, not n.
 
-Both kernels dedupe pairs as int64 keys ``replica << shift | vertex``,
+Both dedupe pairs as int64 keys ``replica << shift | vertex``,
 ``shift`` being the bit length of ``n - 1``, so key order is (replica,
 vertex) order.  :class:`KeyDeduper` returns the sorted distinct keys
 without ``np.unique`` (which hashes before it sorts, ~10× an in-place
@@ -42,44 +43,39 @@ sort on a small frontier): a key array filling at least 1/8 of the
 shard's key universe ``R << shift`` (under ``2·R·n``) is scattered into
 a ``bool`` mark array and read back with ``flatnonzero``; a sparser one
 is sorted in place and stripped of adjacent repeats.  The mark array is
-allocated on the shard's first dense round and reused; its ``R <<
+allocated for the shard's first such key array and reused; its ``R <<
 shift`` bytes never exceed the int64 key array that first needed it.
+Below the switch's 1/128 a COBRA key array (at most ``k + 1`` keys per
+pair) stays under 1/8 of the universe, and a BIPS one (a key per
+neighbour) does while the infected pairs' mean degree is under 16.
 BIPS uses the counted form: run lengths on the sort path, and on the
 dense path an int64 ``bincount`` tally of the universe, at most eight
 times the bytes of the key array.
 
-Both sparse kernels are **bit-identical** to the batch engines: the
-pair lists stay in ascending (replica, vertex) order, which is the
-order the batch kernels' ``flatnonzero`` visits their cells, so COBRA
-draws the same picks and branching coins, and BIPS the same uniforms
-for the same armed pairs, from the same stream.  Both engines share
-the batch sharding contract: shards depend only on ``n_replicas`` /
-``shard_size`` and shard seeds are ``SeedSequence.spawn`` children, so
-``jobs=1`` and ``jobs=8`` return bit-identical times.
+The pair lists stay in ascending (replica, vertex) order, which is the
+order the dense loop's ``flatnonzero`` visits its cells, so COBRA draws
+the same picks and branching coins, and BIPS the same uniforms for the
+same armed pairs, from the same stream in both phases: the bits do not
+depend on the round of the switch.
 
-When to use which engine (see also the README's Scale section): dense
-batch for small graphs, dense-cover measurements and BIPS run to full
-infection, where it leads (≈1.9× on ``benchmarks/bench_scale.py``'s
-1024-vertex k=2 cover control, ``BENCH_scale.json``; about 3× for BIPS
-on ``benchmarks/bench_batch.py``'s cell); ``sparse`` when n is large
-and the measured horizon keeps the frontier well below n (fixed-horizon
-growth cells, large sparse graphs, million-vertex scenarios,
-single-token walks); ``event`` when continuous-time semantics or
-per-edge rates are wanted.
+The entry points here, :func:`sparse_cobra_cover_times` and
+:func:`sparse_bips_infection_times` (``engine="sparse"``), run the
+batch entry points' kernel with one difference: they skip the dense
+memory guard, and their shards switch only when the estimate in
+:mod:`repro.core.memory` says the dense state fits, so a graph too
+large for ``(R, n)`` matrices stays in sparse rounds to the end
+(million-vertex scenarios, memory-mapped graphs on a small machine).
+Where it fits, both entry points return the same bits in the same
+time; sharding, shard seeds and the ``jobs`` contract are the batch
+entry points' too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro._rng import SeedLike, ensure_generator
-from repro.core.batch import (
-    _bips_arguments,
-    _check_timeouts,
-    _cobra_arguments,
-    _InfectionLaw,
-    _run_sharded,
-)
+from repro._rng import SeedLike
+from repro.core.memory import dense_state_fits
 from repro.errors import InfectionTimeoutError
 from repro.graphs.base import Graph
 
@@ -164,41 +160,64 @@ class KeyDeduper:
         return distinct, tallies[distinct]
 
 
-def _sparse_cobra_shard(
-    context: tuple, start_index: int, stop_index: int, seed: SeedLike
-) -> np.ndarray:
-    """One shard of COBRA replicas in sparse state; ``-1`` marks timeout."""
-    graph, start, mandatory, rho, max_rounds, include_start_in_cover = context
-    from repro.parallel import resolve_shared_graph
+def _cobra_opening(
+    graph: Graph,
+    start: int,
+    mandatory: int,
+    rho: float,
+    max_rounds: int,
+    include_start_in_cover: bool,
+    rng: np.random.Generator,
+    cover_times: np.ndarray,
+    switch,
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray] | None:
+    """A COBRA shard's sparse rounds, up to the switch to the dense loop.
 
-    graph = resolve_shared_graph(graph)
-    n_replicas = stop_index - start_index
-    rng = ensure_generator(seed)
+    Fills ``cover_times`` (``-1`` = still running) for the replicas that
+    cover in these rounds.  Before every round ``t`` it asks
+    ``switch.due(t, frontier, live cells)`` (see
+    :class:`~repro.core.batch._Switch`), the frontier being the active
+    pairs; once due it returns ``(t, rep, vtx, covered)``: the active
+    pairs in ascending (replica, vertex) order and the ``(R, ⌈n/64⌉)``
+    coverage bitset, for the dense loop to convert and finish from
+    round ``t``.  It returns ``None`` when the shard finished or hit
+    ``max_rounds`` in sparse rounds.  At ``k = 1`` the shard runs the
+    walk blocks (:func:`_walk_blocks`) to the end unless the switch
+    holds it in the dense loop from round 1.
+    """
+    n_replicas = cover_times.size
     n = graph.n_vertices
     n_words = (n + _WORD_BITS - 1) // _WORD_BITS
-
+    # ``start`` is one vertex, or the start set C_0 of the watched-set mode.
+    starts = np.unique(np.asarray(start, dtype=np.int64))
     covered = np.zeros((n_replicas, n_words), dtype=np.uint64)
     covered_counts = np.zeros(n_replicas, dtype=np.int64)
-    cover_times = np.full(n_replicas, -1, dtype=np.int64)
     if include_start_in_cover:
-        word, bit = _bit_coords(np.int64(start))
-        covered[:, word] |= bit
-        covered_counts[:] = 1
-    if mandatory == 1 and rho == 0.0:
+        words, bits = _bit_coords(starts)
+        np.bitwise_or.at(covered[0], words, bits)
+        covered[1:] = covered[0]
+        covered_counts[:] = starts.size
+    # The walk blocks cost a block of rounds, not a frontier, so they
+    # never switch: they ask with an empty frontier, which only a switch
+    # that runs the dense loop from round 1 (as the watched-set mode's
+    # start sets do) answers with yes.
+    if mandatory == 1 and rho == 0.0 and not switch.due(1, 0, n_replicas * n):
         _walk_blocks(graph, start, rng, max_rounds, covered, covered_counts, cover_times)
-        return cover_times
+        return None
 
     # The frontier: one (replica, vertex) pair per active token site,
     # kept in ascending (replica, vertex) order.
-    rep = np.arange(n_replicas, dtype=np.int64)
-    vtx = np.full(n_replicas, start, dtype=np.int64)
+    rep = np.repeat(np.arange(n_replicas, dtype=np.int64), starts.size)
+    vtx = np.tile(starts, n_replicas)
     shift = (n - 1).bit_length()
     vertex_mask = (1 << shift) - 1
     dedupe = KeyDeduper(n_replicas << shift)
-
+    live = n_replicas
     for round_index in range(1, max_rounds + 1):
-        if rep.size == 0:
-            break
+        if live == 0:
+            return None
+        if switch.due(round_index, rep.size, live * n):
+            return round_index, rep, vtx, covered
         picks = graph.sample_neighbors(vtx, mandatory, rng)
         new_rep = np.repeat(rep, mandatory) if mandatory > 1 else rep
         new_vtx = picks.reshape(-1)
@@ -217,13 +236,14 @@ def _sparse_cobra_shard(
         if fresh.any():
             np.bitwise_or.at(covered, (rep[fresh], words[fresh]), bits[fresh])
             covered_counts += np.bincount(rep[fresh], minlength=n_replicas)
-            finished = covered_counts == n
+            finished = (covered_counts == n) & (cover_times < 0)
             if finished.any():
-                cover_times[finished & (cover_times < 0)] = round_index
-                keep = cover_times[rep] < 0
+                cover_times[finished] = round_index
+                live -= int(np.count_nonzero(finished))
+                keep = ~finished[rep]
                 rep = rep[keep]
                 vtx = vtx[keep]
-    return cover_times
+    return None
 
 
 def _walk_blocks(
@@ -314,38 +334,44 @@ def _walk_blocks(
             rep, vtx = rep[keep], vtx[keep]
 
 
-def _sparse_bips_shard(
-    context: tuple, start_index: int, stop_index: int, seed: SeedLike
-) -> np.ndarray:
-    """One shard of BIPS replicas in sparse state; ``-1`` marks timeout.
+def _bips_opening(
+    graph: Graph,
+    source: int,
+    table,
+    max_rounds: int,
+    rng: np.random.Generator,
+    infection_times: np.ndarray,
+    switch,
+) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """A BIPS shard's sparse rounds, up to the switch to the dense loop.
 
-    The batch kernel's round on a pair list: every neighbour of every
+    The dense loop's round on a pair list: every neighbour of every
     infected ``(replica, vertex)`` pair contributes one key, so the
     counted dedupe yields the armed pairs in ascending order with their
-    infected-neighbour counts.  One uniform per armed pair and the same
-    :class:`~repro.core.batch._InfectionLaw` table give the batch
-    kernel's bits.
+    infected-neighbour counts.  One uniform per armed pair and the
+    threshold ``table`` (:class:`~repro.core.batch._InfectionLaw`) give
+    the dense loop's bits.  Fills ``infection_times`` for the replicas
+    that finish here.  Before every round ``t`` it asks
+    ``switch.due(t, frontier, live cells)``, the frontier being the
+    infected pairs; once due it returns ``(t, rep, vtx)``, the infected
+    pairs with the persistent source, for the dense loop to convert.  It
+    returns ``None`` when the shard finished or hit ``max_rounds`` here.
     """
-    graph, source, mandatory, rho, max_rounds = context
-    from repro.parallel import resolve_shared_graph
-
-    graph = resolve_shared_graph(graph)
-    n_replicas = stop_index - start_index
-    rng = ensure_generator(seed)
+    n_replicas = infection_times.size
     n = graph.n_vertices
-    law = _InfectionLaw(graph, mandatory, rho)
-    infection_times = np.full(n_replicas, -1, dtype=np.int64)
-
     # The infected pairs, the persistent source included.
     rep = np.arange(n_replicas, dtype=np.int64)
     vtx = np.full(n_replicas, source, dtype=np.int64)
+    live = rep.copy()
     shift = (n - 1).bit_length()
     vertex_mask = (1 << shift) - 1
     dedupe = KeyDeduper(n_replicas << shift)
 
     for round_index in range(1, max_rounds + 1):
-        if rep.size == 0:
-            break
+        if live.size == 0:
+            return None
+        if switch.due(round_index, rep.size, live.size * n):
+            return round_index, rep, vtx
         degrees, flat = graph.neighborhoods(vtx)
         keys = np.repeat(rep, degrees)
         keys <<= shift
@@ -355,12 +381,11 @@ def _sparse_bips_shard(
         armed = armed_vtx != source
         keys, counts, armed_vtx = keys[armed], counts[armed], armed_vtx[armed]
         uniforms = rng.random(keys.size)
-        if law.offsets is not None:
-            counts += law.offsets[armed_vtx]
-        hit = law.infected(uniforms, counts)
+        if table.offsets is not None:
+            counts += table.offsets[armed_vtx]
+        hit = table.infected(uniforms, counts)
 
         # The persistent source stays infected in every live replica.
-        live = np.flatnonzero(infection_times < 0)
         rep = np.concatenate([keys[hit] >> shift, live])
         vtx = np.concatenate([armed_vtx[hit], np.full(live.size, source)])
         finished = np.bincount(rep, minlength=n_replicas) == n
@@ -369,7 +394,25 @@ def _sparse_bips_shard(
             keep = ~finished[rep]
             rep = rep[keep]
             vtx = vtx[keep]
-    return infection_times
+            live = live[~finished[live]]
+    return None
+
+
+def _switch_if_dense_fits(
+    graph: Graph, process: str, n_replicas: int, shard_size: int | None, jobs: int | None
+):
+    """The switch a sparse entry point ships: the paper's, or none at all.
+
+    Its shards may leave the sparse rounds only when
+    :func:`~repro.core.memory.dense_state_fits` says the dense state of
+    every concurrently running shard fits the memory budget.
+    """
+    from repro.core import batch
+
+    fits = dense_state_fits(
+        graph, process=process, n_replicas=n_replicas, shard_size=shard_size, jobs=jobs
+    )
+    return batch._SWITCH if fits else batch._SPARSE
 
 
 def sparse_cobra_cover_times(
@@ -385,30 +428,39 @@ def sparse_cobra_cover_times(
     jobs: int | None = None,
     shard_size: int | None = None,
 ) -> np.ndarray:
-    """Cover times of ``n_replicas`` COBRA runs in sparse-frontier state.
+    """Cover times of ``n_replicas`` COBRA runs, sparse while the frontier is.
 
-    Bit-identical to :func:`~repro.core.batch.batch_cobra_cover_times`
-    for the same arguments — both engines draw picks and coins in
-    ascending (replica, vertex) order from the same shard streams — but
-    memory is ``R·n/8`` bits plus the frontier, and each round costs
-    O(frontier) instead of O(R·n).  At ``branching=1`` the single-token
-    walk steps in blocks of rounds with one draw call per block and one
-    add and one gather per round (:func:`_walk_blocks`): about 0.05 s
-    for 16 replicas covering a 2048-vertex 8-regular expander (≈24k
-    rounds), against 0.5–0.8 s for the per-round kernel on the same
-    2-core Xeon.
-    Sharding, seeding, ``jobs``, and the timeout contract follow the
-    batch engine exactly; ``max_rounds`` must be ``None`` or an integer
-    of at least 1.
+    Runs the kernel of :func:`~repro.core.batch.batch_cobra_cover_times`
+    and returns its bits for the same arguments: each shard opens in
+    sparse rounds (memory ``R·n/8`` bits plus the frontier, each round
+    O(frontier)) and switches to the dense loop once its active pairs
+    fill 1/128 of its live cells — but only when the dense state of
+    every concurrently running shard fits the memory budget
+    (:func:`~repro.core.memory.dense_state_fits`); otherwise it stays
+    sparse to the end, and no memory guard raises.  At ``branching=1``
+    the single-token walk steps in blocks of rounds with one draw call
+    per block and one add and one gather per round
+    (:func:`_walk_blocks`): about 0.05 s for 16 replicas covering a
+    2048-vertex 8-regular expander (≈24k rounds), against 0.5–0.8 s for
+    the per-round kernel on the same 2-core Xeon.  Sharding, seeding,
+    ``jobs``, and the timeout contract follow the batch engine exactly;
+    ``max_rounds`` must be ``None`` or an integer of at least 1.
     """
-    start, mandatory, rho, max_rounds = _cobra_arguments(
+    from repro.core import batch
+
+    start, mandatory, rho, max_rounds = batch._cobra_arguments(
         graph, start, branching, n_replicas, max_rounds
     )
-    parameters = (start, mandatory, rho, max_rounds, include_start_in_cover)
-    times = np.concatenate(
-        _run_sharded(_sparse_cobra_shard, graph, parameters, n_replicas, seed, shard_size, jobs)
+    switch = _switch_if_dense_fits(graph, "cobra", n_replicas, shard_size, jobs)
+    parameters = (
+        start, mandatory, rho, max_rounds, include_start_in_cover, False, None,
+        batch._PAPER_COBRA, switch,
     )
-    _check_timeouts(times, raise_on_timeout, "COBRA", "cover", graph, max_rounds)
+    shards = batch._run_sharded(
+        batch._cobra_shard, graph, parameters, n_replicas, seed, shard_size, jobs
+    )
+    times = np.concatenate(shards)
+    batch._check_timeouts(times, raise_on_timeout, "COBRA", "cover", graph, max_rounds)
     return times
 
 
@@ -424,31 +476,38 @@ def sparse_bips_infection_times(
     jobs: int | None = None,
     shard_size: int | None = None,
 ) -> np.ndarray:
-    """Infection times of ``n_replicas`` BIPS runs in sparse-frontier state.
+    """Infection times of ``n_replicas`` BIPS runs, sparse while the frontier is.
 
-    Bit-identical to :func:`~repro.core.batch.batch_bips_infection_times`
-    for the same arguments: both engines draw one uniform per armed
-    vertex (a non-source vertex with an infected neighbour) in ascending
-    (replica, vertex) order from the same shard streams, and no other
-    vertex draws.  Early rounds therefore cost the volume of the
-    infected set.  As infection saturates, the armed set approaches n
-    and its keys fill the key space, so the dedupe tallies them with a
-    ``bincount`` over ``R·2^⌈log2 n⌉`` entries instead of sorting them,
-    and a round costs a few passes over ``R·n``.  Dense batch then
-    leads: ≈2.7× on a 1024-vertex 8-regular expander at k=2 with 32
-    replicas, and 1.5–3.3× on the 21³ torus with 2 to 32 replicas (best
-    of three, one core of a 2-core Xeon).  Sharding, seeding, ``jobs``, the
-    isolated-vertex check and the timeout contract follow the batch
-    engine exactly.
+    Runs the kernel of :func:`~repro.core.batch.batch_bips_infection_times`
+    and returns its bits for the same arguments: both phases draw one
+    uniform per armed vertex (a non-source vertex with an infected
+    neighbour) in ascending (replica, vertex) order from the same shard
+    streams, and no other vertex draws.  Early rounds therefore cost the
+    volume of the infected set.  As infection saturates, the armed set
+    approaches n and a sparse round costs a few passes over ``R·n``
+    (its keys fill the key space, and the dedupe tallies them with a
+    ``bincount`` instead of sorting them), where the dense loop's count
+    gathers are faster: sparse rounds run to the end took 1.5–3.3× the
+    dense loop's time on the 21³ torus with 2 to 32 replicas.  So each
+    shard switches to the dense loop once its infected pairs fill 1/128
+    of its live cells, when the dense state of every concurrently
+    running shard fits the memory budget
+    (:func:`~repro.core.memory.dense_state_fits`); otherwise it stays in
+    sparse rounds.  Sharding, seeding, ``jobs``, the isolated-vertex
+    check and the timeout contract follow the batch engine exactly.
     """
-    source, mandatory, rho, max_rounds = _bips_arguments(
+    from repro.core import batch
+
+    source, mandatory, rho, max_rounds = batch._bips_arguments(
         graph, source, branching, n_replicas, max_rounds
     )
-    parameters = (source, mandatory, rho, max_rounds)
-    times = np.concatenate(
-        _run_sharded(_sparse_bips_shard, graph, parameters, n_replicas, seed, shard_size, jobs)
+    switch = _switch_if_dense_fits(graph, "bips", n_replicas, shard_size, jobs)
+    parameters = (source, mandatory, rho, max_rounds, False, None, batch._PAPER_BIPS, switch)
+    shards = batch._run_sharded(
+        batch._bips_shard, graph, parameters, n_replicas, seed, shard_size, jobs
     )
-    _check_timeouts(
+    times = np.concatenate(shards)
+    batch._check_timeouts(
         times, raise_on_timeout, "BIPS", "infect", graph, max_rounds,
         error_cls=InfectionTimeoutError,
     )

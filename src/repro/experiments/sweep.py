@@ -82,14 +82,18 @@ def measure_cobra_cover(
 
     ``engine`` is one of
     :data:`~repro.scenarios.workloads.ENGINE_CHOICES`.  ``"batch"``
-    (the default) runs the vectorised synchronous-round kernel
-    (:func:`~repro.core.batch.batch_cobra_cover_times`), for any real
-    branching factor including the fractional ``1 + ρ`` of Theorem 3.
-    ``"sparse"`` runs the frontier-sparse kernel
-    (:func:`~repro.core.sparse.sparse_cobra_cover_times`) whose
-    per-round cost tracks the active frontier instead of ``R·n`` —
-    the engine of choice for million-vertex graphs, and bit-identical
-    to ``"batch"`` for a fixed seed.  ``"event"`` runs the
+    (the default) and ``"sparse"`` run the one synchronous-round kernel,
+    for any real branching factor including the fractional ``1 + ρ`` of
+    Theorem 3: each shard opens in sparse rounds, whose cost tracks the
+    active frontier, and finishes in the vectorised dense loop once the
+    frontier fills 1/128 of its live cells (at ``k = 1`` the walk steps
+    in blocks throughout).  They return the same bits for a fixed seed
+    and differ only in memory policy: ``"batch"``
+    (:func:`~repro.core.batch.batch_cobra_cover_times`) raises up front
+    when the dense state could not fit, while ``"sparse"``
+    (:func:`~repro.core.sparse.sparse_cobra_cover_times`) then keeps its
+    shards sparse to the end — the choice for million-vertex graphs on
+    a small machine.  ``"event"`` runs the
     continuous-time Gillespie kernel
     (:func:`~repro.core.event.event_cobra_cover_times`), a different
     law on the same time scale, and the only engine accepting the rate
@@ -158,7 +162,11 @@ def measure_bips_infection(
     """Ensemble of BIPS infection times on ``graph``.
 
     Supports the same ``engine`` / ``jobs`` / rate options (and the
-    same ``"batch"`` default) as :func:`measure_cobra_cover`, plus
+    same ``"batch"`` default) as :func:`measure_cobra_cover`: ``"batch"``
+    and ``"sparse"`` run the one round kernel, sparse while the infected
+    pairs fill less than 1/128 of a shard's live cells and dense after,
+    and differ only in what they do when the dense state could not fit
+    (raise, or stay sparse).  It adds
     ``recovery_rate``: with ``engine="event"``, infected non-source
     vertices additionally recover spontaneously at that rate
     (:func:`~repro.core.event.event_bips_infection_times`).

@@ -441,12 +441,18 @@ class Graph:
         numpy.ndarray
             Shape ``(m, k)``; entry ``[i, j]`` is the ``j``-th uniform
             neighbour drawn for ``vertices[i]``.
+
+        Raises
+        ------
+        IndexError
+            If a vertex lies outside ``[0, n)``.
         """
         if samples_per_vertex < 1:
             raise ValueError(f"samples_per_vertex must be >= 1, got {samples_per_vertex}")
         vertices = np.asarray(vertices, dtype=np.int64)
         if vertices.size == 0:
             return np.empty((0, samples_per_vertex), dtype=np.int64)
+        self._reject_negative(vertices)
         r = self._regular_degree
         if r is not None and r > 0:
             # Degree-regular fast path (every expander workload): row
@@ -536,6 +542,19 @@ class Graph:
             vertices = row
         return trajectory
 
+    def _reject_negative(self, vertices: np.ndarray) -> None:
+        """Raise :class:`IndexError` for a negative id in a non-empty ``vertices``.
+
+        The row gathers of :meth:`sample_neighbors` and
+        :meth:`neighborhoods` reject an id of ``n`` or more with their
+        own bounds check but wrap a negative one to a row at the end, so
+        only the sign needs a look: one reduction over the ids, about 1%
+        of a sampling call on a few thousand vertices or more.
+        """
+        lowest = int(vertices.min())
+        if lowest < 0:
+            raise IndexError(f"vertex ids must lie in [0, {self.n_vertices}), got {lowest}")
+
     def neighborhoods(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Concatenated neighbour rows of ``vertices`` (vectorised).
 
@@ -545,9 +564,12 @@ class Graph:
         sparse-frontier BIPS kernel uses this to expand the armed set
         ``frontier ∪ N(frontier)`` in time proportional to the frontier
         volume rather than ``n``.  On a regular graph the rows are one
-        gather of :attr:`neighbor_matrix`.
+        gather of :attr:`neighbor_matrix`.  A vertex outside ``[0, n)``
+        raises :class:`IndexError`.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
+        if vertices.size:
+            self._reject_negative(vertices)
         r = self._regular_degree
         if r is not None:
             counts = np.full(vertices.size, r, dtype=np.int64)

@@ -1,11 +1,15 @@
-"""Tests for the sparse-frontier COBRA/BIPS engines.
+"""Tests for the sparse rounds of the COBRA/BIPS round engine.
 
-The sparse kernels reimplement the exact same processes in
-frontier-proportional state.  Both draw in the batch engines' ascending
-(replica, vertex) order — COBRA its picks and coins, BIPS one uniform
-per armed vertex — so sparse and batch return identical arrays.  The
-shard contract — seed-stable, ``jobs``-invariant — is bit-exact for
-both.
+Every shard opens in sparse rounds (pair lists, a coverage bitset, the
+k = 1 walk blocks) and finishes in the dense loop once its frontier
+fills (``tests/core/test_round_switch.py`` moves that switch over every
+round).  The sparse rounds draw in the dense loop's ascending (replica,
+vertex) order — COBRA its picks and coins, BIPS one uniform per armed
+vertex — so the comparisons here run each side alone: the sparse entry
+points with every shard held in its sparse rounds (``_SPARSE``) against
+the batch entry points with every shard in the dense loop from round 1
+(``_DENSE``), the per-round reference.  The shard contract —
+seed-stable, ``jobs``-invariant — is bit-exact for both.
 """
 
 from __future__ import annotations
@@ -14,11 +18,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.core import batch as batch_module
 from repro.core.batch import (
+    _DENSE,
+    _SPARSE,
     CobraLaw,
     _cobra_shard,
     batch_bips_infection_times,
@@ -26,7 +34,6 @@ from repro.core.batch import (
 )
 from repro.core.sparse import (
     KeyDeduper,
-    _sparse_cobra_shard,
     sorted_unique,
     sparse_bips_infection_times,
     sparse_cobra_cover_times,
@@ -40,6 +47,22 @@ from repro.errors import (
 from repro.experiments.sweep import measure_bips_infection, measure_cobra_cover
 from repro.graphs import complete, from_edges, generators
 from repro.graphs.implicit import ImplicitHypercube, ImplicitTorus
+
+
+def _forced(switch, engine, *args, **kwargs):
+    """One engine call whose shards all run under ``switch``."""
+    with mock.patch.object(batch_module, "_SWITCH", switch):
+        return engine(*args, **kwargs)
+
+
+def _sparse_rounds(engine, *args, **kwargs):
+    """``engine`` with every shard held in its sparse rounds."""
+    return _forced(_SPARSE, engine, *args, **kwargs)
+
+
+def _dense_loop(engine, *args, **kwargs):
+    """``engine`` with every shard in the per-round dense loop from round 1."""
+    return _forced(_DENSE, engine, *args, **kwargs)
 
 
 #: Graphs for the COBRA bit-identity check: regular with power-of-two
@@ -69,8 +92,8 @@ def test_sparse_cobra_equals_batch(graph_name, branching, include_start, jobs):
         include_start_in_cover=include_start,
         jobs=jobs,
     )
-    sparse = sparse_cobra_cover_times(graph, 0, **kwargs)
-    batch = batch_cobra_cover_times(graph, 0, **kwargs)
+    sparse = _sparse_rounds(sparse_cobra_cover_times, graph, 0, **kwargs)
+    batch = _dense_loop(batch_cobra_cover_times, graph, 0, **kwargs)
     assert np.array_equal(sparse, batch)
 
 
@@ -89,8 +112,8 @@ def test_sparse_cobra_equals_batch(graph_name, branching, include_start, jobs):
 def test_sparse_cobra_equals_batch_on_larger_graphs(factory, branching):
     graph = factory()
     kwargs = dict(branching=branching, n_replicas=16, seed=41)
-    sparse = sparse_cobra_cover_times(graph, 0, **kwargs)
-    assert np.array_equal(sparse, batch_cobra_cover_times(graph, 0, **kwargs))
+    sparse = _sparse_rounds(sparse_cobra_cover_times, graph, 0, **kwargs)
+    assert np.array_equal(sparse, _dense_loop(batch_cobra_cover_times, graph, 0, **kwargs))
 
 
 #: Graphs for the walk kernel: power-of-two degree (one draw call per
@@ -107,7 +130,7 @@ WALK_GRAPHS = {
 
 @pytest.fixture(scope="module")
 def long_walk():
-    """rr(256, 4) at k = 1, with the per-round kernel's uncapped and capped times.
+    """rr(256, 4) at k = 1, with the per-round dense loop's uncapped and capped times.
 
     Every replica needs over 1,024 rounds to cover, so a shard's run
     spans several blocks of the longest length: blocks reach the cap,
@@ -116,10 +139,13 @@ def long_walk():
     """
     graph = generators.random_regular(256, 4, seed=9)
     kwargs = dict(branching=1.0, n_replicas=8, seed=23, shard_size=4, raise_on_timeout=False)
-    uncapped = batch_cobra_cover_times(graph, 0, **kwargs)
+    uncapped = _dense_loop(batch_cobra_cover_times, graph, 0, **kwargs)
     assert uncapped.min() > 1024
     caps = {300} | {int(t) + delta for t in (uncapped.min(), uncapped.max()) for delta in (-1, 0)}
-    expected = {cap: batch_cobra_cover_times(graph, 0, max_rounds=cap, **kwargs) for cap in caps}
+    expected = {
+        cap: _dense_loop(batch_cobra_cover_times, graph, 0, max_rounds=cap, **kwargs)
+        for cap in caps
+    }
     expected[None] = uncapped
     return graph, kwargs, expected
 
@@ -127,18 +153,20 @@ def long_walk():
 class TestWalkKernel:
     """Single-token COBRA steps in blocks of rounds with the per-round bits.
 
-    The dense batch kernel steps one round at a time, so it is the
-    reference: a block cut short by a finishing replica must keep only
-    the rounds up to that finish and rewind the generator, and no block
-    may step past ``max_rounds``.
+    The dense loop steps one round at a time, so it is the reference: a
+    block cut short by a finishing replica must keep only the rounds up
+    to that finish and rewind the generator, and no block may step past
+    ``max_rounds``.  The walk side is held in its sparse rounds, because
+    on graphs this small the paper's switch is due before round 1 and
+    would run the dense loop instead of the blocks.
     """
 
     @staticmethod
     def _both(graph, **kwargs):
         kwargs = dict(branching=1.0, raise_on_timeout=False, **kwargs)
         return (
-            sparse_cobra_cover_times(graph, 0, **kwargs),
-            batch_cobra_cover_times(graph, 0, **kwargs),
+            _sparse_rounds(sparse_cobra_cover_times, graph, 0, **kwargs),
+            _dense_loop(batch_cobra_cover_times, graph, 0, **kwargs),
         )
 
     @pytest.mark.parametrize("include_start", [False, True], ids=["paper", "with-start"])
@@ -168,7 +196,7 @@ class TestWalkKernel:
         monkeypatch.setattr("repro.core.sparse._MAX_BLOCK", max_block)
         graph, kwargs, expected = long_walk
         for cap, times in expected.items():
-            sparse = sparse_cobra_cover_times(graph, 0, max_rounds=cap, **kwargs)
+            sparse = _sparse_rounds(sparse_cobra_cover_times, graph, 0, max_rounds=cap, **kwargs)
             assert np.array_equal(sparse, times), cap
 
     @pytest.mark.parametrize("include_start", [False, True], ids=["paper", "with-start"])
@@ -196,23 +224,19 @@ class TestWalkKernel:
     def test_mt19937_takes_the_chained_draws(self, include_start):
         # MT19937's raw output is 32-bit, so on this power-of-two graph
         # the block's words must come from ``integers``, not ``random_raw``.
+        # The walk blocks run under the never-due switch, the per-round
+        # dense loop under the switch due at round 1.
         graph = generators.hypercube(4)
         max_rounds = 5_000
 
-        def generator():
-            return np.random.Generator(np.random.MT19937(11))
+        def cover_times(switch):
+            context = (graph, 0, 1, 0.0, max_rounds, include_start, False, None, CobraLaw(), switch)
+            return _cobra_shard(context, 0, 12, np.random.Generator(np.random.MT19937(11)))
 
-        sparse = _sparse_cobra_shard(
-            (graph, 0, 1, 0.0, max_rounds, include_start), 0, 12, generator()
-        )
-        batch = _cobra_shard(
-            (graph, 0, 1, 0.0, max_rounds, include_start, False, None, CobraLaw()),
-            0,
-            12,
-            generator(),
-        )
+        walk = cover_times(_SPARSE)
+        batch = cover_times(_DENSE)
         assert np.all(batch > 0)
-        assert np.array_equal(sparse, batch)
+        assert np.array_equal(walk, batch)
 
     def test_never_imports_scipy(self):
         script = (
@@ -253,12 +277,12 @@ def _assert_sparse_bips_equals_batch(graph_name, branching, shard_size, jobs):
     kwargs = dict(
         branching=branching, n_replicas=24, seed=31, shard_size=shard_size, jobs=jobs
     )
-    sparse = sparse_bips_infection_times(graph, 0, **kwargs)
-    assert np.array_equal(sparse, batch_bips_infection_times(graph, 0, **kwargs))
+    sparse = _sparse_rounds(sparse_bips_infection_times, graph, 0, **kwargs)
+    assert np.array_equal(sparse, _dense_loop(batch_bips_infection_times, graph, 0, **kwargs))
 
 
 class TestBatchAgreement:
-    """Sparse BIPS returns the batch engine's bits, configuration by configuration.
+    """Sparse BIPS rounds return the dense loop's bits, configuration by configuration.
 
     Both draw one uniform per armed (replica, vertex) pair in ascending
     order and look up the same infection thresholds.

@@ -16,9 +16,11 @@ Each at ``branching`` 1.0, 1.5 and 2.0.  BIPS at ``branching=1.0`` on
 the torus is left out: it takes thousands of rounds with a
 near-complete armed set, seconds per call.
 
-Both sparse kernels return the batch engines' bits
-(``tests/core/test_sparse.py``); these goldens pin the shared streams
-themselves.  The BIPS keys were re-captured once, when both BIPS round
+The sparse entry points run the batch entry points' kernel, whose
+shards open in sparse rounds and finish in the dense loop; the phases
+draw the same bits (``tests/core/test_sparse.py``,
+``tests/core/test_round_switch.py``), and these goldens pin the shared
+streams themselves.  The BIPS keys were re-captured once, when both BIPS round
 kernels moved to infected-neighbour counts (one uniform per armed
 vertex); the COBRA keys are unchanged since their capture.  The CI
 ``spawn`` job runs this file too, so they also hold in workers that

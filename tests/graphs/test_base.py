@@ -160,6 +160,18 @@ class TestNeighborhoods:
         assert np.array_equal(flat, expected_flat)
 
 
+@pytest.mark.parametrize("bad", ["n", "-1"])
+@pytest.mark.parametrize("graph_name", list(TestNeighborhoods.GRAPHS))
+def test_reads_reject_ids_outside_the_graph(graph_name, bad, rng):
+    # A negative id must not wrap to a row at the end of ``indices``.
+    graph = TestNeighborhoods.GRAPHS[graph_name]()
+    vertices = np.array([0, graph.n_vertices if bad == "n" else -1])
+    with pytest.raises(IndexError):
+        graph.sample_neighbors(vertices, 2, rng)
+    with pytest.raises(IndexError):
+        graph.neighborhoods(vertices)
+
+
 class TestSampleNeighbors:
     def test_shape(self, rng):
         graph = triangle()

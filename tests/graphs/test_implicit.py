@@ -117,7 +117,9 @@ class TestEdgeForEdgeAgreement:
     def test_out_of_range_ids_raise(self, pair, bad):
         # The implicit rows are arithmetic on the id, so an id outside
         # [0, n) would read a row of a vertex that does not exist.  The
-        # CSR twin's gathers reject n too (a negative id wraps there).
+        # CSR twin, a regular graph, rejects both ids as well: its
+        # gathers reject n, and a negative id would wrap to a row at the
+        # end of ``indices``.
         implicit, concrete = pair
         vertices = [0, implicit.n_vertices if bad == "n" else -1]
         reads = {
@@ -131,9 +133,8 @@ class TestEdgeForEdgeAgreement:
         for name, read in reads.items():
             with pytest.raises(IndexError):
                 read(implicit)
-            if bad == "n":
-                with pytest.raises(IndexError):
-                    read(concrete)
+            with pytest.raises(IndexError):
+                read(concrete)
         with pytest.raises(IndexError):
             implicit.neighbor_rows(vertices)
 

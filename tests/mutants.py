@@ -64,6 +64,7 @@ _BIPS_LAW = "tests/core/test_bips_conformance.py::test_infection_times_follow_th
 _WALK_CAPS = "tests/core/test_sparse.py::TestWalkKernel::test_caps_at_each_replicas_cover_time"
 _PROCESS_GOLDENS = "tests/core/test_process_goldens.py::test_process_matches_goldens"
 _LAWS = "tests/core/test_batch_laws.py"
+_SWITCH_ROUNDS = "tests/core/test_round_switch.py::test_switch_at_every_round"
 
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
@@ -208,6 +209,69 @@ MUTANTS: tuple[Mutant, ...] = (
         replacement="cover_times[replica_ids[:live][died]] = -1",
         nodes=(f"{_LAWS}::TestOutcomes::test_a_death_is_not_a_timeout",),
         origin="batch law values",
+    ),
+    Mutant(
+        id="switch-rows-for-finished-replicas",
+        file="src/repro/core/batch.py",
+        anchor="replica_ids = np.flatnonzero(cover_times == -1)",
+        replacement="replica_ids = np.arange(n_replicas)",
+        nodes=(f"{_SWITCH_ROUNDS}[grid7x9-cobra-k2.0]",),
+        origin="one round engine",
+    ),
+    Mutant(
+        id="switch-bitset-big-endian",
+        file="src/repro/core/batch.py",
+        anchor='bitorder="little"',
+        replacement='bitorder="big"',
+        nodes=(f"{_SWITCH_ROUNDS}[petersen-cobra-k2.0-with-start]",),
+        origin="one round engine",
+    ),
+    Mutant(
+        id="switch-round-skipped",
+        file="src/repro/core/batch.py",
+        anchor=(
+            "for round_index in range(first_round, max_rounds + 1):\n"
+            "        if live == 0:\n"
+            "            break\n"
+            "        flat_active"
+        ),
+        replacement=(
+            "for round_index in range(first_round + 1, max_rounds + 1):\n"
+            "        if live == 0:\n"
+            "            break\n"
+            "        flat_active"
+        ),
+        nodes=(f"{_SWITCH_ROUNDS}[c9-cobra-k2.0]",),
+        origin="one round engine",
+    ),
+    Mutant(
+        id="switch-round-drawn-twice",
+        file="src/repro/core/batch.py",
+        anchor=(
+            "for round_index in range(first_round, max_rounds + 1):\n"
+            "        if live == 0:\n"
+            "            break\n"
+            "        counts.fill(0)"
+        ),
+        replacement=(
+            "for round_index in range(first_round - 1, max_rounds + 1):\n"
+            "        if live == 0:\n"
+            "            break\n"
+            "        counts.fill(0)"
+        ),
+        nodes=(f"{_SWITCH_ROUNDS}[c9-bips-k2.0]",),
+        origin="one round engine",
+    ),
+    Mutant(
+        id="switch-bips-state-without-source",
+        file="src/repro/core/batch.py",
+        anchor="block(state_buffer, n, live)[vtx, row_of[rep]] = 1",
+        replacement=(
+            "block(state_buffer, n, live)[vtx, row_of[rep]] = 1\n"
+            "    block(state_buffer, n, live)[source] = 0"
+        ),
+        nodes=(f"{_SWITCH_ROUNDS}[rr64-4-bips-k2.0]",),
+        origin="one round engine",
     ),
 )
 
