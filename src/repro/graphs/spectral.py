@@ -29,6 +29,7 @@ machine precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -133,6 +134,21 @@ def lambda_second(graph: Graph, *, method: str = "auto") -> float:
     raise ValueError(f"unknown method {method!r}; expected auto/dense/sparse")
 
 
+@functools.cache
+def _eigsh():
+    """scipy's Lanczos solver, imported at the first sparse solve.
+
+    The import loads scipy's OpenBLAS copy, which is then set to one
+    thread like every other (:func:`repro.parallel.one_blas_thread`).
+    """
+    from scipy.sparse.linalg import eigsh
+
+    from repro.parallel import one_blas_thread
+
+    one_blas_thread()
+    return eigsh
+
+
 def _extreme_eigenvalues(graph: Graph) -> tuple[float, float]:
     """``(λ_2, λ_n)`` from one Lanczos run on the sparse normalised adjacency.
 
@@ -142,8 +158,7 @@ def _extreme_eigenvalues(graph: Graph) -> tuple[float, float]:
     repeated calls on one graph would disagree in the last bits.  One
     fixed, seeded start vector makes every call return the same floats.
     """
-    from scipy.sparse.linalg import eigsh
-
+    eigsh = _eigsh()
     n = graph.n_vertices
     if n < _SPARSE_MIN_VERTICES:
         raise ValueError(

@@ -16,34 +16,50 @@ rules every parallel entry point follows.
 * **One ``jobs`` convention.**  ``None`` means the process-wide
   default (1 unless the CLI's ``--jobs`` raised it), ``0`` means one
   worker per CPU, ``n >= 1`` means exactly ``n`` workers.
-* **Cheap context shipping.**  Shared read-only context (the graph,
-  process parameters) travels once per worker through the pool
-  initializer, not once per task.
+* **Cheap context shipping.**  A pooled call pickles its kernel and
+  shared read-only context (the graph, process parameters) once, into
+  a temporary file that lives as long as the call.  Every task carries
+  the file's path under a per-call token; a worker unpickles the file at
+  the first task of the call it runs and keeps the result until a
+  task of another call arrives.  So a large context crosses to each
+  worker once per call, not once per task.
+
+**One pool per process.**  The first pooled call starts a worker pool,
+and later calls reuse its live workers, so a run pays one pool start
+instead of one per call.  The pool is keyed by start method and worker
+count (``resolve_jobs(jobs)``; a call with fewer tasks leaves workers
+idle), and a call that asks for another key replaces it.  It is
+terminated at interpreter exit, so no worker outlives its parent, and
+a process forked from its owner never uses it: the child starts a pool
+of its own if it pools at all.  Two kinds of call get a pool of their
+own, started for the call and terminated when it ends:
+``isolate=True`` (a fresh worker per task) and a kernel or context
+that does not pickle, which forked workers inherit instead.  Inside a
+pool worker (a daemonic process) the machinery degrades to inline
+execution automatically — nested pools are never created.
 
 Pools prefer the ``fork`` start method where available (unless the
 application pinned another method with
-``multiprocessing.set_start_method``, which is respected), so graphs
-and closures are inherited by workers instead of pickled per task; on
-platforms without ``fork`` the kernel and its context must be
-picklable.  Inside a pool worker (a daemonic process) the machinery
-degrades to inline execution automatically — nested pools are never
-created.
+``multiprocessing.set_start_method``, which is respected).  Without
+``fork``, a call whose kernel or context does not pickle runs inline.
 
 For spawn-started pools, :class:`SharedGraph` publishes a graph's CSR
 arrays once through ``multiprocessing.shared_memory`` and reattaches
 them zero-copy in every worker, so shipping a large graph costs one
 copy total instead of one per worker per task.
 
-While a pool is open, every loaded OpenBLAS copy (numpy's and scipy's
-wheels each bundle one) runs one thread, in the parent and in the
-workers, so ``jobs`` workers never run ``jobs`` times as many BLAS
-threads as there are cores; each copy's previous count is restored
-when the pool closes.  The parent sets the count before the pool
-starts, and forked workers inherit it; spawn-started workers set it in
-the pool initializer.  A copy first loaded inside a worker keeps its
-own default, and where no OpenBLAS is found (another BLAS, or no
-``/proc/self/maps``) nothing changes.  Results do not depend on the
-BLAS thread count.
+Importing this module sets every loaded OpenBLAS copy (numpy's and
+scipy's wheels each bundle one) to one thread for the life of the
+process, and :func:`one_blas_thread` sets a copy loaded later (scipy's,
+at the first Lanczos solve).  So ``jobs`` workers never run ``jobs``
+times as many BLAS threads as there are cores, small dense solves do
+not stall on thread hand-offs, and a BLAS float does not depend on the
+machine's core count.  Forked workers inherit the setting;
+spawn-started workers import this module and set it themselves.  A
+copy is set once per process: a setter call in a forked worker would
+restart the OpenBLAS helper threads the fork stopped.  Where no
+OpenBLAS is found (another BLAS, or no ``/proc/self/maps``) nothing
+changes.
 
 Two entry points share one executor: :func:`map_shards` returns every
 result in task order, and :func:`imap_shards` streams them, optionally
@@ -53,18 +69,24 @@ campaigns run their entries on.
 
 from __future__ import annotations
 
+import atexit
 import ctypes
+import itertools
 import multiprocessing
 import os
 import pickle
-from contextlib import contextmanager
+import tempfile
+from contextlib import AbstractContextManager, contextmanager, nullcontext, suppress
 from multiprocessing import shared_memory
-from typing import Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import ParallelError
 from repro.graphs.base import Graph
+
+if TYPE_CHECKING:  # pools import it at their first start
+    import multiprocessing.pool
 
 #: Default number of shards a workload is split into.  The
 #: decomposition of an ensemble into shards depends on this value and
@@ -84,9 +106,21 @@ MIN_SHARD_SIZE = 32
 
 _default_jobs = 1
 
-#: Worker-process state installed by :func:`_initialize_worker`.
-_worker_kernel: Callable[..., Any] | None = None
-_worker_context: Any = None
+#: This process's long-lived pool as ``((start method, workers), pool)``;
+#: ``None`` before the first pooled call and in a forked child.
+_pool: tuple[tuple[str, int], multiprocessing.pool.Pool] | None = None
+
+#: Pools a forked child inherited from its parent.  The child keeps them
+#: referenced and never closes them: collecting one there would run its
+#: finalizer, which stops the parent's pool.
+_inherited_pools: list[multiprocessing.pool.Pool] = []
+
+#: Tokens that tell one pooled call's tasks from another's.
+_call_tokens = itertools.count()
+
+#: Worker side: ``(token, kernel, context)`` of the call this worker
+#: ran a task of last.
+_worker_call: tuple[int, Callable[..., Any], Any] | None = None
 
 
 def default_jobs() -> int:
@@ -176,8 +210,8 @@ _OPENBLAS_THREAD_SYMBOLS = (
 )
 
 
-def _openblas_thread_controls() -> list[tuple[Any, Any]]:
-    """``(set_num_threads, get_num_threads)`` of every OpenBLAS copy loaded here.
+def _openblas_thread_controls() -> dict[str, tuple[Any, Any]]:
+    """``path -> (set_num_threads, get_num_threads)`` of every OpenBLAS copy loaded here.
 
     The copies are the ``*openblas*`` shared objects mapped into this
     process (``/proc/self/maps``); their functions resolve through
@@ -188,9 +222,9 @@ def _openblas_thread_controls() -> list[tuple[Any, Any]]:
         with open("/proc/self/maps") as maps:
             lines = maps.read().splitlines()
     except OSError:
-        return []
+        return {}
     paths = {line.split(None, 5)[-1] for line in lines if "openblas" in line}
-    controls = []
+    controls = {}
     for path in sorted(paths):
         if "openblas" not in os.path.basename(path):
             continue
@@ -203,59 +237,62 @@ def _openblas_thread_controls() -> list[tuple[Any, Any]]:
                 set_threads, get_threads = getattr(library, set_name), getattr(library, get_name)
                 set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
                 get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                controls.append((set_threads, get_threads))
+                controls[path] = (set_threads, get_threads)
                 break
     return controls
 
 
-@contextmanager
-def _one_blas_thread() -> Iterator[None]:
-    """Run the block with every loaded OpenBLAS copy on one thread.
+#: Paths of the OpenBLAS copies this process has set to one thread.
+#: Forked children inherit it, and with it the setting.
+_one_thread_blas: set[str] = set()
 
-    Each copy's count is read first and restored on exit.
+
+def one_blas_thread() -> None:
+    """Set every OpenBLAS copy loaded here, and not set before, to one thread.
+
+    Runs at import, before a pool starts (a copy loaded outside this
+    module's seams still reaches forked workers set), and after an
+    import that loads a copy (:mod:`repro.graphs.spectral`'s Lanczos
+    solver).  A copy is set once per process.
     """
-    controls = _openblas_thread_controls()
-    saved = [get_threads() for _, get_threads in controls]
-    for set_threads, _ in controls:
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for (set_threads, _), count in zip(controls, saved):
-            set_threads(count)
-
-
-def _initialize_worker(kernel: Callable[..., Any], context: Any, forked: bool) -> None:
-    """Install the kernel and its shared context in a pool worker.
-
-    A forked worker inherits the parent's one-thread BLAS setting.  A
-    setter call there would start an OpenBLAS helper thread (the fork
-    stopped them), so only a worker that imported its BLAS afresh sets
-    one thread here.
-    """
-    # repro: ignore[spawn-safety] -- this IS the initializer seam: each worker installs its own copy; the parent never reads these
-    global _worker_kernel, _worker_context
-    _worker_kernel = kernel
-    _worker_context = context
-    if not forked:
-        for set_threads, _ in _openblas_thread_controls():
+    for path, (set_threads, _) in _openblas_thread_controls().items():
+        if path not in _one_thread_blas:
             set_threads(1)
+            _one_thread_blas.add(path)
 
 
-def _run_task(task: Sequence[Any]) -> Any:
-    """Execute one task against the worker's installed kernel."""
-    assert _worker_kernel is not None, "worker pool was not initialised"
-    return _worker_kernel(_worker_context, *task)
+one_blas_thread()
 
 
-def _run_indexed_task(indexed_task: tuple[int, Sequence[Any]]) -> tuple[int, Any]:
-    """Like :func:`_run_task`, but carries the task index with the result.
+def _install_call(token: int, kernel: Callable[..., Any], context: Any) -> None:
+    """Initializer of a per-call pool: install its call in the worker.
 
-    Unordered pool iteration loses positional information, so the
-    worker returns it explicitly.
+    Forked workers inherit ``kernel`` and ``context`` instead of
+    unpickling them, so closures work there.
     """
-    index, task = indexed_task
-    return index, _run_task(task)
+    # repro: ignore[spawn-safety] -- this IS the initializer seam: each worker installs its own copy; the parent never reads it
+    global _worker_call
+    _worker_call = (token, kernel, context)
+
+
+def _run_task(item: tuple[int, str | None, int, Sequence[Any]]) -> tuple[int, Any]:
+    """Run one task in a pool worker; return ``(index, result)``.
+
+    ``item`` is ``(token, payload, index, task)``.  At the first task of
+    a call it runs, a worker of the long-lived pool unpickles the call's
+    ``(kernel, context)`` from the ``payload`` file and keeps it under
+    the call's token.  A per-call pool's initializer installs the call
+    instead, and its tasks carry no payload.
+    """
+    # repro: ignore[spawn-safety] -- the worker's own cache of its current call; the parent never reads it
+    global _worker_call
+    token, payload, index, task = item
+    if _worker_call is None or _worker_call[0] != token:
+        assert payload is not None, "a per-call pool runs only its installed call"
+        with open(payload, "rb") as source:
+            _worker_call = (token, *pickle.load(source))
+    _, kernel, context = _worker_call
+    return index, kernel(context, *task)
 
 
 def will_pool(jobs: int | None, n_tasks: int) -> bool:
@@ -298,6 +335,48 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 def pool_start_method() -> str:
     """The start method worker pools will actually use."""
     return _pool_context().get_start_method()
+
+
+def _long_lived_pool(
+    pool_context: multiprocessing.context.BaseContext, workers: int
+) -> multiprocessing.pool.Pool:
+    """This process's pool of ``workers`` workers, started at first use.
+
+    A live pool of another start method or worker count is terminated
+    and replaced.
+    """
+    global _pool
+    key = (pool_context.get_start_method(), workers)
+    if _pool is not None and _pool[0] != key:
+        close_pool()
+    if _pool is None:
+        one_blas_thread()
+        _pool = (key, pool_context.Pool(processes=workers))
+    return _pool[1]
+
+
+def close_pool() -> None:
+    """Terminate this process's long-lived pool, if it has one.
+
+    Runs at interpreter exit; the next pooled call starts a new pool.
+    """
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool[1], None
+        pool.terminate()
+
+
+def _forget_inherited_pool() -> None:
+    """In a forked child: leave the parent's pool to the parent."""
+    global _pool
+    if _pool is not None:
+        _inherited_pools.append(_pool[1])
+        _pool = None
+
+
+atexit.register(close_pool)
+if hasattr(os, "register_at_fork"):  # without fork no child inherits a pool
+    os.register_at_fork(after_in_child=_forget_inherited_pool)
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
@@ -345,9 +424,8 @@ class SharedGraph:
     pooled work is done; workers only ever attach and never unlink.
     ``unlink`` removes the segment names — memory is returned once the
     last attached process drops its mapping.  On fork platforms the
-    handle also works (workers inherit the parent's attachment), it is
-    just unnecessary: :func:`map_shards` ships plain graphs for free
-    there.
+    handle also works, it is just not used there: a plain graph travels
+    in the call's one pickle, which each worker unpickles once per call.
     """
 
     def __init__(self, graph: Graph) -> None:
@@ -570,8 +648,9 @@ def map_shards(
         Its first argument is the shared ``context``; the remaining
         arguments are the task tuple.
     context:
-        Read-only state shipped once per worker (e.g. the graph and
-        process parameters).
+        Read-only state (e.g. the graph and process parameters).  A
+        pooled call pickles it once with the kernel, and each worker
+        unpickles it once per call.
     tasks:
         Argument tuples, one per shard.  Results are returned in the
         same order regardless of completion order.
@@ -614,59 +693,81 @@ def imap_shards(
     kernel that must not stop its siblings (the campaign entry kernel)
     catches its own failures and returns them as values.  Under a pool
     the exception is raised once the other tasks have finished, so the
-    pool shuts down idle.  A worker the OS kills outright never reports
-    back: ``multiprocessing.Pool`` then waits forever, and the remedy
-    is to interrupt the run.
+    pool is idle again: a per-call pool shuts down idle, and the
+    long-lived one serves the next call.  A worker the OS kills
+    outright never reports back: ``multiprocessing.Pool`` then waits
+    forever, and the remedy is to interrupt the run.
 
-    Abandoning the iterator early terminates the pool cleanly (the
-    ``with`` block unwinds on ``GeneratorExit``).
+    Abandoning the iterator, or an interrupt, while tasks are still
+    running terminates the pool that runs them (the long-lived pool
+    included; the next pooled call starts a new one), so no worker
+    keeps computing for an abandoned call and no result of it reaches
+    a later call.
     """
     tasks = list(tasks)
     if not tasks:
         return
-    n_workers = min(resolve_jobs(jobs), len(tasks))
-    inline = not will_pool(jobs, len(tasks))
     pool_context = _pool_context()
     forked = pool_context.get_start_method() == "fork"
-    if not inline and not forked:
-        # Without fork the initializer arguments travel by pickle;
-        # closure kernels/contexts (e.g. process factories) cannot, so
-        # degrade to inline execution rather than crash — same results,
-        # no parallelism.
+    pooled = will_pool(jobs, len(tasks))
+    payload = None
+    if pooled and not (isolate and forked):
         try:
-            pickle.dumps((kernel, context))
-        except Exception:  # repro: ignore[error-taxonomy] -- picklability probe: any failure means degrade to inline
-            inline = True
-    if inline:
+            payload = pickle.dumps((kernel, context), pickle.HIGHEST_PROTOCOL)
+        except Exception:  # repro: ignore[error-taxonomy] -- picklability probe: any failure means the call cannot ship by pickle
+            pass
+    if not pooled or (payload is None and not forked):
+        # Without fork an unpicklable kernel or context (e.g. a process
+        # factory closure) cannot reach a worker: run inline rather than
+        # crash — same results, no parallelism.
         for index, task in enumerate(tasks):
             yield index, kernel(context, *task)
         return
-    with _one_blas_thread(), pool_context.Pool(
-        processes=n_workers,
-        initializer=_initialize_worker,
-        initargs=(kernel, context, forked),
-        maxtasksperchild=1 if isolate else None,
-    ) as pool:
-        if ordered:
-            results = pool.imap(_run_task, tasks, chunksize=1)
+    token = next(_call_tokens)
+    payload_path = None
+    pool_scope: AbstractContextManager[multiprocessing.pool.Pool]
+    failure: Exception | None = None
+    pending = len(tasks)
+    try:
+        if payload is not None and not isolate:
+            pool_scope = nullcontext(_long_lived_pool(pool_context, resolve_jobs(jobs)))
+            descriptor, payload_path = tempfile.mkstemp(prefix="repro-call-", suffix=".pickle")
+            with os.fdopen(descriptor, "wb") as sink:
+                sink.write(payload)
         else:
-            results = pool.imap_unordered(
-                _run_indexed_task, list(enumerate(tasks)), chunksize=1
+            one_blas_thread()
+            pool_scope = pool_context.Pool(
+                processes=min(resolve_jobs(jobs), len(tasks)),
+                initializer=_install_call,
+                initargs=(token, kernel, context),
+                maxtasksperchild=1 if isolate else None,
             )
-        # A failed task stops the yielding at once but raises only after
-        # every other task has reported.  Leaving the ``with`` block
-        # terminates the pool, and terminating workers that are still
-        # sending results can kill one holding the result queue's lock;
-        # the pool's shutdown then waits on that lock forever.
-        failure: Exception | None = None
-        for position in range(len(tasks)):
-            try:
-                result = next(results)
-            except Exception as error:  # repro: ignore[error-taxonomy] -- held, then re-raised once the pool is idle
+        items = [(token, payload_path, index, task) for index, task in enumerate(tasks)]
+        with pool_scope as pool:
+            dispatch = pool.imap if ordered else pool.imap_unordered
+            results = dispatch(_run_task, items, chunksize=1)
+            # A failed task stops the yielding at once but raises only
+            # after every other task has reported, so the pool is idle
+            # again: a pool terminated while workers are still sending
+            # results can kill one holding the result queue's lock, and
+            # its shutdown then waits on that lock forever.
+            while pending:
+                try:
+                    result = next(results)
+                except Exception as error:  # repro: ignore[error-taxonomy] -- held, then re-raised once the pool is idle
+                    if failure is None:
+                        failure = error
+                pending -= 1
                 if failure is None:
-                    failure = error
-                continue
-            if failure is None:
-                yield (position, result) if ordered else result
-        if failure is not None:
-            raise failure
+                    yield result
+    except BaseException:
+        if payload_path is not None and pending:
+            # The long-lived pool may still run tasks of this call.
+            close_pool()
+        raise
+    finally:
+        if payload_path is not None:
+            with suppress(FileNotFoundError):
+                os.unlink(payload_path)
+    if failure is not None:
+        raise failure

@@ -17,10 +17,12 @@ from repro.parallel import (
     DEFAULT_SHARD_COUNT,
     MIN_SHARD_SIZE,
     _openblas_thread_controls,
+    close_pool,
     default_jobs,
     default_shard_size,
     imap_shards,
     map_shards,
+    one_blas_thread,
     pool_start_method,
     resolve_jobs,
     set_default_jobs,
@@ -32,9 +34,13 @@ def _echo_kernel(context, start, stop):
     return (context, start, stop)
 
 
+def _blas_thread_counts(controls) -> list[int]:
+    return [get_threads() for _, get_threads in controls.values()]
+
+
 def _blas_threads_kernel(context, index):
     """This worker's OpenBLAS thread counts and its number of OS threads."""
-    counts = [get_threads() for _, get_threads in _openblas_thread_controls()]
+    counts = _blas_thread_counts(_openblas_thread_controls())
     tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
     return counts, tasks
 
@@ -150,48 +156,43 @@ class TestMapShards:
 
 
 class TestPoolBlasThreads:
-    """While a pool runs, every OpenBLAS copy runs one thread."""
+    """Every OpenBLAS copy runs one thread before, during and after pools."""
 
     @pytest.fixture
-    def two_parent_threads(self):
-        # Start the parent at two threads so a pooled count of 1 is the
-        # pool's doing, not the machine's default.
+    def controls(self):
+        # A copy a test module loaded outside repro's seams (scipy.stats)
+        # is set by the next pool start or Lanczos solve; set it now so
+        # each test starts from the rule's state.
+        one_blas_thread()
         controls = _openblas_thread_controls()
         if not controls:
             pytest.skip("no OpenBLAS copy is loaded")
-        saved = [get_threads() for _, get_threads in controls]
-        for set_threads, _ in controls:
-            set_threads(2)
-        yield controls
-        for (set_threads, _), count in zip(controls, saved):
-            set_threads(count)
+        return controls
 
-    def test_pooled_tasks_run_one_blas_thread(self, two_parent_threads):
+    def test_pooled_tasks_run_one_blas_thread(self, controls):
+        close_pool()  # fresh workers, forked from this state
         results = map_shards(_blas_threads_kernel, None, [(i,) for i in range(4)], jobs=2)
         for counts, _ in results:
             assert counts and set(counts) == {1}
         if pool_start_method() == "fork":
             # The count is inherited; a setter call in the child would
-            # have started an OpenBLAS helper thread.
+            # have restarted an OpenBLAS helper thread.
             assert all(tasks in (1, None) for _, tasks in results)
 
-    def test_parent_runs_one_thread_while_the_pool_is_open(self, two_parent_threads):
+    def test_parent_runs_one_thread_while_the_pool_is_open(self, controls):
         for _ in imap_shards(_blas_threads_kernel, None, [(0,), (1,)], jobs=2):
-            assert [get_threads() for _, get_threads in two_parent_threads] == [1] * len(
-                two_parent_threads
-            )
+            assert _blas_thread_counts(controls) == [1] * len(controls)
 
-    def test_parent_count_restored_after_the_pool(self, two_parent_threads):
-        before = [get_threads() for _, get_threads in two_parent_threads]
-        assert before == [2] * len(before)
+    def test_parent_runs_one_thread_before_and_after_the_pool(self, controls):
+        assert _blas_thread_counts(controls) == [1] * len(controls)
         map_shards(_blas_threads_kernel, None, [(0,), (1,)], jobs=2)
-        assert [get_threads() for _, get_threads in two_parent_threads] == before
+        assert _blas_thread_counts(controls) == [1] * len(controls)
 
-    def test_parent_count_restored_after_a_failed_pool(self, two_parent_threads, tmp_path):
-        before = [get_threads() for _, get_threads in two_parent_threads]
+    def test_parent_runs_one_thread_before_and_after_a_failed_pool(self, controls, tmp_path):
+        assert _blas_thread_counts(controls) == [1] * len(controls)
         with pytest.raises(ValueError, match="task 0 failed"):
             map_shards(_fail_first_kernel, str(tmp_path), [(0,), (1,)], jobs=2)
-        assert [get_threads() for _, get_threads in two_parent_threads] == before
+        assert _blas_thread_counts(controls) == [1] * len(controls)
 
 
 class TestBatchJobsInvariance:

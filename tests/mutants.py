@@ -65,6 +65,7 @@ _WALK_CAPS = "tests/core/test_sparse.py::TestWalkKernel::test_caps_at_each_repli
 _PROCESS_GOLDENS = "tests/core/test_process_goldens.py::test_process_matches_goldens"
 _LAWS = "tests/core/test_batch_laws.py"
 _SWITCH_ROUNDS = "tests/core/test_round_switch.py::test_switch_at_every_round"
+_POOL = "tests/core/test_pool_lifecycle.py"
 
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
@@ -272,6 +273,30 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
         nodes=(f"{_SWITCH_ROUNDS}[rr64-4-bips-k2.0]",),
         origin="one round engine",
+    ),
+    Mutant(
+        id="pool-call-cache-ignores-token",
+        file="src/repro/parallel.py",
+        anchor="if _worker_call is None or _worker_call[0] != token:",
+        replacement="if _worker_call is None:",
+        nodes=(f"{_POOL}::test_calls_reuse_the_workers_and_see_only_their_own_context",),
+        origin="one worker pool per process",
+    ),
+    Mutant(
+        id="pool-kept-in-forked-child",
+        file="src/repro/parallel.py",
+        anchor="        _inherited_pools.append(_pool[1])\n        _pool = None\n",
+        replacement="        _inherited_pools.append(_pool[1])\n",
+        nodes=(f"{_POOL}::test_a_forked_child_does_not_use_its_parents_pool",),
+        origin="one worker pool per process",
+    ),
+    Mutant(
+        id="blas-setter-skips-later-copy",
+        file="src/repro/parallel.py",
+        anchor="if path not in _one_thread_blas:",
+        replacement="if not _one_thread_blas:",
+        nodes=(f"{_POOL}::test_a_fresh_process_runs_one_blas_thread_from_import_on",),
+        origin="one worker pool per process",
     ),
 )
 
