@@ -6,10 +6,11 @@ default) and then break — or worse, silently diverge — on spawn
 platforms and in the CI spawn job:
 
 * **Lambdas / nested functions handed to pool entry points.**  They do
-  not pickle; and a closure can smuggle a ``Graph`` into every task
-  payload, bypassing the ``SharedGraph`` / ``ships_compactly``
-  zero-copy shipping the batch layer guarantees.  Worker callables
-  must be module-level functions referenced by name.
+  not pickle, so under spawn the call falls back to running inline;
+  and a closure hides what it captures (a ``Graph``, say) from the
+  context a pooled call pickles once and ships to each worker.  Worker
+  callables must be module-level functions referenced by name, with
+  shared state passed as the call's context.
 * **Module-global writes inside worker-executed functions.**  Under
   spawn each worker owns its own module globals, so a rebind in a
   worker never reaches the parent (and vice versa): state that looks
@@ -60,8 +61,8 @@ class SpawnSafetyRule(Rule):
     id = "spawn-safety"
     title = "worker callables must pickle; workers must not write globals"
     hint = (
-        "pass a module-level function by name; ship graphs through the "
-        "SharedGraph / ships_compactly seam, not a closure"
+        "pass a module-level function by name; ship graphs in the call's "
+        "context argument, not a closure"
     )
     NODE_TYPES: ClassVar[tuple[type, ...]] = ()
 
@@ -94,8 +95,8 @@ class SpawnSafetyRule(Rule):
                         ctx,
                         candidate,
                         "lambda passed to a pool seam: lambdas do not pickle "
-                        "under spawn, and a closure bypasses SharedGraph "
-                        "shipping for anything it captures",
+                        "under spawn, and a closure hides what it captures "
+                        "from the call's shipped context",
                     )
                 elif isinstance(candidate, ast.Name):
                     if candidate.id in nested_defs:

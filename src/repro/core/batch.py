@@ -110,9 +110,8 @@ Both engines shard their replicas into about
 decomposition depends only on ``n_replicas`` and ``shard_size`` —
 never on ``jobs`` — so every returned array is bit-identical whether
 the shards run inline (``jobs=1``) or across a process pool
-(``jobs>1``).  When the pool would *spawn* workers (no ``fork``), the
-graph ships once through a :class:`~repro.parallel.SharedGraph`
-segment and reattaches zero-copy in each worker.
+(``jobs>1``).  Pooled shards receive the graph inside the call's one
+pickle under every start method (see :mod:`repro.parallel`).
 """
 
 from __future__ import annotations
@@ -134,14 +133,7 @@ from repro.core.runner import default_max_rounds
 from repro.core.sparse import _bips_opening, _cobra_opening
 from repro.errors import CoverTimeoutError, InfectionTimeoutError
 from repro.graphs.base import Graph
-from repro.parallel import (
-    acquire_shared_graph,
-    map_shards,
-    pool_start_method,
-    resolve_shared_graph,
-    shard_bounds,
-    will_pool,
-)
+from repro.parallel import map_shards, shard_bounds
 
 
 @dataclass(frozen=True)
@@ -441,7 +433,6 @@ def _cobra_shard(
     graph, start, mandatory, rho, max_rounds, include_start_in_cover, record, watch, law, switch = (
         context
     )
-    graph = resolve_shared_graph(graph)
     n_replicas = stop_index - start_index
     rng = ensure_generator(seed)
     n = graph.n_vertices
@@ -660,7 +651,6 @@ def _bips_shard(
     read from the current or the ever-infected set.
     """
     graph, source, mandatory, rho, max_rounds, record, watch, law, switch = context
-    graph = resolve_shared_graph(graph)
     n_replicas = stop_index - start_index
     rng = ensure_generator(seed)
     # Only the trace reads unarmed vertices' branching coins; they come
@@ -797,30 +787,13 @@ def _run_sharded(
 ) -> list:
     """Shard ``n_replicas`` rows, seed each shard, run, return raw results.
 
-    When the shards will run on a spawn-started pool (no ``fork``) the
-    graph is published through a :class:`~repro.parallel.SharedGraph`
-    so every worker reattaches the CSR arrays zero-copy instead of
-    unpickling its own copy.  Inside an active
-    :func:`~repro.parallel.shared_graph_scope` (experiment runs and
-    campaign entries open one) the publication is cached and reused
-    across every ensemble call on the same graph — one copy per graph
-    per scope; otherwise the segments are freed before returning, even
-    on error.
+    ``kernel(context, start, stop, seed)`` runs once per shard, with
+    ``context = (graph, *parameters)``: pooled shards receive the graph
+    inside the call's one pickle (see :mod:`repro.parallel`).
     """
     bounds = shard_bounds(n_replicas, shard_size)
     seeds = spawn_seed_sequences(seed, len(bounds))
     tasks = [(start, stop, shard_seed) for (start, stop), shard_seed in zip(bounds, seeds)]
-    # Graphs that pickle to a few bytes (implicit topologies) ship
-    # directly — publishing them would require CSR arrays they don't
-    # have, and there is nothing worth sharing anyway.
-    compact = getattr(graph, "ships_compactly", False)
-    if not compact and will_pool(jobs, len(tasks)) and pool_start_method() != "fork":
-        handle, caller_owns = acquire_shared_graph(graph)
-        try:
-            return map_shards(kernel, (handle, *parameters), tasks, jobs=jobs)
-        finally:
-            if caller_owns:
-                handle.unlink()
     return map_shards(kernel, (graph, *parameters), tasks, jobs=jobs)
 
 

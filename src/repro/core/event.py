@@ -39,8 +39,7 @@ Sharding and determinism mirror :mod:`repro.core.batch` exactly: the
 replicas split into fixed shards via :func:`~repro.core.batch._run_sharded`
 (``SeedSequence.spawn`` children per shard, then per replica), so for a
 fixed ``seed`` and ``shard_size`` every returned array is bit-identical
-at any ``jobs`` count, and spawn-started pools reattach the graph
-zero-copy through the SharedGraph path.
+at any ``jobs`` count.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from repro.core.process import resolve_vertex, validate_branching
 from repro.core.runner import default_max_rounds
 from repro.errors import CoverTimeoutError, InfectionTimeoutError, ProcessError
 from repro.graphs.base import Graph
-from repro.parallel import resolve_shared_graph
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +360,6 @@ def _cobra_event_shard(
     context: tuple, start_index: int, stop_index: int, seed: SeedLike
 ) -> np.ndarray:
     graph, weights, start, mandatory, rho, rate, max_time = context
-    graph = resolve_shared_graph(graph)
     contacts = _Contacts(graph, weights)
     n = graph.n_vertices
     times = np.empty(stop_index - start_index, dtype=np.float64)
@@ -377,7 +374,6 @@ def _bips_event_shard(
     context: tuple, start_index: int, stop_index: int, seed: SeedLike
 ) -> np.ndarray:
     graph, weights, source, mandatory, rho, rate, recovery_rate, max_time = context
-    graph = resolve_shared_graph(graph)
     contacts = _Contacts(graph, weights)
     n = graph.n_vertices
     times = np.empty(stop_index - start_index, dtype=np.float64)

@@ -127,8 +127,6 @@ def run_experiment_cached(
     hit.  The entry is keyed by (spec, workload, seed), so a mode run
     and a run of the equal workload share one entry.
     """
-    from repro.parallel import shared_graph_scope
-
     module = get_experiment(experiment_id)
     if workload is None:
         workload = module.preset("quick" if mode is None else mode)
@@ -139,15 +137,13 @@ def run_experiment_cached(
         )
     store = _resolve_cache(cache, cache_dir)
     if store is None:
-        with shared_graph_scope():
-            return module.run(workload, seed), False
+        return module.run(workload, seed), False
     label = workload_label(module.PRESETS, workload)  # raises on a wrong type
     parameters = resolved_parameters(experiment_id, workload)
     hit = store.get(module.SPEC.experiment_id, label, seed, parameters)
     if hit is not None:
         return hit, True
-    with shared_graph_scope():
-        result = module.run(workload, seed)
+    result = module.run(workload, seed)
     store.put(module.SPEC.experiment_id, label, seed, parameters, result)
     return result, False
 

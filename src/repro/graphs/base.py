@@ -38,8 +38,8 @@ def resolve_index_dtype(index_dtype: str, n_vertices: int) -> np.dtype:
 
     ``"int64"`` (the default) keeps the historical layout.  ``"int32"``
     opts into half-width column indices — legal whenever every vertex id
-    fits, i.e. ``n <= 2**31`` — which halves the resident CSR (and any
-    :class:`~repro.parallel.SharedGraph` segment) at million-vertex
+    fits, i.e. ``n <= 2**31`` — which halves the resident CSR (and the
+    pickle a pooled call ships to its workers) at million-vertex
     scale.  ``"auto"`` picks ``int32`` when it fits and ``int64``
     otherwise.  Only the *storage* narrows: ``indptr`` stays ``int64``
     and every sampling routine still returns ``int64`` arrays, so no
@@ -217,18 +217,17 @@ class Graph:
     ) -> "Graph":
         """Wrap pre-validated CSR arrays *without copying them*.
 
-        The zero-copy constructor used by
-        :class:`repro.parallel.SharedGraph` to rebuild a graph around
-        shared-memory buffers in worker processes.  The caller
-        certifies the arrays describe a simple undirected graph with
-        sorted rows (i.e. they came out of a validated :class:`Graph`);
-        nothing is checked beyond the basic indptr frame, and the views
-        are frozen in place.  ``indptr`` must be ``int64``; ``indices``
+        The zero-copy constructor behind
+        :func:`~repro.graphs.io.load_graph_memmap`, the implicit graphs'
+        ``materialize`` and the generators whose arrays are valid by
+        construction.  The caller certifies the arrays describe a
+        simple undirected graph with sorted rows; nothing is checked
+        beyond the basic indptr frame, and the views are frozen in
+        place.  ``indptr`` must be ``int64``; ``indices``
         may be ``int64`` or ``int32`` (e.g. a narrow graph or a
         memory-mapped CSR) and keeps its dtype without copying.  The
-        arrays must be C-contiguous; buffers they borrow (e.g. a
-        ``multiprocessing.shared_memory`` segment or an ``np.memmap``)
-        must outlive the graph.
+        arrays must be C-contiguous; a buffer they borrow (e.g. an
+        ``np.memmap``) must outlive the graph.
         """
         indptr = np.asarray(indptr, dtype=np.int64)
         indices = np.asarray(indices)

@@ -27,8 +27,8 @@ engine.
 
 Implicit graphs work with every engine that samples through the public
 ``Graph`` interface (process, batch, sparse, event).  They pickle to a
-few bytes (the constructor arguments), so spawn pools never need a
-:class:`~repro.parallel.SharedGraph` segment for them.  Operations that
+few bytes (the constructor arguments), so a pooled call ships one to
+its workers at no cost whatever the graph's size.  Operations that
 inherently need the CSR arrays (``indptr`` / ``indices`` /
 ``neighbor_matrix``, and with them the event engine's per-edge rates)
 raise :class:`~repro.errors.GraphPropertyError` pointing at
@@ -69,11 +69,6 @@ class ImplicitGraph(Graph):
     """
 
     __slots__ = ("_n",)
-
-    #: Signals the parallel layer that pickling this graph costs a few
-    #: bytes, so spawn pools ship it directly instead of publishing a
-    #: shared-memory CSR segment (which it does not have).
-    ships_compactly = True
 
     def __init__(self, n_vertices: int, degree: int, name: str) -> None:
         if n_vertices < 1:

@@ -76,17 +76,14 @@ class MemmapGraph(Graph):
     :meth:`~repro.graphs.base.Graph.walk` on a graph of power-of-two
     degree: its first call reads all of ``indices`` and keeps a private
     ``n·r`` int64 row table in the walking process.  Pickling ships the
-    directory path instead of the arrays (``ships_compactly``): spawn
-    workers re-map the same files and share one physical copy of the
-    adjacency through the OS page cache.  The backing directory must
-    therefore outlive the graph and be reachable from worker processes.
+    directory path instead of the arrays: the workers of a pooled call
+    re-map the same files and share one physical copy of the adjacency
+    through the OS page cache, under every start method.  The backing
+    directory must therefore outlive the graph and be reachable from
+    worker processes.
     """
 
     __slots__ = ("_directory",)
-
-    #: Pickles as a path; the parallel layer skips shared-memory
-    #: shipping because workers already share pages via the mapping.
-    ships_compactly = True
 
     def __reduce__(self):
         return (load_graph_memmap, (str(self._directory),))

@@ -43,10 +43,14 @@ application pinned another method with
 ``multiprocessing.set_start_method``, which is respected).  Without
 ``fork``, a call whose kernel or context does not pickle runs inline.
 
-For spawn-started pools, :class:`SharedGraph` publishes a graph's CSR
-arrays once through ``multiprocessing.shared_memory`` and reattaches
-them zero-copy in every worker, so shipping a large graph costs one
-copy total instead of one per worker per task.
+A graph reaches the workers the same way under every start method:
+inside the call's one pickle.  A CSR graph's arrays cost one copy per
+worker per call.  Implicit graphs pickle as their constructor
+arguments, and memory-mapped graphs
+(:func:`~repro.graphs.io.load_graph_memmap`) as their directory path,
+so the workers of a large graph saved with
+:func:`~repro.graphs.io.save_graph_memmap` share one physical copy
+through the page cache.
 
 Importing this module sets every loaded OpenBLAS copy (numpy's and
 scipy's wheels each bundle one) to one thread for the life of the
@@ -76,14 +80,12 @@ import multiprocessing
 import os
 import pickle
 import tempfile
-from contextlib import AbstractContextManager, contextmanager, nullcontext, suppress
-from multiprocessing import shared_memory
+from contextlib import AbstractContextManager, nullcontext, suppress
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import ParallelError
-from repro.graphs.base import Graph
 
 if TYPE_CHECKING:  # pools import it at their first start
     import multiprocessing.pool
@@ -143,14 +145,20 @@ def set_default_jobs(jobs: int) -> int:
     return previous
 
 
+def _is_integer(value: Any) -> bool:
+    """Whether ``value`` is a Python or NumPy integer; a boolean is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def resolve_jobs(jobs: int | None = None) -> int:
     """Normalise a ``jobs`` argument to a concrete worker count.
 
     ``None`` resolves to :func:`default_jobs`, ``0`` to ``os.cpu_count()``,
-    and any positive integer to itself.  Negative counts are rejected,
-    and so are booleans: ``jobs=True`` would otherwise coerce to one
-    worker and silently serialise a run the caller meant to
-    parallelise (mirroring the strict seed validation in
+    and any positive integer (Python or NumPy) to itself.  Negative
+    counts are rejected, and so is anything that is not an integer:
+    ``jobs=2.7`` would otherwise truncate to two workers and
+    ``jobs=True`` coerce to one, silently serialising a run the caller
+    meant to parallelise (mirroring the strict seed validation in
     :meth:`~repro.experiments.campaign.CampaignEntry.from_dict`).
     """
     if jobs is None:
@@ -160,6 +168,8 @@ def resolve_jobs(jobs: int | None = None) -> int:
             f"jobs must be an integer worker count, got the boolean {jobs!r} "
             "(did you mean jobs=0 for one worker per CPU?)"
         )
+    if not _is_integer(jobs):
+        raise ParallelError(f"jobs must be an integer worker count, got {jobs!r}")
     jobs = int(jobs)
     if jobs < 0:
         raise ParallelError(f"jobs must be >= 0 (0 = one per CPU), got {jobs}")
@@ -185,12 +195,16 @@ def shard_bounds(n_items: int, shard_size: int | None = None) -> list[tuple[int,
 
     The decomposition depends only on ``n_items`` and ``shard_size``
     (default :func:`default_shard_size`); callers must never let the
-    worker count influence either, or jobs-invariance is lost.
+    worker count influence either, or jobs-invariance is lost.  The
+    shard layout decides the draw streams, so a ``shard_size`` that is
+    not an integer (``1.5``, ``True``) is rejected, not truncated.
     """
     if n_items < 0:
         raise ParallelError(f"n_items must be >= 0, got {n_items}")
     if shard_size is None:
         shard_size = default_shard_size(n_items)
+    elif not _is_integer(shard_size):
+        raise ParallelError(f"shard_size must be an integer row count, got {shard_size!r}")
     shard_size = int(shard_size)
     if shard_size < 1:
         raise ParallelError(f"shard_size must be >= 1, got {shard_size}")
@@ -299,10 +313,10 @@ def will_pool(jobs: int | None, n_tasks: int) -> bool:
     """Whether :func:`map_shards` would start a real worker pool.
 
     The one shared predicate behind the pool-vs-inline decision, so
-    callers that prepare pool-only machinery (e.g. publishing a
-    :class:`SharedGraph`) agree with the execution layer.  (Inline
-    degradation for unpicklable kernels on spawn platforms is decided
-    later, inside :func:`imap_shards`.)
+    callers that plan for concurrent shards (the dense engines' memory
+    guard in :mod:`repro.core.memory`) agree with the execution layer.
+    (Inline degradation for unpicklable kernels on spawn platforms is
+    decided later, inside :func:`imap_shards`.)
     """
     return (
         n_tasks > 1
@@ -377,259 +391,6 @@ def _forget_inherited_pool() -> None:
 atexit.register(close_pool)
 if hasattr(os, "register_at_fork"):  # without fork no child inherits a pool
     os.register_at_fork(after_in_child=_forget_inherited_pool)
-
-
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without resource-tracker adoption.
-
-    Before Python 3.13 an *attaching* ``SharedMemory`` still registers
-    with the process-local resource tracker, which then unlinks the
-    segment when the attaching process exits — destroying it for the
-    publisher and every other worker.  3.13+ exposes ``track=False``;
-    earlier versions need the registration undone by hand.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no ``track`` parameter
-        from multiprocessing import resource_tracker
-
-        # Silence registration for the duration of the attach.  An
-        # explicit ``unregister`` afterwards would be wrong: workers
-        # share the publisher's tracker process, so it would cancel the
-        # *publisher's* registration and orphan the segment on crash.
-        original_register = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original_register
-
-
-class SharedGraph:
-    """A picklable zero-copy handle to a :class:`~repro.graphs.base.Graph`.
-
-    ``SharedGraph(graph)`` *publishes* the graph's CSR ``indptr`` /
-    ``indices`` arrays into two ``multiprocessing.shared_memory``
-    segments — one copy, total.  The handle pickles to a few hundred
-    bytes of metadata (segment names, lengths, graph name), so shipping
-    it to spawn-started workers through a pool initializer costs
-    nothing; each worker's :meth:`graph` call reattaches the segments
-    and rebuilds the graph around read-only views of the shared buffers
-    (no validation, no copy).  A worker that walks a graph of
-    power-of-two degree still builds its own ``n·r`` int64 row table
-    (:meth:`~repro.graphs.base.Graph.walk`).
-
-    Lifecycle: the publishing process owns the segments and must call
-    :meth:`unlink` (or use the handle as a context manager) when the
-    pooled work is done; workers only ever attach and never unlink.
-    ``unlink`` removes the segment names — memory is returned once the
-    last attached process drops its mapping.  On fork platforms the
-    handle also works, it is just not used there: a plain graph travels
-    in the call's one pickle, which each worker unpickles once per call.
-    """
-
-    def __init__(self, graph: Graph) -> None:
-        self._name = graph.name
-        self._n_indptr = graph.indptr.size
-        self._n_indices = graph.indices.size
-        # Indices may be stored narrow (int32); the segment and the
-        # worker-side views follow the graph's storage dtype so an
-        # opted-in graph ships at half width too.
-        self._indices_dtype = graph.indices.dtype.str
-        self._owner = True
-        # Assign both segment slots before creating anything so a
-        # creation failure (e.g. a full /dev/shm) leaves an object
-        # ``unlink`` can still clean up instead of a half-built one.
-        self._indptr_shm: shared_memory.SharedMemory | None = None
-        self._indices_shm: shared_memory.SharedMemory | None = None
-        self._graph: Graph | None = None
-        try:
-            # SharedMemory rejects zero-length segments; an edgeless
-            # graph still publishes a 1-byte indices segment (never read).
-            self._indptr_shm = shared_memory.SharedMemory(
-                create=True, size=max(1, graph.indptr.nbytes)
-            )
-            self._indices_shm = shared_memory.SharedMemory(
-                create=True, size=max(1, graph.indices.nbytes)
-            )
-            np.ndarray(self._n_indptr, dtype=np.int64, buffer=self._indptr_shm.buf)[
-                :
-            ] = graph.indptr
-            np.ndarray(
-                self._n_indices, dtype=self._indices_dtype, buffer=self._indices_shm.buf
-            )[:] = graph.indices
-        except BaseException:
-            self.unlink()
-            raise
-        self._indptr_segment = self._indptr_shm.name
-        self._indices_segment = self._indices_shm.name
-        # The publisher already has the graph; workers build theirs lazily.
-        self._graph = graph
-
-    # -- pickling ------------------------------------------------------
-
-    def __getstate__(self) -> dict[str, Any]:
-        return {
-            "name": self._name,
-            "n_indptr": self._n_indptr,
-            "n_indices": self._n_indices,
-            "indices_dtype": self._indices_dtype,
-            "indptr_segment": self._indptr_segment,
-            "indices_segment": self._indices_segment,
-        }
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self._name = state["name"]
-        self._n_indptr = state["n_indptr"]
-        self._n_indices = state["n_indices"]
-        self._indices_dtype = state["indices_dtype"]
-        self._indptr_segment = state["indptr_segment"]
-        self._indices_segment = state["indices_segment"]
-        self._owner = False
-        self._indptr_shm = None
-        self._indices_shm = None
-        self._graph = None
-
-    # -- access --------------------------------------------------------
-
-    def graph(self) -> Graph:
-        """The shared graph, attaching to the segments on first use.
-
-        Worker-side calls build the graph around zero-copy views of the
-        shared buffers and cache it; the publisher returns the original
-        graph it was constructed from.
-        """
-        if self._graph is None:
-            if self._indptr_shm is None:
-                self._indptr_shm = _attach_segment(self._indptr_segment)
-                self._indices_shm = _attach_segment(self._indices_segment)
-            indptr = np.ndarray(
-                self._n_indptr, dtype=np.int64, buffer=self._indptr_shm.buf
-            )
-            indices = np.ndarray(
-                self._n_indices, dtype=self._indices_dtype, buffer=self._indices_shm.buf
-            )
-            self._graph = Graph.adopt_validated_csr(indptr, indices, name=self._name)
-        return self._graph
-
-    def unlink(self) -> None:
-        """Publisher-side: free the segments (idempotent).
-
-        Attached workers keep their mappings until they drop them; new
-        attaches fail afterwards.
-        """
-        if not self._owner:
-            return
-        for segment in (self._indptr_shm, self._indices_shm):
-            if segment is None:
-                continue
-            try:
-                segment.close()
-            except BufferError:  # pragma: no cover - live views in this process
-                pass
-            try:
-                segment.unlink()
-            except FileNotFoundError:
-                pass
-        self._indptr_shm = None
-        self._indices_shm = None
-
-    def __enter__(self) -> "SharedGraph":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.unlink()
-
-    def __del__(self) -> None:  # pragma: no cover - shutdown ordering varies
-        # Best-effort cleanup: owners free their segments even when
-        # ``unlink`` was forgotten; attached workers drop their views
-        # before closing so interpreter shutdown stays silent.
-        try:
-            self._graph = None
-            if self._owner:
-                self.unlink()
-            else:
-                for segment in (self._indptr_shm, self._indices_shm):
-                    if segment is not None:
-                        try:
-                            segment.close()
-                        except Exception:  # repro: ignore[error-taxonomy] -- best-effort shm detach; teardown must not raise
-                            pass
-        except Exception:  # repro: ignore[error-taxonomy] -- close() runs from __del__/atexit where raising is forbidden
-            pass
-
-    def __repr__(self) -> str:
-        role = "publisher" if self._owner else "attached"
-        return (
-            f"SharedGraph({self._name!r}, segments="
-            f"[{self._indptr_segment}, {self._indices_segment}], {role})"
-        )
-
-
-#: Active publication cache of :func:`shared_graph_scope`, or ``None``.
-#: Maps ``id(graph)`` to ``(graph, handle)`` — the strong graph
-#: reference pins the id so it cannot be recycled by a new object.
-_graph_publications: "dict[int, tuple[Graph, SharedGraph]] | None" = None
-
-
-@contextmanager
-def shared_graph_scope() -> "Iterator[None]":
-    """Publish each distinct graph at most once for the scope's duration.
-
-    Inside the scope, :func:`acquire_shared_graph` hands out one
-    long-lived :class:`SharedGraph` per graph object instead of a fresh
-    publication per ensemble call, so an experiment that measures the
-    same graph several times (E2's BIPS+COBRA pairs, E9's protocol
-    sweep) — or a campaign entry doing so on a spawn platform — pays
-    one copy per graph total.  Every cached publication is unlinked
-    when the outermost scope exits; nested scopes reuse the outer
-    cache.  Without an active scope :func:`acquire_shared_graph`
-    degrades to the old publish-per-call behaviour.
-    """
-    global _graph_publications
-    if _graph_publications is not None:  # nested: reuse the outer cache
-        yield
-        return
-    _graph_publications = {}
-    try:
-        yield
-    finally:
-        cache, _graph_publications = _graph_publications, None
-        for _, handle in cache.values():
-            handle.unlink()
-
-
-def acquire_shared_graph(graph: Graph) -> "tuple[SharedGraph, bool]":
-    """A shared-memory handle for ``graph``, cached inside an active scope.
-
-    Returns ``(handle, caller_owns)``: when ``caller_owns`` is True the
-    caller must ``unlink()`` the handle after its pooled work (no scope
-    was active); when False the handle belongs to the enclosing
-    :func:`shared_graph_scope` and must be left alone.
-    """
-    if _graph_publications is None:
-        return SharedGraph(graph), True
-    entry = _graph_publications.get(id(graph))
-    if entry is not None:
-        # The cached strong reference pins id(graph), so a cache hit is
-        # always the same object.
-        assert entry[0] is graph
-        return entry[1], False
-    handle = SharedGraph(graph)
-    _graph_publications[id(graph)] = (graph, handle)
-    return handle, False
-
-
-def resolve_shared_graph(graph_or_handle: "Graph | SharedGraph") -> Graph:
-    """Accept either a plain graph or a shared handle; return the graph.
-
-    Kernels call this on the graph slot of their shipped context so the
-    same kernel works with fork-inherited graphs and shared-memory
-    handles alike.
-    """
-    if isinstance(graph_or_handle, SharedGraph):
-        return graph_or_handle.graph()
-    return graph_or_handle
 
 
 def map_shards(

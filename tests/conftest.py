@@ -11,10 +11,10 @@ import pytest
 from repro.graphs import generators
 
 # The CI "spawn" job sets REPRO_TEST_START_METHOD=spawn so the whole
-# suite runs its pools without fork inheritance — the regime where the
-# shared-memory graph path actually carries the data.  The method must
-# be pinned at import time, before any pool (or the resource tracker)
-# exists.
+# suite runs its pools without fork inheritance — the regime where a
+# kernel and its context (the graph included) can reach a worker only
+# by pickle.  The method must be pinned at import time, before any pool
+# (or the resource tracker) exists.
 _START_METHOD = os.environ.get("REPRO_TEST_START_METHOD")
 if _START_METHOD:
     multiprocessing.set_start_method(_START_METHOD, force=True)

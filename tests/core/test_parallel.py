@@ -87,9 +87,20 @@ class TestResolveJobs:
         with pytest.raises(ParallelError, match="boolean"):
             resolve_jobs(False)
 
+    def test_non_integers_rejected_not_truncated(self):
+        # ``int(2.7)`` would run two workers where the caller asked for
+        # something else; NumPy integers are counts like any other.
+        with pytest.raises(ParallelError, match="integer worker count, got 2.7"):
+            resolve_jobs(2.7)
+        with pytest.raises(ParallelError, match="integer"):
+            resolve_jobs("2")
+        assert resolve_jobs(np.int64(3)) == 3
+
     def test_set_default_rejects_bool_and_none(self):
         with pytest.raises(ParallelError, match="boolean"):
             set_default_jobs(True)
+        with pytest.raises(ParallelError, match="got 2.5"):
+            set_default_jobs(2.5)
         with pytest.raises(ParallelError, match="None"):
             set_default_jobs(None)
         assert default_jobs() == 1  # the default survived the rejections
@@ -122,6 +133,14 @@ class TestShardBounds:
         # The signature has no jobs argument at all: the decomposition
         # cannot depend on the worker count.
         assert shard_bounds(100, 7) == shard_bounds(100, 7)
+
+    def test_non_integer_shard_sizes_rejected_not_truncated(self):
+        # The shard layout decides the draw streams: ``True`` would
+        # make one-row shards and ``1.5`` truncate to them.
+        for shard_size in (True, 1.5, np.float64(2.0)):
+            with pytest.raises(ParallelError, match="shard_size must be an integer"):
+                shard_bounds(4, shard_size)
+        assert shard_bounds(4, np.int32(2)) == [(0, 2), (2, 4)]
 
     def test_bad_arguments(self):
         with pytest.raises(ParallelError, match="shard_size"):

@@ -215,7 +215,7 @@ class TestWalkKernel:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_pooled_shards(self, jobs):
-        # In spawn workers the graph arrives through a SharedGraph.
+        # Pooled shards receive the graph inside the call's one pickle.
         graph = generators.random_regular(128, 8, seed=5)
         sparse, batch = self._both(graph, n_replicas=12, seed=8, shard_size=4, jobs=jobs)
         assert np.array_equal(sparse, batch)

@@ -322,3 +322,17 @@ class TestWalk:
         for starts in ([n], [0, n], [-1]):
             with pytest.raises(IndexError):
                 graph.walk(np.array(starts), 3, rng)
+
+
+class TestAdoptValidatedCsr:
+    def test_adopts_without_copy(self, petersen):
+        adopted = Graph.adopt_validated_csr(
+            petersen.indptr, petersen.indices, name="adopted"
+        )
+        assert adopted == petersen
+        assert np.shares_memory(adopted.indices, petersen.indices)
+        assert adopted.regular_degree == 3
+
+    def test_rejects_malformed_frame(self):
+        with pytest.raises(Exception, match="indptr"):
+            Graph.adopt_validated_csr(np.asarray([0, 2]), np.asarray([1]))

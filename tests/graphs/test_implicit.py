@@ -242,8 +242,7 @@ class TestImplicitBehaviour:
             assert clone == graph
             assert clone.n_vertices == n
 
-    def test_ships_compactly_flag(self):
-        assert ImplicitHypercube(3).ships_compactly
+    def test_hypercube_is_an_implicit_graph(self):
         assert issubclass(ImplicitHypercube, ImplicitGraph)
 
     def test_analytic_lambda_matches_spectrum(self):

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphConstructionError
 from repro.graphs import generators
 from repro.graphs.base import INDEX_DTYPES, Graph, resolve_index_dtype
-from repro.parallel import SharedGraph
+
+from tests.properties.strategies import connected_small_graphs
 
 
 class TestResolveIndexDtype:
@@ -72,27 +77,17 @@ class TestNarrowGraphs:
         assert flat.dtype == np.dtype(np.int64)
 
 
-class TestSharedGraphDtype:
-    def test_int32_roundtrips_through_shared_memory(self):
-        import pickle
-
-        wide = generators.random_regular(64, 4, seed=7)
-        narrow = Graph(wide.indptr, wide.indices, name=wide.name, index_dtype="int32")
-        with SharedGraph(narrow) as shared:
-            attached = pickle.loads(pickle.dumps(shared))
-            rebuilt = attached.graph()
-            assert rebuilt.indices.dtype == np.dtype(np.int32)
-            assert np.array_equal(rebuilt.indices, narrow.indices)
-            assert rebuilt == narrow
-            del rebuilt, attached
-
-    def test_int64_roundtrip_unchanged(self):
-        import pickle
-
-        graph = generators.random_regular(64, 4, seed=7)
-        with SharedGraph(graph) as shared:
-            attached = pickle.loads(pickle.dumps(shared))
-            rebuilt = attached.graph()
-            assert rebuilt.indices.dtype == np.dtype(np.int64)
-            assert rebuilt == graph
-            del rebuilt, attached
+class TestPickledDtype:
+    @settings(max_examples=25, deadline=None)
+    @given(graph=connected_small_graphs(), index_dtype=st.sampled_from(["int32", "int64"]))
+    def test_pickle_keeps_arrays_and_index_dtype(self, graph, index_dtype):
+        # A pooled call ships its graph inside the call's one pickle
+        # (at the highest protocol), so the copy a worker rebuilds must
+        # be the same frozen graph at the same storage width.
+        graph = Graph(graph.indptr, graph.indices, name=graph.name, index_dtype=index_dtype)
+        clone = pickle.loads(pickle.dumps(graph, pickle.HIGHEST_PROTOCOL))
+        assert clone == graph
+        assert clone.name == graph.name
+        assert clone.indices.dtype == np.dtype(index_dtype)
+        assert clone.indptr.dtype == np.dtype(np.int64)
+        assert not clone.indices.flags.writeable

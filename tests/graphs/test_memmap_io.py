@@ -70,10 +70,6 @@ class TestPathPickling:
         assert isinstance(clone, MemmapGraph)
         assert clone == graph
 
-    def test_ships_compactly(self, saved):
-        _, directory = saved
-        assert load_graph_memmap(directory).ships_compactly
-
     def test_worker_pool_runs_through_memmap(self, saved):
         graph, directory = saved
         mapped = load_graph_memmap(directory)

@@ -298,6 +298,22 @@ MUTANTS: tuple[Mutant, ...] = (
         nodes=(f"{_POOL}::test_a_fresh_process_runs_one_blas_thread_from_import_on",),
         origin="one worker pool per process",
     ),
+    Mutant(
+        id="memmap-pickles-arrays",
+        file="src/repro/graphs/io.py",
+        anchor="    def __reduce__(self):\n        return (load_graph_memmap, (str(self._directory),))\n",
+        replacement="",
+        nodes=("tests/graphs/test_memmap_io.py::TestPathPickling::test_pickles_as_path",),
+        origin="one graph shipping path",
+    ),
+    Mutant(
+        id="implicit-pickles-state",
+        file="src/repro/graphs/implicit.py",
+        anchor="    def __reduce__(self):\n        return (type(self), self._constructor_args())\n",
+        replacement="",
+        nodes=("tests/graphs/test_implicit.py::TestImplicitBehaviour::test_pickles_compactly",),
+        origin="one graph shipping path",
+    ),
 )
 
 
