@@ -27,7 +27,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, ClassVar, Iterator, Mapping, Sequence
+from typing import Any, ClassVar, Iterator, Sequence
 
 #: Directories never descended into when expanding path arguments.
 _SKIPPED_DIRS = frozenset(
@@ -39,12 +39,7 @@ _SUPPRESSION_RE = re.compile(r"#\s*repro:\s*ignore\[([^\]]+)\]")
 
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation, anchored to a source location.
-
-    ``identity()`` deliberately excludes the line/column so baseline
-    entries survive unrelated edits above the finding; two findings
-    with identical messages in one file are matched by multiplicity.
-    """
+    """One rule violation, anchored to a source location."""
 
     rule: str
     path: str
@@ -52,10 +47,6 @@ class Finding:
     column: int
     message: str
     hint: str = ""
-
-    def identity(self) -> tuple[str, str, str]:
-        """Baseline-matching key: location-independent within a file."""
-        return (self.path, self.rule, self.message)
 
     def to_dict(self) -> dict[str, Any]:
         """Plain JSON-shaped form (the ``--format json`` record)."""
@@ -67,18 +58,6 @@ class Finding:
             "message": self.message,
             "hint": self.hint,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Finding":
-        """Inverse of :meth:`to_dict`; missing anchors default to 0."""
-        return cls(
-            rule=str(data["rule"]),
-            path=str(data["path"]),
-            line=int(data.get("line", 0)),
-            column=int(data.get("column", 0)),
-            message=str(data["message"]),
-            hint=str(data.get("hint", "")),
-        )
 
     def render(self) -> str:
         """One-line human-readable form."""
@@ -201,7 +180,7 @@ class LintReport:
 
     @property
     def clean(self) -> bool:
-        """Whether no findings survived suppressions (and any baseline)."""
+        """Whether no findings survived suppressions."""
         return not self.findings
 
     def to_dict(self) -> dict[str, Any]:
@@ -217,8 +196,8 @@ def iter_source_files(paths: Sequence[Path | str]) -> Iterator[Path]:
 
     Directories are walked recursively (skipping VCS/cache dirs); file
     arguments are taken verbatim.  Sorting makes finding order — and
-    therefore baselines and CI artifacts — independent of filesystem
-    enumeration order.
+    therefore CI artifacts — independent of filesystem enumeration
+    order.
     """
     seen: set[Path] = set()
     for raw in paths:

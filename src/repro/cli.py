@@ -228,23 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="finding output format (json is the CI artifact form)",
     )
     lint.add_argument(
-        "--baseline",
-        type=Path,
-        nargs="?",
-        const=Path("repro-lint-baseline.json"),
-        default=None,
-        metavar="FILE",
-        help=(
-            "subtract grandfathered findings recorded in FILE "
-            "(default repro-lint-baseline.json when given bare)"
-        ),
-    )
-    lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline file from the current findings and exit 0",
-    )
-    lint.add_argument(
         "--rules",
         default=None,
         metavar="IDS",
@@ -475,19 +458,13 @@ def _campaign(
 def _lint(args: "argparse.Namespace") -> int:
     """Run the static invariant checker; returns the process exit code.
 
-    Exit codes: 0 clean, 1 usage error (bad rule id, unreadable
-    baseline), 2 findings remain — distinct so CI can tell "violations
-    found" from "lint misconfigured".
+    Exit codes: 0 clean, 1 usage error (bad rule id), 2 findings
+    remain — distinct so CI can tell "violations found" from "lint
+    misconfigured".
     """
     import json
 
-    from repro.analysis.lint import (
-        lint_paths,
-        load_baseline,
-        rules_by_id,
-        save_baseline,
-        split_against_baseline,
-    )
+    from repro.analysis.lint import lint_paths, rules_by_id
 
     registry = rules_by_id()
     if args.list_rules:
@@ -506,38 +483,16 @@ def _lint(args: "argparse.Namespace") -> int:
         if not selected:
             raise ReproError("--rules needs at least one rule id")
         rules = [registry[rule_id] for rule_id in selected]
-    if args.update_baseline and args.baseline is None:
-        raise ReproError("--update-baseline needs --baseline [FILE]")
 
     report = lint_paths(args.paths, rules=rules)
-    findings = list(report.findings)
-    stale = []
-    if args.baseline is not None and args.update_baseline:
-        save_baseline(args.baseline, findings)
-        print(f"baseline {args.baseline}: recorded {len(findings)} finding(s)")
-        return 0
-    if args.baseline is not None:
-        baseline = load_baseline(args.baseline)
-        findings, _grandfathered, stale = split_against_baseline(findings, baseline)
-
     if args.output_format == "json":
-        payload = {
-            "files_checked": report.files_checked,
-            "findings": [finding.to_dict() for finding in findings],
-            "stale_baseline": [entry.to_dict() for entry in stale],
-        }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(report.to_dict(), indent=2))
     else:
-        for finding in findings:
+        for finding in report.findings:
             print(finding.render())
-        for entry in stale:
-            print(
-                f"note: baseline entry no longer occurs "
-                f"({entry.path} [{entry.rule}] {entry.message!r}); remove it"
-            )
-        summary = f"{len(findings)} finding(s) in {report.files_checked} file(s)"
-        print(summary if findings else f"clean: {summary}")
-    return 2 if findings else 0
+        summary = f"{len(report.findings)} finding(s) in {report.files_checked} file(s)"
+        print(f"clean: {summary}" if report.clean else summary)
+    return 0 if report.clean else 2
 
 
 def _cache_command(action: str, cache_dir: Path | None) -> None:

@@ -844,6 +844,7 @@ def _watched_ensemble(
     check_dense_state_budget(
         graph,
         process=process,
+        mandatory=mandatory,
         n_replicas=n_replicas,
         record=False,
         shard_size=None,
@@ -951,6 +952,7 @@ def batch_cobra_cover_times(
     check_dense_state_budget(
         graph,
         process="cobra",
+        mandatory=mandatory,
         n_replicas=n_replicas,
         record=False,
         shard_size=shard_size,
@@ -999,6 +1001,7 @@ def batch_cobra_traces(
     check_dense_state_budget(
         graph,
         process="cobra",
+        mandatory=mandatory,
         n_replicas=n_replicas,
         record=True,
         shard_size=shard_size,
@@ -1086,6 +1089,7 @@ def batch_bips_infection_times(
     check_dense_state_budget(
         graph,
         process="bips",
+        mandatory=mandatory,
         n_replicas=n_replicas,
         record=False,
         shard_size=shard_size,
@@ -1135,6 +1139,7 @@ def batch_bips_traces(
     check_dense_state_budget(
         graph,
         process="bips",
+        mandatory=mandatory,
         n_replicas=n_replicas,
         record=True,
         shard_size=shard_size,

@@ -14,12 +14,12 @@ ask the same estimate (:func:`dense_state_fits`) before they let a
 shard leave its sparse rounds for the dense loop; where it does not
 fit, their shards stay sparse to the end.
 
-Deliberately approximate and permissive: the estimate counts only the
-dominant ``(rows, n)``-proportional buffers (not frontier arrays, trace
-recorders, or interpreter overhead) and only trips when even that
-underestimate exceeds what the machine can offer.  Set
-``REPRO_DENSE_STATE_LIMIT_BYTES`` to override the detected limit (CI
-and tests pin it; ``0`` disables the guard).
+Deliberately approximate: the estimate counts the dominant
+``(rows, n)``-proportional buffers, COBRA's per-round temporaries at a
+full frontier among them, but not trace recorders or interpreter
+overhead, and only trips when that exceeds what the machine can
+offer.  Set ``REPRO_DENSE_STATE_LIMIT_BYTES`` to override the detected
+limit (CI and tests pin it; ``0`` disables the guard).
 """
 
 from __future__ import annotations
@@ -57,22 +57,29 @@ def dense_state_limit_bytes() -> int | None:
 
 
 def estimate_dense_shard_bytes(
-    process: str, n_vertices: int, shard_rows: int, record: bool
+    process: str, n_vertices: int, shard_rows: int, record: bool, mandatory: int
 ) -> int:
     """Dominant dense-state bytes of one running shard.
 
-    Mirrors the allocations in :mod:`repro.core.batch`: COBRA keeps
+    Mirrors the allocations in :mod:`repro.core.batch`.  COBRA keeps
     three (four when tracing) ``(rows, stride)`` bool matrices at a
-    power-of-two column pitch; BIPS keeps six (eight when tracing)
-    one-byte ``(rows, n)`` matrices — state, gather scratch, counts,
-    their replica-major copy, the armed mask and the next state — and,
-    when every vertex is armed, three 8-byte vectors of ``rows·n``
-    entries: the armed positions, their uniforms and their thresholds.
+    power-of-two column pitch, but its peak is the dense loop's int64
+    temporaries of a round in which every live cell is active: the
+    active positions, their columns and row bases, one more vector
+    inside the neighbour draw, and the draws and the picks of the
+    ``mandatory`` (``k``) samples per cell, so ``8·(4 + 2k)`` bytes a
+    cell.  BIPS keeps six (eight when tracing) one-byte ``(rows, n)``
+    matrices — state, gather scratch, counts, their replica-major copy,
+    the armed mask and the next state — and, when every vertex is
+    armed, three 8-byte vectors of ``rows·n`` entries: the armed
+    positions, their uniforms and their thresholds; its ``mandatory``
+    only sets its threshold table.
     """
     if process == "cobra":
         stride = 1 << (n_vertices - 1).bit_length() if n_vertices > 1 else 1
         matrices = 4 if record else 3
-        return matrices * shard_rows * stride
+        temporaries = 8 * (4 + 2 * mandatory) * n_vertices
+        return shard_rows * (matrices * stride + temporaries)
     if process == "bips":
         byte_matrices = 8 if record else 6
         return shard_rows * (byte_matrices + 3 * 8) * n_vertices
@@ -82,6 +89,7 @@ def estimate_dense_shard_bytes(
 def _dense_state_shortfall(
     graph: Graph,
     process: str,
+    mandatory: int,
     n_replicas: int,
     record: bool,
     shard_size: int | None,
@@ -99,7 +107,7 @@ def _dense_state_shortfall(
     bounds = shard_bounds(n_replicas, shard_size)
     widest = max(stop - start for start, stop in bounds)
     per_shard = estimate_dense_shard_bytes(
-        process, graph.n_vertices, widest, record
+        process, graph.n_vertices, widest, record, mandatory
     )
     concurrent = (
         min(resolve_jobs(jobs), len(bounds)) if will_pool(jobs, len(bounds)) else 1
@@ -118,26 +126,38 @@ def _dense_state_shortfall(
 
 
 def dense_state_fits(
-    graph: Graph, *, process: str, n_replicas: int, shard_size: int | None, jobs: int | None
+    graph: Graph,
+    *,
+    process: str,
+    mandatory: int,
+    n_replicas: int,
+    shard_size: int | None,
+    jobs: int | None,
 ) -> bool:
     """Whether every concurrently running shard's dense state fits the budget.
 
     The sparse entry points ask this before they let a shard leave its
     sparse rounds for the dense loop.
     """
-    return _dense_state_shortfall(graph, process, n_replicas, False, shard_size, jobs) is None
+    shortfall = _dense_state_shortfall(
+        graph, process, mandatory, n_replicas, False, shard_size, jobs
+    )
+    return shortfall is None
 
 
 def check_dense_state_budget(
     graph: Graph,
     *,
     process: str,
+    mandatory: int,
     n_replicas: int,
     record: bool,
     shard_size: int | None,
     jobs: int | None,
 ) -> None:
     """Raise :class:`ExperimentError` if the dense state cannot fit."""
-    shortfall = _dense_state_shortfall(graph, process, n_replicas, record, shard_size, jobs)
+    shortfall = _dense_state_shortfall(
+        graph, process, mandatory, n_replicas, record, shard_size, jobs
+    )
     if shortfall is not None:
         raise ExperimentError(shortfall)

@@ -399,7 +399,12 @@ def _bips_opening(
 
 
 def _switch_if_dense_fits(
-    graph: Graph, process: str, n_replicas: int, shard_size: int | None, jobs: int | None
+    graph: Graph,
+    process: str,
+    mandatory: int,
+    n_replicas: int,
+    shard_size: int | None,
+    jobs: int | None,
 ):
     """The switch a sparse entry point ships: the paper's, or none at all.
 
@@ -410,7 +415,12 @@ def _switch_if_dense_fits(
     from repro.core import batch
 
     fits = dense_state_fits(
-        graph, process=process, n_replicas=n_replicas, shard_size=shard_size, jobs=jobs
+        graph,
+        process=process,
+        mandatory=mandatory,
+        n_replicas=n_replicas,
+        shard_size=shard_size,
+        jobs=jobs,
     )
     return batch._SWITCH if fits else batch._SPARSE
 
@@ -451,7 +461,7 @@ def sparse_cobra_cover_times(
     start, mandatory, rho, max_rounds = batch._cobra_arguments(
         graph, start, branching, n_replicas, max_rounds
     )
-    switch = _switch_if_dense_fits(graph, "cobra", n_replicas, shard_size, jobs)
+    switch = _switch_if_dense_fits(graph, "cobra", mandatory, n_replicas, shard_size, jobs)
     parameters = (
         start, mandatory, rho, max_rounds, include_start_in_cover, False, None,
         batch._PAPER_COBRA, switch,
@@ -501,7 +511,7 @@ def sparse_bips_infection_times(
     source, mandatory, rho, max_rounds = batch._bips_arguments(
         graph, source, branching, n_replicas, max_rounds
     )
-    switch = _switch_if_dense_fits(graph, "bips", n_replicas, shard_size, jobs)
+    switch = _switch_if_dense_fits(graph, "bips", mandatory, n_replicas, shard_size, jobs)
     parameters = (source, mandatory, rho, max_rounds, False, None, batch._PAPER_BIPS, switch)
     shards = batch._run_sharded(
         batch._bips_shard, graph, parameters, n_replicas, seed, shard_size, jobs

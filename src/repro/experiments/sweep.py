@@ -259,17 +259,13 @@ def expander(n: int, r: int, seed: SeedLike = None) -> Graph:
     return random_regular(n, r, seed=np.random.default_rng(derive_seed_sequence(seed)))
 
 
-def expander_with_gap(
-    n: int, r: int, seed: SeedLike = None, *, lambda_method: str = "auto"
-) -> tuple[Graph, float]:
+def expander_with_gap(n: int, r: int, seed: SeedLike = None) -> tuple[Graph, float]:
     """A connected random `r`-regular graph together with its measured ``λ``."""
     graph = expander(n, r, seed)
-    return graph, lambda_second(graph, method=lambda_method)
+    return graph, lambda_second(graph)
 
 
-def family_with_gap(
-    family, n: int, seed: SeedLike = None, *, lambda_method: str = "auto"
-) -> tuple[Graph, float]:
+def family_with_gap(family, n: int, seed: SeedLike = None) -> tuple[Graph, float]:
     """A size-``n`` member of a declarative graph family plus its ``λ``.
 
     ``family`` is a :class:`~repro.scenarios.families.GraphFamily` (or
@@ -283,4 +279,4 @@ def family_with_gap(
     from repro.scenarios.families import GraphFamily  # deferred: import cycle
 
     graph = GraphFamily.from_value(family).build(n, seed=seed)
-    return graph, lambda_second(graph, method=lambda_method)
+    return graph, lambda_second(graph)

@@ -9,11 +9,11 @@ Python-level loops:
 
 * ``indptr`` — ``int64`` array of length ``n + 1``; the neighbours of
   vertex ``u`` are ``indices[indptr[u]:indptr[u + 1]]``.
-* ``indices`` — array of length ``2m`` (each undirected edge appears
-  in both endpoint rows), sorted within each row; stored as ``int64``
-  by default, or ``int32`` when a caller opts in via ``index_dtype``
-  and every vertex id fits (sampling outputs stay ``int64`` either
-  way).
+* ``indices`` — ``int64`` array of length ``2m`` (each undirected
+  edge appears in both endpoint rows), sorted within each row.  Only a
+  memory-mapped graph (:func:`repro.graphs.io.load_graph_memmap`)
+  holds ``int32`` indices, written when every vertex id fits; sampling
+  outputs are ``int64`` either way.
 
 Graphs are **simple** (no self-loops, no parallel edges) and
 **undirected**; the constructor validates both, once, so every other
@@ -28,38 +28,6 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from repro.errors import GraphConstructionError, GraphPropertyError
-
-#: Accepted values for the ``index_dtype`` construction option.
-INDEX_DTYPES = ("int64", "int32", "auto")
-
-
-def resolve_index_dtype(index_dtype: str, n_vertices: int) -> np.dtype:
-    """Map an ``index_dtype`` option to the storage dtype for ``indices``.
-
-    ``"int64"`` (the default) keeps the historical layout.  ``"int32"``
-    opts into half-width column indices — legal whenever every vertex id
-    fits, i.e. ``n <= 2**31`` — which halves the resident CSR (and the
-    pickle a pooled call ships to its workers) at million-vertex
-    scale.  ``"auto"`` picks ``int32`` when it fits and ``int64``
-    otherwise.  Only the *storage* narrows: ``indptr`` stays ``int64``
-    and every sampling routine still returns ``int64`` arrays, so no
-    public dtype contract changes.
-    """
-    if index_dtype not in INDEX_DTYPES:
-        raise GraphConstructionError(
-            f"index_dtype must be one of {INDEX_DTYPES}, got {index_dtype!r}"
-        )
-    fits = n_vertices - 1 <= np.iinfo(np.int32).max
-    if index_dtype == "int32":
-        if not fits:
-            raise GraphConstructionError(
-                f"index_dtype='int32' cannot address {n_vertices} vertices"
-            )
-        return np.dtype(np.int32)
-    if index_dtype == "auto" and fits:
-        return np.dtype(np.int32)
-    return np.dtype(np.int64)
-
 
 #: Bit generators whose ``random_raw`` output is exactly the 64-bit word
 #: ``Generator.integers(0, 2**64, dtype=uint64)`` returns, read without
@@ -118,7 +86,9 @@ class Graph:
     Vertices are the integers ``0 .. n_vertices - 1``.  Construct
     instances through the classmethods (:meth:`from_adjacency_lists`) or
     the helpers in :mod:`repro.graphs.build` and
-    :mod:`repro.graphs.generators` rather than from raw arrays.
+    :mod:`repro.graphs.generators` rather than from raw arrays.  The
+    constructor checks simplicity, symmetry and index bounds and stores
+    ``indices`` as ``int64``.
 
     Parameters
     ----------
@@ -128,14 +98,6 @@ class Graph:
         CSR column-index array, length ``2m``.
     name:
         Human-readable provenance label, e.g. ``"random_regular(n=100, r=4)"``.
-    validate:
-        When true (the default), check simplicity, symmetry, and index
-        bounds; ``False`` is reserved for internal callers that have
-        already validated.
-    index_dtype:
-        Storage dtype policy for ``indices`` — ``"int64"`` (default),
-        ``"int32"``, or ``"auto"``; see :func:`resolve_index_dtype`.
-        Sampling outputs are ``int64`` regardless.
     """
 
     __slots__ = (
@@ -148,21 +110,12 @@ class Graph:
         "_walk_table",
     )
 
-    def __init__(
-        self,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        *,
-        name: str = "graph",
-        validate: bool = True,
-        index_dtype: str = "int64",
-    ) -> None:
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, *, name: str = "graph") -> None:
         # Copy unconditionally: validation sorts rows in place and the
         # arrays are frozen afterwards, neither of which may leak back
         # into caller-owned buffers.
         indptr = np.array(indptr, dtype=np.int64, copy=True)
-        storage = resolve_index_dtype(index_dtype, max(indptr.size - 1, 0))
-        indices = np.array(indices, dtype=storage, copy=True)
+        indices = np.array(indices, dtype=np.int64, copy=True)
         if indptr.ndim != 1 or indices.ndim != 1:
             raise GraphConstructionError("indptr and indices must be 1-D arrays")
         if indptr.size < 2:
@@ -182,8 +135,7 @@ class Graph:
         )
         self._neighbor_matrix: Optional[np.ndarray] = None
         self._walk_table: Optional[np.ndarray] = None
-        if validate:
-            self._validate()
+        self._validate()
         self._indptr.flags.writeable = False
         self._indices.flags.writeable = False
         self._degrees.flags.writeable = False
@@ -223,9 +175,9 @@ class Graph:
         construction.  The caller certifies the arrays describe a
         simple undirected graph with sorted rows; nothing is checked
         beyond the basic indptr frame, and the views are frozen in
-        place.  ``indptr`` must be ``int64``; ``indices``
-        may be ``int64`` or ``int32`` (e.g. a narrow graph or a
-        memory-mapped CSR) and keeps its dtype without copying.  The
+        place.  ``indptr`` must be ``int64``; ``indices`` may be
+        ``int64`` or ``int32`` (a memory-mapped CSR stores ``int32``
+        when every id fits) and keeps its dtype without copying.  The
         arrays must be C-contiguous; a buffer they borrow (e.g. an
         ``np.memmap``) must outlive the graph.
         """
@@ -288,7 +240,7 @@ class Graph:
             u = int(sources[duplicates[0]])
             raise GraphConstructionError(f"vertex {u} has a duplicate (parallel) edge")
         # Symmetry: the multiset of directed edges must equal its reverse.
-        backward = indices.astype(np.int64) * n + sources
+        backward = indices * n + sources
         backward.sort()
         if not np.array_equal(forward, backward):
             raise GraphConstructionError("adjacency is not symmetric (graph must be undirected)")
@@ -328,7 +280,8 @@ class Graph:
         return self._degrees
 
     def degree(self, u: int) -> int:
-        """Degree of vertex ``u``."""
+        """Degree of vertex ``u``; :class:`IndexError` outside ``[0, n)``."""
+        self._check_vertex(u)
         return int(self._degrees[u])
 
     @property
@@ -363,7 +316,12 @@ class Graph:
         return self._regular_degree
 
     def neighbors(self, u: int) -> np.ndarray:
-        """Sorted neighbours of ``u`` as a read-only array view."""
+        """Sorted neighbours of ``u`` as a read-only array view.
+
+        A ``u`` outside ``[0, n)`` raises :class:`IndexError`: NumPy
+        would read a negative id from the end of ``indptr``.
+        """
+        self._check_vertex(u)
         return self._indices[self._indptr[u] : self._indptr[u + 1]]
 
     def neighbor_at(self, vertices, positions) -> np.ndarray:
@@ -382,7 +340,11 @@ class Graph:
         return self._indices[starts + positions].astype(np.int64, copy=False)
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Whether the undirected edge ``{u, v}`` is present."""
+        """Whether the undirected edge ``{u, v}`` is present.
+
+        An endpoint outside ``[0, n)`` raises :class:`IndexError`.
+        """
+        self._check_vertex(v)
         row = self.neighbors(u)
         position = int(np.searchsorted(row, v))
         return position < row.size and int(row[position]) == v
@@ -541,6 +503,18 @@ class Graph:
             vertices = row
         return trajectory
 
+    def _check_vertex(self, u: int) -> None:
+        """Raise :class:`IndexError` unless ``0 <= u < n``.
+
+        The single-vertex reads call this once per call (the event
+        engine reads one row per flip), so it is one integer comparison
+        and no array pass.
+        """
+        if not 0 <= u < self.n_vertices:
+            raise IndexError(
+                f"vertex ids of {self._name} must lie in [0, {self.n_vertices}), got {u}"
+            )
+
     def _reject_negative(self, vertices: np.ndarray) -> None:
         """Raise :class:`IndexError` for a negative id in a non-empty ``vertices``.
 
@@ -605,4 +579,7 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        return hash((self._indptr.tobytes(), self._indices.tobytes()))
+        # ``__eq__`` compares index values, so hash their int64 form: a
+        # memory-mapped int32 twin hashes as the graph it equals.
+        indices = self._indices.astype(np.int64, copy=False)
+        return hash((self._indptr.tobytes(), indices.tobytes()))

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro._rng import SeedLike, ensure_generator
 from repro.errors import GraphConstructionError
-from repro.graphs.base import Graph, resolve_index_dtype
+from repro.graphs.base import Graph
 from repro.graphs.build import from_edges
 from repro.graphs.properties import is_connected
 
@@ -61,8 +61,12 @@ __all__ = [
     "erdos_renyi",
 ]
 
+#: Draws a sampler conditioned on connectivity makes before it gives up
+#: (:func:`random_regular`, :func:`watts_strogatz`, :func:`erdos_renyi`).
+_MAX_TRIES = 100
 
-def _adopt_regular_rows(rows: np.ndarray, name: str, index_dtype: str) -> Graph:
+
+def _adopt_regular_rows(rows: np.ndarray, name: str) -> Graph:
     """Wrap an ``(n, r)`` matrix of per-vertex neighbour rows as a Graph.
 
     The structured generators (hypercube, torus, circulant) compute
@@ -73,8 +77,7 @@ def _adopt_regular_rows(rows: np.ndarray, name: str, index_dtype: str) -> Graph:
     """
     n = rows.shape[0]
     rows.sort(axis=1)
-    storage = resolve_index_dtype(index_dtype, n)
-    indices = np.ascontiguousarray(rows.reshape(-1), dtype=storage)
+    indices = np.ascontiguousarray(rows.reshape(-1), dtype=np.int64)
     indptr = np.arange(n + 1, dtype=np.int64) * rows.shape[1]
     return Graph.adopt_validated_csr(indptr, indices, name=name)
 
@@ -90,7 +93,7 @@ def complete(n: int) -> Graph:
         raise GraphConstructionError(f"complete graph needs n >= 2, got {n}")
     # Row u is every other vertex, (u + d) % n for d = 1 .. n-1.
     rows = (np.arange(n, dtype=np.int64)[:, None] + np.arange(1, n, dtype=np.int64)) % n
-    return _adopt_regular_rows(rows, f"complete(n={n})", "int64")
+    return _adopt_regular_rows(rows, f"complete(n={n})")
 
 
 def cycle(n: int) -> Graph:
@@ -133,17 +136,17 @@ def petersen() -> Graph:
     return from_edges(10, outer + spokes + inner, name="petersen()")
 
 
-def hypercube(dimension: int, *, index_dtype: str = "int64") -> Graph:
+def hypercube(dimension: int) -> Graph:
     """Binary hypercube `Q_d`: `2^d` vertices, `d`-regular, bipartite."""
     if dimension < 1:
         raise GraphConstructionError(f"hypercube needs dimension >= 1, got {dimension}")
     n = 1 << dimension
     bits = np.int64(1) << np.arange(dimension, dtype=np.int64)
     rows = np.arange(n, dtype=np.int64)[:, None] ^ bits
-    return _adopt_regular_rows(rows, f"hypercube(d={dimension})", index_dtype)
+    return _adopt_regular_rows(rows, f"hypercube(d={dimension})")
 
 
-def torus(side_lengths: Sequence[int], *, index_dtype: str = "int64") -> Graph:
+def torus(side_lengths: Sequence[int]) -> Graph:
     """Discrete torus `Z_{L1} x ... x Z_{Ld}` (`2d`-regular for sides >= 3).
 
     Non-bipartite whenever at least one side length is odd, which is the
@@ -170,7 +173,7 @@ def torus(side_lengths: Sequence[int], *, index_dtype: str = "int64") -> Graph:
         coord = (u // strides[axis]) % side
         rows[:, 2 * axis] = u + ((coord + 1) % side - coord) * strides[axis]
         rows[:, 2 * axis + 1] = u + ((coord - 1) % side - coord) * strides[axis]
-    return _adopt_regular_rows(rows, f"torus(sides={sides})", index_dtype)
+    return _adopt_regular_rows(rows, f"torus(sides={sides})")
 
 
 def grid(side_lengths: Sequence[int]) -> Graph:
@@ -195,7 +198,7 @@ def grid(side_lengths: Sequence[int]) -> Graph:
     return from_edges(n, edges, name=f"grid(sides={sides})")
 
 
-def circulant(n: int, offsets: Sequence[int], *, index_dtype: str = "int64") -> Graph:
+def circulant(n: int, offsets: Sequence[int]) -> Graph:
     """Circulant graph `C_n(s1, ..., sj)`.
 
     Vertex ``u`` is adjacent to ``u ± s (mod n)`` for each offset ``s``.
@@ -221,7 +224,7 @@ def circulant(n: int, offsets: Sequence[int], *, index_dtype: str = "int64") -> 
     )
     rows = (np.arange(n, dtype=np.int64)[:, None] + deltas) % n
     name = f"circulant(n={n}, offsets={tuple(cleaned)})"
-    return _adopt_regular_rows(rows, name, index_dtype)
+    return _adopt_regular_rows(rows, name)
 
 
 def _pairing_edge_keys(n: int, r: int, rng: np.random.Generator) -> np.ndarray:
@@ -301,7 +304,7 @@ def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return sorted_keys[slot] == keys
 
 
-def random_regular(n: int, r: int, seed: SeedLike = None, *, max_tries: int = 100) -> Graph:
+def random_regular(n: int, r: int, seed: SeedLike = None) -> Graph:
     """Connected random `r`-regular simple graph on `n` vertices.
 
     Samples by the batched pairing of networkx's ``random_regular_graph``
@@ -310,8 +313,8 @@ def random_regular(n: int, r: int, seed: SeedLike = None, *, max_tries: int = 10
     pair that is neither a loop nor an edge kept already; re-shuffle the
     leftover stubs and repeat; restart when networkx's test finds no
     valid pair among the leftovers.  The sample is then checked
-    connected by BFS, and the draw repeats (up to ``max_tries`` times)
-    until it is; for ``r >= 3`` a sample is connected w.h.p., so retries
+    connected by BFS, and the draw repeats (up to :data:`_MAX_TRIES`
+    times) until it is; for ``r >= 3`` a sample is connected w.h.p., so retries
     are rare.  Rows are built straight from the sorted edge keys, which
     makes them simple, sorted and symmetric, so the graph adopts them
     without re-validation.  Requires ``n * r`` even and ``r < n``.
@@ -342,7 +345,7 @@ def random_regular(n: int, r: int, seed: SeedLike = None, *, max_tries: int = 10
     rng = ensure_generator(seed)
     dense = 2 * r > n - 1
     indptr = np.arange(n + 1, dtype=np.int64) * r
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         keys = _pairing_edge_keys(n, n - 1 - r if dense else r, rng)
         lo, hi = np.divmod(keys, n)
         if dense:
@@ -360,13 +363,11 @@ def random_regular(n: int, r: int, seed: SeedLike = None, *, max_tries: int = 10
             return graph
     raise GraphConstructionError(
         f"failed to sample a connected {r}-regular graph on {n} vertices "
-        f"in {max_tries} tries"
+        f"in {_MAX_TRIES} tries"
     )
 
 
-def watts_strogatz(
-    n: int, k: int, rewire: float, seed: SeedLike = None, *, max_tries: int = 100
-) -> Graph:
+def watts_strogatz(n: int, k: int, rewire: float, seed: SeedLike = None) -> Graph:
     """Connected Watts–Strogatz small-world graph.
 
     A ring lattice where each vertex connects to its `k` nearest
@@ -387,7 +388,7 @@ def watts_strogatz(
     rng = ensure_generator(seed)
     nx_seed = int(rng.integers(0, 2**31 - 1))
     candidate = nx.connected_watts_strogatz_graph(
-        n, k, rewire, tries=max_tries, seed=nx_seed
+        n, k, rewire, tries=_MAX_TRIES, seed=nx_seed
     )
     return from_edges(
         n,
@@ -452,8 +453,7 @@ def binary_tree(height: int) -> Graph:
     return from_edges(n, edges, name=f"binary_tree(height={height})")
 
 
-def erdos_renyi(n: int, p: float, seed: SeedLike = None, *, connected: bool = False,
-                max_tries: int = 100) -> Graph:
+def erdos_renyi(n: int, p: float, seed: SeedLike = None, *, connected: bool = False) -> Graph:
     """Erdős–Rényi `G(n, p)` random graph.
 
     With ``connected=True`` the sample is redrawn until connected
@@ -466,7 +466,7 @@ def erdos_renyi(n: int, p: float, seed: SeedLike = None, *, connected: bool = Fa
         raise GraphConstructionError(f"p must be in [0, 1], got {p}")
     rng = ensure_generator(seed)
     rows, cols = np.triu_indices(n, k=1)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         mask = rng.random(rows.size) < p
         edges = np.column_stack([rows[mask], cols[mask]])
         graph = from_edges(n, edges, name=f"erdos_renyi(n={n}, p={p})")
@@ -475,5 +475,5 @@ def erdos_renyi(n: int, p: float, seed: SeedLike = None, *, connected: bool = Fa
         if is_connected(graph):
             return graph
     raise GraphConstructionError(
-        f"failed to sample a connected G({n}, {p}) graph in {max_tries} tries"
+        f"failed to sample a connected G({n}, {p}) graph in {_MAX_TRIES} tries"
     )

@@ -60,10 +60,11 @@ class ImplicitGraph(Graph):
     closed form; everything else — sampling, degrees, edge iteration,
     materialisation, pickling, equality — is derived here.  The public
     reads (:meth:`neighbor_rows`, :meth:`neighbor_at`,
-    :meth:`sample_neighbors`, :meth:`walk`, :meth:`neighborhoods`) check
-    their vertex ids once per call and raise :class:`IndexError` for an
-    id outside ``[0, n)``, which a CSR graph's gathers would not take
-    either; the subclass hooks compute from ids already checked.
+    :meth:`sample_neighbors`, :meth:`walk`, :meth:`neighborhoods`,
+    :meth:`degree`, :meth:`neighbors`, :meth:`has_edge`) check their
+    vertex ids once per call and raise :class:`IndexError` for an id
+    outside ``[0, n)``, as a CSR graph's reads do; the subclass hooks
+    compute from ids already checked.
     Instances are immutable and hold nothing that grows with ``n``:
     O(1), or O(3^d·d) for a ``d``-dimensional :class:`ImplicitTorus`.
     """
@@ -170,6 +171,7 @@ class ImplicitGraph(Graph):
         return np.broadcast_to(np.int64(self._regular_degree), (self._n,))
 
     def degree(self, u: int) -> int:
+        self._check_vertex(u)
         return self._regular_degree
 
     @property
@@ -184,11 +186,6 @@ class ImplicitGraph(Graph):
         row = self.neighbor_rows([u])[0]
         row.flags.writeable = False
         return row
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
-        position = int(np.searchsorted(row, v))
-        return position < row.size and int(row[position]) == v
 
     def _vertex_chunks(self) -> Iterator[np.ndarray]:
         """Consecutive vertex blocks of about :data:`_CHUNK_ENTRIES` row entries."""
@@ -250,18 +247,15 @@ class ImplicitGraph(Graph):
 
     # -- materialisation ------------------------------------------------
 
-    def materialize(self, *, index_dtype: str = "int64") -> Graph:
+    def materialize(self) -> Graph:
         """Build the concrete CSR :class:`Graph` this instance describes.
 
         The rows are valid by construction, so the result adopts them
         without re-validation; it compares equal (``==``) to the
         corresponding generator output.
         """
-        from repro.graphs.base import resolve_index_dtype
-
         r = self._regular_degree
-        storage = resolve_index_dtype(index_dtype, self._n)
-        indices = np.empty(self._n * r, dtype=storage)
+        indices = np.empty(self._n * r, dtype=np.int64)
         for block in self._vertex_chunks():
             base = int(block[0])
             indices[base * r : (base + block.size) * r] = self._rows(block).reshape(-1)

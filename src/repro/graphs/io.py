@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import GraphConstructionError
-from repro.graphs.base import Graph, resolve_index_dtype
+from repro.graphs.base import Graph
 from repro.graphs.build import from_edges
 
 _FORMAT_VERSION = 1
@@ -89,21 +89,24 @@ class MemmapGraph(Graph):
         return (load_graph_memmap, (str(self._directory),))
 
 
-def save_graph_memmap(
-    graph: Graph, directory: str | Path, *, index_dtype: str = "auto"
-) -> Path:
+def _memmap_index_dtype(n_vertices: int) -> np.dtype:
+    """``int32`` when every vertex id fits in it, else ``int64``."""
+    fits = n_vertices - 1 <= np.iinfo(np.int32).max
+    return np.dtype(np.int32 if fits else np.int64)
+
+
+def save_graph_memmap(graph: Graph, directory: str | Path) -> Path:
     """Write ``graph`` as a memory-mappable CSR directory; returns it.
 
     The directory gets ``indptr.npy``, ``indices.npy``, and a
-    ``header.json`` carrying the name and format version.  With the
-    default ``index_dtype="auto"`` the neighbour indices are stored as
-    ``int32`` whenever every vertex id fits — half the bytes on disk
-    and half the pages faulted in at run time; pass ``"int64"`` to
-    force the wide layout.
+    ``header.json`` carrying the name and format version.  The
+    neighbour indices are stored as ``int32`` whenever every vertex id
+    fits — half the bytes on disk and half the pages faulted in at run
+    time — and as ``int64`` otherwise.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    storage = resolve_index_dtype(index_dtype, graph.n_vertices)
+    storage = _memmap_index_dtype(graph.n_vertices)
     np.save(directory / _MEMMAP_INDPTR, np.asarray(graph.indptr, dtype=np.int64))
     np.save(directory / _MEMMAP_INDICES, np.asarray(graph.indices, dtype=storage))
     header = {

@@ -85,30 +85,11 @@ def eccentricity(graph: Graph, vertex: int) -> int:
     return int(levels.max())
 
 
-def diameter(graph: Graph, *, sample_size: int | None = None, seed: int | None = None) -> int:
-    """Graph diameter (exact by default; sampled lower bound if requested).
-
-    Parameters
-    ----------
-    graph:
-        A connected graph.
-    sample_size:
-        When given, compute eccentricities only from this many random
-        vertices, returning a lower bound on the diameter.  Use for
-        large graphs where all-pairs BFS is too slow.
-    seed:
-        Seed for the sampled variant.
-    """
-    n = graph.n_vertices
-    if sample_size is None:
-        sources = range(n)
-    else:
-        rng = np.random.default_rng(seed)
-        size = min(sample_size, n)
-        sources = rng.choice(n, size=size, replace=False)
+def diameter(graph: Graph) -> int:
+    """Exact diameter of a connected graph: one BFS from every vertex."""
     best = 0
-    for source in sources:
-        best = max(best, eccentricity(graph, int(source)))
+    for source in range(graph.n_vertices):
+        best = max(best, eccentricity(graph, source))
     return best
 
 

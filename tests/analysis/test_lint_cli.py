@@ -1,10 +1,13 @@
-"""``repro lint`` CLI: exit codes, formats, rule selection, baselines."""
+"""``repro lint`` CLI: exit codes, formats, rule selection."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
+import pytest
+
+from repro.analysis.lint import lint_paths
 from repro.cli import main
 
 CLEAN = "from numpy.random import default_rng\nrng = default_rng(7)\n"
@@ -37,7 +40,23 @@ def test_json_format_emits_machine_readable_findings(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["files_checked"] == 1
     assert payload["findings"][0]["rule"] == "rng-discipline"
-    assert payload["stale_baseline"] == []
+
+
+def test_json_payload_is_the_report(tmp_path, capsys):
+    path = _write(tmp_path, DIRTY)
+    assert main(["lint", str(path), "--format", "json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == lint_paths([path]).to_dict()
+    assert sorted(payload) == ["files_checked", "findings"]
+
+
+@pytest.mark.parametrize("flag", ["--baseline", "--update-baseline"])
+def test_baseline_flags_are_gone(tmp_path, flag):
+    # Nothing is grandfathered: a run reports every finding it makes.
+    path = _write(tmp_path, CLEAN)
+    with pytest.raises(SystemExit) as caught:
+        main(["lint", str(path), flag])
+    assert caught.value.code == 2
 
 
 def test_rules_flag_restricts_to_named_rules(tmp_path):
@@ -62,30 +81,3 @@ def test_list_rules_prints_the_registry(capsys):
         "error-taxonomy",
     ):
         assert rule_id in out
-
-
-def test_baseline_workflow_grandfathers_then_reports_stale(tmp_path, capsys):
-    path = _write(tmp_path, DIRTY)
-    baseline = tmp_path / "baseline.json"
-
-    # Record the existing violation, then lint against the baseline:
-    # grandfathered, so the run is clean.
-    assert main(["lint", str(path), "--baseline", str(baseline), "--update-baseline"]) == 0
-    assert baseline.exists()
-    capsys.readouterr()
-    assert main(["lint", str(path), "--baseline", str(baseline)]) == 0
-
-    # A *second* identical violation is new, not absorbed.
-    _write(tmp_path, DIRTY + "np.random.seed(1)\nnp.random.seed(0)\n")
-    assert main(["lint", str(path), "--baseline", str(baseline)]) == 2
-
-    # Fixing the file leaves the baseline entry stale — reported, exit 0.
-    _write(tmp_path, CLEAN)
-    capsys.readouterr()
-    assert main(["lint", str(path), "--baseline", str(baseline)]) == 0
-    assert "no longer occurs" in capsys.readouterr().out
-
-
-def test_update_baseline_requires_baseline_path(tmp_path):
-    path = _write(tmp_path, CLEAN)
-    assert main(["lint", str(path), "--update-baseline"]) == 1

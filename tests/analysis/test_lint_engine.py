@@ -4,11 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis.lint import (
-    Finding,
-    iter_source_files,
-    lint_paths,
-)
+from repro.analysis.lint import Finding, iter_source_files, lint_paths
 from repro.analysis.lint.engine import build_context, lint_file
 from repro.analysis.lint.rules import all_rules
 from repro.analysis.lint.rules.rng import RngDisciplineRule
@@ -21,16 +17,11 @@ def _write(path: Path, source: str) -> Path:
 
 
 def test_finding_round_trips_through_dict():
+    # The ``--format json`` record carries every field of the finding.
     finding = Finding(
         rule="rng-discipline", path="a.py", line=3, column=5, message="m", hint="h"
     )
-    assert Finding.from_dict(finding.to_dict()) == finding
-
-
-def test_finding_identity_ignores_location():
-    a = Finding(rule="r", path="p.py", line=3, column=5, message="m")
-    b = Finding(rule="r", path="p.py", line=99, column=1, message="m")
-    assert a.identity() == b.identity()
+    assert Finding(**finding.to_dict()) == finding
 
 
 def test_iter_source_files_sorted_deduplicated_and_skips_caches(tmp_path):

@@ -8,11 +8,10 @@ fails here before it reaches CI's dedicated static-analysis job.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import repro
-from repro.analysis.lint import lint_paths, load_baseline
+from repro.analysis.lint import lint_paths
 
 REPO_ROOT = Path(repro.__file__).resolve().parents[2]
 
@@ -30,11 +29,3 @@ def test_repository_lints_clean():
     rendered = "\n".join(finding.render() for finding in report.findings)
     assert report.clean, f"repro lint found violations:\n{rendered}"
     assert report.files_checked > 100  # the walk really covered the tree
-
-
-def test_checked_in_baseline_is_empty():
-    baseline_path = REPO_ROOT / "repro-lint-baseline.json"
-    assert baseline_path.exists()
-    assert load_baseline(baseline_path) == []
-    # Schema pinned so --update-baseline output stays byte-compatible.
-    assert json.loads(baseline_path.read_text())["schema"] == 1

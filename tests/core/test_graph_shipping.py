@@ -26,14 +26,15 @@ from repro.graphs.implicit import ImplicitGraph, ImplicitTorus
 from repro.graphs.io import load_graph_memmap, save_graph_memmap
 from repro.parallel import map_shards
 
+from tests.properties.strategies import int32_twin
+
 
 def _expander() -> Graph:
     return generators.random_regular(128, 8, seed=5)
 
 
 def _narrow_expander() -> Graph:
-    wide = _expander()
-    return Graph(wide.indptr, wide.indices, name=wide.name, index_dtype="int32")
+    return int32_twin(_expander())
 
 
 def _mapped_expander(directory: Path) -> Graph:

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.core import batch
 from repro.core.batch import (
     batch_bips_infection_times,
     batch_bips_traces,
@@ -19,6 +23,7 @@ from repro.core.memory import (
 )
 from repro.core.sparse import sparse_cobra_cover_times
 from repro.errors import ExperimentError
+from repro.graphs import generators
 
 
 @pytest.fixture
@@ -43,20 +48,47 @@ class TestLimitResolution:
 
 
 class TestEstimate:
-    def test_cobra_counts_three_matrices(self):
-        # 100 vertices round up to a 128-column pitch.
-        assert estimate_dense_shard_bytes("cobra", 100, 10, False) == 3 * 10 * 128
-        assert estimate_dense_shard_bytes("cobra", 100, 10, True) == 4 * 10 * 128
+    @pytest.mark.parametrize(
+        "process, run, mandatory",
+        [
+            ("cobra", batch_cobra_cover_times, 2),
+            ("bips", batch_bips_infection_times, 2),
+            ("cobra", batch_cobra_cover_times, 3),
+        ],
+        ids=["cobra", "bips", "cobra-k3"],
+    )
+    def test_tracks_the_traced_peak_of_a_dense_shard(self, process, run, mandatory):
+        # One 32-row inline shard held in the dense loop from round 1, at
+        # an integer branching (k = branching mandatory picks): COBRA's
+        # temporaries grow with k.
+        graph = generators.random_regular(4096, 8, seed=0)
+        with mock.patch.object(batch, "_SWITCH", batch._DENSE):
+            tracemalloc.start()
+            try:
+                run(
+                    graph,
+                    0,
+                    branching=float(mandatory),
+                    n_replicas=32,
+                    shard_size=32,
+                    seed=1,
+                    jobs=1,
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        estimate = estimate_dense_shard_bytes(process, 4096, 32, False, mandatory)
+        assert estimate / 2 <= peak <= 2 * estimate
 
     def test_bips_counts_index_vectors(self):
         # Six one-byte (rows, n) matrices (eight when tracing), plus the
         # armed positions, uniforms and thresholds at 8 bytes per cell.
-        assert estimate_dense_shard_bytes("bips", 100, 10, False) == 10 * (6 + 24) * 100
-        assert estimate_dense_shard_bytes("bips", 100, 10, True) == 10 * (8 + 24) * 100
+        assert estimate_dense_shard_bytes("bips", 100, 10, False, 2) == 10 * (6 + 24) * 100
+        assert estimate_dense_shard_bytes("bips", 100, 10, True, 2) == 10 * (8 + 24) * 100
 
     def test_unknown_process_rejected(self):
         with pytest.raises(ValueError, match="unknown process"):
-            estimate_dense_shard_bytes("push", 100, 10, False)
+            estimate_dense_shard_bytes("push", 100, 10, False, 2)
 
 
 class TestGuardTrips:
@@ -98,11 +130,27 @@ class TestCheckDirectly:
         check_dense_state_budget(
             small_expander,
             process="cobra",
+            mandatory=2,
             n_replicas=64,
             record=False,
             shard_size=8,
             jobs=4,
         )
+
+    def test_cobra_temporaries_count_against_the_budget(self, monkeypatch, small_expander):
+        # A budget ten times the three bool matrices of 64 rows at a
+        # 64-column pitch still cannot hold the round's int64 temporaries.
+        monkeypatch.setenv(LIMIT_ENV, str(10 * 3 * 64 * 64))
+        with pytest.raises(ExperimentError, match="dense COBRA state"):
+            check_dense_state_budget(
+                small_expander,
+                process="cobra",
+                mandatory=2,
+                n_replicas=64,
+                record=False,
+                shard_size=None,
+                jobs=None,
+            )
 
     def test_message_names_required_bytes(self, monkeypatch, small_expander):
         monkeypatch.setenv(LIMIT_ENV, "100")
@@ -110,6 +158,7 @@ class TestCheckDirectly:
             check_dense_state_budget(
                 small_expander,
                 process="cobra",
+                mandatory=2,
                 n_replicas=64,
                 record=False,
                 shard_size=None,

@@ -48,6 +48,8 @@ from repro.experiments.sweep import measure_bips_infection, measure_cobra_cover
 from repro.graphs import complete, from_edges, generators
 from repro.graphs.implicit import ImplicitHypercube, ImplicitTorus
 
+from tests.properties.strategies import int32_twin
+
 
 def _forced(switch, engine, *args, **kwargs):
     """One engine call whose shards all run under ``switch``."""
@@ -71,7 +73,7 @@ COBRA_GRAPHS = {
     "rr64-4": lambda: generators.random_regular(64, 4, seed=7),
     "rr60-5": lambda: generators.random_regular(60, 5, seed=8),
     "star5": lambda: generators.star(5),
-    "q4-int32": lambda: generators.hypercube(4, index_dtype="int32"),
+    "q4-int32": lambda: int32_twin(generators.hypercube(4)),
     "implicit-q5": lambda: ImplicitHypercube(5),
 }
 
@@ -122,7 +124,7 @@ def test_sparse_cobra_equals_batch_on_larger_graphs(factory, branching):
 WALK_GRAPHS = {
     "petersen": generators.petersen,
     "rr32-4": lambda: generators.random_regular(32, 4, seed=3),
-    "q4-int32": lambda: generators.hypercube(4, index_dtype="int32"),
+    "q4-int32": lambda: int32_twin(generators.hypercube(4)),
     "grid3x4": lambda: generators.grid((3, 4)),
     "implicit-torus3x5": lambda: ImplicitTorus((3, 5)),
 }
@@ -265,7 +267,7 @@ class TestWalkKernel:
 #: preferential-attachment graph with hubs).
 BIPS_GRAPHS = {
     "rr64-4": lambda: generators.random_regular(64, 4, seed=7),
-    "q4-int32": lambda: generators.hypercube(4, index_dtype="int32"),
+    "q4-int32": lambda: int32_twin(generators.hypercube(4)),
     "implicit-q5": lambda: ImplicitHypercube(5),
     "grid7x9": lambda: generators.grid((7, 9)),
     "ba60-2": lambda: generators.barabasi_albert(60, 2, seed=3),

@@ -9,7 +9,9 @@ from repro.errors import GraphConstructionError, GraphPropertyError
 from repro.graphs.base import Graph, uniform_draws
 from repro.graphs import generators
 from repro.graphs.build import from_edges
-from repro.graphs.implicit import ImplicitTorus
+from repro.graphs.implicit import ImplicitHypercube, ImplicitTorus
+
+from tests.properties.strategies import int32_twin
 
 
 def triangle() -> Graph:
@@ -91,6 +93,25 @@ class TestAccessors:
         graph2 = from_edges(4, [(0, 1), (2, 3)])
         assert not graph2.has_edge(0, 3)
 
+    @pytest.mark.parametrize(
+        "graph", [generators.hypercube(3), ImplicitHypercube(3)], ids=["csr", "implicit"]
+    )
+    @pytest.mark.parametrize(
+        "vertex",
+        # NumPy integers too: the event engine reads ids out of arrays.
+        [-1, 8, np.int64(-1), np.int64(8)],
+        ids=["-1", "8", "np-1", "np8"],
+    )
+    def test_single_vertex_reads_reject_out_of_range_ids(self, graph, vertex):
+        with pytest.raises(IndexError):
+            graph.degree(vertex)
+        with pytest.raises(IndexError):
+            graph.neighbors(vertex)
+        with pytest.raises(IndexError):
+            graph.has_edge(vertex, 4)
+        with pytest.raises(IndexError):
+            graph.has_edge(4, vertex)
+
     def test_edges_iterates_each_once(self):
         edges = list(triangle().edges())
         assert edges == [(0, 1), (0, 2), (1, 2)]
@@ -140,7 +161,7 @@ class TestNeighborhoods:
 
     GRAPHS = {
         "rr40-6": lambda: generators.random_regular(40, 6, seed=5),
-        "q4-int32": lambda: generators.hypercube(4, index_dtype="int32"),
+        "q4-int32": lambda: int32_twin(generators.hypercube(4)),
         "irregular": lambda: generators.barabasi_albert(30, 2, seed=6),
     }
 
@@ -283,7 +304,7 @@ class TestWalk:
     GRAPHS = {
         "rr64-8": lambda: generators.random_regular(64, 8, seed=1),
         "rr64-16": lambda: generators.random_regular(64, 16, seed=4),
-        "q4-int32": lambda: generators.hypercube(4, index_dtype="int32"),
+        "q4-int32": lambda: int32_twin(generators.hypercube(4)),
         "rr60-5": lambda: generators.random_regular(60, 5, seed=2),
         "irregular": lambda: generators.barabasi_albert(50, 2, seed=3),
         "implicit": lambda: ImplicitTorus((4, 5)),

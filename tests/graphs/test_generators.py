@@ -246,6 +246,42 @@ class TestRandomRegular:
             assert graph.indices.flags.c_contiguous
 
 
+class TestRetryCap:
+    """The samplers conditioned on connectivity share one retry cap."""
+
+    @staticmethod
+    def _never_connected(draws: list):
+        def check(graph) -> bool:
+            draws.append(graph)
+            return False
+
+        return check
+
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            lambda: generators.random_regular(20, 3, seed=0),
+            lambda: generators.erdos_renyi(20, 0.5, seed=0, connected=True),
+        ],
+        ids=["random_regular", "erdos_renyi"],
+    )
+    def test_gives_up_after_max_tries(self, monkeypatch, sample):
+        draws: list = []
+        monkeypatch.setattr(generators, "is_connected", self._never_connected(draws))
+        with pytest.raises(GraphConstructionError, match=f"in {generators._MAX_TRIES} tries"):
+            sample()
+        assert len(draws) == generators._MAX_TRIES
+
+    def test_watts_strogatz_gives_up_after_max_tries(self, monkeypatch):
+        import networkx as nx
+
+        draws: list = []
+        monkeypatch.setattr(nx, "is_connected", self._never_connected(draws))
+        with pytest.raises(nx.NetworkXError, match="tries"):
+            generators.watts_strogatz(20, 4, 0.2, seed=0)
+        assert len(draws) == generators._MAX_TRIES
+
+
 class TestRingOfCliques:
     def test_structure(self):
         graph = generators.ring_of_cliques(4, 5)

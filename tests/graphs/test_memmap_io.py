@@ -11,7 +11,13 @@ import pytest
 from repro.core.sparse import sparse_cobra_cover_times
 from repro.errors import GraphConstructionError
 from repro.graphs import generators
-from repro.graphs.io import MemmapGraph, load_graph_memmap, save_graph_memmap
+from repro.graphs import io as graph_io
+from repro.graphs.io import (
+    MemmapGraph,
+    _memmap_index_dtype,
+    load_graph_memmap,
+    save_graph_memmap,
+)
 
 
 @pytest.fixture
@@ -42,12 +48,32 @@ class TestRoundtrip:
         _, directory = saved
         assert load_graph_memmap(directory).indices.dtype == np.dtype(np.int32)
 
-    def test_int64_opt_out(self, tmp_path):
+    def test_int32_exactly_when_every_id_fits(self):
+        fits = np.iinfo(np.int32).max + 1
+        assert _memmap_index_dtype(100) == np.dtype(np.int32)
+        assert _memmap_index_dtype(fits) == np.dtype(np.int32)
+        assert _memmap_index_dtype(fits + 1) == np.dtype(np.int64)
+
+    def test_int64_when_ids_do_not_fit(self, monkeypatch, tmp_path):
+        # Stand in for a graph with more than 2**31 vertices: the writer
+        # keeps the wide layout and the loader adopts it unchanged.
+        monkeypatch.setattr(graph_io, "_memmap_index_dtype", lambda n: np.dtype(np.int64))
         graph = generators.cycle(10)
-        directory = save_graph_memmap(graph, tmp_path / "wide", index_dtype="int64")
+        directory = save_graph_memmap(graph, tmp_path / "wide")
+        header = json.loads((directory / "header.json").read_text())
+        assert header["indices_dtype"] == np.dtype(np.int64).str
         mapped = load_graph_memmap(directory)
         assert mapped.indices.dtype == np.dtype(np.int64)
         assert mapped == graph
+        assert hash(mapped) == hash(graph)
+
+    def test_hashes_as_the_graph_it_equals(self, saved):
+        # Equal graphs must hash equal, whatever width their indices have.
+        graph, directory = saved
+        mapped = load_graph_memmap(directory)
+        assert mapped == graph
+        assert hash(mapped) == hash(graph)
+        assert mapped in {graph}
 
     def test_sampling_stream_matches_original(self, saved):
         graph, directory = saved

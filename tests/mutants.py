@@ -314,6 +314,41 @@ MUTANTS: tuple[Mutant, ...] = (
         nodes=("tests/graphs/test_implicit.py::TestImplicitBehaviour::test_pickles_compactly",),
         origin="one graph shipping path",
     ),
+    Mutant(
+        id="degree-reads-any-id",
+        file="src/repro/graphs/base.py",
+        anchor="        self._check_vertex(u)\n        return int(self._degrees[u])\n",
+        replacement="        return int(self._degrees[u])\n",
+        nodes=(
+            "tests/graphs/test_base.py::TestAccessors::"
+            "test_single_vertex_reads_reject_out_of_range_ids[-1-csr]",
+        ),
+        origin="options become constants",
+    ),
+    Mutant(
+        id="hash-raw-index-bytes",
+        file="src/repro/graphs/base.py",
+        anchor=(
+            "        indices = self._indices.astype(np.int64, copy=False)\n"
+            "        return hash((self._indptr.tobytes(), indices.tobytes()))\n"
+        ),
+        replacement="        return hash((self._indptr.tobytes(), self._indices.tobytes()))\n",
+        nodes=(
+            "tests/graphs/test_memmap_io.py::TestRoundtrip::test_hashes_as_the_graph_it_equals",
+        ),
+        origin="options become constants",
+    ),
+    Mutant(
+        id="cobra-estimate-without-temporaries",
+        file="src/repro/core/memory.py",
+        anchor="temporaries = 8 * (4 + 2 * mandatory) * n_vertices",
+        replacement="temporaries = 0",
+        nodes=(
+            "tests/core/test_memory_guard.py::TestEstimate::"
+            "test_tracks_the_traced_peak_of_a_dense_shard[cobra]",
+        ),
+        origin="options become constants",
+    ),
 )
 
 

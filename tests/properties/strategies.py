@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import strategies as st
 
 from repro.graphs import generators
@@ -47,3 +48,10 @@ def small_regular_graphs(draw) -> Graph:
 
 branching_factors = st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0])
 seeds = st.integers(0, 2**31 - 1)
+
+
+def int32_twin(graph: Graph) -> Graph:
+    """``graph`` with ``int32`` indices, the storage a memory-mapped CSR uses."""
+    return Graph.adopt_validated_csr(
+        graph.indptr, graph.indices.astype(np.int32), name=graph.name
+    )
